@@ -358,69 +358,132 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
+_X_BLOCK = 128  # x targets per block of `BoundaryPotential.field_on_grid`
+
+
+def _window_rows(tgrid: UniformGrid, t_window: tuple | None) -> np.ndarray:
+    """Indices of the nodes of tgrid inside t_window (all of them for None)."""
+    tnodes = tgrid.nodes
+    if t_window is None:
+        return np.arange(tgrid.count)
+    return np.where((tnodes >= t_window[0]) & (tnodes <= t_window[1]))[0]
+
+
+def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_m coef[q, m] * table[m, q, b] -> (Q, B)."""
+    out = coef[:, 0, None] * table[0]
+    term = np.empty_like(out)
+    for m in (1, 2):
+        out += np.multiply(coef[:, m, None], table[m], out=term)
+    return out
+
+
 class BoundaryPotential:
     """Boundary-data field bound to one quadrature table.
 
-    Solves the per-node Cramer systems once; evaluation on (x, t) targets is
-    then two dense contractions.  `x_kernel_cache=True` keeps the (3, Q, X)
-    exponential table for reuse across repeated data updates on identical
-    targets (the fixed-point loop does exactly that).
+    Each data update costs one data transform and one batch of per-node
+    Cramer solves; evaluation is then one dense contraction per x-block.
+    The tables that do not depend on the data are built once per potential:
+
+    * with `t_sel` (rows of the data's time grid where the field is wanted),
+      the unweighted table e^{i beta_q t_n} on those rows, shape (T_sel, Q).
+      It serves every evaluation on those times and, whenever the data
+      vanish off those rows, the data transform too (through its conjugate);
+      otherwise the transform falls back to `nonuniform_transform`.
+    * in `field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
+      e^{r_m (x - x_b)} per x-block with left end x_b: one (3, Q, B) offset
+      table shared by every block whose offsets match the first block's (all
+      blocks of a uniform grid), one base vector per block and, for blocks
+      that reach x < 0, the collar taper on the nodes where it does not
+      vanish.
+
+    The quadrature weights and (2 pi)^(-1/2) are folded into the per-node
+    coefficients, so the contraction is a plain matrix product.
     """
 
-    def __init__(self, quad: BoundaryQuadrature, h1, h2, h3):
+    def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel=None):
         self.quad = quad
-        self.rhs = np.stack(
-            [
-                nonuniform_transform(h, quad.betas, support_tol=1e-15)
-                for h in (h1, h2, h3)
-            ],
-            axis=-1,
-        )
-        self.coeffs = solve_coefficients_batch(quad.roots, self.rhs)
-        self._x_cache: dict = {}
+        self.tgrid = h1.grid
+        self.t_sel = None if t_sel is None else np.asarray(t_sel)
+        self.ttargets = None
+        self._ttable = None
+        if self.t_sel is not None:
+            self.ttargets = self.tgrid.nodes[self.t_sel]
+            self._ttable = np.exp(1j * np.outer(self.ttargets, quad.betas))
+            self._off_rows = np.ones(self.tgrid.count, dtype=bool)
+            self._off_rows[self.t_sel] = False
+        self._osc = quad.osc_index[:, None] == np.arange(3)  # (Q, 3)
+        self._grid_key = None
+        self._blocks: dict = {}
+        self.update_data(h1, h2, h3)
 
     def update_data(self, h1, h2, h3) -> None:
-        self.rhs = np.stack(
-            [
-                nonuniform_transform(h, self.quad.betas, support_tol=1e-15)
-                for h in (h1, h2, h3)
-            ],
-            axis=-1,
-        )
+        series = (h1, h2, h3)
+        if self._ttable is not None and all(
+            h.grid == self.tgrid and not np.any(h.values[self._off_rows]) for h in series
+        ):
+            data = np.stack([h.values[self.t_sel] for h in series], axis=-1)
+            scale = self.tgrid.step / np.sqrt(2.0 * np.pi)
+            self.rhs = scale * np.conj(self._ttable.T @ np.conj(data))
+        else:
+            self.rhs = np.stack(
+                [nonuniform_transform(h, self.quad.betas, support_tol=1e-15) for h in series],
+                axis=-1,
+            )
         self.coeffs = solve_coefficients_batch(self.quad.roots, self.rhs)
 
-    def _root_exponentials(self, xtargets: np.ndarray) -> np.ndarray:
-        """(3, Q, X) table of e^{r_m x} with the collar cutoff folded in."""
-        key = (xtargets.tobytes(), self.quad.collar)
-        if key in self._x_cache:
-            return self._x_cache[key]
-        quad = self.quad
-        Q, X = quad.node_count, len(xtargets)
-        out = np.empty((3, Q, X), dtype=np.complex128)
-        collar_vals = rho(np.outer(quad.gammas, xtargets), quad.collar)
-        for m in range(3):
-            z = np.outer(quad.roots[:, m], xtargets)
-            re = np.clip(z.real, -700.0, 10.0)
-            ez = np.exp(re + 1j * z.imag)
-            ez[re <= -700.0] = 0.0
-            keep_everywhere = quad.osc_index == m
-            taper = np.where(keep_everywhere[:, None], 1.0, collar_vals)
-            out[m] = ez * taper
-        if len(self._x_cache) >= 8:
-            self._x_cache.pop(next(iter(self._x_cache)))
-        self._x_cache[key] = out
-        return out
-
-    def _time_phases(self, ttargets: np.ndarray) -> np.ndarray:
+    def _time_table(self, ttargets: np.ndarray) -> np.ndarray:
+        if self._ttable is not None and np.array_equal(ttargets, self.ttargets):
+            return self._ttable
         return np.exp(1j * np.outer(ttargets, self.quad.betas))
 
-    def _contract(
-        self, node_kernel: np.ndarray, xtargets: np.ndarray, ttargets: np.ndarray
-    ) -> np.ndarray:
-        """sum_q w_q e^{i beta_q t} node_kernel[q, x] -> (X, T)."""
-        phases = self._time_phases(ttargets)
-        weighted = self.quad.weights[:, None] * node_kernel
-        return (phases @ weighted).T / np.sqrt(2.0 * np.pi)
+    def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
+        """(offsets, offset table, base, live rows, taper) of an x-block; x_b = min xs.
+
+        The offset table (3, Q, B) holds e^{r_m (x - x_b)} and is taken from
+        the tables `shared` of another block when the offsets agree to the
+        rounding of the nodes; base (Q, 3) holds e^{r_m x_b}.  On x >= 0 the
+        collar cutoff is 1 and live/taper are None.  Otherwise the
+        decaying-root base entries are zeroed on the nodes whose taper
+        vanishes across the block (so an overflowing e^{Re r x_b} never meets
+        a zero taper), and the taper is kept on the remaining `live` rows only.
+        """
+        quad = self.quad
+        x_b = float(np.min(xs))
+        offsets = xs - x_b
+        if shared is not None and len(shared[0]) == len(offsets) and np.allclose(
+            shared[0], offsets, rtol=0.0, atol=4.0 * np.finfo(float).eps * np.max(np.abs(xs))
+        ):
+            table = shared[1]
+        else:
+            table = np.exp(quad.roots.T[:, :, None] * offsets)
+        z = quad.roots * x_b
+        if x_b >= 0:
+            return offsets, table, np.exp(z), None, None
+        taper = rho(np.outer(quad.gammas, xs), quad.collar)
+        live = np.any(taper, axis=1)
+        base = np.zeros_like(z)
+        keep = self._osc | live[:, None]
+        base[keep] = np.exp(z[keep])
+        live = slice(None) if live.all() else np.flatnonzero(live)
+        return offsets, table, base, live, taper[live]
+
+    def _weighted_coefficients(self, root_power: int, channels, parts) -> tuple:
+        """w_q (2 pi)^(-1/2) c_m(beta_q) r_m^root_power restricted to `parts`,
+        split into its oscillatory-root and decaying-root entries, (Q, 3) each."""
+        if set(channels) == {0, 1, 2}:
+            coeffs = self.coeffs
+        else:
+            rhs = np.zeros_like(self.rhs)
+            for ch in channels:
+                rhs[:, ch] = self.rhs[:, ch]
+            coeffs = solve_coefficients_batch(self.quad.roots, rhs)
+        if root_power:
+            coeffs = coeffs * self.quad.roots**root_power
+        weighted = coeffs * (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
+        osc = np.where(self._osc & ("osc" in parts), weighted, 0.0)
+        dec = np.where(~self._osc & ("dec" in parts), weighted, 0.0)
+        return osc, dec
 
     def field_values(
         self, xtargets, ttargets, root_power: int = 0, channels=(0, 1, 2), parts=("osc", "dec")
@@ -432,30 +495,39 @@ class BoundaryPotential:
         individual data channels and `parts` to the oscillatory/decaying root
         contributions — both used by diagnostics.
         """
-        xtargets = np.asarray(xtargets, dtype=float)
+        xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
-        exps = self._root_exponentials(xtargets)
-        if set(channels) == {0, 1, 2}:
-            coeffs = self.coeffs
+        osc, dec = self._weighted_coefficients(root_power, channels, parts)
+        tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
+        _, table, base, live, taper = tables
+        if live is None:
+            kernel = _combine(base * (osc + dec), table)
         else:
-            rhs = np.zeros_like(self.rhs)
-            for ch in channels:
-                rhs[:, ch] = self.rhs[:, ch]
-            coeffs = solve_coefficients_batch(self.quad.roots, rhs)
-        use_osc = "osc" in parts
-        use_dec = "dec" in parts
-        Q = self.quad.node_count
-        kernel = np.zeros((Q, len(xtargets)), dtype=np.complex128)
-        for m in range(3):
-            cm = coeffs[:, m]
-            if root_power:
-                cm = cm * self.quad.roots[:, m] ** root_power
-            is_osc = self.quad.osc_index == m
-            mask = np.where(is_osc, use_osc, use_dec)
-            if not np.any(mask):
-                continue
-            kernel += (cm * mask)[:, None] * exps[m]
-        return self._contract(kernel, xtargets, ttargets)
+            kernel = _combine(base * osc, table)
+            kernel[live] += taper * _combine((base * dec)[live], table[:, live])
+        return (self._time_table(ttargets) @ kernel).T
+
+    def field_on_grid(self, xnodes) -> np.ndarray:
+        """Field on xnodes and every node of the data's time grid, shape
+        (X, T); zero off the rows `t_sel`.
+
+        Evaluated by `field_values` in blocks of _X_BLOCK targets.  The block
+        tables stay for the next call on the same nodes, which the
+        fixed-point loop makes once per application.
+        """
+        if self.t_sel is None:
+            raise ValueError("field_on_grid needs a potential bound to time rows (t_sel)")
+        xnodes = np.asarray(xnodes, dtype=float)
+        if xnodes.tobytes() != self._grid_key:
+            self._grid_key, self._blocks = xnodes.tobytes(), {}
+        values = np.zeros((len(xnodes), self.tgrid.count), dtype=np.complex128)
+        for start in range(0, len(xnodes), _X_BLOCK):
+            xs = xnodes[start : start + _X_BLOCK]
+            if xs.tobytes() not in self._blocks:
+                first = next(iter(self._blocks.values()), None)
+                self._blocks[xs.tobytes()] = self._x_block_tables(xs, first)
+            values[start : start + _X_BLOCK, self.t_sel] = self.field_values(xs, self.ttargets)
+        return values
 
     def trace_values(self, j: int, ttargets) -> np.ndarray:
         """d^j/dx^j at x = 0 from the analytic kernel derivatives (r^j factors)."""
@@ -463,7 +535,7 @@ class BoundaryPotential:
             raise ValueError(f"trace order j must be 0, 1, or 2, got {j}")
         ttargets = np.asarray(ttargets, dtype=float)
         node_vals = np.sum(self.coeffs * self.quad.roots**j, axis=-1)
-        phases = self._time_phases(ttargets)
+        phases = self._time_table(ttargets)
         return (phases @ (self.quad.weights * node_vals)) / np.sqrt(2.0 * np.pi)
 
     def piece_maxima(self, xtargets, ttargets) -> dict:
@@ -531,24 +603,15 @@ def assemble_boundary_potential(
             f"{spectrum_tol:g} (relative) within the usable band |beta| <= {cap:g}; "
             "refine the time grid or smooth the data"
         )
-    tnodes = tgrid.nodes
-    if t_window is None:
-        t_sel = np.arange(tgrid.count)
-    else:
-        t_sel = np.where((tnodes >= t_window[0]) & (tnodes <= t_window[1]))[0]
-    ttargets = tnodes[t_sel]
+    t_sel = _window_rows(tgrid, t_window)
+    ttargets = tgrid.nodes[t_sel]
     x_span = float(np.max(np.abs(xgrid.nodes)))
     t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
     quad = BoundaryQuadrature.build(
         radius, depth, t_span, x_span, nodes_per_panel=nodes_per_panel, collar=collar
     )
-    pot = BoundaryPotential(quad, h1, h2, h3)
-    values = np.zeros((xgrid.count, tgrid.count), dtype=np.complex128)
-    xnodes = xgrid.nodes
-    chunk = 256
-    for start in range(0, xgrid.count, chunk):
-        xs = xnodes[start : start + chunk]
-        values[start : start + chunk, t_sel] = pot.field_values(xs, ttargets)
+    pot = BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
+    values = pot.field_on_grid(xgrid.nodes)
     diagnostics = {
         "beta_radius": radius,
         "gamma_max": radius**0.2,
@@ -559,7 +622,7 @@ def assemble_boundary_potential(
         "x_span": x_span,
     }
     if with_diagnostics:
-        xsub = xnodes[:: max(1, xgrid.count // 32)]
+        xsub = xgrid.nodes[:: max(1, xgrid.count // 32)]
         tsub = ttargets[:: max(1, len(ttargets) // 24)] if len(ttargets) else ttargets
         diagnostics["piece_max"] = pot.piece_maxima(xsub, tsub)
     return BoundaryAssembly(
@@ -593,17 +656,13 @@ def boundary_potential_traces(
         raise PreconditionError(
             f"boundary data spectrum does not decay within the usable band (cap {cap:g})"
         )
-    tnodes = tgrid.nodes
-    if t_window is None:
-        t_sel = np.arange(tgrid.count)
-    else:
-        t_sel = np.where((tnodes >= t_window[0]) & (tnodes <= t_window[1]))[0]
-    ttargets = tnodes[t_sel]
+    t_sel = _window_rows(tgrid, t_window)
+    ttargets = tgrid.nodes[t_sel]
     t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
     quad = BoundaryQuadrature.build(
         radius, depth, t_span, 0.0, nodes_per_panel=nodes_per_panel, collar=collar
     )
-    pot = BoundaryPotential(quad, h1, h2, h3)
+    pot = BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
     vals = np.zeros(tgrid.count, dtype=np.complex128)
     vals[t_sel] = pot.trace_values(j, ttargets)
     return TimeSeries(tgrid, vals)

@@ -10,8 +10,10 @@ where F_T(u) = eta(t/2T) (-1/2) d_x(u^2), p_{j+1} are the x = 0 traces of the
 first two terms, and the boundary potential is driven by the corrected data
 h_j - p_j so that the total trace reproduces the prescribed h_j on the
 working window.  Everything is assembled on fixed grids with one shared
-boundary quadrature table per solve, which makes the linear/nonlinear split
-of the output exact to rounding.
+boundary potential per solve: its quadrature nodes, e^{i beta t} table and
+x-block tables are built at the first application and only the data change
+afterwards, which makes the linear/nonlinear split of the output exact to
+rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundaryPotential, BoundaryQuadrature, truncation_radius
+from .boundary import BoundaryPotential, BoundaryQuadrature, _window_rows, truncation_radius
 from .bourgain import xsba_norm
 from .cutoffs import EXCLUDED_REGULARITY, eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -189,9 +191,9 @@ def nonlinearity_FT(
 class GammaWorkspace:
     """Data-bound state for repeated applications of Gamma_T.
 
-    Precomputes the free term and its traces once, keeps one boundary
-    quadrature table (with its exponential kernel cache) across iterations,
-    and records assembly diagnostics.
+    Precomputes the free term and its traces once, keeps one
+    BoundaryPotential (quadrature nodes plus its data-independent time and
+    space tables) across iterations, and records assembly diagnostics.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -205,24 +207,24 @@ class GammaWorkspace:
         self.plan = PropagatorPlan(cfg.xgrid, cfg.cap_fraction)
         tnodes = cfg.tgrid.nodes
         self.eta_t = eta(tnodes)
-        self.eta_2T = eta(tnodes / (2.0 * cfg.T))
-        self.chi_pos = (tnodes > 0).astype(float)
+        # eta(t/2T) * chi_{t>0}: supported in (0, 2T], inside t_window below.
+        self.data_window = eta(tnodes / (2.0 * cfg.T)) * (tnodes > 0)
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
         free = free_field(data.g_l, cfg.tgrid, self.plan)
         self.free_term = SpaceTimeField(cfg.xgrid, cfg.tgrid, free.values * self.eta_t[None, :])
         self.q = tuple(trace_at_origin(data.g_l, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
         self._pot: BoundaryPotential | None = None
-        self._t_sel: np.ndarray | None = None
         self.diagnostics: dict = {"applications": 0}
 
     # -- corrected boundary data -------------------------------------------------
     def corrected_series(self, r_traces) -> tuple:
         """eta(t/2T) * chi_{t>0} * (h_j - q_j - r_j) for j = 0, 1, 2."""
-        window = self.eta_2T * self.chi_pos
         out = []
         for h, qj, rj in zip(self.data.boundary_series, self.q, r_traces):
-            out.append(TimeSeries(self.cfg.tgrid, window * (h.values - qj.values - rj.values)))
+            out.append(
+                TimeSeries(self.cfg.tgrid, self.data_window * (h.values - qj.values - rj.values))
+            )
         return tuple(out)
 
     def zero_extension_flags(self, series) -> list:
@@ -241,25 +243,28 @@ class GammaWorkspace:
         return flags
 
     # -- boundary potential ------------------------------------------------------
-    def _boundary_field(self, series) -> SpaceTimeField:
+    def boundary_field_for(self, series) -> SpaceTimeField:
+        """Assemble eta(t) * BoundaryPotential[series] on the shared potential.
+
+        The first nonzero series fixes the truncation radius and builds the
+        quadrature and the potential's tables; later calls only update the data.
+        """
         cfg = self.cfg
-        values = np.zeros((cfg.xgrid.count, cfg.tgrid.count), dtype=np.complex128)
         if all(np.all(d.values == 0) for d in series):
-            return SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+            zero = np.zeros((cfg.xgrid.count, cfg.tgrid.count), dtype=np.complex128)
+            return SpaceTimeField(cfg.xgrid, cfg.tgrid, zero)
         if self._pot is None:
             cap = cfg.cap_fraction * cfg.tgrid.nyquist
             radius, tail, ok = truncation_radius(series, cfg.spectrum_tol, cap)
-            tnodes = cfg.tgrid.nodes
-            self._t_sel = np.where((tnodes >= self.t_window[0]) & (tnodes <= self.t_window[1]))[0]
-            ttargets = tnodes[self._t_sel]
+            t_sel = _window_rows(cfg.tgrid, self.t_window)
             quad = BoundaryQuadrature.build(
                 radius,
                 cfg.depth,
-                t_span=float(np.max(np.abs(ttargets))),
+                t_span=float(np.max(np.abs(cfg.tgrid.nodes[t_sel]))),
                 x_span=float(np.max(np.abs(cfg.xgrid.nodes))),
                 collar=cfg.collar,
             )
-            self._pot = BoundaryPotential(quad, *series)
+            self._pot = BoundaryPotential(quad, *series, t_sel=t_sel)
             self.diagnostics.update(
                 {
                     "beta_radius": radius,
@@ -270,18 +275,17 @@ class GammaWorkspace:
             )
         else:
             self._pot.update_data(*series)
-        ttargets = cfg.tgrid.nodes[self._t_sel]
-        chunk = 256
-        xnodes = cfg.xgrid.nodes
-        for start in range(0, cfg.xgrid.count, chunk):
-            xs = xnodes[start : start + chunk]
-            values[start : start + chunk, self._t_sel] = self._pot.field_values(xs, ttargets)
+        values = self._pot.field_on_grid(cfg.xgrid.nodes)
         values *= self.eta_t[None, :]
         return SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
 
-    def boundary_field_for(self, series) -> SpaceTimeField:
-        """Assemble eta(t) * BoundaryPotential[series] on the shared table."""
-        return self._boundary_field(series)
+    def nonlinear_of(self, parts: dict) -> SpaceTimeField:
+        """Duhamel term of one application minus the boundary potential driven
+        by its Duhamel traces alone: the part of Gamma_T(u) beyond its linear part."""
+        cfg = self.cfg
+        nl_series = tuple(TimeSeries(cfg.tgrid, self.data_window * rj.values) for rj in parts["r"])
+        nl_boundary = self.boundary_field_for(nl_series)
+        return SpaceTimeField(cfg.xgrid, cfg.tgrid, parts["duhamel"].values - nl_boundary.values)
 
     # -- one application of Gamma_T ---------------------------------------------
     def apply(self, u: SpaceTimeField) -> tuple:
@@ -301,7 +305,7 @@ class GammaWorkspace:
             )
             r = tuple(TimeSeries(cfg.tgrid, zero_t.copy()) for _ in range(3))
         corrected = self.corrected_series(r)
-        boundary = self._boundary_field(corrected)
+        boundary = self.boundary_field_for(corrected)
         total = SpaceTimeField(
             cfg.xgrid, cfg.tgrid, self.free_term.values + duh.values + boundary.values
         )
@@ -430,14 +434,7 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
         cfg.alpha,
     )
     decomposition = TraceDecomposition.from_parts(ws.q, parts["r"])
-    window = ws.eta_2T * ws.chi_pos
-    nl_series = tuple(
-        TimeSeries(cfg.tgrid, window * rj.values) for rj in parts["r"]
-    )
-    nl_boundary = ws.boundary_field_for(nl_series)
-    nonlinear = SpaceTimeField(
-        cfg.xgrid, cfg.tgrid, parts["duhamel"].values - nl_boundary.values
-    )
+    nonlinear = ws.nonlinear_of(parts)
     linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, u.values - nonlinear.values)
     diagnostics = dict(ws.diagnostics)
     diagnostics["zero_extension_flags"] = ws.zero_extension_flags(parts["corrected"])
@@ -463,7 +460,4 @@ def nonlinear_part(
     Duhamel traces alone — the portion of the solution beyond its linear part."""
     ws = workspace or GammaWorkspace(data, cfg)
     _, parts = ws.apply(u)
-    window = ws.eta_2T * ws.chi_pos
-    nl_series = tuple(TimeSeries(cfg.tgrid, window * rj.values) for rj in parts["r"])
-    nl_boundary = ws.boundary_field_for(nl_series)
-    return SpaceTimeField(cfg.xgrid, cfg.tgrid, parts["duhamel"].values - nl_boundary.values)
+    return ws.nonlinear_of(parts)

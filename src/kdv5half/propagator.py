@@ -10,6 +10,7 @@ and integrated (composite Gauss-Legendre, one panel per time step).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -47,11 +48,13 @@ class PropagatorPlan:
     def xi(self) -> np.ndarray:
         return self.xgrid.frequencies
 
-    @property
+    # Computed once per plan; cached_property writes the instance dict
+    # directly, so it works on the frozen dataclass.
+    @cached_property
     def xi5(self) -> np.ndarray:
         return self.xi**5
 
-    @property
+    @cached_property
     def cap_mask(self) -> np.ndarray:
         return band_mask(self.xgrid, self.cap_fraction)
 

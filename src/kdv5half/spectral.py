@@ -23,8 +23,6 @@ from .grids import (
 __all__ = [
     "forward_transform",
     "inverse_transform",
-    "forward_transform_2d",
-    "inverse_transform_2d",
     "spectrum_matrix",
     "values_from_spectrum_matrix",
     "l2_norm",
@@ -72,15 +70,6 @@ def values_from_spectrum_matrix(
     scale = (2.0 * np.pi) / (xgrid.step * tgrid.step)
     vals = scale * np.fft.ifft2(coeffs * phase_x * phase_t)
     return SpaceTimeField(xgrid, tgrid, vals)
-
-
-def forward_transform_2d(u: SpaceTimeField):
-    """Returns (xi (FFT order), tau (FFT order), coefficients)."""
-    return u.xgrid.frequencies, u.tgrid.frequencies, spectrum_matrix(u)
-
-
-def inverse_transform_2d(coeffs, xgrid, tgrid) -> SpaceTimeField:
-    return values_from_spectrum_matrix(coeffs, xgrid, tgrid)
 
 
 def l2_norm(f: GridFunction) -> float:

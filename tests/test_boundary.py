@@ -5,6 +5,7 @@ import pytest
 
 from kdv5half.boundary import (
     AccuracyError,
+    BoundaryPotential,
     BoundaryQuadrature,
     PreconditionError,
     RootTriple,
@@ -20,8 +21,9 @@ from kdv5half.boundary import (
     truncation_radius,
     vandermonde_det,
 )
-from kdv5half.cutoffs import right_bump
+from kdv5half.cutoffs import rho, right_bump
 from kdv5half.grids import TimeSeries, UniformGrid
+from kdv5half.spectral import nonuniform_transform
 
 TG = UniformGrid(-2.0, 4.0 / 1024, 1024)
 
@@ -247,3 +249,107 @@ class TestBoundaryField:
         sup = np.max(np.abs(out.field.values))
         assert np.isfinite(sup)
         assert sup < 10.0 * np.max(np.abs(bump_series().values))
+
+
+def direct_field(pot, xs, ts, root_power=0, channels=(0, 1, 2), parts=("osc", "dec")):
+    """Independent oracle: (2 pi)^(-1/2) sum_q w_q e^{i beta_q t}
+    sum_m c_m r_m^root_power e^{r_m x} taper, with the coefficients from a
+    library solve of the Vandermonde systems and e^{r x} evaluated only where
+    the taper is nonzero."""
+    quad = pot.quad
+    rhs = np.zeros_like(pot.rhs)
+    rhs[:, list(channels)] = pot.rhs[:, list(channels)]
+    vander = quad.roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
+    coeffs = np.linalg.solve(vander, rhs[:, :, None])[:, :, 0]
+    taper = rho(np.outer(quad.gammas, xs), quad.collar)
+    phases = np.exp(1j * np.outer(ts, quad.betas))
+    out = np.zeros((len(xs), len(ts)), dtype=complex)
+    for m in range(3):
+        osc = quad.osc_index == m
+        keep = np.where(osc, "osc" in parts, "dec" in parts)
+        c = quad.weights * coeffs[:, m] * quad.roots[:, m] ** root_power * keep
+        tap = np.where(osc[:, None], 1.0, taper)
+        z = np.where(tap > 0, np.outer(quad.roots[:, m], xs), 0.0)
+        out += (phases @ (c[:, None] * np.exp(z) * tap)).T
+    return out / np.sqrt(2.0 * np.pi)
+
+
+def three_channel_potential(t_sel=None, x_span=5.0):
+    h1 = bump_series()
+    h2 = TimeSeries(TG, 0.5j * right_bump(TG.nodes, 0.2, 0.5, 0.9, 1.5).astype(complex))
+    h3 = TimeSeries(TG, -0.3 * right_bump(TG.nodes, 0.3, 0.8, 1.0, 1.7).astype(complex))
+    radius, _, ok = truncation_radius((h1, h2, h3), 1e-8, 0.75 * TG.nyquist)
+    assert ok
+    quad = BoundaryQuadrature.build(radius, depth=1, t_span=2.0, x_span=x_span)
+    return BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
+
+
+def rel_max_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBoundaryPotentialTables:
+    # Non-uniform targets, several inside the collar (x < 0, taper in (0, 1)).
+    XS = np.array([-0.9, -0.41, -0.2, -0.05, 0.0, 0.13, 0.6, 1.7, 2.2, 4.9])
+    TS = np.array([-0.3, 0.0, 0.25, 0.8, 1.3, 1.95])
+
+    def test_field_values_match_direct_sum(self):
+        pot = three_channel_potential()
+        for kwargs in (
+            {},
+            {"root_power": 5},
+            {"channels": (1,)},
+            {"channels": (2,), "parts": ("osc",)},
+            {"channels": (0,), "parts": ("dec",)},
+        ):
+            got = pot.field_values(self.XS, self.TS, **kwargs)
+            want = direct_field(pot, self.XS, self.TS, **kwargs)
+            assert rel_max_error(got, want) <= 1e-13, kwargs
+        shuffled = pot.field_values(self.XS[::-1], self.TS)
+        assert rel_max_error(shuffled[::-1], direct_field(pot, self.XS, self.TS)) <= 1e-13
+
+    def test_field_on_grid_matches_direct_sum(self):
+        # Three x-blocks crossing x = 0, the last one short; only the rows
+        # t_sel are evaluated and the rest stay zero.  The uniform grid comes
+        # twice (stored block tables reused), then a graded grid whose blocks
+        # have offsets of their own.
+        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
+        pot = three_channel_potential(t_sel=t_sel, x_span=6.0)
+        uniform = np.linspace(-3.0, 6.0, 300)
+        graded = -3.0 + 9.0 * np.linspace(0.0, 1.0, 300) ** 1.5
+        for xs in (uniform, uniform, graded):
+            values = pot.field_on_grid(xs)
+            assert values.shape == (len(xs), TG.count)
+            assert not np.any(np.delete(values, t_sel, axis=1))
+            want = direct_field(pot, xs, TG.nodes[t_sel])
+            assert rel_max_error(values[:, t_sel], want) <= 1e-13
+
+    def test_table_transform_matches_nonuniform_transform(self):
+        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
+        pot = three_channel_potential(t_sel=t_sel)
+        series = (bump_series(), zero_series(), TimeSeries(TG, 2j * bump_series().values))
+        pot.update_data(*series)
+        want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
+        assert rel_max_error(pot.rhs, want) <= 1e-13
+
+    def test_transform_falls_back_when_data_leave_the_rows(self):
+        # Rows cover t in [0, 1] only; the bump reaches t = 1.9.
+        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 1.0))[0]
+        pot = three_channel_potential(t_sel=t_sel)
+        series = (bump_series(), zero_series(), zero_series())
+        pot.update_data(*series)
+        want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
+        assert rel_max_error(pot.rhs, want) <= 1e-13
+
+    def test_far_left_field_stays_finite(self):
+        # e^{Re r x_b} overflows for most nodes this far left; the taper is
+        # zero there and must not turn inf into NaN.
+        pot = three_channel_potential()
+        xs = np.linspace(-2000.0, -1990.0, 16)
+        assert np.max(np.real(pot.quad.roots) * xs[0]) > 710.0
+        with np.errstate(over="raise", invalid="raise"):
+            got = pot.field_values(xs, self.TS)
+        assert np.all(np.isfinite(got))
+        # The phases r x themselves carry rounding of order eps * |r x| here.
+        phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
+        assert rel_max_error(got, direct_field(pot, xs, self.TS)) <= 4.0 * phase_rounding
