@@ -14,7 +14,8 @@ collar cutoff rho(|beta|^{1/5} x).  The beta integrals are singular like
 |beta|^{-1/5}, |beta|^{-2/5} at 0 through the Cramer coefficients; the
 substitution beta = sign*gamma^5 removes the singularity exactly, and
 composite Gauss-Legendre in gamma (geometric panels toward 0, phase-graded
-panel counts) does the rest.
+panel counts) does the rest, up to the truncation radius that
+`BoundaryPotential.from_data` reads off the data spectra.
 """
 
 from __future__ import annotations
@@ -82,22 +83,19 @@ class RootTriple:
 
 
 def roots_of_symbol(beta: float) -> RootTriple:
-    """The three roots of i*beta + r^5 = 0 with Re r <= 0.
-
-    The real radical |beta|^(1/5) is taken as the positive real root and the
-    complex roots are formed from explicit unit-modulus phases, so no
-    principal-branch ambiguity enters.
-    """
-    if beta == 0.0:
-        raise ValueError("beta = 0 has a quintuple root at 0 and is excluded")
-    radius = abs(beta) ** 0.2
-    phases = _PHASES_NEG if beta < 0 else _PHASES_POS
-    r = radius * phases
+    """The three roots of i*beta + r^5 = 0 with Re r <= 0 (beta = 0, a
+    quintuple root, is rejected); one row of `stable_root_array`."""
+    r = stable_root_array(np.array([beta]))[0]
     return RootTriple(beta=float(beta), r1=complex(r[0]), r2=complex(r[1]), r3=complex(r[2]))
 
 
 def stable_root_array(betas: np.ndarray) -> np.ndarray:
-    """Vectorized roots, shape (len(betas), 3). All betas must be nonzero."""
+    """Roots of i*beta + r^5 = 0 with Re r <= 0, shape (len(betas), 3).
+
+    The real radical |beta|^(1/5) is taken as the positive real root and the
+    complex roots are formed from explicit unit-modulus phases, so no
+    principal-branch ambiguity enters.  All betas must be nonzero.
+    """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas == 0.0):
         raise ValueError("beta = 0 is excluded")
@@ -128,7 +126,7 @@ class CoefficientTriple:
         return np.array([self.c1, self.c2, self.c3])
 
 
-def _cramer(roots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_coefficients_batch(roots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Closed-form Cramer solve of sum c_m r_m^k = rhs_{k+1}, k = 0,1,2.
 
     roots: (..., 3), rhs: (..., 3); returns (..., 3).
@@ -150,7 +148,7 @@ def solve_coefficients(roots: RootTriple, rhs) -> CoefficientTriple:
     if abs(det) < 1e-13 * scale:
         raise ArithmeticError(f"near-degenerate root system at beta={roots.beta}: |det|={abs(det)}")
     rhs_arr = np.asarray(rhs, dtype=np.complex128)
-    c = _cramer(r, rhs_arr)
+    c = solve_coefficients_batch(r, rhs_arr)
     residual = np.array(
         [c.sum() - rhs_arr[0], (c * r).sum() - rhs_arr[1], (c * r * r).sum() - rhs_arr[2]]
     )
@@ -164,10 +162,6 @@ def solve_coefficients(roots: RootTriple, rhs) -> CoefficientTriple:
         c3=complex(c[2]),
         rhs=tuple(complex(v) for v in rhs_arr),
     )
-
-
-def solve_coefficients_batch(roots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return _cramer(roots, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +355,6 @@ def truncation_radius(series, tolerance: float, cap: float):
 _X_BLOCK = 128  # x targets per block of `BoundaryPotential.field_on_grid`
 
 
-def _window_rows(tgrid: UniformGrid, t_window: tuple | None) -> np.ndarray:
-    """Indices of the nodes of tgrid inside t_window (all of them for None)."""
-    tnodes = tgrid.nodes
-    if t_window is None:
-        return np.arange(tgrid.count)
-    return np.where((tnodes >= t_window[0]) & (tnodes <= t_window[1]))[0]
-
-
 def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_m coef[q, m] * table[m, q, b] -> (Q, B)."""
     out = coef[:, 0, None] * table[0]
@@ -379,7 +365,7 @@ def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class BoundaryPotential:
-    """Boundary-data field bound to one quadrature table.
+    """Boundary-data field bound to one quadrature table (from data: `from_data`).
 
     Each data update costs one data transform and one batch of per-node
     Cramer solves; evaluation is then one dense contraction per x-block.
@@ -416,6 +402,60 @@ class BoundaryPotential:
         self._grid_key = None
         self._blocks: dict = {}
         self.update_data(h1, h2, h3)
+
+    @classmethod
+    def from_data(
+        cls,
+        h1: TimeSeries,
+        h2: TimeSeries,
+        h3: TimeSeries,
+        *,
+        depth: int,
+        x_span: float,
+        spectrum_tol: float = 1e-8,
+        cap_fraction: float = 0.75,
+        collar: float = 2.0,
+        t_window: tuple | None = None,
+        strict: bool = True,
+    ) -> "BoundaryPotential | None":
+        """Potential of (h1, h2, h3) bound to the rows of their time grid inside
+        `t_window` (all rows for None), with its choices in `diagnostics`;
+        None when all three series vanish.  A spectrum that does not fall
+        below `spectrum_tol` inside the band cap raises PreconditionError when
+        `strict`, else it is clamped there and reported as `tail_mass`."""
+        series = (h1, h2, h3)
+        tgrid = h1.grid
+        if any(h.grid != tgrid for h in series):
+            raise ValueError("boundary series must share one time grid")
+        if not any(np.any(h.values) for h in series):
+            return None
+        cap = cap_fraction * tgrid.nyquist
+        radius, tail, ok = truncation_radius(series, spectrum_tol, cap)
+        if not ok and strict:
+            raise PreconditionError(
+                "boundary data spectrum does not decay below "
+                f"{spectrum_tol:g} (relative) within the usable band |beta| <= {cap:g}; "
+                "refine the time grid or smooth the data"
+            )
+        tnodes = tgrid.nodes
+        t_sel = np.arange(tgrid.count)
+        if t_window is not None:
+            t_sel = np.flatnonzero((tnodes >= t_window[0]) & (tnodes <= t_window[1]))
+        ttargets = tnodes[t_sel]
+        t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
+        quad = BoundaryQuadrature.build(radius, depth, t_span, x_span, collar=collar)
+        pot = cls(quad, h1, h2, h3, t_sel=t_sel)
+        pot.diagnostics = {
+            "beta_radius": radius,
+            "gamma_max": radius**0.2,
+            "depth": depth,
+            "node_count": quad.node_count,
+            "tail_mass": tail,
+            "spectrum_within_band": ok,
+            "t_span": t_span,
+            "x_span": x_span,
+        }
+        return pot
 
     def update_data(self, h1, h2, h3) -> None:
         series = (h1, h2, h3)
@@ -468,36 +508,22 @@ class BoundaryPotential:
         live = slice(None) if live.all() else np.flatnonzero(live)
         return offsets, table, base, live, taper[live]
 
-    def _weighted_coefficients(self, root_power: int, channels, parts) -> tuple:
-        """w_q (2 pi)^(-1/2) c_m(beta_q) r_m^root_power restricted to `parts`,
-        split into its oscillatory-root and decaying-root entries, (Q, 3) each."""
-        if set(channels) == {0, 1, 2}:
-            coeffs = self.coeffs
-        else:
-            rhs = np.zeros_like(self.rhs)
-            for ch in channels:
-                rhs[:, ch] = self.rhs[:, ch]
-            coeffs = solve_coefficients_batch(self.quad.roots, rhs)
-        if root_power:
-            coeffs = coeffs * self.quad.roots**root_power
+    def _weighted_coefficients(self, root_power: int) -> tuple:
+        """w_q (2 pi)^(-1/2) c_m(beta_q) r_m^root_power split into its
+        oscillatory-root and decaying-root entries, (Q, 3) each."""
+        coeffs = self.coeffs * self.quad.roots**root_power if root_power else self.coeffs
         weighted = coeffs * (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
-        osc = np.where(self._osc & ("osc" in parts), weighted, 0.0)
-        dec = np.where(~self._osc & ("dec" in parts), weighted, 0.0)
-        return osc, dec
+        return np.where(self._osc, weighted, 0.0), np.where(self._osc, 0.0, weighted)
 
-    def field_values(
-        self, xtargets, ttargets, root_power: int = 0, channels=(0, 1, 2), parts=("osc", "dec")
-    ) -> np.ndarray:
+    def field_values(self, xtargets, ttargets, root_power: int = 0) -> np.ndarray:
         """Field samples, shape (len(xtargets), len(ttargets)).
 
         root_power = 5 gives the analytic fifth x-derivative (valid where the
-        collar cutoff is identically 1, i.e. x >= 0).  `channels` restricts to
-        individual data channels and `parts` to the oscillatory/decaying root
-        contributions — both used by diagnostics.
+        collar cutoff is identically 1, i.e. x >= 0).
         """
         xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
-        osc, dec = self._weighted_coefficients(root_power, channels, parts)
+        osc, dec = self._weighted_coefficients(root_power)
         tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
         _, table, base, live, taper = tables
         if live is None:
@@ -538,13 +564,13 @@ class BoundaryPotential:
         phases = self._time_table(ttargets)
         return (phases @ (self.quad.weights * node_vals)) / np.sqrt(2.0 * np.pi)
 
-    def piece_maxima(self, xtargets, ttargets) -> dict:
-        out = {}
-        for ch, label in enumerate(("h1", "h2", "h3")):
-            for parts, kind in ((("osc",), "oscillatory"), (("dec",), "decaying")):
-                vals = self.field_values(xtargets, ttargets, channels=(ch,), parts=parts)
-                out[f"{label}_{kind}"] = float(np.max(np.abs(vals)))
-        return out
+    def trace_on_grid(self, j: int) -> TimeSeries:
+        """Trace of order j on the data's time grid; zero off the rows `t_sel`."""
+        if self.t_sel is None:
+            raise ValueError("trace_on_grid needs a potential bound to time rows (t_sel)")
+        vals = np.zeros(self.tgrid.count, dtype=np.complex128)
+        vals[self.t_sel] = self.trace_values(j, self.ttargets)
+        return TimeSeries(self.tgrid, vals)
 
 
 @dataclass(frozen=True)
@@ -561,73 +587,32 @@ def assemble_boundary_potential(
     xgrid: UniformGrid,
     tgrid: UniformGrid,
     depth: int = 2,
-    collar: float = 2.0,
-    nodes_per_panel: int = 8,
-    spectrum_tol: float = 1e-8,
-    cap_fraction: float = 0.75,
-    strict: bool = True,
     t_window: tuple | None = None,
-    with_diagnostics: bool = True,
 ) -> BoundaryAssembly:
     """Assemble the boundary-data field on a space-time grid.
 
     Data must be smooth, supported in t > 0, and rapidly decaying in
     frequency: the truncation radius is chosen where all three spectra fall
-    below `spectrum_tol` relative to their peaks.  The spectral tail beyond
-    the radius contributes roughly spectrum_tol * (decay length) to the field,
-    so the 1e-8 default keeps truncation well under typical 1e-6 accuracy
-    targets while fitting inside the usable band at moderate time
-    resolutions.  With strict=True a spectrum that never decays below the
-    band cap raises PreconditionError; the solver loop passes strict=False
-    and carries the clamped tail mass in the diagnostics instead.
+    below 1e-8 relative to their peaks, inside the band |beta| <= 0.75 *
+    Nyquist, and a spectrum that does not decay there raises
+    PreconditionError.  The spectral tail beyond the radius contributes
+    roughly 1e-8 * (decay length) to the field, well under typical 1e-6
+    accuracy targets.
 
     `t_window` restricts evaluation to a sub-range of tgrid (other samples
     are zero); callers that multiply by a compactly supported time cutoff use
     this to avoid paying for samples the cutoff kills.
     """
-    for h in (h1, h2, h3):
-        if h.grid != tgrid:
-            raise ValueError("boundary series must live on the assembly time grid")
-    if all(np.all(h.values == 0) for h in (h1, h2, h3)):
-        zero = np.zeros((xgrid.count, tgrid.count), dtype=np.complex128)
-        return BoundaryAssembly(
-            field=SpaceTimeField(xgrid, tgrid, zero),
-            diagnostics={"beta_radius": 0.0, "node_count": 0, "tail_mass": 0.0},
-            potential=None,
-        )
-    cap = cap_fraction * tgrid.nyquist
-    radius, tail, ok = truncation_radius((h1, h2, h3), spectrum_tol, cap)
-    if not ok and strict:
-        raise PreconditionError(
-            "boundary data spectrum does not decay below "
-            f"{spectrum_tol:g} (relative) within the usable band |beta| <= {cap:g}; "
-            "refine the time grid or smooth the data"
-        )
-    t_sel = _window_rows(tgrid, t_window)
-    ttargets = tgrid.nodes[t_sel]
+    if h1.grid != tgrid:
+        raise ValueError("boundary series must live on the assembly time grid")
     x_span = float(np.max(np.abs(xgrid.nodes)))
-    t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
-    quad = BoundaryQuadrature.build(
-        radius, depth, t_span, x_span, nodes_per_panel=nodes_per_panel, collar=collar
-    )
-    pot = BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
+    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=x_span, t_window=t_window)
+    if pot is None:
+        zero = np.zeros((xgrid.count, tgrid.count), dtype=np.complex128)
+        diagnostics = {"beta_radius": 0.0, "node_count": 0, "tail_mass": 0.0}
+        return BoundaryAssembly(SpaceTimeField(xgrid, tgrid, zero), diagnostics, None)
     values = pot.field_on_grid(xgrid.nodes)
-    diagnostics = {
-        "beta_radius": radius,
-        "gamma_max": radius**0.2,
-        "depth": depth,
-        "node_count": quad.node_count,
-        "tail_mass": tail,
-        "t_span": t_span,
-        "x_span": x_span,
-    }
-    if with_diagnostics:
-        xsub = xgrid.nodes[:: max(1, xgrid.count // 32)]
-        tsub = ttargets[:: max(1, len(ttargets) // 24)] if len(ttargets) else ttargets
-        diagnostics["piece_max"] = pot.piece_maxima(xsub, tsub)
-    return BoundaryAssembly(
-        field=SpaceTimeField(xgrid, tgrid, values), diagnostics=diagnostics, potential=pot
-    )
+    return BoundaryAssembly(SpaceTimeField(xgrid, tgrid, values), pot.diagnostics, pot)
 
 
 def boundary_potential_traces(
@@ -637,32 +622,15 @@ def boundary_potential_traces(
     tgrid: UniformGrid,
     j: int,
     depth: int = 2,
-    collar: float = 2.0,
-    nodes_per_panel: int = 8,
-    spectrum_tol: float = 1e-8,
-    cap_fraction: float = 0.75,
     t_window: tuple | None = None,
 ) -> TimeSeries:
     """x = 0 trace of order j of the assembled field, on the time grid.
 
     Derivatives come from the kernel exponentials analytically (factors r^j);
-    no finite differences are involved.
+    no finite differences are involved.  Truncation as in
+    `assemble_boundary_potential`.
     """
-    if all(np.all(h.values == 0) for h in (h1, h2, h3)):
+    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0, t_window=t_window)
+    if pot is None:
         return TimeSeries(tgrid, np.zeros(tgrid.count, dtype=np.complex128))
-    cap = cap_fraction * tgrid.nyquist
-    radius, _, ok = truncation_radius((h1, h2, h3), spectrum_tol, cap)
-    if not ok:
-        raise PreconditionError(
-            f"boundary data spectrum does not decay within the usable band (cap {cap:g})"
-        )
-    t_sel = _window_rows(tgrid, t_window)
-    ttargets = tgrid.nodes[t_sel]
-    t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
-    quad = BoundaryQuadrature.build(
-        radius, depth, t_span, 0.0, nodes_per_panel=nodes_per_panel, collar=collar
-    )
-    pot = BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
-    vals = np.zeros(tgrid.count, dtype=np.complex128)
-    vals[t_sel] = pot.trace_values(j, ttargets)
-    return TimeSeries(tgrid, vals)
+    return pot.trace_on_grid(j)

@@ -10,10 +10,10 @@ where F_T(u) = eta(t/2T) (-1/2) d_x(u^2), p_{j+1} are the x = 0 traces of the
 first two terms, and the boundary potential is driven by the corrected data
 h_j - p_j so that the total trace reproduces the prescribed h_j on the
 working window.  Everything is assembled on fixed grids with one shared
-boundary potential per solve: its quadrature nodes, e^{i beta t} table and
-x-block tables are built at the first application and only the data change
-afterwards, which makes the linear/nonlinear split of the output exact to
-rounding.
+boundary potential per solve: BoundaryPotential.from_data builds its
+quadrature nodes, e^{i beta t} table and x-block tables at the first
+application and only the data change afterwards, which makes the
+linear/nonlinear split of the output exact to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundaryPotential, BoundaryQuadrature, _window_rows, truncation_radius
+from .boundary import BoundaryPotential
 from .bourgain import xsba_norm
 from .cutoffs import EXCLUDED_REGULARITY, eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -246,33 +246,29 @@ class GammaWorkspace:
     def boundary_field_for(self, series) -> SpaceTimeField:
         """Assemble eta(t) * BoundaryPotential[series] on the shared potential.
 
-        The first nonzero series fixes the truncation radius and builds the
-        quadrature and the potential's tables; later calls only update the data.
+        The first nonzero series builds the potential (truncation radius,
+        quadrature and tables; a spectrum clamped at the band cap is reported,
+        not raised); later calls only update the data.
         """
         cfg = self.cfg
         if all(np.all(d.values == 0) for d in series):
             zero = np.zeros((cfg.xgrid.count, cfg.tgrid.count), dtype=np.complex128)
             return SpaceTimeField(cfg.xgrid, cfg.tgrid, zero)
         if self._pot is None:
-            cap = cfg.cap_fraction * cfg.tgrid.nyquist
-            radius, tail, ok = truncation_radius(series, cfg.spectrum_tol, cap)
-            t_sel = _window_rows(cfg.tgrid, self.t_window)
-            quad = BoundaryQuadrature.build(
-                radius,
-                cfg.depth,
-                t_span=float(np.max(np.abs(cfg.tgrid.nodes[t_sel]))),
+            self._pot = BoundaryPotential.from_data(
+                *series,
+                depth=cfg.depth,
                 x_span=float(np.max(np.abs(cfg.xgrid.nodes))),
+                spectrum_tol=cfg.spectrum_tol,
+                cap_fraction=cfg.cap_fraction,
                 collar=cfg.collar,
+                t_window=self.t_window,
+                strict=False,
             )
-            self._pot = BoundaryPotential(quad, *series, t_sel=t_sel)
-            self.diagnostics.update(
-                {
-                    "beta_radius": radius,
-                    "spectrum_within_band": ok,
-                    "tail_mass": tail,
-                    "quadrature_nodes": quad.node_count,
-                }
-            )
+            d = self._pot.diagnostics
+            for key in ("beta_radius", "spectrum_within_band", "tail_mass"):
+                self.diagnostics[key] = d[key]
+            self.diagnostics["quadrature_nodes"] = d["node_count"]
         else:
             self._pot.update_data(*series)
         values = self._pot.field_on_grid(cfg.xgrid.nodes)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import boundary_potential_traces
+from .boundary import BoundaryPotential, BoundaryQuadrature, truncation_radius
 from .bourgain import bilinear_ratio, seeded_band_limited_field
 from .cutoffs import check_compatibility, extend_initial_datum, right_bump, zero_extend_time
 from .fixed_point import SolverConfig, SolverData, picard_solve
@@ -24,6 +24,7 @@ from .grids import (
     TimeSeries,
     UniformGrid,
     canonical_json,
+    field_to_csv,
 )
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
 from .spectral import forward_transform, inverse_transform, sobolev_norm
@@ -286,6 +287,9 @@ def _summary_entry(value: float, tolerance: float, larger_is_better: bool = Fals
 
 
 def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
+    if scenario.solver:
+        # Its thresholds are fixed; a solver key here would be silently ignored.
+        raise ScenarioError("scenario.solver: the boundary-only pipeline reads no solver keys")
     h1, h2, h3 = _build_boundary(scenario)
     report: dict = {"traces": {}}
     trace_error = 0.0
@@ -295,8 +299,10 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
     # One scale for all three channels: zero channels are judged against the
     # driving channel's amplitude, not against themselves.
     scale = max(max(float(np.max(np.abs(d.values))) for d in data_series), 1e-300)
+    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0)
+    zero = TimeSeries(scenario.tgrid, np.zeros(scenario.tgrid.count, dtype=np.complex128))
     for j in range(3):
-        tr = boundary_potential_traces(h1, h2, h3, scenario.tgrid, j, depth=depth)
+        tr = zero if pot is None else pot.trace_on_grid(j)
         target = data_series[j].values
         err = float(np.max(np.abs(tr.values[plateau] - target[plateau]))) / scale
         trace_error = max(trace_error, err)
@@ -306,12 +312,11 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
             "im": tr.values[plateau].imag.tolist(),
             "relative_error": err,
         }
+    del pot  # its T x Q time table would otherwise stay alive through the probe below
     checks = {}
     if "trace_error" in scenario.checks:
         checks["trace_error"] = _summary_entry(trace_error, scenario.checks["trace_error"])
     if "initial_vanishing_ratio" in scenario.checks:
-        from .boundary import BoundaryPotential, BoundaryQuadrature, truncation_radius
-
         cap = 0.75 * scenario.tgrid.nyquist
         radius, _, _ = truncation_radius((h1, h2, h3), 1e-12, cap)
         xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
@@ -323,8 +328,7 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
             quad = BoundaryQuadrature.build(
                 radius, d, t_span=1.0, x_span=float(xs.max()), nodes_per_panel=2
             )
-            pot = BoundaryPotential(quad, h1, h2, h3)
-            vals = pot.field_values(xs, np.array([0.0]))
+            vals = BoundaryPotential(quad, h1, h2, h3).field_values(xs, np.array([0.0]))
             maxima.append(float(np.max(np.abs(vals))))
         ratio = maxima[0] / max(maxima[1], 1e-300)
         report["initial_vanishing"] = {"maxima": maxima, "ratio": ratio}
@@ -601,12 +605,6 @@ def run_scenario(
         (out / "report.json").write_text(canonical_json(report, indent=2) + "\n")
         emit_plots(report, out / "plots")
         if solution is not None and scenario.emit.get("field_csv", False):
-            rows = ["x,t,re,im"]
-            xs, ts = scenario.xgrid.nodes, scenario.tgrid.nodes
-            vals = solution.u.values
-            for i in range(scenario.xgrid.count):
-                for n in range(scenario.tgrid.count):
-                    v = vals[i, n]
-                    rows.append(f"{xs[i]:.17g},{ts[n]:.17g},{v.real:.17g},{v.imag:.17g}")
-            (out / "solution.csv").write_text("\n".join(rows) + "\n")
+            with open(out / "solution.csv", "w") as stream:
+                field_to_csv(solution.u, stream)
     return (0 if summary["pass"] else 1), summary

@@ -1,5 +1,7 @@
 """Root systems, Cramer solves, oscillatory quadrature, boundary field."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from kdv5half.boundary import (
 )
 from kdv5half.cutoffs import rho, right_bump
 from kdv5half.grids import TimeSeries, UniformGrid
+from kdv5half.scenarios import Scenario, _build_boundary, run_scenario
 from kdv5half.spectral import nonuniform_transform
 
 TG = UniformGrid(-2.0, 4.0 / 1024, 1024)
@@ -244,30 +247,27 @@ class TestBoundaryField:
         xg = UniformGrid(-40.0, 40.0 / 128, 128)  # covers [-40, 0]
         out = assemble_boundary_potential(
             bump_series(), zero_series(), zero_series(), xg, TG,
-            depth=1, t_window=(0.0, 2.0), with_diagnostics=False,
+            depth=1, t_window=(0.0, 2.0),
         )
         sup = np.max(np.abs(out.field.values))
         assert np.isfinite(sup)
         assert sup < 10.0 * np.max(np.abs(bump_series().values))
 
 
-def direct_field(pot, xs, ts, root_power=0, channels=(0, 1, 2), parts=("osc", "dec")):
+def direct_field(pot, xs, ts, root_power=0):
     """Independent oracle: (2 pi)^(-1/2) sum_q w_q e^{i beta_q t}
     sum_m c_m r_m^root_power e^{r_m x} taper, with the coefficients from a
     library solve of the Vandermonde systems and e^{r x} evaluated only where
     the taper is nonzero."""
     quad = pot.quad
-    rhs = np.zeros_like(pot.rhs)
-    rhs[:, list(channels)] = pot.rhs[:, list(channels)]
     vander = quad.roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
-    coeffs = np.linalg.solve(vander, rhs[:, :, None])[:, :, 0]
+    coeffs = np.linalg.solve(vander, pot.rhs[:, :, None])[:, :, 0]
     taper = rho(np.outer(quad.gammas, xs), quad.collar)
     phases = np.exp(1j * np.outer(ts, quad.betas))
     out = np.zeros((len(xs), len(ts)), dtype=complex)
     for m in range(3):
         osc = quad.osc_index == m
-        keep = np.where(osc, "osc" in parts, "dec" in parts)
-        c = quad.weights * coeffs[:, m] * quad.roots[:, m] ** root_power * keep
+        c = quad.weights * coeffs[:, m] * quad.roots[:, m] ** root_power
         tap = np.where(osc[:, None], 1.0, taper)
         z = np.where(tap > 0, np.outer(quad.roots[:, m], xs), 0.0)
         out += (phases @ (c[:, None] * np.exp(z) * tap)).T
@@ -295,13 +295,7 @@ class TestBoundaryPotentialTables:
 
     def test_field_values_match_direct_sum(self):
         pot = three_channel_potential()
-        for kwargs in (
-            {},
-            {"root_power": 5},
-            {"channels": (1,)},
-            {"channels": (2,), "parts": ("osc",)},
-            {"channels": (0,), "parts": ("dec",)},
-        ):
+        for kwargs in ({}, {"root_power": 5}):
             got = pot.field_values(self.XS, self.TS, **kwargs)
             want = direct_field(pot, self.XS, self.TS, **kwargs)
             assert rel_max_error(got, want) <= 1e-13, kwargs
@@ -341,6 +335,18 @@ class TestBoundaryPotentialTables:
         want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
         assert rel_max_error(pot.rhs, want) <= 1e-13
 
+    def test_trace_on_grid_matches_unbound_trace_values(self):
+        # Bound to every row, the trace comes from the stored table; unbound,
+        # trace_values uses fresh exponentials and the nonuniform data transform.
+        bound = three_channel_potential(t_sel=np.arange(TG.count))
+        unbound = three_channel_potential()
+        for j in range(3):
+            got = bound.trace_on_grid(j)
+            assert got.grid == TG
+            assert rel_max_error(got.values, unbound.trace_values(j, TG.nodes)) <= 1e-13
+        with pytest.raises(ValueError, match="t_sel"):
+            unbound.trace_on_grid(0)
+
     def test_far_left_field_stays_finite(self):
         # e^{Re r x_b} overflows for most nodes this far left; the taper is
         # zero there and must not turn inf into NaN.
@@ -353,3 +359,66 @@ class TestBoundaryPotentialTables:
         # The phases r x themselves carry rounding of order eps * |r x| here.
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
         assert rel_max_error(got, direct_field(pot, xs, self.TS)) <= 4.0 * phase_rounding
+
+
+class TestFromData:
+    KNOBS = dict(depth=1, x_span=5.0)
+
+    def test_zero_data_gives_none(self):
+        zero = zero_series()
+        assert BoundaryPotential.from_data(zero, zero, zero, **self.KNOBS) is None
+
+    def test_strict_raises_lenient_reports_the_tail(self):
+        rng = np.random.default_rng(2)
+        noisy = TimeSeries(TG, rng.standard_normal(TG.count).astype(complex))
+        with pytest.raises(PreconditionError, match="decay"):
+            BoundaryPotential.from_data(noisy, zero_series(), zero_series(), **self.KNOBS)
+        pot = BoundaryPotential.from_data(
+            noisy, zero_series(), zero_series(), strict=False, **self.KNOBS
+        )
+        assert pot.diagnostics["spectrum_within_band"] is False
+        assert pot.diagnostics["tail_mass"] > 0.0
+        assert pot.diagnostics["beta_radius"] == pytest.approx(0.75 * TG.nyquist)
+        assert pot.diagnostics["node_count"] == pot.quad.node_count
+
+    def test_mismatched_time_grids_rejected(self):
+        other = UniformGrid(-2.0, 4.0 / 512, 512)
+        with pytest.raises(ValueError, match="one time grid"):
+            BoundaryPotential.from_data(
+                bump_series(), zero_series(other), zero_series(), **self.KNOBS
+            )
+
+    def test_boundary_only_traces_equal_the_wrapper(self, tmp_path):
+        # One potential serves all three trace orders of the pipeline; each
+        # must equal the wrapper's own build bit for bit.  256 time nodes
+        # with ramps of about 90 nodes keep the spectra inside the band.
+        payload = {
+            "name": "traces",
+            "pipeline": "boundary-only",
+            "grids": {
+                "x": {"origin": -10.0, "step": 20.0 / 64, "count": 64},
+                "t": {"origin": -0.5, "step": 2.5 / 256, "count": 256},
+            },
+            "indices": {"s": 1.0, "b": 0.42, "bstar": 0.46, "alpha": 0.52},
+            "depth": 1,
+            "data": {
+                "h1": {"profile": "bump", "t0": 0.02, "t1": 0.9, "t2": 1.1, "t3": 1.98},
+                "h2": {"profile": "bump", "amplitude": 0.5, "t0": 0.02, "t1": 0.98, "t2": 1.02, "t3": 1.98},
+            },
+            # The bundled boundary_traces tolerances; the second runs the probe
+            # after the trace potential is released.
+            "checks": {"trace_error": 1e-6, "initial_vanishing_ratio": 4.0},
+        }
+        path = tmp_path / "traces.json"
+        path.write_text(json.dumps(payload))
+        code, _ = run_scenario(path, out_dir=tmp_path / "out")
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        scenario = Scenario.from_file(path)
+        series = _build_boundary(scenario)
+        tnodes = scenario.tgrid.nodes
+        plateau = (tnodes >= 0.0) & (tnodes <= 1.0)
+        for j in range(3):
+            want = boundary_potential_traces(*series, scenario.tgrid, j, depth=1).values[plateau]
+            got = report["traces"][f"j{j}"]
+            assert np.array_equal(got["re"], want.real) and np.array_equal(got["im"], want.imag)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kdv5half.cli import main
-from kdv5half.grids import UniformGrid
+from kdv5half.fixed_point import SolverData, picard_solve
+from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
 from kdv5half.scenarios import (
     Scenario,
     ScenarioError,
@@ -237,6 +238,24 @@ class TestPipelines:
         assert first[0].startswith("#")
         assert len(first[1].split()) == 3
 
+    def test_full_solve_writes_field_csv(self, tmp_path):
+        g_spec = {"profile": "gaussian", "amplitude": 0.01, "width": 2.0}
+        payload = minimal_payload(
+            pipeline="full-solve", data={"g": g_spec}, emit={"field_csv": True}
+        )
+        path = self.write(tmp_path, payload)
+        code, _ = run_scenario(path, out_dir=tmp_path / "out")
+        assert code == 0
+        text = (tmp_path / "out" / "solution.csv").read_text()
+        lines = text.splitlines()
+        assert len(lines) == 64 * 64 + 1
+        assert lines[0] == "x,t,re,im"
+        sc = Scenario.from_file(path)
+        zero = TimeSeries(sc.tgrid, np.zeros(sc.tgrid.count, dtype=complex))
+        g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
+        result = picard_solve(SolverData(g_l=g, h1=zero, h2=zero, h3=zero), sc.solver_config())
+        assert text == field_to_csv(result.u)
+
 
 class TestCli:
     def test_exit_zero_and_prints_summary(self, tmp_path, capsys):
@@ -267,6 +286,15 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["solve", str(path)]) == 1
         capsys.readouterr()
+
+    def test_exit_two_when_boundary_only_gets_solver_keys(self, tmp_path, capsys):
+        # Boundary-only thresholds are fixed; a solver key must be refused,
+        # not silently ignored.
+        payload = minimal_payload(pipeline="boundary-only", solver={"cap_fraction": 0.05})
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", str(path)]) == 2
+        assert "reads no solver keys" in capsys.readouterr().err
 
     def test_seed_flag(self, tmp_path, capsys):
         payload = minimal_payload(
