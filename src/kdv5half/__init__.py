@@ -64,7 +64,6 @@ from .grids import (
 from .propagator import (
     PropagatorPlan,
     apply_group,
-    duhamel,
     free_field,
     kato_smoothing_ratio,
     trace_at_origin,
@@ -121,7 +120,6 @@ __all__ = [
     "canonical_json",
     "check_compatibility",
     "choose_T",
-    "duhamel",
     "eta",
     "extend_initial_datum",
     "extension_independence",

@@ -264,12 +264,7 @@ def oscillatory_quadrature(
 class BoundaryQuadrature:
     """Data-independent node table for one truncation radius and target box."""
 
-    beta_radius: float
-    depth: int
-    nodes_per_panel: int
     collar: float
-    t_span: float
-    x_span: float
     betas: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # includes the 5 gamma^4 jacobian
@@ -302,12 +297,7 @@ class BoundaryQuadrature:
         roots = stable_root_array(betas)
         osc = np.where(betas < 0, OSC_INDEX_NEG, OSC_INDEX_POS)
         return cls(
-            beta_radius=beta_radius,
-            depth=depth,
-            nodes_per_panel=nodes_per_panel,
             collar=collar,
-            t_span=t_span,
-            x_span=x_span,
             betas=betas,
             gammas=gammas,
             weights=weights,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpaceTimeField, UniformGrid
-from .spectral import spectrum_matrix, values_from_spectrum_matrix
+from .spectral import band_mask, spectrum_matrix, values_from_spectrum_matrix
 
 __all__ = [
     "NormIndices",
@@ -143,7 +143,7 @@ def _x_derivative_of_product(v: SpaceTimeField, w: SpaceTimeField, cap_fraction:
     product = SpaceTimeField(v.xgrid, v.tgrid, v.values * w.values)
     spec = spectrum_matrix(product)
     xi = v.xgrid.frequencies[:, None]
-    mult = 1j * xi * (np.abs(xi) <= cap_fraction * v.xgrid.nyquist)
+    mult = 1j * xi * band_mask(v.xgrid, cap_fraction)[:, None]
     return values_from_spectrum_matrix(mult * spec, product.xgrid, product.tgrid)
 
 

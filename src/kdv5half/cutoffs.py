@@ -24,7 +24,6 @@ __all__ = [
     "two_sided_bump",
     "right_bump",
     "ExtensionResult",
-    "reflection_coefficients",
     "extend_initial_datum",
     "halfline_norm_upper",
     "zero_extend_time",
@@ -38,7 +37,7 @@ __all__ = [
 EXCLUDED_REGULARITY = (0.5, 1.5, 2.5)
 S_MAX = 2.75
 
-# Contractions used by the reflection extension: g_l(-x) = sum a_k g(x/k).
+
 def smooth_transition(y):
     """C-infinity monotone ramp: 0 for y <= 0, 1 for y >= 1."""
     y = np.asarray(y, dtype=float)

@@ -28,13 +28,11 @@ from .cutoffs import EXCLUDED_REGULARITY, eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import (
     PropagatorPlan,
-    _field_spectrum_x,
-    _values_from_spectrum_x,
     duhamel_trajectory,
     free_field,
     trace_at_origin,
 )
-from .spectral import fractional_time_norm, sobolev_norm
+from .spectral import band_mask, fractional_time_norm, sobolev_norm, x_spectrum, x_values
 
 __all__ = [
     "SolverConfig",
@@ -179,11 +177,10 @@ def nonlinearity_FT(
         raise ValueError("T must be positive")
     xgrid = u.xgrid
     xi = xgrid.frequencies[:, None]
-    mask = np.abs(xi) <= cap_fraction * xgrid.nyquist
-    spec = _field_spectrum_x(u)
-    u_capped = _values_from_spectrum_x(mask * spec, xgrid)
-    sq_spec = _field_spectrum_x(SpaceTimeField(xgrid, u.tgrid, u_capped * u_capped))
-    deriv = _values_from_spectrum_x(mask * (1j * xi) * sq_spec, xgrid)
+    mask = band_mask(xgrid, cap_fraction)[:, None]
+    u_capped = x_values(mask * x_spectrum(u.values, xgrid), xgrid)
+    sq_spec = x_spectrum(u_capped * u_capped, xgrid)
+    deriv = x_values(mask * (1j * xi) * sq_spec, xgrid)
     window = eta(u.tgrid.nodes / (2.0 * T))[None, :]
     return SpaceTimeField(xgrid, u.tgrid, -0.5 * window * deriv)
 

@@ -1,4 +1,4 @@
-"""Uniform grids, sampled functions, and their serialization.
+"""Uniform grids, sampled functions, canonical JSON and the field CSV writer.
 
 Everything downstream (transforms, norms, the solver) works on periodized
 uniform grids.  A grid stands in for the real line: scenario data decay fast
@@ -23,13 +23,7 @@ __all__ = [
     "SpaceTimeField",
     "GridMismatchError",
     "canonical_json",
-    "grid_function_to_csv",
-    "grid_function_from_csv",
-    "grid_function_to_json",
-    "grid_function_from_json",
     "field_to_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -241,58 +235,8 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON envelopes for sampled functions.
+# CSV writer for space-time fields.
 # ---------------------------------------------------------------------------
-
-def grid_function_to_csv(f: GridFunction, stream=None) -> str:
-    """Columns: coordinate, re, im."""
-    buf = stream if stream is not None else io.StringIO()
-    buf.write("coordinate,re,im\n")
-    for x, v in zip(f.grid.nodes, f.values):
-        buf.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue() if stream is None else ""
-
-
-def grid_function_from_csv(text: str, cls=GridFunction) -> GridFunction:
-    rows = [line for line in text.strip().splitlines()[1:] if line]
-    coords = np.empty(len(rows))
-    vals = np.empty(len(rows), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        c, re_part, im_part = row.split(",")
-        coords[i] = float(c)
-        vals[i] = float(re_part) + 1j * float(im_part)
-    if len(coords) < 2:
-        raise ValueError("CSV holds fewer than two samples")
-    step = coords[1] - coords[0]
-    grid = UniformGrid(origin=float(coords[0]), step=float(step), count=len(coords))
-    return cls(grid, vals)
-
-
-def _grid_meta(grid: UniformGrid) -> dict:
-    return {"origin": grid.origin, "step": grid.step, "count": grid.count}
-
-
-def _grid_from_meta(meta: dict) -> UniformGrid:
-    return UniformGrid(origin=meta["origin"], step=meta["step"], count=int(meta["count"]))
-
-
-def grid_function_to_json(f: GridFunction) -> str:
-    payload = {
-        "kind": "time_series" if isinstance(f, TimeSeries) else "grid_function",
-        "grid": _grid_meta(f.grid),
-        "re": [float(v) for v in f.values.real],
-        "im": [float(v) for v in f.values.imag],
-    }
-    return canonical_json(payload)
-
-
-def grid_function_from_json(text: str) -> GridFunction:
-    payload = json.loads(text)
-    grid = _grid_from_meta(payload["grid"])
-    vals = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    cls = TimeSeries if payload.get("kind") == "time_series" else GridFunction
-    return cls(grid, vals)
-
 
 def field_to_csv(u: SpaceTimeField, stream=None) -> str:
     """Long-format columns: x, t, re, im."""
@@ -304,22 +248,3 @@ def field_to_csv(u: SpaceTimeField, stream=None) -> str:
             v = u.values[i, n]
             buf.write(f"{x:.17g},{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
     return buf.getvalue() if stream is None else ""
-
-
-def field_to_json(u: SpaceTimeField) -> str:
-    payload = {
-        "kind": "space_time_field",
-        "xgrid": _grid_meta(u.xgrid),
-        "tgrid": _grid_meta(u.tgrid),
-        "re": [[float(v) for v in row] for row in u.values.real],
-        "im": [[float(v) for v in row] for row in u.values.imag],
-    }
-    return canonical_json(payload)
-
-
-def field_from_json(text: str) -> SpaceTimeField:
-    payload = json.loads(text)
-    vals = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return SpaceTimeField(
-        _grid_from_meta(payload["xgrid"]), _grid_from_meta(payload["tgrid"]), vals
-    )

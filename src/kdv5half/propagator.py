@@ -4,7 +4,9 @@ The group is the Fourier multiplier exp(-i*t*xi^5).  Because xi^5 makes any
 explicit time-stepping of the multiplier hopeless, every time integral is done
 mode-wise on the integrand exp(-i*(t-t')*xi^5) * F_hat(xi,t') with the phase
 evaluated analytically; only the smooth F_hat is interpolated (cubic spline)
-and integrated (composite Gauss-Legendre, one panel per time step).
+and integrated (4-node Gauss-Legendre, one panel per time step).
+`duhamel_trajectory` gives the integral at every time node in one sweep per
+time direction.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from .spectral import (
     fractional_time_norm,
     inverse_transform,
     sobolev_norm,
+    x_spectrum,
+    x_values,
 )
 
 __all__ = [
     "PropagatorPlan",
     "apply_group",
     "free_field",
-    "duhamel",
     "duhamel_trajectory",
     "trace_at_origin",
     "kato_smoothing_ratio",
@@ -76,88 +79,57 @@ def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None 
     plan = plan or PropagatorPlan(g.grid)
     ghat = forward_transform(g).coefficients
     phases = np.exp(-1j * np.outer(plan.xi5, tgrid.nodes))
-    spec_t = phases * ghat[:, None]
-    phase_x = np.exp(1j * plan.xi * g.grid.origin)[:, None]
-    vals = (np.sqrt(2.0 * np.pi) / g.grid.step) * np.fft.ifft(spec_t * phase_x, axis=0)
-    return SpaceTimeField(g.grid, tgrid, vals)
+    return SpaceTimeField(g.grid, tgrid, x_values(phases * ghat[:, None], g.grid))
 
 
-def _field_spectrum_x(F: SpaceTimeField) -> np.ndarray:
-    """Spectrum along x of every time slice, shape (count_x, count_t)."""
-    grid = F.xgrid
-    phase = np.exp(-1j * grid.frequencies * grid.origin)[:, None]
-    return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(F.values, axis=0)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+_PANEL_BLOCK = 64  # panels per block of `_sweep`
 
 
-def _values_from_spectrum_x(spec_t: np.ndarray, xgrid: UniformGrid) -> np.ndarray:
-    phase = np.exp(1j * xgrid.frequencies * xgrid.origin)[:, None]
-    return (np.sqrt(2.0 * np.pi) / xgrid.step) * np.fft.ifft(spec_t * phase, axis=0)
+def _sweep(spline, xi5: np.ndarray, tgrid: UniformGrid, panels: np.ndarray, forward: bool) -> np.ndarray:
+    """Phase-exact recursion acc <- e^{-/+ i dt xi5} acc +/- p_n over `panels`.
 
-
-_GL_CACHE: dict = {}
-
-
-def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _panel_sum(spline, xi5, a: float, b: float, target: float, nodes_per_panel: int):
-    """Gauss-Legendre integral of exp(-i*(target-t')*xi5) * F_hat over [a,b]."""
-    x, w = _gl_nodes(nodes_per_panel)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    tq = mid + half * x
-    fq = spline(tq)  # (nodes, count_x)
-    phases = np.exp(-1j * np.outer(target - tq, xi5))
-    return half * np.einsum("q,qk,qk->k", w, phases, fq)
-
-
-def duhamel(
-    F: SpaceTimeField,
-    t: float,
-    plan: PropagatorPlan | None = None,
-    nodes_per_panel: int = 4,
-) -> GridFunction:
-    """integral_0^t of W(t-t') F(t') dt', evaluated mode-wise.
-
-    t must lie inside F's time grid and be >= 0.  Modes above the band cap are
-    dropped before the xi^5 phase is applied.
+    Panel n spans [t_n, t_{n+1}] and `panels` runs away from t = 0: upwards
+    when `forward`, downwards otherwise.  p_n is the Gauss-Legendre integral
+    of exp(-i*(target-t')*xi5) * F_hat over the panel, with target its end
+    farther from 0; the Gauss sums of a whole block of panels are taken at
+    once.  Returns acc after each panel, shape (count_x, len(panels)).
     """
-    plan = plan or PropagatorPlan(F.xgrid)
-    if t < 0 or not F.tgrid.contains_time(t):
-        raise ValueError(f"duhamel time {t} outside [0, grid range]")
-    spec_t = _field_spectrum_x(F)
-    spec_t[~plan.cap_mask, :] = 0.0
-    spline = CubicSpline(F.tgrid.nodes, spec_t.T, axis=0)
-    edges = [0.0]
-    interior = F.tgrid.nodes[(F.tgrid.nodes > 0.0) & (F.tgrid.nodes < t)]
-    edges.extend(float(v) for v in interior)
-    edges.append(float(t))
-    acc = np.zeros(F.xgrid.count, dtype=np.complex128)
-    for a, b in zip(edges[:-1], edges[1:]):
-        acc += _panel_sum(spline, plan.xi5, a, b, t, nodes_per_panel)
-    vals = inverse_transform(SpectrumFunction(F.xgrid, acc))
-    return vals
+    nodes = tgrid.nodes
+    step_phase = np.exp(-1j * tgrid.step * xi5)
+    if not forward:
+        step_phase = np.conj(step_phase)
+    out = np.empty((len(xi5), len(panels)), dtype=np.complex128)
+    acc = np.zeros(len(xi5), dtype=np.complex128)
+    for start in range(0, len(panels), _PANEL_BLOCK):
+        block = panels[start : start + _PANEL_BLOCK]
+        a, b = nodes[block], nodes[block + 1]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        tq = mid[:, None] + half[:, None] * _GL_NODES  # (panels, 4)
+        target = b if forward else a
+        phases = np.exp(-1j * ((target[:, None] - tq)[:, :, None] * xi5))
+        sums = half[:, None] * np.einsum("q,pqk,pqk->pk", _GL_WEIGHTS, phases, spline(tq))
+        for i, p_n in enumerate(sums):
+            acc = step_phase * acc + p_n if forward else step_phase * acc - p_n
+            out[:, start + i] = acc
+    return out
 
 
 def duhamel_trajectory(
     F: SpaceTimeField,
     plan: PropagatorPlan | None = None,
-    nodes_per_panel: int = 4,
     t_window: tuple | None = None,
 ) -> SpaceTimeField:
-    """Duhamel integral at every time node, by phase-exact panel recursion.
+    """integral_0^t W(t-t') F(t') dt' at every time node, mode-wise.
 
-    Matches `duhamel` at the shared nodes to rounding; cost is one panel per
-    step instead of a fresh composite sum per target.  `t_window` restricts
-    the computed range (values outside are zero), which callers use when a
-    time cutoff will kill those samples anyway.
+    Modes above the band cap are dropped before the xi^5 phase is applied.
+    `t_window` restricts the computed range (values outside are zero), which
+    callers use when a time cutoff will kill those samples anyway.
     """
     plan = plan or PropagatorPlan(F.xgrid)
     tg = F.tgrid
     n0 = tg.index_of(0.0)
-    spec_t = _field_spectrum_x(F)
+    spec_t = x_spectrum(F.values, F.xgrid)
     spec_t[~plan.cap_mask, :] = 0.0
     spline = CubicSpline(tg.nodes, spec_t.T, axis=0)
     lo, hi = 0, tg.count - 1
@@ -170,21 +142,10 @@ def duhamel_trajectory(
             lo = hi = n0
     lo = min(lo, n0)
     hi = max(hi, n0)
-    dt = tg.step
-    step_phase = np.exp(-1j * dt * plan.xi5)
     out = np.zeros((F.xgrid.count, tg.count), dtype=np.complex128)
-    acc = np.zeros(F.xgrid.count, dtype=np.complex128)
-    for n in range(n0, hi):
-        a, b = tg.nodes[n], tg.nodes[n + 1]
-        acc = step_phase * acc + _panel_sum(spline, plan.xi5, a, b, b, nodes_per_panel)
-        out[:, n + 1] = acc
-    acc = np.zeros(F.xgrid.count, dtype=np.complex128)
-    for n in range(n0 - 1, lo - 1, -1):
-        a, b = tg.nodes[n], tg.nodes[n + 1]
-        acc = np.conj(step_phase) * acc - _panel_sum(spline, plan.xi5, a, b, a, nodes_per_panel)
-        out[:, n] = acc
-    vals = _values_from_spectrum_x(out, F.xgrid)
-    return SpaceTimeField(F.xgrid, tg, vals)
+    out[:, n0 + 1 : hi + 1] = _sweep(spline, plan.xi5, tg, np.arange(n0, hi), forward=True)
+    out[:, lo:n0] = _sweep(spline, plan.xi5, tg, np.arange(n0 - 1, lo - 1, -1), forward=False)[:, ::-1]
+    return SpaceTimeField(F.xgrid, tg, x_values(out, F.xgrid))
 
 
 def trace_at_origin(
@@ -205,7 +166,7 @@ def trace_at_origin(
         if source.tgrid != tgrid:
             raise ValueError("source field lives on a different time grid")
         plan = plan or PropagatorPlan(source.xgrid)
-        spec_t = _field_spectrum_x(source)
+        spec_t = x_spectrum(source.values, source.xgrid)
         mult = np.where(plan.cap_mask, (1j * plan.xi) ** j, 0.0)
         sums = mult @ spec_t
     elif isinstance(source, GridFunction):

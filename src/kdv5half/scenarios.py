@@ -287,9 +287,6 @@ def _summary_entry(value: float, tolerance: float, larger_is_better: bool = Fals
 
 
 def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
-    if scenario.solver:
-        # Its thresholds are fixed; a solver key here would be silently ignored.
-        raise ScenarioError("scenario.solver: the boundary-only pipeline reads no solver keys")
     h1, h2, h3 = _build_boundary(scenario)
     report: dict = {"traces": {}}
     trace_error = 0.0
@@ -575,6 +572,9 @@ def run_scenario(
     pipeline = scenario.pipeline
     if command == "probe-bilinear":
         pipeline = "probe-bilinear"
+    if scenario.solver and pipeline in ("boundary-only", "linear-only", "probe-bilinear"):
+        # These pipelines have fixed thresholds; a solver key would be silently ignored.
+        raise ScenarioError(f"scenario.solver: the {pipeline} pipeline reads no solver keys")
     if pipeline == "boundary-only":
         report = _run_boundary_only(scenario, run_seed, run_depth)
     elif pipeline == "linear-only":

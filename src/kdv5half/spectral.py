@@ -21,6 +21,8 @@ from .grids import (
 )
 
 __all__ = [
+    "x_spectrum",
+    "x_values",
     "forward_transform",
     "inverse_transform",
     "spectrum_matrix",
@@ -38,19 +40,29 @@ __all__ = [
 ]
 
 
+def _axis0(row: np.ndarray, ndim: int) -> np.ndarray:
+    return row[:, None] if ndim == 2 else row
+
+
+def x_spectrum(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Forward transform along axis 0 of a 1-D array or of every column of a 2-D one."""
+    phase = _axis0(np.exp(-1j * grid.frequencies * grid.origin), np.ndim(values))
+    return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(values, axis=0)
+
+
+def x_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Inverse of `x_spectrum`, along the same axis."""
+    phase = _axis0(np.exp(1j * grid.frequencies * grid.origin), np.ndim(spec))
+    return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
+
+
 def forward_transform(f: GridFunction) -> SpectrumFunction:
     """Discrete surrogate of the continuum forward transform."""
-    grid = f.grid
-    phase = np.exp(-1j * grid.frequencies * grid.origin)
-    coeffs = (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(f.values)
-    return SpectrumFunction(grid, coeffs)
+    return SpectrumFunction(f.grid, x_spectrum(f.values, f.grid))
 
 
 def inverse_transform(spec: SpectrumFunction, cls=GridFunction) -> GridFunction:
-    grid = spec.grid
-    phased = spec.coefficients * np.exp(1j * grid.frequencies * grid.origin)
-    vals = (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(phased)
-    return cls(grid, vals)
+    return cls(spec.grid, x_values(spec.coefficients, spec.grid))
 
 
 def spectrum_matrix(u: SpaceTimeField) -> np.ndarray:

@@ -19,8 +19,7 @@ from .boundary import AccuracyError
 from .cutoffs import extend_initial_datum, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .propagator import _field_spectrum_x, _values_from_spectrum_x
-from .spectral import band_limited_sobolev_norm, forward_transform
+from .spectral import band_limited_sobolev_norm, forward_transform, x_spectrum, x_values
 from .cutoffs import halfline_norm_upper
 
 __all__ = [
@@ -140,12 +139,12 @@ def manufactured_data(
         raise ValueError("data window 2T reaches into the taper; shorten T or move the taper")
     steps = n_nodes * steps_per_node
     oracle = whole_line_oracle(g_l, horizon, steps, check=True, halving_tol=oracle_check_tol)
-    spec = _field_spectrum_x(oracle)
+    spec = x_spectrum(oracle.values, oracle.xgrid)
     xi = g_l.grid.frequencies[:, None]
     origin_row = g_l.grid.index_of(0.0)
     traces = []
     for j in range(3):
-        deriv = _values_from_spectrum_x((1j * xi) ** j * spec, g_l.grid)
+        deriv = x_values((1j * xi) ** j * spec, g_l.grid)
         traces.append(deriv[origin_row, :])
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
     series = []
@@ -209,12 +208,12 @@ def pde_residual(
         u5 = fifth_x.values
     else:
         xi = u.xgrid.frequencies[:, None]
-        u5 = _values_from_spectrum_x((1j * xi) ** 5 * _field_spectrum_x(u), u.xgrid)
+        u5 = x_values((1j * xi) ** 5 * x_spectrum(u.values, u.xgrid), u.xgrid)
 
     res = u_t + u5
     if include_advection:
         xi = u.xgrid.frequencies[:, None]
-        u_x = _values_from_spectrum_x((1j * xi) * _field_spectrum_x(u), u.xgrid)
+        u_x = x_values((1j * xi) * x_spectrum(u.values, u.xgrid), u.xgrid)
         res = res + u.values * u_x
     if forcing is not None:
         res = res - forcing.values
@@ -434,7 +433,7 @@ def spectral_tail_slope(f: GridFunction, band: tuple) -> float:
 
 def field_tail_slope(u: SpaceTimeField, band: tuple, t_indices) -> float:
     """Slope fit of the time-sup envelope of the x-spectrum magnitudes."""
-    spec = _field_spectrum_x(u)
+    spec = x_spectrum(u.values, u.xgrid)
     envelope = np.max(np.abs(spec[:, list(t_indices)]), axis=1)
     freqs = np.abs(u.xgrid.frequencies)
     mask = (freqs >= band[0]) & (freqs <= band[1]) & (envelope > 0)

@@ -12,12 +12,6 @@ from kdv5half.grids import (
     TimeSeries,
     UniformGrid,
     canonical_json,
-    field_from_json,
-    field_to_json,
-    grid_function_from_csv,
-    grid_function_from_json,
-    grid_function_to_csv,
-    grid_function_to_json,
 )
 
 
@@ -111,25 +105,3 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_json({"v": float("nan")})
 
-
-class TestSerialization:
-    def test_grid_function_csv_round_trip(self):
-        g = small_grid()
-        f = GridFunction(g, (np.sin(g.nodes) + 1j * np.cos(g.nodes)).astype(complex))
-        back = grid_function_from_csv(grid_function_to_csv(f))
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_grid_function_json_round_trip(self):
-        g = small_grid()
-        f = GridFunction(g, np.exp(1j * g.nodes))
-        back = grid_function_from_json(grid_function_to_json(f))
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_field_json_round_trip(self):
-        xg, tg = small_grid(), UniformGrid(origin=0.0, step=0.5, count=4)
-        u = SpaceTimeField(xg, tg, np.random.default_rng(0).standard_normal((8, 4)) + 0j)
-        back = field_from_json(field_to_json(u))
-        assert back.xgrid == xg and back.tgrid == tg
-        assert np.array_equal(back.values, u.values)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from kdv5half.cutoffs import eta
 from kdv5half.grids import GridFunction, SpaceTimeField, UniformGrid
 from kdv5half.propagator import (
     PropagatorPlan,
     apply_group,
-    duhamel,
     duhamel_trajectory,
     free_field,
     kato_smoothing_ratio,
@@ -17,11 +17,13 @@ from kdv5half.propagator import (
 )
 from kdv5half.spectral import (
     SpectrumFunction,
+    band_mask,
     forward_transform,
     inverse_transform,
     random_band_limited,
     sobolev_norm,
     spectral_derivative,
+    x_spectrum,
 )
 
 XG = UniformGrid(-40.0, 80.0 / 1024, 1024)
@@ -86,6 +88,29 @@ class TestFreeField:
         assert F.xgrid == XG and F.tgrid == TG
 
 
+def duhamel_oracle(F: SpaceTimeField, t: float) -> np.ndarray:
+    """integral_0^t W(t-t') F(t') dt' at one time t, by its own composite sum.
+
+    4-node Gauss-Legendre panels between the time nodes of [0, t] on a cubic
+    spline of the band-capped x-spectrum; for t < 0 the sum runs over [t, 0]
+    and is negated.
+    """
+    spec = x_spectrum(F.values, F.xgrid)
+    spec[~band_mask(F.xgrid, 0.75), :] = 0.0
+    spline = CubicSpline(F.tgrid.nodes, spec.T, axis=0)
+    xi5 = F.xgrid.frequencies**5
+    lo, hi = min(0.0, t), max(0.0, t)
+    nodes = F.tgrid.nodes
+    edges = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
+    x, w = np.polynomial.legendre.leggauss(4)
+    acc = np.zeros(F.xgrid.count, dtype=complex)
+    for a, b in zip(edges[:-1], edges[1:]):
+        tq = 0.5 * (a + b) + 0.5 * (b - a) * x
+        phases = np.exp(-1j * np.outer(t - tq, xi5))
+        acc += 0.5 * (b - a) * np.sum(w[:, None] * phases * spline(tq), axis=0)
+    return inverse_transform(SpectrumFunction(F.xgrid, acc if t >= 0 else -acc)).values
+
+
 class TestDuhamel:
     def coarse(self):
         xg = UniformGrid(-20.0, 40.0 / 256, 256)
@@ -100,7 +125,7 @@ class TestDuhamel:
     def test_zero_at_time_zero(self):
         xg, tg = self.coarse()
         F = self.forcing(xg, tg)
-        out = duhamel(F, 0.0)
+        out = duhamel_trajectory(F).time_slice(tg.index_of(0.0))
         assert np.max(np.abs(out.values)) < 1e-14
 
     def test_matches_direct_quadrature(self):
@@ -115,17 +140,24 @@ class TestDuhamel:
         for i, tp in enumerate(nodes):
             stack[i] = apply_group(F.time_slice(n0 + i), t - tp).values
         direct = simpson(stack, x=nodes, axis=0)
-        fast = duhamel(F, t).values
+        fast = duhamel_trajectory(F).time_slice(nt).values
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-6 * scale
 
     def test_trajectory_matches_pointwise(self):
+        self.check_against_oracle((0.25, 0.5, 0.75))
+
+    def test_backward_trajectory_matches_pointwise(self):
+        # The solver also integrates on [-1, 0): the sweep towards t < 0.
+        self.check_against_oracle((-0.75, -0.5, -0.25))
+
+    def check_against_oracle(self, times):
         xg, tg = self.coarse()
         F = self.forcing(xg, tg)
         traj = duhamel_trajectory(F)
-        for t in (0.25, 0.5, 0.75):
+        for t in times:
             n = tg.index_of(t)
-            single = duhamel(F, t).values
+            single = duhamel_oracle(F, t)
             scale = max(np.max(np.abs(single)), 1e-30)
             assert np.max(np.abs(traj.time_slice(n).values - single)) < 1e-9 * scale
 
@@ -135,11 +167,14 @@ class TestDuhamel:
         traj = duhamel_trajectory(F, t_window=(0.0, 0.5))
         assert np.max(np.abs(traj.time_slice(tg.index_of(0.875)).values)) == 0.0
 
-    def test_rejects_negative_time(self):
+    def test_window_is_a_restriction_of_the_full_trajectory(self):
         xg, tg = self.coarse()
         F = self.forcing(xg, tg)
-        with pytest.raises(ValueError, match="outside"):
-            duhamel(F, -0.25)
+        full = duhamel_trajectory(F).values
+        windowed = duhamel_trajectory(F, t_window=(-0.5, 0.5)).values
+        inside = (tg.nodes >= -0.5) & (tg.nodes <= 0.5)
+        assert np.array_equal(windowed[:, inside], full[:, inside])
+        assert not np.any(windowed[:, ~inside])
 
 
 class TestTraceAtOrigin:

@@ -296,6 +296,21 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "reads no solver keys" in capsys.readouterr().err
 
+    # The probe-bilinear command runs the probe whatever the file's pipeline,
+    # so a full-solve file's solver keys would go unread there too.
+    @pytest.mark.parametrize(
+        "pipeline, command, runs",
+        [("linear-only", "solve", "linear-only"), ("full-solve", "probe-bilinear", "probe-bilinear")],
+    )
+    def test_exit_two_when_a_fixed_pipeline_gets_solver_keys(
+        self, tmp_path, capsys, pipeline, command, runs
+    ):
+        payload = minimal_payload(pipeline=pipeline, solver={"max_iter": 3})
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, str(path)]) == 2
+        assert f"{runs} pipeline reads no solver keys" in capsys.readouterr().err
+
     def test_seed_flag(self, tmp_path, capsys):
         payload = minimal_payload(
             pipeline="probe-bilinear",
