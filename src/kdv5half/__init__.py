@@ -31,7 +31,6 @@ from .bourgain import (
 )
 from .cutoffs import (
     CompatibilityReport,
-    ExtensionResult,
     check_compatibility,
     eta,
     extend_initial_datum,
@@ -48,8 +47,6 @@ from .fixed_point import (
     SolverData,
     ball_radius,
     choose_T,
-    gamma_operator,
-    nonlinear_part,
     picard_solve,
 )
 from .grids import (
@@ -94,7 +91,6 @@ __all__ = [
     "BoundaryPotential",
     "BoundaryQuadrature",
     "CompatibilityReport",
-    "ExtensionResult",
     "GammaWorkspace",
     "GridFunction",
     "GridMismatchError",
@@ -126,12 +122,10 @@ __all__ = [
     "forward_transform",
     "fractional_time_norm",
     "free_field",
-    "gamma_operator",
     "halfline_norm_upper",
     "inverse_transform",
     "kato_smoothing_ratio",
     "manufactured_data",
-    "nonlinear_part",
     "oracle_self_errors",
     "pde_residual",
     "picard_solve",

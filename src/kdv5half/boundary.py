@@ -26,7 +26,7 @@ import numpy as np
 
 from .cutoffs import rho
 from .grids import SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import forward_transform, nonuniform_transform
+from .spectral import BAND_CAP, forward_transform, nonuniform_transform
 
 __all__ = [
     "AccuracyError",
@@ -403,7 +403,6 @@ class BoundaryPotential:
         depth: int,
         x_span: float,
         spectrum_tol: float = 1e-8,
-        cap_fraction: float = 0.75,
         collar: float = 2.0,
         t_window: tuple | None = None,
         strict: bool = True,
@@ -419,7 +418,7 @@ class BoundaryPotential:
             raise ValueError("boundary series must share one time grid")
         if not any(np.any(h.values) for h in series):
             return None
-        cap = cap_fraction * tgrid.nyquist
+        cap = BAND_CAP * tgrid.nyquist
         radius, tail, ok = truncation_radius(series, spectrum_tol, cap)
         if not ok and strict:
             raise PreconditionError(
@@ -583,7 +582,7 @@ def assemble_boundary_potential(
 
     Data must be smooth, supported in t > 0, and rapidly decaying in
     frequency: the truncation radius is chosen where all three spectra fall
-    below 1e-8 relative to their peaks, inside the band |beta| <= 0.75 *
+    below 1e-8 relative to their peaks, inside the band |beta| <= BAND_CAP *
     Nyquist, and a spectrum that does not decay there raises
     PreconditionError.  The spectral tail beyond the radius contributes
     roughly 1e-8 * (decay length) to the field, well under typical 1e-6

@@ -139,14 +139,6 @@ def ysba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
     return t1 + t2 + t3
 
 
-def _x_derivative_of_product(v: SpaceTimeField, w: SpaceTimeField, cap_fraction: float) -> SpaceTimeField:
-    product = SpaceTimeField(v.xgrid, v.tgrid, v.values * w.values)
-    spec = spectrum_matrix(product)
-    xi = v.xgrid.frequencies[:, None]
-    mult = 1j * xi * band_mask(v.xgrid, cap_fraction)[:, None]
-    return values_from_spectrum_matrix(mult * spec, product.xgrid, product.tgrid)
-
-
 def bilinear_ratio(
     v: SpaceTimeField,
     w: SpaceTimeField,
@@ -154,7 +146,6 @@ def bilinear_ratio(
     b: float,
     a: float = 0.0,
     mode: str = "gain",
-    cap_fraction: float = 0.75,
 ) -> float:
     """Ratio ||d_x(vw)||_numerator / (||v||_{X^{s,b}} ||w||_{X^{s,b}}).
 
@@ -185,7 +176,9 @@ def bilinear_ratio(
     denom = xsb_norm(v, s, b) * xsb_norm(w, s, b)
     if denom == 0.0:
         raise ValueError("bilinear ratio undefined for zero factors")
-    deriv = _x_derivative_of_product(v, w, cap_fraction)
+    product = SpaceTimeField(v.xgrid, v.tgrid, v.values * w.values)
+    mult = 1j * v.xgrid.frequencies[:, None] * band_mask(v.xgrid)[:, None]
+    deriv = values_from_spectrum_matrix(mult * spectrum_matrix(product), v.xgrid, v.tgrid)
     if mode == "gain":
         numer = xsb_norm(deriv, s + a, -b)
     else:

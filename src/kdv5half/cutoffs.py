@@ -2,8 +2,7 @@
 
 The three bump functions share one exp(-1/x) transition profile.  `eta` is the
 unit time cutoff (plateau [-1/2,1/2], support [-1,1]); `rho` is the one-sided
-cutoff that tapers boundary-kernel extensions on a left collar; `psi_delta` is
-the rescaled two-sided bump used by uniqueness-style windows.
+cutoff that tapers boundary-kernel extensions on a left collar.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ __all__ = [
     "smooth_transition",
     "eta",
     "rho",
-    "psi_delta",
     "two_sided_bump",
     "right_bump",
-    "ExtensionResult",
     "extend_initial_datum",
     "halfline_norm_upper",
     "zero_extend_time",
@@ -71,13 +68,6 @@ def rho(x, collar: float = 2.0):
     return smooth_transition(x / collar + 1.0)
 
 
-def psi_delta(t, delta: float):
-    """Rescaled bump: 1 on |t| <= delta, 0 on |t| >= 2*delta."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return two_sided_bump(np.asarray(t, dtype=float) / delta, 1.0, 2.0)
-
-
 def right_bump(t, t0: float, t1: float, t2: float, t3: float):
     """Smooth bump supported in [t0,t3], equal to 1 on [t1,t2]."""
     if not (t0 < t1 <= t2 < t3):
@@ -91,14 +81,6 @@ def right_bump(t, t0: float, t1: float, t2: float, t3: float):
 # ---------------------------------------------------------------------------
 # Half-line extension of the initial datum.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    extension: GridFunction
-    method: str
-    ratio: float
-    detail: dict
-
 
 def _validate_regularity(s: float) -> None:
     if not (0.0 <= s < S_MAX):
@@ -171,46 +153,25 @@ def _reflection_extension(g: GridFunction) -> np.ndarray:
     return vals
 
 
-def extend_initial_datum(g: GridFunction, s: float, method: str = "auto") -> ExtensionResult:
+def extend_initial_datum(g: GridFunction, s: float, method: str = "auto") -> GridFunction:
     """Extend half-line samples (nodes x >= 0 of `g`) to the whole grid.
 
     method: "zero" | "reflection" | "auto" (zero below s = 1/2, else
     reflection).  "reflection" is a derivative-matching collar extension;
     see _reflection_extension.
-
-    The reported ratio compares the chosen extension's H^s norm against the
-    smaller of the two candidate extensions (a cheap stand-in for the
-    inf-over-extensions half-line norm; the result is an upper bound).
     """
     _validate_regularity(s)
     if method == "auto":
         method = "zero" if s < 0.5 else "reflection"
     if method not in ("zero", "reflection"):
         raise ValueError(f"unknown extension method: {method!r}")
-
-    zero_vals = _zero_extension(g)
-    refl_vals = _reflection_extension(g)
-    zero_fn = GridFunction(g.grid, zero_vals)
-    refl_fn = GridFunction(g.grid, refl_vals)
-    chosen = zero_fn if method == "zero" else refl_fn
-
-    norm_zero = sobolev_norm(zero_fn, s)
-    norm_refl = sobolev_norm(refl_fn, s)
-    reference = min(n for n in (norm_zero, norm_refl))
-    chosen_norm = norm_zero if method == "zero" else norm_refl
-    ratio = 1.0 if reference == 0.0 else chosen_norm / reference
-    return ExtensionResult(
-        extension=chosen,
-        method=method,
-        ratio=float(ratio),
-        detail={"norm_zero": norm_zero, "norm_reflection": norm_refl, "s": s},
-    )
+    extend = _zero_extension if method == "zero" else _reflection_extension
+    return GridFunction(g.grid, extend(g))
 
 
 def halfline_norm_upper(g: GridFunction, s: float, method: str = "auto") -> float:
     """Upper bound for the half-line H^s norm: the norm of one extension."""
-    result = extend_initial_datum(g, s, method=method)
-    return sobolev_norm(result.extension, s)
+    return sobolev_norm(extend_initial_datum(g, s, method=method), s)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,10 @@ __all__ = [
     "NonContractionError",
     "nonlinearity_FT",
     "GammaWorkspace",
-    "gamma_operator",
     "choose_T",
     "ball_radius",
     "picard_solve",
     "SolveResult",
-    "nonlinear_part",
 ]
 
 
@@ -79,7 +77,6 @@ class SolverConfig:
     max_iter: int = 25
     fp_tol: float = 1e-9
     depth: int = 2
-    cap_fraction: float = 0.75
     collar: float = 2.0
     spectrum_tol: float = 1e-12
 
@@ -116,7 +113,6 @@ class SolverData:
     h1: TimeSeries
     h2: TimeSeries
     h3: TimeSeries
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def boundary_series(self):
@@ -164,9 +160,7 @@ class TraceDecomposition:
         return cls(q=tuple(q), r=tuple(r), p=p)
 
 
-def nonlinearity_FT(
-    u: SpaceTimeField, T: float, cap_fraction: float = 0.75
-) -> SpaceTimeField:
+def nonlinearity_FT(u: SpaceTimeField, T: float) -> SpaceTimeField:
     """F_T(u) = eta(t/2T) * (-1/2) d_x(u^2), with band caps around the square.
 
     The band cap is applied to u before squaring and to the derivative
@@ -177,7 +171,7 @@ def nonlinearity_FT(
         raise ValueError("T must be positive")
     xgrid = u.xgrid
     xi = xgrid.frequencies[:, None]
-    mask = band_mask(xgrid, cap_fraction)[:, None]
+    mask = band_mask(xgrid)[:, None]
     u_capped = x_values(mask * x_spectrum(u.values, xgrid), xgrid)
     sq_spec = x_spectrum(u_capped * u_capped, xgrid)
     deriv = x_values(mask * (1j * xi) * sq_spec, xgrid)
@@ -201,7 +195,7 @@ class GammaWorkspace:
             raise ValueError("initial datum must live on the solver space grid")
         self.data = data
         self.cfg = cfg
-        self.plan = PropagatorPlan(cfg.xgrid, cfg.cap_fraction)
+        self.plan = PropagatorPlan(cfg.xgrid)
         tnodes = cfg.tgrid.nodes
         self.eta_t = eta(tnodes)
         # eta(t/2T) * chi_{t>0}: supported in (0, 2T], inside t_window below.
@@ -257,7 +251,6 @@ class GammaWorkspace:
                 depth=cfg.depth,
                 x_span=float(np.max(np.abs(cfg.xgrid.nodes))),
                 spectrum_tol=cfg.spectrum_tol,
-                cap_fraction=cfg.cap_fraction,
                 collar=cfg.collar,
                 t_window=self.t_window,
                 strict=False,
@@ -286,7 +279,7 @@ class GammaWorkspace:
         cfg = self.cfg
         if u.xgrid != cfg.xgrid or u.tgrid != cfg.tgrid:
             raise ValueError("iterate must live on the solver grids")
-        forcing = nonlinearity_FT(u, cfg.T, cfg.cap_fraction)
+        forcing = nonlinearity_FT(u, cfg.T)
         if np.any(forcing.values):
             duh_raw = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
             duh = SpaceTimeField(cfg.xgrid, cfg.tgrid, duh_raw.values * self.eta_t[None, :])
@@ -310,15 +303,6 @@ class GammaWorkspace:
             "corrected": corrected,
         }
         return total, parts
-
-
-def gamma_operator(
-    u: SpaceTimeField, data: SolverData, cfg: SolverConfig, workspace: GammaWorkspace | None = None
-) -> SpaceTimeField:
-    """One application of the solution operator Gamma_T to the iterate u."""
-    ws = workspace or GammaWorkspace(data, cfg)
-    total, _ = ws.apply(u)
-    return total
 
 
 @dataclass(frozen=True)
@@ -441,16 +425,3 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
         diagnostics=diagnostics,
         workspace=ws,
     )
-
-
-def nonlinear_part(
-    u: SpaceTimeField,
-    data: SolverData,
-    cfg: SolverConfig,
-    workspace: GammaWorkspace | None = None,
-) -> SpaceTimeField:
-    """Duhamel term of Gamma_T(u) minus the boundary potential driven by the
-    Duhamel traces alone — the portion of the solution beyond its linear part."""
-    ws = workspace or GammaWorkspace(data, cfg)
-    _, parts = ws.apply(u)
-    return ws.nonlinear_of(parts)

@@ -79,9 +79,6 @@ class UniformGrid:
             raise ValueError(f"coordinate {coordinate} does not lie on a grid node")
         return k
 
-    def contains_time(self, t: float) -> bool:
-        return self.origin <= t <= self.origin + self.step * (self.count - 1)
-
 
 def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)

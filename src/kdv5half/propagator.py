@@ -45,7 +45,6 @@ class PropagatorPlan:
     """Precomputed frequency powers for one spatial grid."""
 
     xgrid: UniformGrid
-    cap_fraction: float = 0.75
 
     @property
     def xi(self) -> np.ndarray:
@@ -59,7 +58,7 @@ class PropagatorPlan:
 
     @cached_property
     def cap_mask(self) -> np.ndarray:
-        return band_mask(self.xgrid, self.cap_fraction)
+        return band_mask(self.xgrid)
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:

@@ -3,12 +3,14 @@
 A scenario names its grids, norm indices, data profiles, quadrature depth,
 and the checks (with tolerances) it wants evaluated; the runner never applies
 a threshold that is not spelled out in the file.  Unknown keys anywhere in
-the document are rejected with the offending path.
+the document, malformed values and check names the pipeline does not
+evaluate are rejected with the offending path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .grids import (
     field_to_csv,
 )
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
-from .spectral import forward_transform, inverse_transform, sobolev_norm
+from .spectral import BAND_CAP, field_l2_norm, forward_transform, inverse_transform, sobolev_norm
 from .verification import (
     extension_independence,
     manufactured_data,
@@ -54,6 +56,23 @@ def _check_keys(d: dict, path: str, required: tuple, optional: tuple = ()) -> No
         raise ScenarioError(f"{path}: missing keys {missing}")
 
 
+def _number(value, path: str, integral: bool = False, positive: bool = False):
+    """A finite JSON number (a whole one when `integral`), else ScenarioError at `path`."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    ok = ok and (not integral or float(value).is_integer()) and (not positive or value > 0)
+    if not ok:
+        want = ("a positive " if positive else "a ") + ("whole number" if integral else "number")
+        raise ScenarioError(f"{path}: expected {want}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _positive_numbers(d: dict, path: str, kinds: dict) -> dict:
+    """The entries of d named in `kinds` (key -> integral), cast as positive numbers."""
+    return {
+        k: _number(v, f"{path}.{k}", kinds[k], positive=True) for k, v in d.items() if k in kinds
+    }
+
+
 def _grid_from(d: dict, path: str) -> UniformGrid:
     _check_keys(d, path, required=("origin", "step", "count"))
     try:
@@ -62,7 +81,49 @@ def _grid_from(d: dict, path: str) -> UniformGrid:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-_PIPELINES = ("boundary-only", "linear-only", "full-solve", "verify-all", "probe-bilinear")
+# Profile names and numeric keys of the datum g and of the boundary series h1-h3.
+_PROFILES = {
+    "g": (("zero", "gaussian", "rough_tail"), ("amplitude", "center", "width", "band_fraction")),
+    "h": (
+        ("zero", "bump", "gaussian_pulse"),
+        ("amplitude", "t0", "t1", "t2", "t3", "center", "width"),
+    ),
+}
+_EXTENSIONS = ("none", "auto", "zero", "reflection")
+
+
+def _check_profile(spec, label: str) -> None:
+    """Validate the profile spec of data.g or data.h1-h3."""
+    path = f"scenario.data.{label}"
+    profiles, numeric = _PROFILES[label[0]]
+    extra = ("extension",) if label == "g" else ()
+    _check_keys(spec, path, required=("profile",), optional=numeric + extra)
+    if spec["profile"] not in profiles:
+        raise ScenarioError(f"{path}.profile: unknown profile {spec['profile']!r}")
+    for key in numeric:
+        if key in spec:
+            _number(spec[key], f"{path}.{key}")
+    if spec.get("extension", "none") not in _EXTENSIONS:
+        raise ScenarioError(f"{path}.extension: {spec['extension']!r} not one of {_EXTENSIONS}")
+
+
+# Numeric keys of three scenario objects, each mapped to whether it is a whole
+# number; SolverConfig holds the solver defaults.
+_SOLVER_KEYS = {"fp_tol": False, "max_iter": True, "collar": False, "spectrum_tol": False}
+_MANUFACTURED_KEYS = {"steps_per_node": True, "horizon": False, "taper_start": False}
+_PROBE_KEYS = {"ensemble": True, "band_x": False, "band_t": False}
+_SOLVE_CHECKS = ("compatibility", "fixed_point_residual", "contraction", "oracle_match",
+                 "weak_form", "extension_independence", "smoothing_slope_gain")
+# The check names each pipeline evaluates (the verification-only ones of a
+# full-solve are skipped under `solve`); any other name is refused.
+_PIPELINE_CHECKS = {
+    "boundary-only": ("trace_error", "initial_vanishing_ratio"),
+    "linear-only": ("group_isometry", "interior_residual_free", "kato_ratio_max"),
+    "full-solve": _SOLVE_CHECKS,
+    "verify-all": _SOLVE_CHECKS,
+    "probe-bilinear": ("max_ratio_bound",),
+}
+_PIPELINES = tuple(_PIPELINE_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -102,18 +163,15 @@ class Scenario:
             required=("s", "b", "bstar", "alpha"),
             optional=("a",),
         )
+        indices = {k: _number(v, f"scenario.indices.{k}") for k, v in payload["indices"].items()}
         solver = payload.get("solver", {})
-        _check_keys(
-            solver,
-            "scenario.solver",
-            required=(),
-            optional=("fp_tol", "max_iter", "collar", "cap_fraction", "spectrum_tol"),
-        )
+        _check_keys(solver, "scenario.solver", required=(), optional=tuple(_SOLVER_KEYS))
+        solver = _positive_numbers(solver, "scenario.solver", _SOLVER_KEYS)
         checks = payload.get("checks", {})
         if not isinstance(checks, dict):
             raise ScenarioError("scenario.checks: expected an object of name -> tolerance")
         for key, value in checks.items():
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ScenarioError(f"scenario.checks.{key}: tolerance must be a number")
         data = payload.get("data", {})
         _check_keys(
@@ -126,6 +184,13 @@ class Scenario:
             raise ScenarioError(
                 "scenario.data: manufactured data and explicit h profiles are mutually exclusive"
             )
+        for label in ("g", "h1", "h2", "h3"):
+            if label in data:
+                _check_profile(data[label], label)
+        if "manufactured" in data:
+            path = "scenario.data.manufactured"
+            _check_keys(data["manufactured"], path, required=(), optional=tuple(_MANUFACTURED_KEYS))
+            _positive_numbers(data["manufactured"], path, _MANUFACTURED_KEYS)
         probe = payload.get("probe", {})
         _check_keys(
             probe,
@@ -133,18 +198,21 @@ class Scenario:
             required=(),
             optional=("ensemble", "mode", "band_x", "band_t", "refine"),
         )
+        _positive_numbers(probe, "scenario.probe", _PROBE_KEYS)
+        if probe.get("mode", "gain") not in ("gain", "auxiliary"):
+            raise ScenarioError(f"scenario.probe.mode: {probe['mode']!r} is not gain or auxiliary")
         emit = payload.get("emit", {})
         _check_keys(emit, "scenario.emit", required=(), optional=("field_csv", "traces", "spectra"))
         return cls(
             name=str(payload["name"]),
             pipeline=payload["pipeline"],
-            seed=int(payload.get("seed", 0)),
+            seed=_number(payload.get("seed", 0), "scenario.seed", integral=True),
             xgrid=xgrid,
             tgrid=tgrid,
-            indices={k: float(v) for k, v in payload["indices"].items()},
-            T=float(payload.get("T", 0.25)),
-            depth=int(payload.get("depth", 2)),
-            solver=dict(solver),
+            indices=indices,
+            T=_number(payload.get("T", 0.25), "scenario.T"),
+            depth=_number(payload.get("depth", 2), "scenario.depth", integral=True),
+            solver=solver,
             data=dict(data),
             checks=dict(checks),
             probe=dict(probe),
@@ -169,12 +237,8 @@ class Scenario:
                 bstar=self.indices["bstar"],
                 alpha=self.indices["alpha"],
                 T=self.T,
-                max_iter=int(self.solver.get("max_iter", 25)),
-                fp_tol=float(self.solver.get("fp_tol", 1e-9)),
                 depth=depth if depth is not None else self.depth,
-                cap_fraction=float(self.solver.get("cap_fraction", 0.75)),
-                collar=float(self.solver.get("collar", 2.0)),
-                spectrum_tol=float(self.solver.get("spectrum_tol", 1e-12)),
+                **self.solver,
             )
         except ValueError as exc:
             raise ScenarioError(f"scenario.indices: {exc}") from exc
@@ -207,12 +271,7 @@ def _rough_tail_datum(grid: UniformGrid, s: float, amplitude: float, seed: int, 
 
 
 def datum_from_profile(spec: dict, grid: UniformGrid, s: float, seed: int) -> GridFunction:
-    _check_keys(
-        spec,
-        "scenario.data.g",
-        required=("profile",),
-        optional=("amplitude", "center", "width", "extension", "band_fraction"),
-    )
+    _check_profile(spec, "g")
     profile = spec["profile"]
     amplitude = float(spec.get("amplitude", 1.0))
     nodes = grid.nodes
@@ -222,20 +281,13 @@ def datum_from_profile(spec: dict, grid: UniformGrid, s: float, seed: int) -> Gr
         center = float(spec.get("center", 0.0))
         width = float(spec.get("width", 2.0))
         vals = amplitude * np.exp(-(((nodes - center) / width) ** 2)).astype(np.complex128)
-    elif profile == "rough_tail":
+    else:  # rough_tail
         return _rough_tail_datum(grid, s, amplitude, seed, float(spec.get("band_fraction", 0.6)))
-    else:
-        raise ScenarioError(f"scenario.data.g.profile: unknown profile {profile!r}")
     return GridFunction(grid, vals)
 
 
 def boundary_from_profile(spec: dict, tgrid: UniformGrid, label: str) -> TimeSeries:
-    _check_keys(
-        spec,
-        f"scenario.data.{label}",
-        required=("profile",),
-        optional=("amplitude", "t0", "t1", "t2", "t3", "center", "width"),
-    )
+    _check_profile(spec, label)
     profile = spec["profile"]
     amplitude = float(spec.get("amplitude", 1.0))
     nodes = tgrid.nodes
@@ -247,13 +299,11 @@ def boundary_from_profile(spec: dict, tgrid: UniformGrid, label: str) -> TimeSer
         t2 = float(spec.get("t2", 0.45))
         t3 = float(spec.get("t3", 0.6))
         vals = amplitude * right_bump(nodes, t0, t1, t2, t3).astype(np.complex128)
-    elif profile == "gaussian_pulse":
+    else:  # gaussian_pulse
         center = float(spec.get("center", 0.3))
         width = float(spec.get("width", 0.08))
         vals = amplitude * np.exp(-(((nodes - center) / width) ** 2))
         vals = (vals * (nodes > 0)).astype(np.complex128)
-    else:
-        raise ScenarioError(f"scenario.data.{label}.profile: unknown profile {profile!r}")
     return TimeSeries(tgrid, vals)
 
 
@@ -263,7 +313,7 @@ def _build_datum(scenario: Scenario, seed: int) -> GridFunction:
     extension = g_spec.get("extension", "none")
     if extension == "none":
         return g
-    return extend_initial_datum(g, scenario.indices["s"], method=extension).extension
+    return extend_initial_datum(g, scenario.indices["s"], method=extension)
 
 
 def _build_boundary(scenario: Scenario) -> tuple:
@@ -314,7 +364,7 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
     if "trace_error" in scenario.checks:
         checks["trace_error"] = _summary_entry(trace_error, scenario.checks["trace_error"])
     if "initial_vanishing_ratio" in scenario.checks:
-        cap = 0.75 * scenario.tgrid.nyquist
+        cap = BAND_CAP * scenario.tgrid.nyquist
         radius, _, _ = truncation_radius((h1, h2, h3), 1e-12, cap)
         xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
         maxima = []
@@ -381,12 +431,6 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
     oracle = None
     if "manufactured" in scenario.data:
         mspec = scenario.data["manufactured"]
-        _check_keys(
-            mspec,
-            "scenario.data.manufactured",
-            required=(),
-            optional=("steps_per_node", "horizon", "taper_start"),
-        )
         g_l = _build_datum(scenario, seed)
         data, oracle, stride = manufactured_data(
             g_l,
@@ -418,7 +462,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
     if "contraction" in scenario.checks:
         late = result.trace.factors[1:] or [0.0]
         checks["contraction"] = _summary_entry(max(late), scenario.checks["contraction"])
-    if oracle is not None and "oracle_match" in scenario.checks:
+    if "oracle_match" in scenario.checks:
         t_sel = np.where(
             (scenario.tgrid.nodes >= -1e-14) & (scenario.tgrid.nodes <= cfg.T + 1e-14)
         )[0]
@@ -457,16 +501,8 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
             gain, scenario.checks["smoothing_slope_gain"], larger_is_better=True
         )
     report["norms"] = {
-        "solution_l2": float(
-            np.sqrt(np.sum(np.abs(result.u.values) ** 2) * scenario.xgrid.step * scenario.tgrid.step)
-        ),
-        "nonlinear_l2": float(
-            np.sqrt(
-                np.sum(np.abs(result.nonlinear.values) ** 2)
-                * scenario.xgrid.step
-                * scenario.tgrid.step
-            )
-        ),
+        "solution_l2": field_l2_norm(result.u),
+        "nonlinear_l2": field_l2_norm(result.nonlinear),
     }
     report["traces"] = {}
     tnodes = scenario.tgrid.nodes
@@ -575,6 +611,15 @@ def run_scenario(
     if scenario.solver and pipeline in ("boundary-only", "linear-only", "probe-bilinear"):
         # These pipelines have fixed thresholds; a solver key would be silently ignored.
         raise ScenarioError(f"scenario.solver: the {pipeline} pipeline reads no solver keys")
+    # A check the pipeline does not evaluate would otherwise be dropped silently.
+    for name in scenario.checks:
+        if name not in _PIPELINE_CHECKS[pipeline]:
+            raise ScenarioError(
+                f"scenario.checks.{name}: the {pipeline} pipeline evaluates no such check "
+                f"(known: {', '.join(_PIPELINE_CHECKS[pipeline])})"
+            )
+    if "oracle_match" in scenario.checks and "manufactured" not in scenario.data:
+        raise ScenarioError("scenario.checks.oracle_match: needs data.manufactured for its oracle")
     if pipeline == "boundary-only":
         report = _run_boundary_only(scenario, run_seed, run_depth)
     elif pipeline == "linear-only":

@@ -21,23 +21,29 @@ from .grids import (
 )
 
 __all__ = [
+    "BAND_CAP",
     "x_spectrum",
     "x_values",
     "forward_transform",
     "inverse_transform",
     "spectrum_matrix",
     "values_from_spectrum_matrix",
-    "l2_norm",
     "field_l2_norm",
     "sobolev_norm",
     "fractional_time_norm",
     "band_limited_sobolev_norm",
     "spectral_derivative",
     "band_mask",
-    "evaluate_spectrum_at",
     "nonuniform_transform",
     "random_band_limited",
 ]
+
+
+# The resolved band as a fraction of the Nyquist frequency, fixed repo-wide.
+# The Duhamel term, the x = 0 traces and the quadratic term drop the modes
+# with |xi| > BAND_CAP * nyquist of the x grid; the boundary potential's
+# beta-integral stops at BAND_CAP * nyquist of the t grid.
+BAND_CAP = 0.75
 
 
 def _axis0(row: np.ndarray, ndim: int) -> np.ndarray:
@@ -84,10 +90,6 @@ def values_from_spectrum_matrix(
     return SpaceTimeField(xgrid, tgrid, vals)
 
 
-def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.step))
-
-
 def field_l2_norm(u: SpaceTimeField) -> float:
     return float(
         np.sqrt(np.sum(np.abs(u.values) ** 2) * u.xgrid.step * u.tgrid.step)
@@ -125,27 +127,17 @@ def band_limited_sobolev_norm(f: GridFunction, s: float, band: float) -> float:
     )
 
 
-def band_mask(grid: UniformGrid, cap_fraction: float) -> np.ndarray:
-    """Boolean mask keeping modes with |xi| <= cap_fraction * nyquist."""
-    return np.abs(grid.frequencies) <= cap_fraction * grid.nyquist
+def band_mask(grid: UniformGrid) -> np.ndarray:
+    """Boolean mask keeping modes with |xi| <= BAND_CAP * nyquist."""
+    return np.abs(grid.frequencies) <= BAND_CAP * grid.nyquist
 
 
-def spectral_derivative(
-    f: GridFunction, order: int, cap_fraction: float = 0.75
-) -> GridFunction:
+def spectral_derivative(f: GridFunction, order: int) -> GridFunction:
     """(i*xi)^order multiplier with modes above the band cap zeroed."""
     spec = forward_transform(f)
     mult = (1j * spec.frequencies) ** order
-    mult = np.where(band_mask(f.grid, cap_fraction), mult, 0.0)
+    mult = np.where(band_mask(f.grid), mult, 0.0)
     return inverse_transform(SpectrumFunction(f.grid, spec.coefficients * mult), type(f))
-
-
-def evaluate_spectrum_at(spec: SpectrumFunction, points) -> np.ndarray:
-    """Exact spectral summation of the inverse transform at arbitrary points."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    phases = np.exp(1j * np.outer(pts, spec.frequencies))
-    vals = (spec.grid.freq_step / np.sqrt(2.0 * np.pi)) * phases @ spec.coefficients
-    return vals if np.ndim(points) else vals[0]
 
 
 def nonuniform_transform(f: GridFunction, freqs, support_tol: float = 0.0) -> np.ndarray:
@@ -154,10 +146,13 @@ def nonuniform_transform(f: GridFunction, freqs, support_tol: float = 0.0) -> np
     Spectrally accurate for data supported inside the grid window (periodic
     trapezoid rule).  `support_tol` > 0 restricts the sum to samples with
     |f| > support_tol * max|f|, which speeds up compactly supported data.
+    All-zero data give exact zeros without a sum.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     nodes, vals = f.grid.nodes, f.values
-    if support_tol > 0.0 and np.any(vals != 0):
+    if not np.any(vals):
+        return np.zeros(len(freqs), dtype=np.complex128)
+    if support_tol > 0.0:
         keep = np.abs(vals) > support_tol * np.max(np.abs(vals))
         if np.any(keep):
             lo, hi = np.argmax(keep), len(keep) - np.argmax(keep[::-1])

@@ -16,11 +16,10 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import simpson
 
 from .boundary import AccuracyError
-from .cutoffs import extend_initial_datum, right_bump
+from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import band_limited_sobolev_norm, forward_transform, x_spectrum, x_values
-from .cutoffs import halfline_norm_upper
+from .spectral import BAND_CAP, band_limited_sobolev_norm, forward_transform, x_spectrum, x_values
 
 __all__ = [
     "HarnessError",
@@ -121,7 +120,6 @@ def manufactured_data(
     steps_per_node: int = 8,
     horizon: float = 1.0,
     taper_start: float = 0.7,
-    oracle_check_tol: float = 1e-7,
 ):
     """Boundary data manufactured from the whole-line solution of g_l.
 
@@ -138,7 +136,7 @@ def manufactured_data(
     if 2.0 * cfg.T > taper_start:
         raise ValueError("data window 2T reaches into the taper; shorten T or move the taper")
     steps = n_nodes * steps_per_node
-    oracle = whole_line_oracle(g_l, horizon, steps, check=True, halving_tol=oracle_check_tol)
+    oracle = whole_line_oracle(g_l, horizon, steps)
     spec = x_spectrum(oracle.values, oracle.xgrid)
     xi = g_l.grid.frequencies[:, None]
     origin_row = g_l.grid.index_of(0.0)
@@ -170,14 +168,12 @@ _DT_STENCILS = {
 
 def pde_residual(
     u: SpaceTimeField,
-    forcing: SpaceTimeField | None = None,
-    include_advection: bool = False,
     fifth_x: SpaceTimeField | None = None,
     stencil_order: int = 4,
     x_range: tuple | None = None,
     t_range: tuple | None = None,
 ) -> float:
-    """L^2 norm of u_t + d^5_x u (+ u d_x u) - forcing over an interior window.
+    """L^2 norm of u_t + d^5_x u over an interior window.
 
     The time derivative is a centered finite difference (order 4 or 6) on the
     field's own grid; the fifth x-derivative is spectral unless an analytic
@@ -211,13 +207,6 @@ def pde_residual(
         u5 = x_values((1j * xi) ** 5 * x_spectrum(u.values, u.xgrid), u.xgrid)
 
     res = u_t + u5
-    if include_advection:
-        xi = u.xgrid.frequencies[:, None]
-        u_x = x_values((1j * xi) * x_spectrum(u.values, u.xgrid), u.xgrid)
-        res = res + u.values * u_x
-    if forcing is not None:
-        res = res - forcing.values
-
     xnodes, tnodes = u.xgrid.nodes, u.tgrid.nodes
     x_mask = np.ones(u.xgrid.count, dtype=bool)
     if x_range is not None:
@@ -362,7 +351,6 @@ def weak_form_residual(
 class ExtensionIndependenceReport:
     max_distance: float
     runs: tuple
-    distances: tuple
 
 
 def extension_independence(
@@ -388,7 +376,7 @@ def extension_independence(
         ext = extend_initial_datum(g, cfg.s, method=method)
         for collar in collars:
             run_cfg = replace(cfg, collar=collar)
-            data = SolverData(g_l=ext.extension, h1=h1, h2=h2, h3=h3)
+            data = SolverData(g_l=ext, h1=h1, h2=h2, h3=h3)
             result = picard_solve(data, run_cfg)
             solutions.append(result.u)
             labels.append(f"{method}/collar={collar:g}")
@@ -396,52 +384,38 @@ def extension_independence(
     x_sel = np.where(xnodes >= -1e-14)[0]
     t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
     measure = cfg.xgrid.step * cfg.tgrid.step
-    distances = []
     worst = 0.0
     for i in range(len(solutions)):
         for k in range(i + 1, len(solutions)):
             diff = (solutions[i].values - solutions[k].values)[np.ix_(x_sel, t_sel)]
-            dist = float(np.sqrt(np.sum(np.abs(diff) ** 2) * measure))
-            distances.append({"pair": (labels[i], labels[k]), "distance": dist})
-            worst = max(worst, dist)
-    return ExtensionIndependenceReport(
-        max_distance=worst,
-        runs=tuple(labels),
-        distances=tuple(
-            (d["pair"][0], d["pair"][1], d["distance"]) for d in distances
-        ),
-    )
+            worst = max(worst, float(np.sqrt(np.sum(np.abs(diff) ** 2) * measure)))
+    return ExtensionIndependenceReport(max_distance=worst, runs=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
 # Smoothing of the nonlinear part.
 # ---------------------------------------------------------------------------
 
-def spectral_tail_slope(f: GridFunction, band: tuple) -> float:
-    """Least-squares slope of log|f_hat| against log<xi> over the band."""
-    spec = forward_transform(f)
-    freqs = np.abs(spec.frequencies)
-    mags = np.abs(spec.coefficients)
+def _log_slope(freqs: np.ndarray, mags: np.ndarray, band: tuple) -> float:
+    """Least-squares slope of log mags against log<xi> over |xi| in the band."""
+    freqs = np.abs(freqs)
     mask = (freqs >= band[0]) & (freqs <= band[1]) & (mags > 0)
     if np.count_nonzero(mask) < 8:
         raise ValueError("band contains too few resolved modes for a slope fit")
-    x = np.log1p(freqs[mask])
-    y = np.log(mags[mask])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log1p(freqs[mask]), np.log(mags[mask]), 1)[0])
+
+
+def spectral_tail_slope(f: GridFunction, band: tuple) -> float:
+    """Least-squares slope of log|f_hat| against log<xi> over the band."""
+    spec = forward_transform(f)
+    return _log_slope(spec.frequencies, np.abs(spec.coefficients), band)
 
 
 def field_tail_slope(u: SpaceTimeField, band: tuple, t_indices) -> float:
     """Slope fit of the time-sup envelope of the x-spectrum magnitudes."""
     spec = x_spectrum(u.values, u.xgrid)
     envelope = np.max(np.abs(spec[:, list(t_indices)]), axis=1)
-    freqs = np.abs(u.xgrid.frequencies)
-    mask = (freqs >= band[0]) & (freqs <= band[1]) & (envelope > 0)
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("band contains too few resolved modes for a slope fit")
-    x = np.log1p(freqs[mask])
-    y = np.log(envelope[mask])
-    return float(np.polyfit(x, y, 1)[0])
+    return _log_slope(u.xgrid.frequencies, envelope, band)
 
 
 def _smoothing_window(s: float, b: float, a: float) -> bool:
@@ -452,33 +426,26 @@ def _smoothing_window(s: float, b: float, a: float) -> bool:
     return False
 
 
-def smoothing_report(
-    result: SolveResult,
-    cfg: SolverConfig,
-    a_grid,
-    g_reference: GridFunction | None = None,
-    slope_band: tuple | None = None,
-    band_factors: tuple = (1.0, 2.0),
-    t_sample_count: int = 9,
-) -> list:
+def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
     """Per-a rows quantifying how much smoother the nonlinear part is than g.
 
     Each row reports: the admissibility flag of (s, b, a); the sup over
-    t-samples in [0, T] of the half-line H^{s+a} upper-bound norm of the
-    nonlinear part; spectral tail slopes of the nonlinear part and of the
-    reference datum with the gain; and the relative growth of band-limited
-    H^{s+a} partial norms under band extension for the datum's free
-    evolution vs the nonlinear part.  Inadmissible a values are flagged but
-    still measured.
+    t-samples (9, evenly spread over [0, T]) of the half-line H^{s+a}
+    upper-bound norm of the nonlinear part; spectral tail slopes over
+    2 <= |xi| <= 0.9 * band cap of the nonlinear part and of the datum g_l,
+    with the gain; and the relative growth of band-limited H^{s+a} partial
+    norms from the base band (half the slope band's top) to its double, for
+    the datum's free evolution vs the nonlinear part.  Inadmissible a values
+    are flagged but still measured.
     """
-    g_ref = g_reference if g_reference is not None else result.workspace.data.g_l
     tnodes = cfg.tgrid.nodes
     t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
-    samples = t_sel[np.linspace(0, len(t_sel) - 1, t_sample_count).round().astype(int)]
-    cap = cfg.cap_fraction * cfg.xgrid.nyquist
-    band = slope_band or (2.0, 0.9 * cap)
+    samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
+    cap = BAND_CAP * cfg.xgrid.nyquist
+    band = (2.0, 0.9 * cap)
+    band_factors = (1.0, 2.0)
     base_band = band[1] / max(band_factors)
-    slope_g = spectral_tail_slope(g_ref, band)
+    slope_g = spectral_tail_slope(result.workspace.data.g_l, band)
     slope_nl = field_tail_slope(result.nonlinear, band, samples)
     rows = []
     for a in a_grid:

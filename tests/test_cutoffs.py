@@ -9,7 +9,6 @@ from kdv5half.cutoffs import (
     eta,
     extend_initial_datum,
     one_sided_value,
-    psi_delta,
     rho,
     right_bump,
     smooth_transition,
@@ -87,12 +86,6 @@ class TestRightBump:
         with pytest.raises(ValueError):
             right_bump(np.array([0.0]), 0.5, 0.4, 0.6, 0.7)
 
-    def test_psi_delta_plateau(self):
-        t = np.linspace(-3.0, 3.0, 601)
-        v = psi_delta(t, 1.2)
-        assert np.all(v[np.abs(t) <= 1.2] == 1.0)
-        assert np.all(v[np.abs(t) >= 2.4] == 0.0)
-
 
 def halfline_samples(fn):
     vals = np.where(XG.nodes >= 0, fn(XG.nodes), 0.0).astype(complex)
@@ -104,14 +97,14 @@ class TestExtensions:
         g = halfline_samples(lambda x: np.exp(-(((x - 3.0) / 1.5) ** 2)))
         ext = extend_initial_datum(g, 0.3, method="zero")
         pos = XG.nodes >= 0
-        assert np.array_equal(ext.extension.values[pos], g.values[pos])
-        assert np.all(ext.extension.values[~pos] == 0.0)
+        assert np.array_equal(ext.values[pos], g.values[pos])
+        assert np.all(ext.values[~pos] == 0.0)
 
     def test_reflection_matches_derivatives_at_join(self):
         # datum with a rich jet at 0: the collar extension must continue
         # value and derivatives smoothly across x = 0
         g = halfline_samples(lambda x: (0.3 + x - 0.2 * x**2) * np.exp(-((x / 3.0) ** 2)))
-        ext = extend_initial_datum(g, 1.0, method="reflection").extension
+        ext = extend_initial_datum(g, 1.0, method="reflection")
         i0 = XG.index_of(0.0)
         h = XG.step
         # centered finite differences across the join, orders 1..4
@@ -131,7 +124,7 @@ class TestExtensions:
 
     def test_reflection_vanishes_far_left(self):
         g = halfline_samples(lambda x: np.exp(-(((x - 3.0) / 1.5) ** 2)))
-        ext = extend_initial_datum(g, 1.0, method="reflection").extension
+        ext = extend_initial_datum(g, 1.0, method="reflection")
         far = XG.nodes < -30.0
         assert np.max(np.abs(ext.values[far])) < 1e-10
 
@@ -139,15 +132,19 @@ class TestExtensions:
         g = halfline_samples(lambda x: np.exp(-(((x - 3.0) / 1.5) ** 2)))
         low = extend_initial_datum(g, 0.3, method="auto")
         high = extend_initial_datum(g, 1.0, method="auto")
-        assert low.method == "zero"
-        assert high.method == "reflection"
+        assert np.array_equal(low.values, extend_initial_datum(g, 0.3, method="zero").values)
+        assert np.array_equal(high.values, extend_initial_datum(g, 1.0, method="reflection").values)
+        assert not np.array_equal(low.values, high.values)
 
     def test_norm_ratio_bounded_for_smooth_datum(self):
         # whole-line Gaussian restricted to the half line: the chosen
         # extension's H^2 norm stays within 4x of the cheaper candidate
         g = halfline_samples(lambda x: np.exp(-(((x - 3.0) / 1.5) ** 2)))
-        ext = extend_initial_datum(g, 2.0, method="reflection")
-        assert ext.ratio <= 4.0
+        chosen = sobolev_norm(extend_initial_datum(g, 2.0, method="reflection"), 2.0)
+        candidates = [
+            sobolev_norm(extend_initial_datum(g, 2.0, method=m), 2.0) for m in ("zero", "reflection")
+        ]
+        assert chosen / min(candidates) <= 4.0
 
     def test_excluded_regularity_rejected(self):
         g = halfline_samples(lambda x: np.exp(-(x**2)))

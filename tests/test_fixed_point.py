@@ -12,8 +12,6 @@ from kdv5half.fixed_point import (
     TraceDecomposition,
     ball_radius,
     choose_T,
-    gamma_operator,
-    nonlinear_part,
     nonlinearity_FT,
     picard_solve,
 )
@@ -189,13 +187,13 @@ class TestPicard:
         assert np.max(np.abs(total - result.u.values)) < 1e-12 * scale
 
     def test_first_iterate_is_linear_part(self, manufactured_case, solver_config):
-        data, _, _, result = manufactured_case
+        _, _, _, result = manufactured_case
         cfg = solver_config
         zero = SpaceTimeField(
             cfg.xgrid, cfg.tgrid, np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
         )
-        first = gamma_operator(zero, data, cfg, workspace=result.workspace)
-        nl_of_zero = nonlinear_part(zero, data, cfg, workspace=result.workspace)
+        first, parts = result.workspace.apply(zero)
+        nl_of_zero = result.workspace.nonlinear_of(parts)
         # Gamma(0) carries no Duhamel forcing, so its nonlinear residue is zero
         # and the first iterate is exactly the linear part of the map.
         assert np.max(np.abs(nl_of_zero.values)) < 1e-12 * np.max(np.abs(first.values))

@@ -96,7 +96,7 @@ def duhamel_oracle(F: SpaceTimeField, t: float) -> np.ndarray:
     and is negated.
     """
     spec = x_spectrum(F.values, F.xgrid)
-    spec[~band_mask(F.xgrid, 0.75), :] = 0.0
+    spec[~band_mask(F.xgrid), :] = 0.0
     spline = CubicSpline(F.tgrid.nodes, spec.T, axis=0)
     xi5 = F.xgrid.frequencies**5
     lo, hi = min(0.0, t), max(0.0, t)

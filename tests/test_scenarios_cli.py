@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from kdv5half.cli import main
-from kdv5half.fixed_point import SolverData, picard_solve
+from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
 from kdv5half.scenarios import (
+    _PIPELINE_CHECKS,
     Scenario,
     ScenarioError,
     boundary_from_profile,
@@ -84,6 +85,50 @@ class TestSchema:
         sc = Scenario.from_payload(minimal_payload(indices={**INDICES, "b": 0.3}))
         with pytest.raises(ScenarioError, match=r"scenario\.indices: .*contraction window"):
             sc.solver_config()
+
+    @pytest.mark.parametrize(
+        "h1, message",
+        [
+            ({"profile": "sqaure"}, r"scenario\.data\.h1\.profile: unknown profile 'sqaure'"),
+            ({"profile": "bump", "tO": 0.1}, r"scenario\.data\.h1: unknown keys \['tO'\]"),
+            ({"profile": "bump", "t0": "0.1"}, r"scenario\.data\.h1\.t0: expected a number"),
+        ],
+    )
+    def test_profiles_validated_at_parse_time(self, h1, message):
+        # linear-only never builds h1, so only the parser can catch these.
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_payload(minimal_payload(data={"h1": h1}))
+
+    def test_manufactured_spec_validated_at_parse_time(self):
+        with pytest.raises(ScenarioError, match=r"scenario\.data\.manufactured: unknown keys"):
+            Scenario.from_payload(minimal_payload(data={"manufactured": {"steps": 8}}))
+        bad = {"manufactured": {"steps_per_node": 2.5}}
+        with pytest.raises(ScenarioError, match=r"manufactured\.steps_per_node: expected a positive"):
+            Scenario.from_payload(minimal_payload(data=bad))
+
+    @pytest.mark.parametrize(
+        "solver, path",
+        [({"fp_tol": "abc"}, "fp_tol"), ({"max_iter": [1]}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
+    )
+    def test_solver_values_named_by_their_path(self, tmp_path, capsys, solver, path):
+        payload = minimal_payload(pipeline="full-solve", solver=solver)
+        with pytest.raises(ScenarioError, match=rf"^scenario\.solver\.{path}: expected"):
+            Scenario.from_payload(payload)
+        # [1] used to escape as a raw TypeError, which the CLI maps to exit 1.
+        file = tmp_path / "solver.json"
+        file.write_text(json.dumps(payload))
+        assert main(["solve", str(file)]) == 2
+        assert f"scenario.solver.{path}" in capsys.readouterr().err
+
+    def test_solver_config_takes_parsed_values_and_its_own_defaults(self):
+        payload = minimal_payload(pipeline="full-solve", solver={"max_iter": 3.0, "collar": 3})
+        cfg = Scenario.from_payload(payload).solver_config()
+        assert cfg.max_iter == 3 and isinstance(cfg.max_iter, int)
+        assert cfg.collar == 3.0 and isinstance(cfg.collar, float)
+        defaults = SolverConfig(
+            xgrid=cfg.xgrid, tgrid=cfg.tgrid, s=cfg.s, b=cfg.b, bstar=cfg.bstar, alpha=cfg.alpha, T=cfg.T
+        )
+        assert (cfg.fp_tol, cfg.spectrum_tol) == (defaults.fp_tol, defaults.spectrum_tol)
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -290,11 +335,35 @@ class TestCli:
     def test_exit_two_when_boundary_only_gets_solver_keys(self, tmp_path, capsys):
         # Boundary-only thresholds are fixed; a solver key must be refused,
         # not silently ignored.
-        payload = minimal_payload(pipeline="boundary-only", solver={"cap_fraction": 0.05})
+        payload = minimal_payload(pipeline="boundary-only", solver={"spectrum_tol": 1e-8})
         path = tmp_path / "capped.json"
         path.write_text(json.dumps(payload))
         assert main(["solve", str(path)]) == 2
         assert "reads no solver keys" in capsys.readouterr().err
+
+    def test_exit_two_on_unknown_check_name(self, tmp_path, capsys):
+        # A misspelt check, or one another pipeline evaluates, used to be
+        # dropped silently and the run reported pass.
+        checks = {"group_isometry": 1e-12, "grup_isometry_typo": 1e-30, "weak_form": 1e-30}
+        payload = minimal_payload(
+            data={"g": {"profile": "gaussian", "amplitude": 0.05, "width": 2.0}}, checks=checks
+        )
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", str(path)]) == 2
+        assert "scenario.checks.grup_isometry_typo" in capsys.readouterr().err
+        # The probe-bilinear command forces its own pipeline and its own names.
+        payload["checks"] = {"group_isometry": 1e-12}
+        path.write_text(json.dumps(payload))
+        assert main(["probe-bilinear", str(path)]) == 2
+        assert "probe-bilinear pipeline evaluates no such check" in capsys.readouterr().err
+
+    def test_exit_two_on_oracle_match_without_manufactured_data(self, tmp_path, capsys):
+        payload = minimal_payload(pipeline="full-solve", checks={"oracle_match": 1e-5})
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", str(path)]) == 2
+        assert "scenario.checks.oracle_match" in capsys.readouterr().err
 
     # The probe-bilinear command runs the probe whatever the file's pipeline,
     # so a full-solve file's solver keys would go unread there too.
@@ -338,6 +407,11 @@ class TestBundledScenarios:
                 "verify-all",
                 "probe-bilinear",
             )
+
+    def test_checks_known_to_their_pipeline(self):
+        for f in sorted(SCENARIO_DIR.glob("*.json")):
+            sc = Scenario.from_file(f)
+            assert set(sc.checks) <= set(_PIPELINE_CHECKS[sc.pipeline]), f.name
 
     def test_solver_configs_valid(self):
         for f in sorted(SCENARIO_DIR.glob("*.json")):
