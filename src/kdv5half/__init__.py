@@ -27,7 +27,6 @@ from .bourgain import (
     seeded_band_limited_field,
     xsb_norm,
     xsba_norm,
-    ysba_norm,
 )
 from .cutoffs import (
     CompatibilityReport,
@@ -45,8 +44,6 @@ from .fixed_point import (
     SolveResult,
     SolverConfig,
     SolverData,
-    ball_radius,
-    choose_T,
     picard_solve,
 )
 from .grids import (
@@ -110,12 +107,10 @@ __all__ = [
     "UniformGrid",
     "apply_group",
     "assemble_boundary_potential",
-    "ball_radius",
     "bilinear_ratio",
     "boundary_potential_traces",
     "canonical_json",
     "check_compatibility",
-    "choose_T",
     "eta",
     "extend_initial_datum",
     "extension_independence",
@@ -143,6 +138,5 @@ __all__ = [
     "whole_line_oracle",
     "xsb_norm",
     "xsba_norm",
-    "ysba_norm",
     "zero_extend_time",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "NormIndices",
     "xsb_norm",
     "xsba_norm",
-    "ysba_norm",
     "bilinear_ratio",
     "seeded_band_limited_field",
 ]
@@ -120,23 +119,6 @@ def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
     weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
     weight = weight + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
     return _weighted_l2(spec, weight, measure)
-
-
-def ysba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
-    """Three-term companion norm used for the inhomogeneous estimates.
-
-    term 1: || <xi>^s <tau+xi^5>^{-b} u_hat ||_{L^2}
-    term 2: || chi_{[-1,1]}(xi) <tau>^{alpha-1} u_hat ||_{L^2}
-    term 3: || <xi>^s  integral |u_hat| / <tau+xi^5> dtau ||_{L^2_xi}
-    """
-    spec, xi, tau, measure = _spectrum_weights(u)
-    modulation = 1.0 + np.abs(tau + xi**5)
-    bracket_x = 1.0 + np.abs(xi)
-    t1 = _weighted_l2(spec, bracket_x**s * modulation ** (-b), measure)
-    t2 = _weighted_l2(spec, (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** (alpha - 1.0), measure)
-    inner = np.sum(np.abs(spec) / modulation, axis=1) * u.tgrid.freq_step
-    t3 = float(np.sqrt(np.sum((bracket_x[:, 0] ** s * inner) ** 2) * u.xgrid.freq_step))
-    return t1 + t2 + t3
 
 
 def bilinear_ratio(

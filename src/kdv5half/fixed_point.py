@@ -1,19 +1,20 @@
 """Picard iteration for the half-line initial-boundary value problem.
 
-The solution operator is the fixed point of
+The solution operator is the fixed point of the affine map
 
-    Gamma_T(u) = eta(t) W(t) g_l
-               + eta(t) Duhamel[F_T(u)]
-               + eta(t) BoundaryPotential[h_j - p_j]
+    Gamma_T(u) = L + N(u)
+    L    = eta(t) W(t) g_l + eta(t) BoundaryPotential[w (h_j - q_j)]
+    N(u) = eta(t) Duhamel[F_T(u)] - eta(t) BoundaryPotential[w r_j(u)]
 
-where F_T(u) = eta(t/2T) (-1/2) d_x(u^2), p_{j+1} are the x = 0 traces of the
-first two terms, and the boundary potential is driven by the corrected data
-h_j - p_j so that the total trace reproduces the prescribed h_j on the
-working window.  Everything is assembled on fixed grids with one shared
-boundary potential per solve: BoundaryPotential.from_data builds its
-quadrature nodes, e^{i beta t} table and x-block tables at the first
-application and only the data change afterwards, which makes the
-linear/nonlinear split of the output exact to rounding.
+where F_T(u) = eta(t/2T) (-1/2) d_x(u^2), w = eta(t/2T) chi_{t>0}, and q_j,
+r_j(u) are the x = 0 traces of the free and Duhamel terms, so that the
+total trace reproduces the prescribed h_j on the working window.
+Everything is assembled on fixed grids with one shared boundary potential
+per solve: BoundaryPotential.from_data builds its quadrature nodes,
+e^{i beta t} table and x-block tables from the first nonzero data and only
+the data change afterwards.  L is built once, at the first application,
+and every iterate is L + N(u) as summed, so the linear/nonlinear split of
+the result is exact by construction.
 """
 
 from __future__ import annotations
@@ -32,19 +33,16 @@ from .propagator import (
     free_field,
     trace_at_origin,
 )
-from .spectral import band_mask, fractional_time_norm, sobolev_norm, x_spectrum, x_values
+from .spectral import band_mask, x_spectrum, x_values
 
 __all__ = [
     "SolverConfig",
     "SolverData",
     "IterationTrace",
     "TraceDecomposition",
-    "TimeHorizon",
     "NonContractionError",
     "nonlinearity_FT",
     "GammaWorkspace",
-    "choose_T",
-    "ball_radius",
     "picard_solve",
     "SolveResult",
 ]
@@ -180,11 +178,14 @@ def nonlinearity_FT(u: SpaceTimeField, T: float) -> SpaceTimeField:
 
 
 class GammaWorkspace:
-    """Data-bound state for repeated applications of Gamma_T.
+    """Gamma_T as the affine map Gamma_T(u) = L + N(u) on fixed data.
 
-    Precomputes the free term and its traces once, keeps one
-    BoundaryPotential (quadrature nodes plus its data-independent time and
-    space tables) across iterations, and records assembly diagnostics.
+    L = eta W(t) g_l + eta Pot[w (h - q)] is built at the first application;
+    every application adds N(u) = eta Duhamel[F_T(u)] - eta Pot[w r(u)],
+    where w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the
+    Duhamel term.  One BoundaryPotential (quadrature nodes plus its
+    data-independent time and space tables) is shared by all of them, since
+    the potential is linear in its data.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -202,9 +203,8 @@ class GammaWorkspace:
         self.data_window = eta(tnodes / (2.0 * cfg.T)) * (tnodes > 0)
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
-        free = free_field(data.g_l, cfg.tgrid, self.plan)
-        self.free_term = SpaceTimeField(cfg.xgrid, cfg.tgrid, free.values * self.eta_t[None, :])
         self.q = tuple(trace_at_origin(data.g_l, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
+        self.linear: SpaceTimeField | None = None
         self._pot: BoundaryPotential | None = None
         self.diagnostics: dict = {"applications": 0}
 
@@ -222,7 +222,6 @@ class GammaWorkspace:
         """Near-origin magnitudes of the corrected data, with the per-channel
         requirement: channel j must vanish at t = 0+ when s > 1/2 + j."""
         flags = []
-        dt = self.cfg.tgrid.step
         for j, d in enumerate(series):
             scale = float(np.max(np.abs(d.values)))
             near = float(abs(d.values[self.cfg.tgrid.index_of(0.0) + 1]))
@@ -234,17 +233,17 @@ class GammaWorkspace:
         return flags
 
     # -- boundary potential ------------------------------------------------------
-    def boundary_field_for(self, series) -> SpaceTimeField:
-        """Assemble eta(t) * BoundaryPotential[series] on the shared potential.
+    def _add_potential(self, values: np.ndarray, series) -> None:
+        """values += eta(t) * BoundaryPotential[series] on the shared potential.
 
         The first nonzero series builds the potential (truncation radius,
         quadrature and tables; a spectrum clamped at the band cap is reported,
-        not raised); later calls only update the data.
+        not raised); later calls only update the data.  All-zero series add
+        nothing.
         """
         cfg = self.cfg
-        if all(np.all(d.values == 0) for d in series):
-            zero = np.zeros((cfg.xgrid.count, cfg.tgrid.count), dtype=np.complex128)
-            return SpaceTimeField(cfg.xgrid, cfg.tgrid, zero)
+        if not any(np.any(d.values) for d in series):
+            return
         if self._pot is None:
             self._pot = BoundaryPotential.from_data(
                 *series,
@@ -261,95 +260,39 @@ class GammaWorkspace:
             self.diagnostics["quadrature_nodes"] = d["node_count"]
         else:
             self._pot.update_data(*series)
-        values = self._pot.field_on_grid(cfg.xgrid.nodes)
-        values *= self.eta_t[None, :]
-        return SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
-
-    def nonlinear_of(self, parts: dict) -> SpaceTimeField:
-        """Duhamel term of one application minus the boundary potential driven
-        by its Duhamel traces alone: the part of Gamma_T(u) beyond its linear part."""
-        cfg = self.cfg
-        nl_series = tuple(TimeSeries(cfg.tgrid, self.data_window * rj.values) for rj in parts["r"])
-        nl_boundary = self.boundary_field_for(nl_series)
-        return SpaceTimeField(cfg.xgrid, cfg.tgrid, parts["duhamel"].values - nl_boundary.values)
+        field = self._pot.field_on_grid(cfg.xgrid.nodes)
+        field *= self.eta_t[None, :]
+        values += field
 
     # -- one application of Gamma_T ---------------------------------------------
     def apply(self, u: SpaceTimeField) -> tuple:
-        """Returns (Gamma_T(u), parts) where parts carries the assembled pieces."""
+        """Returns (Gamma_T(u), N(u), r(u)); Gamma_T(u) = L + N(u) bitwise."""
         cfg = self.cfg
         if u.xgrid != cfg.xgrid or u.tgrid != cfg.tgrid:
             raise ValueError("iterate must live on the solver grids")
         forcing = nonlinearity_FT(u, cfg.T)
-        if np.any(forcing.values):
-            duh_raw = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
-            duh = SpaceTimeField(cfg.xgrid, cfg.tgrid, duh_raw.values * self.eta_t[None, :])
-            r = tuple(trace_at_origin(duh_raw, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
-        else:
-            zero_t = np.zeros(cfg.tgrid.count, dtype=np.complex128)
-            duh = SpaceTimeField(
-                cfg.xgrid, cfg.tgrid, np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
+        if self.linear is None:
+            values = free_field(self.data.g_l, cfg.tgrid, self.plan).values * self.eta_t[None, :]
+            series = tuple(
+                TimeSeries(cfg.tgrid, self.data_window * (h.values - qj.values))
+                for h, qj in zip(self.data.boundary_series, self.q)
             )
-            r = tuple(TimeSeries(cfg.tgrid, zero_t.copy()) for _ in range(3))
-        corrected = self.corrected_series(r)
-        boundary = self.boundary_field_for(corrected)
-        total = SpaceTimeField(
-            cfg.xgrid, cfg.tgrid, self.free_term.values + duh.values + boundary.values
-        )
+            self._add_potential(values, series)
+            self.linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+        if np.any(forcing.values):
+            duh = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
+            r = tuple(trace_at_origin(duh, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
+            values = duh.values * self.eta_t[None, :]
+            self._add_potential(
+                values, tuple(TimeSeries(cfg.tgrid, -self.data_window * rj.values) for rj in r)
+            )
+        else:
+            values = np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
+            r = tuple(TimeSeries(cfg.tgrid, np.zeros(cfg.tgrid.count)) for _ in range(3))
+        nonlinear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+        total = SpaceTimeField(cfg.xgrid, cfg.tgrid, self.linear.values + nonlinear.values)
         self.diagnostics["applications"] += 1
-        parts = {
-            "duhamel": duh,
-            "boundary": boundary,
-            "r": r,
-            "corrected": corrected,
-        }
-        return total, parts
-
-
-@dataclass(frozen=True)
-class TimeHorizon:
-    T: float
-    margin: float
-    capped: bool
-
-
-def choose_T(R: float, c_emp: float, b: float, bstar: float, floor: float = 1e-4) -> TimeHorizon:
-    """Largest T <= 1/2 with 2 * c_emp * R * T^(bstar-b) <= 1/2.
-
-    The returned horizon sits strictly inside the constraint (factor 0.99), so
-    doubling R scales the result by exactly 2^(-1/(bstar-b)) whenever both
-    values are below the cap.
-    """
-    if R < 0:
-        raise ValueError("ball radius R must be positive")
-    if c_emp <= 0:
-        raise ValueError("calibration constant must be positive")
-    if not (0 < b < bstar):
-        raise ValueError("need 0 < b < bstar")
-    if R == 0.0:
-        return TimeHorizon(T=0.5, margin=0.5, capped=True)
-    exponent = bstar - b
-    T_eq = (1.0 / (4.0 * c_emp * R)) ** (1.0 / exponent)
-    if T_eq > 0.5 * (1.0 + 1e-9):
-        T = 0.5
-        capped = True
-    else:
-        T = 0.99 * T_eq
-        capped = False
-    if T < floor:
-        raise ValueError(
-            f"no admissible horizon above {floor:g} for ball radius {R:g} "
-            f"(equality at T = {T_eq:.3e}); reduce the data size"
-        )
-    margin = 0.5 - 2.0 * c_emp * R * T**exponent
-    return TimeHorizon(T=float(T), margin=float(margin), capped=capped)
-
-
-def ball_radius(data: SolverData, s: float, c_emp: float) -> float:
-    """2 * c_emp * (||g_l||_{H^s} + sum_j ||h_{j+1}||_{H^{(s+2-j)/5}_t})."""
-    total = sobolev_norm(data.g_l, s)
-    for j, h in enumerate(data.boundary_series):
-        total += fractional_time_norm(h, (s + 2.0 - j) / 5.0)
-    return 2.0 * c_emp * total
+        return total, nonlinear, r
 
 
 @dataclass(frozen=True)
@@ -378,9 +321,8 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
     )
     trace = IterationTrace()
     u = zero
-    parts = None
     for _ in range(cfg.max_iter):
-        u_next, parts = ws.apply(u)
+        u_next, nonlinear, r = ws.apply(u)
         diff = xsba_norm(
             SpaceTimeField(cfg.xgrid, cfg.tgrid, u_next.values - u.values),
             cfg.s,
@@ -403,25 +345,22 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
             f"no convergence within {cfg.max_iter} iterations (last diff {trace.diffs[-1]:.3e})",
             trace,
         )
-    residual_field, _ = ws.apply(u)
+    residual_field = ws.apply(u)[0]
     trace.residual = xsba_norm(
         SpaceTimeField(cfg.xgrid, cfg.tgrid, residual_field.values - u.values),
         cfg.s,
         cfg.b,
         cfg.alpha,
     )
-    decomposition = TraceDecomposition.from_parts(ws.q, parts["r"])
-    nonlinear = ws.nonlinear_of(parts)
-    linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, u.values - nonlinear.values)
     diagnostics = dict(ws.diagnostics)
-    diagnostics["zero_extension_flags"] = ws.zero_extension_flags(parts["corrected"])
+    diagnostics["zero_extension_flags"] = ws.zero_extension_flags(ws.corrected_series(r))
     diagnostics["T"] = cfg.T
     return SolveResult(
         u=u,
         trace=trace,
-        decomposition=decomposition,
+        decomposition=TraceDecomposition.from_parts(ws.q, r),
         nonlinear=nonlinear,
-        linear=linear,
+        linear=ws.linear,
         diagnostics=diagnostics,
         workspace=ws,
     )

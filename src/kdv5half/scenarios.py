@@ -196,13 +196,13 @@ class Scenario:
             probe,
             "scenario.probe",
             required=(),
-            optional=("ensemble", "mode", "band_x", "band_t", "refine"),
+            optional=("ensemble", "mode", "band_x", "band_t"),
         )
         _positive_numbers(probe, "scenario.probe", _PROBE_KEYS)
         if probe.get("mode", "gain") not in ("gain", "auxiliary"):
             raise ScenarioError(f"scenario.probe.mode: {probe['mode']!r} is not gain or auxiliary")
         emit = payload.get("emit", {})
-        _check_keys(emit, "scenario.emit", required=(), optional=("field_csv", "traces", "spectra"))
+        _check_keys(emit, "scenario.emit", required=(), optional=("field_csv",))
         return cls(
             name=str(payload["name"]),
             pipeline=payload["pipeline"],

@@ -19,6 +19,7 @@ from .boundary import AccuracyError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
+from .propagator import free_field
 from .spectral import BAND_CAP, band_limited_sobolev_norm, forward_transform, x_spectrum, x_values
 
 __all__ = [
@@ -266,7 +267,7 @@ class SeparableTestFunction:
     def theta_t(self, t):
         return -self.q * (self.T - np.asarray(t, dtype=float)) ** (self.q - 1)
 
-    def check_constraints(self, t_probe) -> None:
+    def check_constraints(self) -> None:
         theta = np.max(np.abs(self.theta(np.array([self.T]))))
         x0 = abs(float(self.x_part(np.array([0.0]), 0)[0]))
         x1 = abs(float(self.x_part(np.array([0.0]), 1)[0]))
@@ -323,7 +324,7 @@ def weak_form_residual(
     h_vals = [np.asarray(h.values)[t_sel] for h in (h1, h2, h3)]
     results = []
     for member in family:
-        member.check_constraints(ts)
+        member.check_constraints()
         X = [member.x_part(xs, k) for k in range(6)]
         theta, theta_t = member.theta(ts), member.theta_t(ts)
         interior = U * (X[0][:, None] * theta_t[None, :] + X[5][:, None] * theta[None, :])
@@ -447,6 +448,8 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
     base_band = band[1] / max(band_factors)
     slope_g = spectral_tail_slope(result.workspace.data.g_l, band)
     slope_nl = field_tail_slope(result.nonlinear, band, samples)
+    # eta = 1 on every sample column, so the free evolution needs no cutoff.
+    free_part = free_field(result.workspace.data.g_l, cfg.tgrid, result.workspace.plan)
     rows = []
     for a in a_grid:
         target = cfg.s + a
@@ -462,7 +465,6 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
         # is excluded: its x-content is confined below |Re r| <= (beta
         # band)^{1/5} by construction, so its band growth reflects the
         # quadrature band rather than the regularity of the data.
-        free_part = result.workspace.free_term
         for label, part in (("linear", free_part), ("nonlinear", result.nonlinear)):
             norms = []
             for factor in band_factors:

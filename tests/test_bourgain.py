@@ -9,7 +9,6 @@ from kdv5half.bourgain import (
     seeded_band_limited_field,
     xsb_norm,
     xsba_norm,
-    ysba_norm,
 )
 from kdv5half.grids import SpaceTimeField, UniformGrid
 from kdv5half.spectral import field_l2_norm
@@ -45,9 +44,6 @@ class TestNorms:
         assert xsba_norm(scaled, 1.0, 0.4, 0.52) == pytest.approx(
             3.5 * xsba_norm(u, 1.0, 0.4, 0.52), rel=1e-12
         )
-        assert ysba_norm(scaled, 1.0, 0.4, 0.52) == pytest.approx(
-            3.5 * ysba_norm(u, 1.0, 0.4, 0.52), rel=1e-12
-        )
 
     def test_low_frequency_weight_dominates(self):
         u = seeded_band_limited_field(XG, TG, 2.0, 8.0, seed=3)
@@ -59,16 +55,6 @@ class TestNorms:
         s, b, alpha = 0.3, 0.46, 0.51
         weight = (1 + abs(xi)) ** s * (1 + abs(tau + xi**5)) ** b + (1 + abs(tau)) ** alpha
         assert xsba_norm(u, s, b, alpha) == pytest.approx(amp * weight * BOX, rel=1e-10)
-
-    def test_ysba_single_mode_closed_form(self):
-        amp = 0.25
-        u, xi, tau = lattice_mode(2, -4, amp)
-        s, b, alpha = 1.0, 0.42, 0.52
-        mod = 1 + abs(tau + xi**5)
-        t1 = amp * (1 + abs(xi)) ** s * mod ** (-b) * BOX
-        t2 = amp * (1 + abs(tau)) ** (alpha - 1) * BOX  # |xi| <= 1 for this mode
-        t3 = amp * (1 + abs(xi)) ** s / mod * np.sqrt(2.0 * np.pi * XG.length)
-        assert ysba_norm(u, s, b, alpha) == pytest.approx(t1 + t2 + t3, rel=1e-9)
 
 
 class TestAdmissibility:

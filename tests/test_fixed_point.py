@@ -1,4 +1,4 @@
-"""Solver configuration, horizon selection, and the Picard iteration."""
+"""Solver configuration, the nonlinearity, and the Picard iteration."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from kdv5half.fixed_point import (
     SolverConfig,
     SolverData,
     TraceDecomposition,
-    ball_radius,
-    choose_T,
     nonlinearity_FT,
     picard_solve,
 )
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from kdv5half.spectral import fractional_time_norm, sobolev_norm, spectral_derivative
+from kdv5half.spectral import spectral_derivative
 
 
 class TestSolverConfig:
@@ -75,55 +73,6 @@ class TestSolverConfig:
             self.make(max_iter=0)
 
 
-class TestChooseT:
-    def test_small_data_hits_cap(self):
-        h = choose_T(R=1e-6, c_emp=1.0, b=0.42, bstar=0.46)
-        assert h.T == 0.5 and h.capped
-
-    def test_doubling_law(self):
-        # The exponent 1/(bstar - b) = 25 makes the scale factor 2^-25, so an
-        # explicit tiny floor keeps the doubled case admissible.
-        b, bstar = 0.42, 0.46
-        h1 = choose_T(R=0.27, c_emp=1.0, b=b, bstar=bstar, floor=1e-30)
-        h2 = choose_T(R=0.54, c_emp=1.0, b=b, bstar=bstar, floor=1e-30)
-        assert not h1.capped and not h2.capped
-        expected = 2.0 ** (-1.0 / (bstar - b))
-        assert h2.T / h1.T == pytest.approx(expected, rel=1e-12)
-
-    def test_margin_positive(self):
-        h = choose_T(R=0.27, c_emp=1.0, b=0.42, bstar=0.46)
-        assert h.margin > 0.0
-
-    def test_floor(self):
-        with pytest.raises(ValueError, match="no admissible horizon"):
-            choose_T(R=1e30, c_emp=1.0, b=0.42, bstar=0.46)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError, match="radius"):
-            choose_T(R=-1.0, c_emp=1.0, b=0.42, bstar=0.46)
-        with pytest.raises(ValueError, match="calibration"):
-            choose_T(R=1.0, c_emp=0.0, b=0.42, bstar=0.46)
-        with pytest.raises(ValueError, match="0 < b < bstar"):
-            choose_T(R=1.0, c_emp=1.0, b=0.46, bstar=0.42)
-
-
-class TestBallRadius:
-    def test_matches_norm_sum(self):
-        xg = UniformGrid(-20.0, 40.0 / 256, 256)
-        tg = UniformGrid(-1.0, 2.0 / 256, 256)
-        g = GridFunction.from_callable(xg, lambda x: np.exp(-(x**2)))
-        hs = [
-            TimeSeries(tg, 0.1 * np.exp(-((tg.nodes - 0.5) ** 2) / 0.05).astype(complex))
-            for _ in range(3)
-        ]
-        data = SolverData(g_l=g, h1=hs[0], h2=hs[1], h3=hs[2])
-        s, c = 1.0, 0.7
-        expected = sobolev_norm(g, s)
-        for j, h in enumerate(hs):
-            expected += fractional_time_norm(h, (s + 2.0 - j) / 5.0)
-        assert ball_radius(data, s, c) == pytest.approx(2.0 * c * expected, rel=1e-12)
-
-
 class TestNonlinearity:
     def test_matches_pointwise_formula(self):
         xg = UniformGrid(-20.0, 40.0 / 512, 512)
@@ -180,11 +129,10 @@ class TestPicard:
         _, _, _, result = manufactured_case
         assert all(f < 1.0 for f in result.trace.factors[1:])
 
-    def test_linear_plus_nonlinear(self, manufactured_case, solver_config):
+    def test_linear_plus_nonlinear(self, manufactured_case):
+        # Every iterate is summed as L + N(u), so the split of the result is exact.
         _, _, _, result = manufactured_case
-        total = result.linear.values + result.nonlinear.values
-        scale = np.max(np.abs(result.u.values))
-        assert np.max(np.abs(total - result.u.values)) < 1e-12 * scale
+        assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
 
     def test_first_iterate_is_linear_part(self, manufactured_case, solver_config):
         _, _, _, result = manufactured_case
@@ -192,11 +140,11 @@ class TestPicard:
         zero = SpaceTimeField(
             cfg.xgrid, cfg.tgrid, np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
         )
-        first, parts = result.workspace.apply(zero)
-        nl_of_zero = result.workspace.nonlinear_of(parts)
-        # Gamma(0) carries no Duhamel forcing, so its nonlinear residue is zero
-        # and the first iterate is exactly the linear part of the map.
-        assert np.max(np.abs(nl_of_zero.values)) < 1e-12 * np.max(np.abs(first.values))
+        first, nonlinear, _ = result.workspace.apply(zero)
+        # Gamma(0) carries no Duhamel forcing: its nonlinear part is zero and
+        # the first iterate is the linear part L of the map.
+        assert not np.any(nonlinear.values)
+        assert np.array_equal(first.values, result.linear.values)
 
     def test_diagnostics_payload(self, manufactured_case):
         _, _, _, result = manufactured_case

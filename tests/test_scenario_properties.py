@@ -28,7 +28,7 @@ BASE = {
         "h1": {"profile": "bump", "t0": 0.1, "t1": 0.2, "t2": 0.4, "t3": 0.5},
     },
     "probe": {"ensemble": 2, "mode": "gain"},
-    "emit": {"spectra": True},
+    "emit": {"field_csv": False},
     "checks": {"group_isometry": 1e-12},
 }
 
@@ -39,9 +39,8 @@ SCHEMA_KEYS = {
     "data", "probe", "emit", "x", "t", "origin", "step", "count", "s", "b", "bstar",
     "alpha", "a", "g", "h1", "h2", "h3", "manufactured", "profile", "amplitude",
     "center", "width", "extension", "band_fraction", "t0", "t1", "t2", "t3",
-    "ensemble", "mode", "band_x", "band_t", "refine", "field_csv", "traces",
-    "spectra", "fp_tol", "max_iter", "collar", "spectrum_tol", "steps_per_node",
-    "horizon", "taper_start",
+    "ensemble", "mode", "band_x", "band_t", "field_csv", "fp_tol", "max_iter",
+    "collar", "spectrum_tol", "steps_per_node", "horizon", "taper_start",
 }
 
 

@@ -321,6 +321,14 @@ class TestCli:
         code = main(["solve", str(path)])
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+        # Keys no pipeline reads are refused, not accepted and ignored.
+        for payload, message in (
+            (minimal_payload(emit={"traces": True}), "scenario.emit: unknown keys ['traces']"),
+            (minimal_payload(probe={"refine": 2}), "scenario.probe: unknown keys ['refine']"),
+        ):
+            path.write_text(json.dumps(payload))
+            assert main(["solve", str(path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_exit_one_on_failed_check(self, tmp_path, capsys):
         payload = minimal_payload(

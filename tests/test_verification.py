@@ -145,7 +145,7 @@ class TestTestFunctions:
 
     def test_constraints_hold(self):
         phi = SeparableTestFunction.build(0.25, 2, 3.0, 2.0, 1)
-        phi.check_constraints(np.linspace(0.0, 0.25, 16))
+        phi.check_constraints()
         assert float(phi.x_part(np.array([0.0]), 0)[0]) == 0.0
         assert float(phi.x_part(np.array([0.0]), 1)[0]) == 0.0
         assert float(phi.theta(0.25)) == 0.0
@@ -164,7 +164,7 @@ class TestTestFunctions:
         family = weak_test_family(0.25)
         assert len(family) == 12
         for phi in family:
-            phi.check_constraints(np.linspace(0.0, 0.25, 8))
+            phi.check_constraints()
 
 
 class TestWeakForm:
