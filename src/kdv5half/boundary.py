@@ -16,11 +16,18 @@ substitution beta = sign*gamma^5 removes the singularity exactly, and
 composite Gauss-Legendre in gamma (geometric panels toward 0, phase-graded
 panel counts) does the rest, up to the truncation radius that
 `BoundaryPotential.from_data` reads off the data spectra.
+
+Real data halve the work.  For real h_j, h_j_hat(-beta) = conj h_j_hat(beta)
+and the stable roots at -beta are the conjugates of those at beta in
+reversed order, so the beta < 0 half of the integral is the conjugate of
+the beta > 0 half: a potential whose three series have imaginary parts
+exactly zero evaluates only the beta > 0 nodes of its (symmetric) quadrature
+and returns 2 Re of their sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -354,11 +361,36 @@ def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _positive_half(quad: BoundaryQuadrature) -> BoundaryQuadrature:
+    """The beta > 0 nodes of a symmetric quadrature (the half rule)."""
+    keep = quad.betas > 0
+    return replace(
+        quad,
+        betas=quad.betas[keep],
+        gammas=quad.gammas[keep],
+        weights=quad.weights[keep],
+        roots=quad.roots[keep],
+        osc_index=quad.osc_index[keep],
+    )
+
+
+def _is_real(series) -> bool:
+    return not any(np.any(h.values.imag) for h in series)
+
+
 class BoundaryPotential:
     """Boundary-data field bound to one quadrature table (from data: `from_data`).
 
     Each data update costs one data transform and one batch of per-node
     Cramer solves; evaluation is then one dense contraction per x-block.
+    Data whose three series have imaginary parts exactly zero at
+    construction take the half rule: only the beta > 0 nodes of `quad` are
+    evaluated (every table, `rhs` and `coeffs` hold those nodes only) and
+    `field_values` / `trace_values` return 2 Re of their sum, as one real
+    product of the interleaved (cos, sin) time table with (Re, -Im) of the
+    kernel.  Such a potential refuses complex data in `update_data`; `quad`
+    stays the full symmetric rule either way.
+
     The tables that do not depend on the data are built once per potential:
 
     * with `t_sel` (rows of the data's time grid where the field is wanted),
@@ -379,16 +411,18 @@ class BoundaryPotential:
 
     def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel=None):
         self.quad = quad
+        self._real = _is_real((h1, h2, h3))
+        self._nodes = _positive_half(quad) if self._real else quad
         self.tgrid = h1.grid
         self.t_sel = None if t_sel is None else np.asarray(t_sel)
         self.ttargets = None
         self._ttable = None
         if self.t_sel is not None:
             self.ttargets = self.tgrid.nodes[self.t_sel]
-            self._ttable = np.exp(1j * np.outer(self.ttargets, quad.betas))
+            self._ttable = np.exp(1j * np.outer(self.ttargets, self._nodes.betas))
             self._off_rows = np.ones(self.tgrid.count, dtype=bool)
             self._off_rows[self.t_sel] = False
-        self._osc = quad.osc_index[:, None] == np.arange(3)  # (Q, 3)
+        self._osc = self._nodes.osc_index[:, None] == np.arange(3)  # (Q, 3)
         self._grid_key = None
         self._blocks: dict = {}
         self.update_data(h1, h2, h3)
@@ -448,6 +482,12 @@ class BoundaryPotential:
 
     def update_data(self, h1, h2, h3) -> None:
         series = (h1, h2, h3)
+        if self._real and not _is_real(series):
+            raise ValueError(
+                "complex boundary data for a potential built on real data (half rule); "
+                "build a new potential"
+            )
+        nodes = self._nodes
         if self._ttable is not None and all(
             h.grid == self.tgrid and not np.any(h.values[self._off_rows]) for h in series
         ):
@@ -456,15 +496,23 @@ class BoundaryPotential:
             self.rhs = scale * np.conj(self._ttable.T @ np.conj(data))
         else:
             self.rhs = np.stack(
-                [nonuniform_transform(h, self.quad.betas, support_tol=1e-15) for h in series],
+                [nonuniform_transform(h, nodes.betas, support_tol=1e-15) for h in series],
                 axis=-1,
             )
-        self.coeffs = solve_coefficients_batch(self.quad.roots, self.rhs)
+        self.coeffs = solve_coefficients_batch(nodes.roots, self.rhs)
 
     def _time_table(self, ttargets: np.ndarray) -> np.ndarray:
         if self._ttable is not None and np.array_equal(ttargets, self.ttargets):
             return self._ttable
-        return np.exp(1j * np.outer(ttargets, self.quad.betas))
+        return np.exp(1j * np.outer(ttargets, self._nodes.betas))
+
+    def _node_sum(self, table: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """table @ values over the evaluated nodes; on the half rule 2 Re of
+        it, as the real product of table's (cos, sin) columns with (Re, -Im)."""
+        if not self._real:
+            return table @ values
+        pairs = np.stack([values.real, -values.imag], axis=1)
+        return 2.0 * (table.view(np.float64) @ pairs.reshape(2 * len(values), *values.shape[1:]))
 
     def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
         """(offsets, offset table, base, live rows, taper) of an x-block; x_b = min xs.
@@ -477,7 +525,7 @@ class BoundaryPotential:
         vanishes across the block (so an overflowing e^{Re r x_b} never meets
         a zero taper), and the taper is kept on the remaining `live` rows only.
         """
-        quad = self.quad
+        quad = self._nodes
         x_b = float(np.min(xs))
         offsets = xs - x_b
         if shared is not None and len(shared[0]) == len(offsets) and np.allclose(
@@ -500,8 +548,9 @@ class BoundaryPotential:
     def _weighted_coefficients(self, root_power: int) -> tuple:
         """w_q (2 pi)^(-1/2) c_m(beta_q) r_m^root_power split into its
         oscillatory-root and decaying-root entries, (Q, 3) each."""
-        coeffs = self.coeffs * self.quad.roots**root_power if root_power else self.coeffs
-        weighted = coeffs * (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
+        nodes = self._nodes
+        coeffs = self.coeffs * nodes.roots**root_power if root_power else self.coeffs
+        weighted = coeffs * (nodes.weights / np.sqrt(2.0 * np.pi))[:, None]
         return np.where(self._osc, weighted, 0.0), np.where(self._osc, 0.0, weighted)
 
     def field_values(self, xtargets, ttargets, root_power: int = 0) -> np.ndarray:
@@ -520,7 +569,7 @@ class BoundaryPotential:
         else:
             kernel = _combine(base * osc, table)
             kernel[live] += taper * _combine((base * dec)[live], table[:, live])
-        return (self._time_table(ttargets) @ kernel).T
+        return self._node_sum(self._time_table(ttargets), kernel).T
 
     def field_on_grid(self, xnodes) -> np.ndarray:
         """Field on xnodes and every node of the data's time grid, shape
@@ -549,9 +598,10 @@ class BoundaryPotential:
         if j not in (0, 1, 2):
             raise ValueError(f"trace order j must be 0, 1, or 2, got {j}")
         ttargets = np.asarray(ttargets, dtype=float)
-        node_vals = np.sum(self.coeffs * self.quad.roots**j, axis=-1)
+        nodes = self._nodes
+        node_vals = np.sum(self.coeffs * nodes.roots**j, axis=-1)
         phases = self._time_table(ttargets)
-        return (phases @ (self.quad.weights * node_vals)) / np.sqrt(2.0 * np.pi)
+        return self._node_sum(phases, nodes.weights * node_vals) / np.sqrt(2.0 * np.pi)
 
     def trace_on_grid(self, j: int) -> TimeSeries:
         """Trace of order j on the data's time grid; zero off the rows `t_sel`."""

@@ -15,6 +15,7 @@ certified operator norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,10 +116,20 @@ def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
     to the spectrum before the L^2 sum, so the result always dominates
     xsb_norm.
     """
-    spec, xi, tau, measure = _spectrum_weights(u)
+    spec, _, _, measure = _spectrum_weights(u)
+    return _weighted_l2(spec, _xsba_weight(u.xgrid, u.tgrid, s, b, alpha), measure)
+
+
+@lru_cache(maxsize=2, typed=True)
+def _xsba_weight(xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float, alpha: float) -> np.ndarray:
+    """The (X, T) weight of `xsba_norm`, built once per (grids, indices); a
+    fixed-point solve measures every iterate with the same one."""
+    xi = xgrid.frequencies[:, None]
+    tau = tgrid.frequencies[None, :]
     weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
     weight = weight + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
-    return _weighted_l2(spec, weight, measure)
+    weight.flags.writeable = False
+    return weight
 
 
 def bilinear_ratio(

@@ -14,7 +14,9 @@ per solve: BoundaryPotential.from_data builds its quadrature nodes,
 e^{i beta t} table and x-block tables from the first nonzero data and only
 the data change afterwards.  L is built once, at the first application,
 and every iterate is L + N(u) as summed, so the linear/nonlinear split of
-the result is exact by construction.
+the result is exact by construction.  For real g_l and h_j the potential is
+handed the real parts of the corrected series (the imaginary parts of q_j
+and r_j are complex-FFT rounding), so it takes the half rule of `boundary`.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class GammaWorkspace:
     where w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the
     Duhamel term.  One BoundaryPotential (quadrature nodes plus its
     data-independent time and space tables) is shared by all of them, since
-    the potential is linear in its data.
+    the potential is linear in its data.  When g_l and every h_j are exactly
+    real, the potential gets Re of each corrected series.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -204,6 +207,7 @@ class GammaWorkspace:
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
         self.q = tuple(trace_at_origin(data.g_l, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
+        self._real_data = not any(np.any(f.values.imag) for f in (data.g_l, *data.boundary_series))
         self.linear: SpaceTimeField | None = None
         self._pot: BoundaryPotential | None = None
         self.diagnostics: dict = {"applications": 0}
@@ -239,9 +243,11 @@ class GammaWorkspace:
         The first nonzero series builds the potential (truncation radius,
         quadrature and tables; a spectrum clamped at the band cap is reported,
         not raised); later calls only update the data.  All-zero series add
-        nothing.
+        nothing.  On real problem data the series enter by their real parts.
         """
         cfg = self.cfg
+        if self._real_data:
+            series = tuple(TimeSeries(cfg.tgrid, d.values.real) for d in series)
         if not any(np.any(d.values) for d in series):
             return
         if self._pot is None:

@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Precomputed frequency powers for one spatial grid."""
+    """Precomputed frequency powers and free-evolution phases for one spatial grid."""
 
     xgrid: UniformGrid
 
@@ -59,6 +59,16 @@ class PropagatorPlan:
     @cached_property
     def cap_mask(self) -> np.ndarray:
         return band_mask(self.xgrid)
+
+    def free_phases(self, tgrid: UniformGrid) -> np.ndarray:
+        """e^{-i t_n xi^5}, shape (T, X); built once per time grid (the plan
+        keeps the table of the last grid asked for)."""
+        cached = self.__dict__.get("_free_phases")
+        if cached is None or cached[0] != tgrid:
+            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, self.xi5)))
+            cached[1].flags.writeable = False
+            self.__dict__["_free_phases"] = cached
+        return cached[1]
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:
@@ -77,7 +87,7 @@ def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None 
     """W(t_n) g for every node of tgrid, as one space-time field."""
     plan = plan or PropagatorPlan(g.grid)
     ghat = forward_transform(g).coefficients
-    phases = np.exp(-1j * np.outer(plan.xi5, tgrid.nodes))
+    phases = plan.free_phases(tgrid).T
     return SpaceTimeField(g.grid, tgrid, x_values(phases * ghat[:, None], g.grid))
 
 
@@ -172,8 +182,7 @@ def trace_at_origin(
         plan = plan or PropagatorPlan(source.grid)
         ghat = forward_transform(source).coefficients
         mult = np.where(plan.cap_mask, (1j * plan.xi) ** j, 0.0)
-        phases = np.exp(-1j * np.outer(tgrid.nodes, plan.xi5))
-        sums = phases @ (mult * ghat)
+        sums = plan.free_phases(tgrid) @ (mult * ghat)
     else:
         raise TypeError(f"unsupported trace source: {type(source)}")
     scale = plan.xgrid.freq_step / np.sqrt(2.0 * np.pi)

@@ -47,7 +47,9 @@ class HarnessError(RuntimeError):
 # Whole-line split-step reference solver.
 # ---------------------------------------------------------------------------
 
-def _split_step_trajectory(g_l: GridFunction, T: float, steps: int) -> np.ndarray:
+def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: bool = False) -> np.ndarray:
+    """Split-step slices at every step, shape (X, steps + 1); with
+    `final_only` just the last slice, shape (X,)."""
     grid = g_l.grid
     xi = grid.frequencies
     dt = T / steps
@@ -59,17 +61,19 @@ def _split_step_trajectory(g_l: GridFunction, T: float, steps: int) -> np.ndarra
         v_d = np.fft.ifft(dealias * np.fft.fft(v))
         return np.fft.ifft(deriv * np.fft.fft(v_d * v_d)) * (-0.5)
 
-    out = np.empty((grid.count, steps + 1), dtype=np.complex128)
+    out = None if final_only else np.empty((grid.count, steps + 1), dtype=np.complex128)
     v = np.asarray(g_l.values, dtype=np.complex128).copy()
-    out[:, 0] = v
+    if out is not None:
+        out[:, 0] = v
     for n in range(steps):
         v = np.fft.ifft(half * np.fft.fft(v))
         k1 = burgers_rate(v)
         k2 = burgers_rate(v + (dt / 2.0) * k1)
         v = v + dt * k2
         v = np.fft.ifft(half * np.fft.fft(v))
-        out[:, n + 1] = v
-    return out
+        if out is not None:
+            out[:, n + 1] = v
+    return v if final_only else out
 
 
 def whole_line_oracle(
@@ -92,10 +96,8 @@ def whole_line_oracle(
         raise ValueError("need at least one step")
     vals = _split_step_trajectory(g_l, T, steps)
     if check:
-        fine = _split_step_trajectory(g_l, T, 2 * steps)
-        diff = float(
-            np.sqrt(np.sum(np.abs(vals[:, -1] - fine[:, -1]) ** 2) * g_l.grid.step)
-        )
+        fine = _split_step_trajectory(g_l, T, 2 * steps, final_only=True)
+        diff = float(np.sqrt(np.sum(np.abs(vals[:, -1] - fine) ** 2) * g_l.grid.step))
         if diff > halving_tol:
             raise AccuracyError(
                 f"split-step self-check failed: halving the step changes the final "
@@ -108,7 +110,7 @@ def whole_line_oracle(
 def oracle_self_errors(g_l: GridFunction, T: float, steps: int) -> tuple:
     """(coarse-vs-mid, mid-vs-fine) final-slice L^2 errors for step counts
     (steps, 2*steps, 4*steps); their ratio estimates the convergence order."""
-    runs = [_split_step_trajectory(g_l, T, k * steps)[:, -1] for k in (1, 2, 4)]
+    runs = [_split_step_trajectory(g_l, T, k * steps, final_only=True) for k in (1, 2, 4)]
     dx = g_l.grid.step
     e1 = float(np.sqrt(np.sum(np.abs(runs[0] - runs[1]) ** 2) * dx))
     e2 = float(np.sqrt(np.sum(np.abs(runs[1] - runs[2]) ** 2) * dx))
@@ -127,7 +129,9 @@ def manufactured_data(
     Runs the split-step oracle on [0, horizon] at a rate that contains every
     solver time node, reads off the x = 0 traces of orders 0, 1, 2, tapers
     them smoothly to zero before the horizon end (the solver's data window
-    eta(t/2T) must die before the taper begins), and returns
+    eta(t/2T) must die before the taper begins), keeps their real parts (the
+    whole-line solution of a real datum is real; the imaginary parts are
+    complex-FFT rounding), and returns
     (SolverData, oracle field, node stride).
     """
     dt = cfg.tgrid.step
@@ -149,7 +153,7 @@ def manufactured_data(
     series = []
     for tr in traces:
         vals = np.zeros(cfg.tgrid.count, dtype=np.complex128)
-        sub = (tr * taper)[::steps_per_node]
+        sub = (tr * taper)[::steps_per_node].real
         i0 = cfg.tgrid.index_of(0.0)
         vals[i0 : i0 + n_nodes + 1] = sub
         series.append(TimeSeries(cfg.tgrid, vals))

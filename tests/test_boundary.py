@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdv5half.boundary import (
     AccuracyError,
@@ -254,14 +256,16 @@ class TestBoundaryField:
         assert sup < 10.0 * np.max(np.abs(bump_series().values))
 
 
-def direct_field(pot, xs, ts, root_power=0):
+def direct_field(pot, xs, ts, root_power=0, rhs=None):
     """Independent oracle: (2 pi)^(-1/2) sum_q w_q e^{i beta_q t}
-    sum_m c_m r_m^root_power e^{r_m x} taper, with the coefficients from a
-    library solve of the Vandermonde systems and e^{r x} evaluated only where
-    the taper is nonzero."""
+    sum_m c_m r_m^root_power e^{r_m x} taper over every node of pot.quad,
+    with the coefficients from a library solve of the Vandermonde systems
+    against `rhs` (default pot.rhs) and e^{r x} evaluated only where the
+    taper is nonzero."""
     quad = pot.quad
+    rhs = pot.rhs if rhs is None else rhs
     vander = quad.roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
-    coeffs = np.linalg.solve(vander, pot.rhs[:, :, None])[:, :, 0]
+    coeffs = np.linalg.solve(vander, rhs[:, :, None])[:, :, 0]
     taper = rho(np.outer(quad.gammas, xs), quad.collar)
     phases = np.exp(1j * np.outer(ts, quad.betas))
     out = np.zeros((len(xs), len(ts)), dtype=complex)
@@ -274,14 +278,20 @@ def direct_field(pot, xs, ts, root_power=0):
     return out / np.sqrt(2.0 * np.pi)
 
 
-def three_channel_potential(t_sel=None, x_span=5.0):
+def three_channel_series(h2_factor=0.5j):
+    # The imaginary h2 of the default keeps these potentials on the full rule.
     h1 = bump_series()
-    h2 = TimeSeries(TG, 0.5j * right_bump(TG.nodes, 0.2, 0.5, 0.9, 1.5).astype(complex))
+    h2 = TimeSeries(TG, h2_factor * right_bump(TG.nodes, 0.2, 0.5, 0.9, 1.5).astype(complex))
     h3 = TimeSeries(TG, -0.3 * right_bump(TG.nodes, 0.3, 0.8, 1.0, 1.7).astype(complex))
-    radius, _, ok = truncation_radius((h1, h2, h3), 1e-8, 0.75 * TG.nyquist)
+    return h1, h2, h3
+
+
+def three_channel_potential(t_sel=None, x_span=5.0, h2_factor=0.5j):
+    series = three_channel_series(h2_factor)
+    radius, _, ok = truncation_radius(series, 1e-8, 0.75 * TG.nyquist)
     assert ok
     quad = BoundaryQuadrature.build(radius, depth=1, t_span=2.0, x_span=x_span)
-    return BoundaryPotential(quad, h1, h2, h3, t_sel=t_sel)
+    return BoundaryPotential(quad, *series, t_sel=t_sel)
 
 
 def rel_max_error(got, want):
@@ -422,3 +432,86 @@ class TestFromData:
             want = boundary_potential_traces(*series, scenario.tgrid, j, depth=1).values[plateau]
             got = report["traces"][f"j{j}"]
             assert np.array_equal(got["re"], want.real) and np.array_equal(got["im"], want.imag)
+
+
+def real_three_channel(**kwargs):
+    """Potential of real three-channel data, with the data transforms on every
+    node of its symmetric rule by direct summation (the oracle's rhs)."""
+    pot = three_channel_potential(h2_factor=0.5, **kwargs)
+    series = three_channel_series(0.5)
+    return pot, np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
+
+
+class TestRealDataHalfRule:
+    # Real data on all three channels; the oracle sums the full symmetric rule.
+    XS = TestBoundaryPotentialTables.XS
+    TS = TestBoundaryPotentialTables.TS
+
+    def test_field_values_match_the_full_rule(self):
+        pot, rhs = real_three_channel()
+        assert len(pot.coeffs) == pot.quad.node_count // 2
+        for kwargs in ({}, {"root_power": 5}):
+            got = pot.field_values(self.XS, self.TS, **kwargs)
+            assert not np.any(np.imag(got))
+            want = direct_field(pot, self.XS, self.TS, rhs=rhs, **kwargs)
+            assert rel_max_error(got, want) <= 1e-13, kwargs
+
+    def test_field_and_traces_on_grid_match_the_full_rule(self):
+        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
+        pot, rhs = real_three_channel(t_sel=t_sel, x_span=6.0)
+        xs = np.linspace(-3.0, 6.0, 300)
+        values = pot.field_on_grid(xs)
+        assert not np.any(values.imag)
+        assert not np.any(np.delete(values, t_sel, axis=1))
+        want = direct_field(pot, xs, TG.nodes[t_sel], rhs=rhs)
+        assert rel_max_error(values[:, t_sel], want) <= 1e-13
+        for j in range(3):
+            trace = pot.trace_on_grid(j).values
+            assert not np.any(trace.imag)
+            want = direct_field(pot, [0.0], TG.nodes[t_sel], root_power=j, rhs=rhs)[0]
+            assert rel_max_error(trace[t_sel], want) <= 1e-13, j
+
+    def test_far_left_field_stays_finite(self):
+        pot, rhs = real_three_channel()
+        xs = np.linspace(-2000.0, -1990.0, 16)
+        with np.errstate(over="raise", invalid="raise"):
+            got = pot.field_values(xs, self.TS)
+        assert np.all(np.isfinite(got))
+        phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
+        assert rel_max_error(got, direct_field(pot, xs, self.TS, rhs=rhs)) <= 4.0 * phase_rounding
+
+    def test_from_data_reports_the_full_rule(self):
+        pot = BoundaryPotential.from_data(*three_channel_series(0.5), depth=1, x_span=5.0)
+        quad = pot.quad
+        assert pot.diagnostics["node_count"] == quad.node_count
+        assert np.array_equal(quad.betas[quad.betas < 0], -quad.betas[quad.betas > 0])
+        assert len(pot.rhs) == quad.node_count // 2
+
+    def test_complex_data_refused(self):
+        pot = three_channel_potential(h2_factor=0.5)
+        h1, h2, h3 = three_channel_series(0.5)
+        with pytest.raises(ValueError, match="complex boundary data"):
+            pot.update_data(h1, TimeSeries(TG, h2.values + 1e-20j), h3)
+
+
+class TestConjugateSymmetry:
+    # beta -> -beta conjugates the data transform of real data; the roots and
+    # Cramer coefficients must follow, which is what the half rule relies on.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_beta=st.floats(min_value=-8.0, max_value=8.0),
+        rhs=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=6, max_size=6),
+    )
+    def test_roots_and_coefficients_conjugate(self, log_beta, rhs):
+        beta = 10.0**log_beta
+        pos = stable_root_array(np.array([beta]))[0]
+        neg = stable_root_array(np.array([-beta]))[0]
+        assert np.max(np.abs(neg - np.conj(pos)[::-1])) <= 1e-15 * beta**0.2
+        assert roots_of_symbol(beta).oscillatory_index == 2
+        assert roots_of_symbol(-beta).oscillatory_index == 0
+        b = np.array(rhs[:3]) + 1j * np.array(rhs[3:])
+        c_pos = solve_coefficients_batch(pos, b)
+        c_neg = solve_coefficients_batch(neg, np.conj(b))
+        scale = np.max(np.abs(c_pos))
+        if scale > 0.0:
+            assert np.max(np.abs(c_neg - np.conj(c_pos)[::-1])) <= 1e-13 * scale
