@@ -16,10 +16,7 @@ from .boundary import (
     BoundaryPotential,
     BoundaryQuadrature,
     PreconditionError,
-    assemble_boundary_potential,
     boundary_potential_traces,
-    roots_of_symbol,
-    solve_coefficients,
 )
 from .bourgain import (
     NormIndices,
@@ -106,7 +103,6 @@ __all__ = [
     "TimeSeries",
     "UniformGrid",
     "apply_group",
-    "assemble_boundary_potential",
     "bilinear_ratio",
     "boundary_potential_traces",
     "canonical_json",
@@ -126,12 +122,10 @@ __all__ = [
     "picard_solve",
     "rho",
     "right_bump",
-    "roots_of_symbol",
     "run_scenario",
     "seeded_band_limited_field",
     "smoothing_report",
     "sobolev_norm",
-    "solve_coefficients",
     "trace_at_origin",
     "weak_form_residual",
     "weak_test_family",

@@ -27,11 +27,14 @@ __all__ = [
     "one_sided_value",
     "CompatibilityReport",
     "check_compatibility",
+    "validate_regularity",
     "EXCLUDED_REGULARITY",
+    "EXCLUSION_TOL",
     "S_MAX",
 ]
 
 EXCLUDED_REGULARITY = (0.5, 1.5, 2.5)
+EXCLUSION_TOL = 1e-9
 S_MAX = 2.75
 
 
@@ -82,11 +85,23 @@ def right_bump(t, t0: float, t1: float, t2: float, t3: float):
 # Half-line extension of the initial datum.
 # ---------------------------------------------------------------------------
 
-def _validate_regularity(s: float) -> None:
+def validate_regularity(s: float) -> None:
+    """Refuse s outside [0, 11/4) or within EXCLUSION_TOL of a transition value.
+
+    At s = 1/2, 3/2, 5/2 the number of compatibility conditions and the
+    datum extension change, and the estimates degenerate there.  The solver
+    configuration and the extensions share this one check, so no s passes
+    one and fails the other.  EXCLUSION_TOL = 1e-9 is far above the rounding
+    of a decimal s (about 1e-16) and far below any s a scenario would
+    choose on purpose; it was the solver's tolerance before the two checks
+    were merged, so every s the solver refused stays refused.
+    """
     if not (0.0 <= s < S_MAX):
-        raise ValueError(f"regularity s must lie in [0, {S_MAX}), got {s}")
-    if any(abs(s - bad) < 1e-12 for bad in EXCLUDED_REGULARITY):
-        raise ValueError(f"regularity s = {s} is excluded (half-integer threshold)")
+        raise ValueError(f"regularity s must lie in [0, 11/4), got {s}")
+    if any(abs(s - bad) < EXCLUSION_TOL for bad in EXCLUDED_REGULARITY):
+        raise ValueError(
+            f"regularity s = {s} is one of the excluded transition values {EXCLUDED_REGULARITY}"
+        )
 
 
 def _zero_extension(g: GridFunction) -> np.ndarray:
@@ -160,7 +175,7 @@ def extend_initial_datum(g: GridFunction, s: float, method: str = "auto") -> Gri
     reflection).  "reflection" is a derivative-matching collar extension;
     see _reflection_extension.
     """
-    _validate_regularity(s)
+    validate_regularity(s)
     if method == "auto":
         method = "zero" if s < 0.5 else "reflection"
     if method not in ("zero", "reflection"):
@@ -245,7 +260,7 @@ def check_compatibility(
     Nothing is required below s = 1/2; one, two, or three derivative matches
     are required on the successive admissible bands above it.
     """
-    _validate_regularity(s)
+    validate_regularity(s)
     if s < 0.5:
         n_req = 0
     elif s < 1.5:

@@ -14,9 +14,10 @@ per solve: BoundaryPotential.from_data builds its quadrature nodes,
 e^{i beta t} table and x-block tables from the first nonzero data and only
 the data change afterwards.  L is built once, at the first application,
 and every iterate is L + N(u) as summed, so the linear/nonlinear split of
-the result is exact by construction.  For real g_l and h_j the potential is
-handed the real parts of the corrected series (the imaginary parts of q_j
-and r_j are complex-FFT rounding), so it takes the half rule of `boundary`.
+the result is exact by construction.  The problem data g_l and h_j must be
+real (PreconditionError otherwise), and the potential, which takes real
+data only, is handed the real parts of the corrected series: the imaginary
+parts of q_j and r_j are complex-FFT rounding.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundaryPotential
+from .boundary import BoundaryPotential, PreconditionError
 from .bourgain import xsba_norm
-from .cutoffs import EXCLUDED_REGULARITY, eta
+from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import (
     PropagatorPlan,
@@ -81,12 +82,7 @@ class SolverConfig:
     spectrum_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 <= self.s < 2.75):
-            raise ValueError(f"regularity s must lie in [0, 11/4), got {self.s}")
-        if any(abs(self.s - e) < 1e-9 for e in EXCLUDED_REGULARITY):
-            raise ValueError(
-                f"regularity s = {self.s} is one of the excluded transition values {EXCLUDED_REGULARITY}"
-            )
+        validate_regularity(self.s)
         lower = max(self.s / 5.0 - 0.05, 0.4)
         if not (lower < self.b < self.bstar < 0.5):
             raise ValueError(
@@ -187,8 +183,8 @@ class GammaWorkspace:
     where w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the
     Duhamel term.  One BoundaryPotential (quadrature nodes plus its
     data-independent time and space tables) is shared by all of them, since
-    the potential is linear in its data.  When g_l and every h_j are exactly
-    real, the potential gets Re of each corrected series.
+    the potential is linear in its data.  g_l and every h_j must be real;
+    the potential gets Re of each corrected series.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -197,6 +193,8 @@ class GammaWorkspace:
                 raise ValueError("boundary series must live on the solver time grid")
         if data.g_l.grid != cfg.xgrid:
             raise ValueError("initial datum must live on the solver space grid")
+        if any(np.any(f.values.imag) for f in (data.g_l, *data.boundary_series)):
+            raise PreconditionError("initial and boundary data must be real")
         self.data = data
         self.cfg = cfg
         self.plan = PropagatorPlan(cfg.xgrid)
@@ -207,7 +205,6 @@ class GammaWorkspace:
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
         self.q = tuple(trace_at_origin(data.g_l, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
-        self._real_data = not any(np.any(f.values.imag) for f in (data.g_l, *data.boundary_series))
         self.linear: SpaceTimeField | None = None
         self._pot: BoundaryPotential | None = None
         self.diagnostics: dict = {"applications": 0}
@@ -243,11 +240,10 @@ class GammaWorkspace:
         The first nonzero series builds the potential (truncation radius,
         quadrature and tables; a spectrum clamped at the band cap is reported,
         not raised); later calls only update the data.  All-zero series add
-        nothing.  On real problem data the series enter by their real parts.
+        nothing.  The series enter by their real parts.
         """
         cfg = self.cfg
-        if self._real_data:
-            series = tuple(TimeSeries(cfg.tgrid, d.values.real) for d in series)
+        series = tuple(TimeSeries(cfg.tgrid, d.values.real) for d in series)
         if not any(np.any(d.values) for d in series):
             return
         if self._pot is None:

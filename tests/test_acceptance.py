@@ -26,20 +26,17 @@ from kdv5half import (
     TimeSeries,
     UniformGrid,
     apply_group,
-    assemble_boundary_potential,
     bilinear_ratio,
     boundary_potential_traces,
     free_field,
     kato_smoothing_ratio,
     picard_solve,
     right_bump,
-    roots_of_symbol,
     seeded_band_limited_field,
     smoothing_report,
-    solve_coefficients,
     weak_form_residual,
 )
-from kdv5half.boundary import truncation_radius
+from kdv5half.boundary import solve_coefficients_batch, stable_root_array, truncation_radius
 from kdv5half.spectral import random_band_limited, sobolev_norm
 from kdv5half.verification import pde_residual
 
@@ -54,31 +51,27 @@ def zero_series(tgrid: UniformGrid) -> TimeSeries:
 
 class TestRootSystem:
     def test_stable_roots_solve_the_symbol_across_the_sweep(self):
-        for beta in BETA_SWEEP:
-            triple = roots_of_symbol(beta)
-            roots = triple.as_array
+        for beta, roots in zip(BETA_SWEEP, stable_root_array(BETA_SWEEP)):
             residual = np.max(np.abs(1j * beta + roots**5))
             assert residual < 1e-12 * max(1.0, abs(beta))
             assert np.max(np.real(roots)) <= 1e-14
 
     def test_unit_beta_phase_lists(self):
-        neg = roots_of_symbol(-1.0)
+        neg, pos = stable_root_array(np.array([-1.0, 1.0]))
         np.testing.assert_allclose(
-            np.angle(neg.as_array) / np.pi, [0.5, 0.9, -0.7], rtol=0, atol=1e-15
+            np.angle(neg) / np.pi, [0.5, 0.9, -0.7], rtol=0, atol=1e-15
         )
-        pos = roots_of_symbol(1.0)
         np.testing.assert_allclose(
-            np.angle(pos.as_array) / np.pi, [0.7, -0.9, -0.5], rtol=0, atol=1e-15
+            np.angle(pos) / np.pi, [0.7, -0.9, -0.5], rtol=0, atol=1e-15
         )
 
     def test_cramer_matches_dense_elimination_on_the_sweep(self):
         rng = np.random.default_rng(42)
-        for beta in BETA_SWEEP:
-            triple = roots_of_symbol(beta)
-            vander = np.vander(triple.as_array, 3, increasing=True).T
+        for roots in stable_root_array(BETA_SWEEP):
+            vander = np.vander(roots, 3, increasing=True).T
             rhs_block = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
             for rhs in rhs_block:
-                cramer = np.array(solve_coefficients(triple, rhs).as_array)
+                cramer = solve_coefficients_batch(roots, rhs)
                 dense = np.linalg.solve(vander, rhs)
                 assert np.max(np.abs(cramer - dense)) < 1e-12 * np.max(np.abs(dense))
 
@@ -160,10 +153,10 @@ class TestInteriorResidual:
             self.TG, (a * np.exp(-(((tt - c) / w) ** 2)) * (tt > 0)).astype(np.complex128)
         )
         h1, h3 = pulse(0.5, 0.1, 0.3), pulse(0.6, 0.12, 0.1)
-        assembly = assemble_boundary_potential(
-            h1, zero_series(self.TG), h3, self.XG, self.TG, depth=2
+        pot = BoundaryPotential.from_data(
+            h1, zero_series(self.TG), h3, depth=2, x_span=float(np.max(np.abs(self.XG.nodes)))
         )
-        pot = assembly.potential
+        field = SpaceTimeField(self.XG, self.TG, pot.field_on_grid(self.XG.nodes))
         # The kernel exponentials give the fifth x-derivative analytically
         # (root_power=5); only the time derivative is discretized, so the
         # residual isolates the quadrature error of the potential itself.
@@ -172,7 +165,7 @@ class TestInteriorResidual:
         fifth_vals[pos, :] = pot.field_values(self.XG.nodes[pos], tt, root_power=5)
         fifth = SpaceTimeField(self.XG, self.TG, fifth_vals)
         residual = pde_residual(
-            assembly.field,
+            field,
             fifth_x=fifth,
             stencil_order=6,
             x_range=(0.5, 39.0),

@@ -1,4 +1,4 @@
-"""Root systems, Cramer solves, oscillatory quadrature, boundary field."""
+"""Root systems, Cramer solves, the gamma quadrature rule, boundary field."""
 
 import json
 
@@ -8,22 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdv5half.boundary import (
-    AccuracyError,
     BoundaryPotential,
     BoundaryQuadrature,
     PreconditionError,
-    RootTriple,
-    assemble_boundary_potential,
     boundary_potential_traces,
     gamma_panel_edges,
-    oscillatory_quadrature,
     panel_nodes_weights,
-    roots_of_symbol,
-    solve_coefficients,
     solve_coefficients_batch,
     stable_root_array,
     truncation_radius,
-    vandermonde_det,
 )
 from kdv5half.cutoffs import rho, right_bump
 from kdv5half.grids import TimeSeries, UniformGrid
@@ -38,39 +31,43 @@ def beta_scan():
     return np.concatenate([-mags, mags])
 
 
+def oscillatory_index(beta):
+    """Column of the purely oscillatory root in `stable_root_array`."""
+    return 0 if beta < 0 else 2
+
+
 class TestRoots:
     def test_symbol_and_half_plane(self):
-        for beta in beta_scan():
-            triple = roots_of_symbol(float(beta))
-            for r in triple.as_array:
+        betas = beta_scan()
+        for beta, roots in zip(betas, stable_root_array(betas)):
+            for r in roots:
                 assert abs(1j * beta + r**5) < 1e-12 * max(1.0, abs(beta))
                 assert r.real <= 1e-14
 
     def test_phases_at_unit_beta(self):
-        neg = roots_of_symbol(-1.0).as_array
-        pos = roots_of_symbol(1.0).as_array
+        neg, pos = stable_root_array(np.array([-1.0, 1.0]))
         assert np.allclose(np.angle(neg) / np.pi, [0.5, 0.9, -0.7], atol=1e-15)
         assert np.allclose(np.angle(pos) / np.pi, [0.7, -0.9, -0.5], atol=1e-15)
 
     def test_oscillatory_root_is_imaginary(self):
-        for beta in (-17.0, -1.0, -1e-3, 1e-3, 1.0, 17.0):
-            triple = roots_of_symbol(beta)
-            osc = triple.as_array[triple.oscillatory_index]
-            assert abs(osc.real) < 1e-14 * max(1.0, abs(osc))
-            others = [r for i, r in enumerate(triple.as_array) if i != triple.oscillatory_index]
-            assert all(r.real < -0.1 * abs(r) for r in others)
+        betas = np.array([-17.0, -1.0, -1e-3, 1e-3, 1.0, 17.0])
+        for beta, roots in zip(betas, stable_root_array(betas)):
+            k = oscillatory_index(beta)
+            assert abs(roots[k].real) < 1e-14 * max(1.0, abs(roots[k]))
+            assert all(r.real < -0.1 * abs(r) for r in np.delete(roots, k))
 
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError, match="excluded"):
-            roots_of_symbol(0.0)
+            stable_root_array(np.array([0.0]))
         with pytest.raises(ValueError, match="excluded"):
             stable_root_array(np.array([1.0, 0.0]))
 
     def test_batch_matches_scalar(self):
+        # A row does not depend on the batch it is computed in.
         betas = beta_scan()
         batch = stable_root_array(betas)
         for i, beta in enumerate(betas):
-            assert np.allclose(batch[i], roots_of_symbol(float(beta)).as_array, rtol=1e-14, atol=0)
+            assert np.array_equal(batch[i], stable_root_array(np.array([beta]))[0])
 
 
 class TestCoefficientSolve:
@@ -86,19 +83,13 @@ class TestCoefficientSolve:
                 assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_scalar_interface_residual(self):
-        triple = roots_of_symbol(2.5)
-        c = solve_coefficients(triple, [1.0 + 0.5j, -0.25, 0.75j])
-        r = triple.as_array
-        arr = c.as_array
-        assert abs(arr.sum() - (1.0 + 0.5j)) < 1e-12
-        assert abs((arr * r).sum() - (-0.25)) < 1e-12
-        assert abs((arr * r * r).sum() - 0.75j) < 1e-12
-
-    def test_degenerate_system_rejected(self):
-        fake = RootTriple(beta=1.0, r1=-1.0 + 0j, r2=-1.0 + 0j, r3=-2.0 + 0j)
-        assert vandermonde_det(fake) == 0.0
-        with pytest.raises(ArithmeticError, match="near-degenerate"):
-            solve_coefficients(fake, [1.0, 0.0, 0.0])
+        # One root triple and one right-hand side, without batch axes.
+        r = stable_root_array(np.array([2.5]))[0]
+        c = solve_coefficients_batch(r, np.array([1.0 + 0.5j, -0.25, 0.75j]))
+        assert c.shape == (3,)
+        assert abs(c.sum() - (1.0 + 0.5j)) < 1e-12
+        assert abs((c * r).sum() - (-0.25)) < 1e-12
+        assert abs((c * r * r).sum() - 0.75j) < 1e-12
 
 
 class TestQuadratureNodes:
@@ -125,45 +116,46 @@ class TestQuadratureNodes:
         assert np.sum(weights * nodes**6) == pytest.approx(1.0 / 7.0, rel=1e-13)
 
 
+def gamma_rule(integrand, gamma_max, depth, t_scale=0.0):
+    """integral_0^{gamma_max^5} integrand(beta) dbeta on the panel rule in
+    gamma, with beta = gamma^5 and dbeta = 5 gamma^4 dgamma."""
+    gam, w = panel_nodes_weights(gamma_panel_edges(gamma_max, depth, t_scale=t_scale))
+    return complex(np.sum(5.0 * gam**4 * w * integrand(gam**5)))
+
+
 class TestOscillatoryQuadrature:
+    # The rule BoundaryQuadrature.build tabulates, on integrals with known values.
     def test_exponential_integral(self):
-        # integral over beta in [0, R] of e^(-beta), via the gamma substitution.
         gamma_max = 2.0
         R = gamma_max**5
-        result = oscillatory_quadrature(lambda b: np.exp(-b), sign=+1, gamma_max=gamma_max)
-        assert result.value.real == pytest.approx(1.0 - np.exp(-R), rel=1e-10)
-        assert abs(result.value.imag) < 1e-12
+        value = gamma_rule(lambda b: np.exp(-b), gamma_max, depth=4)
+        assert value.real == pytest.approx(1.0 - np.exp(-R), rel=1e-10)
+        assert abs(value.imag) < 1e-12
 
     def test_oscillatory_phase_integral(self):
         # integral of e^(i*beta*t) over [0, R]: closed form (e^{iRt} - 1)/(i t).
         t = 0.8
         gamma_max = 2.0
         R = gamma_max**5
-        result = oscillatory_quadrature(
-            lambda b: np.exp(1j * b * t), sign=+1, gamma_max=gamma_max, t_scale=t
-        )
+        value = gamma_rule(lambda b: np.exp(1j * b * t), gamma_max, depth=4, t_scale=t)
         exact = (np.exp(1j * R * t) - 1.0) / (1j * t)
-        assert abs(result.value - exact) < 1e-9 * abs(exact)
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError, match="sign"):
-            oscillatory_quadrature(lambda b: b, sign=0, gamma_max=1.0)
+        assert abs(value - exact) < 1e-9 * abs(exact)
 
     def test_estimate_shrinks_with_depth(self):
-        res = oscillatory_quadrature(
-            lambda b: np.exp(1j * b * 0.5) / (1.0 + b), sign=+1, gamma_max=2.5, t_scale=0.5
-        )
-        assert res.estimate < 1e-8
+        # The change under one depth doubling falls below 1e-8.
+        f = lambda b: np.exp(1j * b * 0.5) / (1.0 + b)
+        v3, v4 = (gamma_rule(f, 2.5, depth=d, t_scale=0.5) for d in (3, 4))
+        assert abs(v4 - v3) < 1e-8
 
 
 class TestBoundaryQuadratureTable:
     def test_structure(self):
         quad = BoundaryQuadrature.build(100.0, depth=1, t_span=2.0, x_span=40.0)
-        assert quad.node_count == len(quad.betas) == len(quad.weights) == len(quad.gammas)
-        assert quad.roots.shape == (quad.node_count, 3)
-        neg = quad.betas < 0
-        assert np.all(quad.osc_index[neg] == 0)
-        assert np.all(quad.osc_index[~neg] == 2)
+        assert quad.node_count == 2 * len(quad.betas)
+        assert len(quad.betas) == len(quad.weights) == len(quad.gammas)
+        assert np.all(quad.betas > 0)
+        assert np.array_equal(quad.betas, quad.gammas**5)
+        assert quad.roots.shape == (len(quad.betas), 3)
         # every tabulated root satisfies the quintic symbol equation
         sym = 1j * quad.betas[:, None] + quad.roots**5
         assert np.max(np.abs(sym) / np.maximum(1.0, np.abs(quad.betas))[:, None]) < 1e-12
@@ -220,26 +212,20 @@ class TestBoundaryField:
             boundary_potential_traces(bump_series(), zero_series(), zero_series(), TG, 5)
 
     def test_zero_data_short_circuit(self):
-        xg = UniformGrid(-10.0, 20.0 / 64, 64)
-        out = assemble_boundary_potential(zero_series(), zero_series(), zero_series(), xg, TG)
-        assert np.all(out.field.values == 0)
-        assert out.potential is None
-        assert out.diagnostics["node_count"] == 0
+        out = boundary_potential_traces(zero_series(), zero_series(), zero_series(), TG, 0)
+        assert out.grid == TG
+        assert not np.any(out.values)
 
     def test_rough_data_precondition(self):
         rng = np.random.default_rng(1)
         noisy = TimeSeries(TG, rng.standard_normal(TG.count).astype(complex))
-        xg = UniformGrid(-10.0, 20.0 / 64, 64)
         with pytest.raises(PreconditionError, match="decay"):
-            assemble_boundary_potential(noisy, zero_series(), zero_series(), xg, TG)
+            boundary_potential_traces(noisy, zero_series(), zero_series(), TG, 0)
 
     def test_grid_mismatch(self):
         other = UniformGrid(-2.0, 4.0 / 512, 512)
-        xg = UniformGrid(-10.0, 20.0 / 64, 64)
         with pytest.raises(ValueError, match="time grid"):
-            assemble_boundary_potential(
-                bump_series(), zero_series(other), zero_series(other), xg, TG
-            )
+            boundary_potential_traces(bump_series(), zero_series(other), zero_series(other), TG, 0)
 
     def test_left_halfline_stays_bounded(self):
         # The decaying-root exponentials grow like e^(|Re r| |x|) for x < 0;
@@ -247,47 +233,54 @@ class TestBoundaryField:
         # they would overflow by x = -40.  With it, the whole left half-line
         # stays within a modest multiple of the data amplitude.
         xg = UniformGrid(-40.0, 40.0 / 128, 128)  # covers [-40, 0]
-        out = assemble_boundary_potential(
-            bump_series(), zero_series(), zero_series(), xg, TG,
-            depth=1, t_window=(0.0, 2.0),
+        pot = BoundaryPotential.from_data(
+            bump_series(), zero_series(), zero_series(),
+            depth=1, x_span=40.0, t_window=(0.0, 2.0),
         )
-        sup = np.max(np.abs(out.field.values))
+        sup = np.max(np.abs(pot.field_on_grid(xg.nodes)))
         assert np.isfinite(sup)
         assert sup < 10.0 * np.max(np.abs(bump_series().values))
 
 
-def direct_field(pot, xs, ts, root_power=0, rhs=None):
-    """Independent oracle: (2 pi)^(-1/2) sum_q w_q e^{i beta_q t}
-    sum_m c_m r_m^root_power e^{r_m x} taper over every node of pot.quad,
-    with the coefficients from a library solve of the Vandermonde systems
-    against `rhs` (default pot.rhs) and e^{r x} evaluated only where the
-    taper is nonzero."""
+def direct_field(pot, series, xs, ts, root_power=0):
+    """Independent oracle over the symmetric rule that pot.quad halves: the
+    beta > 0 nodes of pot.quad and their mirrors -beta (roots from
+    stable_root_array(-beta), oscillatory at index 0 there; same gammas and
+    weights).  (2 pi)^(-1/2) sum_q w_q e^{i beta_q t} sum_m c_m r_m^root_power
+    e^{r_m x} taper, with the data transforms of `series` by direct
+    summation at every node, coefficients from a library solve of the
+    Vandermonde systems, and e^{r x} evaluated only where the taper is
+    nonzero."""
     quad = pot.quad
-    rhs = pot.rhs if rhs is None else rhs
-    vander = quad.roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
+    betas = np.concatenate([-quad.betas, quad.betas])
+    gammas = np.concatenate([quad.gammas, quad.gammas])
+    weights = np.concatenate([quad.weights, quad.weights])
+    roots = stable_root_array(betas)
+    rhs = np.stack([nonuniform_transform(h, betas) for h in series], axis=-1)
+    vander = roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
     coeffs = np.linalg.solve(vander, rhs[:, :, None])[:, :, 0]
-    taper = rho(np.outer(quad.gammas, xs), quad.collar)
-    phases = np.exp(1j * np.outer(ts, quad.betas))
+    taper = rho(np.outer(gammas, xs), quad.collar)
+    phases = np.exp(1j * np.outer(ts, betas))
+    osc_index = np.where(betas < 0, 0, 2)
     out = np.zeros((len(xs), len(ts)), dtype=complex)
     for m in range(3):
-        osc = quad.osc_index == m
-        c = quad.weights * coeffs[:, m] * quad.roots[:, m] ** root_power
+        osc = osc_index == m
+        c = weights * coeffs[:, m] * roots[:, m] ** root_power
         tap = np.where(osc[:, None], 1.0, taper)
-        z = np.where(tap > 0, np.outer(quad.roots[:, m], xs), 0.0)
+        z = np.where(tap > 0, np.outer(roots[:, m], xs), 0.0)
         out += (phases @ (c[:, None] * np.exp(z) * tap)).T
     return out / np.sqrt(2.0 * np.pi)
 
 
-def three_channel_series(h2_factor=0.5j):
-    # The imaginary h2 of the default keeps these potentials on the full rule.
+def three_channel_series():
     h1 = bump_series()
-    h2 = TimeSeries(TG, h2_factor * right_bump(TG.nodes, 0.2, 0.5, 0.9, 1.5).astype(complex))
+    h2 = TimeSeries(TG, 0.5 * right_bump(TG.nodes, 0.2, 0.5, 0.9, 1.5).astype(complex))
     h3 = TimeSeries(TG, -0.3 * right_bump(TG.nodes, 0.3, 0.8, 1.0, 1.7).astype(complex))
     return h1, h2, h3
 
 
-def three_channel_potential(t_sel=None, x_span=5.0, h2_factor=0.5j):
-    series = three_channel_series(h2_factor)
+def three_channel_potential(t_sel=None, x_span=5.0):
+    series = three_channel_series()
     radius, _, ok = truncation_radius(series, 1e-8, 0.75 * TG.nyquist)
     assert ok
     quad = BoundaryQuadrature.build(radius, depth=1, t_span=2.0, x_span=x_span)
@@ -299,18 +292,22 @@ def rel_max_error(got, want):
 
 
 class TestBoundaryPotentialTables:
+    # Real data on all three channels against the oracle over the full rule.
     # Non-uniform targets, several inside the collar (x < 0, taper in (0, 1)).
     XS = np.array([-0.9, -0.41, -0.2, -0.05, 0.0, 0.13, 0.6, 1.7, 2.2, 4.9])
     TS = np.array([-0.3, 0.0, 0.25, 0.8, 1.3, 1.95])
 
     def test_field_values_match_direct_sum(self):
         pot = three_channel_potential()
+        series = three_channel_series()
+        assert len(pot.coeffs) == len(pot.quad.betas)
         for kwargs in ({}, {"root_power": 5}):
             got = pot.field_values(self.XS, self.TS, **kwargs)
-            want = direct_field(pot, self.XS, self.TS, **kwargs)
+            assert not np.any(np.imag(got))
+            want = direct_field(pot, series, self.XS, self.TS, **kwargs)
             assert rel_max_error(got, want) <= 1e-13, kwargs
         shuffled = pot.field_values(self.XS[::-1], self.TS)
-        assert rel_max_error(shuffled[::-1], direct_field(pot, self.XS, self.TS)) <= 1e-13
+        assert rel_max_error(shuffled[::-1], direct_field(pot, series, self.XS, self.TS)) <= 1e-13
 
     def test_field_on_grid_matches_direct_sum(self):
         # Three x-blocks crossing x = 0, the last one short; only the rows
@@ -324,14 +321,15 @@ class TestBoundaryPotentialTables:
         for xs in (uniform, uniform, graded):
             values = pot.field_on_grid(xs)
             assert values.shape == (len(xs), TG.count)
+            assert not np.any(values.imag)
             assert not np.any(np.delete(values, t_sel, axis=1))
-            want = direct_field(pot, xs, TG.nodes[t_sel])
+            want = direct_field(pot, three_channel_series(), xs, TG.nodes[t_sel])
             assert rel_max_error(values[:, t_sel], want) <= 1e-13
 
     def test_table_transform_matches_nonuniform_transform(self):
         t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
         pot = three_channel_potential(t_sel=t_sel)
-        series = (bump_series(), zero_series(), TimeSeries(TG, 2j * bump_series().values))
+        series = (bump_series(), zero_series(), TimeSeries(TG, -2.0 * bump_series().values))
         pot.update_data(*series)
         want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
         assert rel_max_error(pot.rhs, want) <= 1e-13
@@ -347,13 +345,17 @@ class TestBoundaryPotentialTables:
 
     def test_trace_on_grid_matches_unbound_trace_values(self):
         # Bound to every row, the trace comes from the stored table; unbound,
-        # trace_values uses fresh exponentials and the nonuniform data transform.
+        # trace_values uses fresh exponentials and the nonuniform data
+        # transform.  Both match the oracle's analytic x-derivatives at x = 0.
         bound = three_channel_potential(t_sel=np.arange(TG.count))
         unbound = three_channel_potential()
         for j in range(3):
             got = bound.trace_on_grid(j)
             assert got.grid == TG
+            assert not np.any(got.values.imag)
             assert rel_max_error(got.values, unbound.trace_values(j, TG.nodes)) <= 1e-13
+            want = direct_field(bound, three_channel_series(), [0.0], TG.nodes, root_power=j)[0]
+            assert rel_max_error(got.values, want) <= 1e-13, j
         with pytest.raises(ValueError, match="t_sel"):
             unbound.trace_on_grid(0)
 
@@ -368,7 +370,8 @@ class TestBoundaryPotentialTables:
         assert np.all(np.isfinite(got))
         # The phases r x themselves carry rounding of order eps * |r x| here.
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        assert rel_max_error(got, direct_field(pot, xs, self.TS)) <= 4.0 * phase_rounding
+        want = direct_field(pot, three_channel_series(), xs, self.TS)
+        assert rel_max_error(got, want) <= 4.0 * phase_rounding
 
 
 class TestFromData:
@@ -434,64 +437,24 @@ class TestFromData:
             assert np.array_equal(got["re"], want.real) and np.array_equal(got["im"], want.imag)
 
 
-def real_three_channel(**kwargs):
-    """Potential of real three-channel data, with the data transforms on every
-    node of its symmetric rule by direct summation (the oracle's rhs)."""
-    pot = three_channel_potential(h2_factor=0.5, **kwargs)
-    series = three_channel_series(0.5)
-    return pot, np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
-
-
 class TestRealDataHalfRule:
-    # Real data on all three channels; the oracle sums the full symmetric rule.
-    XS = TestBoundaryPotentialTables.XS
-    TS = TestBoundaryPotentialTables.TS
-
-    def test_field_values_match_the_full_rule(self):
-        pot, rhs = real_three_channel()
-        assert len(pot.coeffs) == pot.quad.node_count // 2
-        for kwargs in ({}, {"root_power": 5}):
-            got = pot.field_values(self.XS, self.TS, **kwargs)
-            assert not np.any(np.imag(got))
-            want = direct_field(pot, self.XS, self.TS, rhs=rhs, **kwargs)
-            assert rel_max_error(got, want) <= 1e-13, kwargs
-
-    def test_field_and_traces_on_grid_match_the_full_rule(self):
-        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
-        pot, rhs = real_three_channel(t_sel=t_sel, x_span=6.0)
-        xs = np.linspace(-3.0, 6.0, 300)
-        values = pot.field_on_grid(xs)
-        assert not np.any(values.imag)
-        assert not np.any(np.delete(values, t_sel, axis=1))
-        want = direct_field(pot, xs, TG.nodes[t_sel], rhs=rhs)
-        assert rel_max_error(values[:, t_sel], want) <= 1e-13
-        for j in range(3):
-            trace = pot.trace_on_grid(j).values
-            assert not np.any(trace.imag)
-            want = direct_field(pot, [0.0], TG.nodes[t_sel], root_power=j, rhs=rhs)[0]
-            assert rel_max_error(trace[t_sel], want) <= 1e-13, j
-
-    def test_far_left_field_stays_finite(self):
-        pot, rhs = real_three_channel()
-        xs = np.linspace(-2000.0, -1990.0, 16)
-        with np.errstate(over="raise", invalid="raise"):
-            got = pot.field_values(xs, self.TS)
-        assert np.all(np.isfinite(got))
-        phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        assert rel_max_error(got, direct_field(pot, xs, self.TS, rhs=rhs)) <= 4.0 * phase_rounding
-
     def test_from_data_reports_the_full_rule(self):
-        pot = BoundaryPotential.from_data(*three_channel_series(0.5), depth=1, x_span=5.0)
+        pot = BoundaryPotential.from_data(*three_channel_series(), depth=1, x_span=5.0)
         quad = pot.quad
-        assert pot.diagnostics["node_count"] == quad.node_count
-        assert np.array_equal(quad.betas[quad.betas < 0], -quad.betas[quad.betas > 0])
-        assert len(pot.rhs) == quad.node_count // 2
+        assert np.all(quad.betas > 0)
+        assert pot.diagnostics["node_count"] == quad.node_count == 2 * len(quad.betas)
+        assert len(pot.rhs) == len(pot.coeffs) == len(quad.betas)
 
     def test_complex_data_refused(self):
-        pot = three_channel_potential(h2_factor=0.5)
-        h1, h2, h3 = three_channel_series(0.5)
-        with pytest.raises(ValueError, match="complex boundary data"):
-            pot.update_data(h1, TimeSeries(TG, h2.values + 1e-20j), h3)
+        h1, h2, h3 = three_channel_series()
+        complex_h2 = TimeSeries(TG, h2.values + 1e-20j)
+        with pytest.raises(PreconditionError, match="must be real"):
+            BoundaryPotential.from_data(h1, complex_h2, h3, depth=1, x_span=5.0)
+        pot = three_channel_potential()
+        with pytest.raises(PreconditionError, match="must be real"):
+            BoundaryPotential(pot.quad, h1, complex_h2, h3)
+        with pytest.raises(PreconditionError, match="must be real"):
+            pot.update_data(h1, complex_h2, h3)
 
 
 class TestConjugateSymmetry:
@@ -507,8 +470,8 @@ class TestConjugateSymmetry:
         pos = stable_root_array(np.array([beta]))[0]
         neg = stable_root_array(np.array([-beta]))[0]
         assert np.max(np.abs(neg - np.conj(pos)[::-1])) <= 1e-15 * beta**0.2
-        assert roots_of_symbol(beta).oscillatory_index == 2
-        assert roots_of_symbol(-beta).oscillatory_index == 0
+        assert np.argmin(np.abs(pos.real)) == oscillatory_index(beta) == 2
+        assert np.argmin(np.abs(neg.real)) == oscillatory_index(-beta) == 0
         b = np.array(rhs[:3]) + 1j * np.array(rhs[3:])
         c_pos = solve_coefficients_batch(pos, b)
         c_neg = solve_coefficients_batch(neg, np.conj(b))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kdv5half.cutoffs import eta
+from kdv5half.boundary import PreconditionError
+from kdv5half.cutoffs import eta, extend_initial_datum
 from kdv5half.fixed_point import (
     IterationTrace,
     NonContractionError,
@@ -71,6 +74,70 @@ class TestSolverConfig:
     def test_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             self.make(max_iter=0)
+
+
+def in_stated_windows(s, b, bstar, alpha, T):
+    """The windows of the SolverConfig docstring, with s in [0, 11/4) and at
+    least 1e-9 away from each transition value 1/2, 3/2, 5/2."""
+    return (
+        0.0 <= s < 2.75
+        and all(abs(s - e) >= 1e-9 for e in (0.5, 1.5, 2.5))
+        and max(s / 5.0 - 0.05, 0.4) < b < bstar < 0.5
+        and 0.5 < alpha < 1.0 - bstar
+        and 0.0 < T <= 0.5
+    )
+
+
+# Values on and next to the window edges, mixed with free draws.
+def near(*edges, spread=0.1):
+    return st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from(edges).flatmap(lambda e: st.floats(-1e-8, 1e-8).map(lambda d: e + d)),
+        st.floats(min(edges) - spread, max(edges) + spread),
+    )
+
+
+S_VALUES = near(0.0, 0.5, 1.0, 1.5, 2.5, 2.75)
+# Position inside a window: 0 and 1 are its ends.
+FRACTIONS = st.floats(-0.1, 1.1) | st.sampled_from([0.0, 1.0, -1e-9, 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
+
+
+class TestSolverConfigProperties:
+    # Validation only: no solve runs.  b, bstar, alpha and T are drawn as
+    # positions inside their windows, on the ends and up to 0.1 beyond.
+    @settings(max_examples=300, deadline=None)
+    @given(s=S_VALUES, fb=FRACTIONS, fbstar=FRACTIONS, falpha=FRACTIONS, fT=FRACTIONS)
+    def test_accepts_exactly_the_stated_windows(self, s, fb, fbstar, falpha, fT):
+        lower = max(s / 5.0 - 0.05, 0.4)
+        b = lower + fb * (0.5 - lower)
+        bstar = b + fbstar * (0.5 - b)
+        alpha = 0.5 + falpha * (0.5 - bstar)
+        T = 0.5 * fT
+        try:
+            TestSolverConfig().make(s=s, b=b, bstar=bstar, alpha=alpha, T=T)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == in_stated_windows(s, b, bstar, alpha, T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=S_VALUES)
+    @example(s=0.5 + 5e-10)
+    @example(s=1.5 - 5e-10)
+    def test_same_regularity_as_the_extension(self, s):
+        xg = UniformGrid(-10.0, 20.0 / 64, 64)
+        g = GridFunction(xg, np.exp(-(xg.nodes**2)) * (xg.nodes >= 0))
+        try:
+            extend_initial_datum(g, s)
+            extension_accepts = True
+        except ValueError:
+            extension_accepts = False
+        try:
+            TestSolverConfig().make(s=s)
+            config_accepts_s = True
+        except ValueError as err:
+            config_accepts_s = not str(err).startswith("regularity s")
+        assert config_accepts_s == extension_accepts
 
 
 class TestNonlinearity:
@@ -151,6 +218,20 @@ class TestPicard:
         diag = result.diagnostics
         assert "zero_extension_flags" in diag
         assert diag["T"] == 0.25
+
+    @pytest.mark.parametrize("channel", ["g_l", "h2"])
+    def test_complex_data_refused(self, channel):
+        xg = UniformGrid(-20.0, 40.0 / 64, 64)
+        tg = UniformGrid(-1.0, 2.0 / 64, 64)
+        g = GridFunction(xg, 0.01 * np.exp(-(xg.nodes**2)).astype(complex))
+        zeros = TimeSeries(tg, np.zeros(tg.count, dtype=complex))
+        if channel == "g_l":
+            data = SolverData(g_l=GridFunction(xg, 1j * g.values), h1=zeros, h2=zeros, h3=zeros)
+        else:
+            data = SolverData(g_l=g, h1=zeros, h2=TimeSeries(tg, zeros.values + 1e-3j), h3=zeros)
+        cfg = SolverConfig(xgrid=xg, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
+        with pytest.raises(PreconditionError, match="must be real"):
+            picard_solve(data, cfg)
 
     def test_large_data_fails_to_contract(self):
         xg = UniformGrid(-20.0, 40.0 / 256, 256)

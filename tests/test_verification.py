@@ -8,6 +8,7 @@ from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import apply_group, free_field
 from kdv5half.spectral import (
     SpectrumFunction,
+    band_limited_sobolev_norm,
     inverse_transform,
     random_band_limited,
 )
@@ -261,6 +262,25 @@ class TestSmoothingReport:
             assert keys <= set(row)
         # the session config runs b = 0.42, below the smoothing window b > 0.45
         assert not rows[1]["admissible"]
+
+    def test_linear_band_norms_read_the_free_field(self, manufactured_case, solver_config):
+        # The free evolution is built on the 9 sample times only; its band
+        # norms must equal those of the same columns of the whole free field.
+        _, _, _, result = manufactured_case
+        cfg = solver_config
+        row = smoothing_report(result, cfg, a_grid=[0.15])[0]
+        tnodes = cfg.tgrid.nodes
+        t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
+        samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
+        free = free_field(result.workspace.data.g_l, cfg.tgrid).values
+        want = [
+            max(
+                band_limited_sobolev_norm(GridFunction(cfg.xgrid, free[:, n]), cfg.s + 0.15, cap)
+                for n in samples
+            )
+            for cap in row["band_caps"]
+        ]
+        assert row["band_norms_linear"] == want
 
     def test_random_rough_datum_has_shallow_slope(self):
         rng = np.random.default_rng(21)
