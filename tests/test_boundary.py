@@ -279,8 +279,8 @@ def three_channel_series():
     return h1, h2, h3
 
 
-def three_channel_potential(t_sel=None, x_span=5.0):
-    series = three_channel_series()
+def three_channel_potential(t_sel=None, x_span=5.0, series=None):
+    series = three_channel_series() if series is None else series
     radius, _, ok = truncation_radius(series, 1e-8, 0.75 * TG.nyquist)
     assert ok
     quad = BoundaryQuadrature.build(radius, depth=1, t_span=2.0, x_span=x_span)
@@ -437,7 +437,57 @@ class TestFromData:
             assert np.array_equal(got["re"], want.real) and np.array_equal(got["im"], want.imag)
 
 
+def permuted_series():
+    """The channels of `three_channel_series` permuted and rescaled, so the
+    half-rule tests below run on other real data than the table tests."""
+    h1, h2, h3 = three_channel_series()
+    return h3, TimeSeries(TG, -2.0 * h1.values), h2
+
+
 class TestRealDataHalfRule:
+    # The potential sums the beta > 0 half and takes 2 Re; the oracle sums
+    # the full symmetric rule.
+    XS = TestBoundaryPotentialTables.XS
+    TS = TestBoundaryPotentialTables.TS
+
+    def test_field_values_match_the_full_rule(self):
+        series = permuted_series()
+        pot = three_channel_potential(series=series)
+        assert len(pot.coeffs) == pot.quad.node_count // 2
+        for kwargs in ({}, {"root_power": 5}):
+            got = pot.field_values(self.XS, self.TS, **kwargs)
+            assert not np.any(np.imag(got))
+            want = direct_field(pot, series, self.XS, self.TS, **kwargs)
+            assert rel_max_error(got, want) <= 1e-13, kwargs
+
+    def test_field_and_traces_on_grid_match_the_full_rule(self):
+        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
+        series = permuted_series()
+        pot = three_channel_potential(t_sel=t_sel, x_span=6.0, series=series)
+        xs = np.linspace(-3.0, 6.0, 300)
+        values = pot.field_on_grid(xs)
+        assert not np.any(values.imag)
+        assert not np.any(np.delete(values, t_sel, axis=1))
+        want = direct_field(pot, series, xs, TG.nodes[t_sel])
+        assert rel_max_error(values[:, t_sel], want) <= 1e-13
+        for j in range(3):
+            trace = pot.trace_on_grid(j).values
+            assert not np.any(trace.imag)
+            assert not np.any(np.delete(trace, t_sel))
+            want = direct_field(pot, series, [0.0], TG.nodes[t_sel], root_power=j)[0]
+            assert rel_max_error(trace[t_sel], want) <= 1e-13, j
+
+    def test_far_left_field_stays_finite(self):
+        series = permuted_series()
+        pot = three_channel_potential(series=series)
+        xs = np.linspace(-2000.0, -1990.0, 16)
+        with np.errstate(over="raise", invalid="raise"):
+            got = pot.field_values(xs, self.TS)
+        assert np.all(np.isfinite(got))
+        phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
+        want = direct_field(pot, series, xs, self.TS)
+        assert rel_max_error(got, want) <= 4.0 * phase_rounding
+
     def test_from_data_reports_the_full_rule(self):
         pot = BoundaryPotential.from_data(*three_channel_series(), depth=1, x_span=5.0)
         quad = pot.quad
