@@ -218,7 +218,7 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
-_X_BLOCK = 128  # x targets per block of `BoundaryPotential.field_on_grid`
+_X_BLOCK = 128  # x targets per `field_values` block (`field_on_grid`, the initial-vanishing probe)
 
 
 def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -281,6 +281,8 @@ class GammaWorkspace:
             )
             self._add_potential(values, series)
             self.linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+            # q and the free term were the last readers of the (T, X) table.
+            self.plan.release_free_phases()
         if np.any(forcing.values):
             duh = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
             r = tuple(trace_at_origin(duh, j, cfg.tgrid, self.plan) for j in (0, 1, 2))

@@ -236,12 +236,19 @@ def canonical_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 def field_to_csv(u: SpaceTimeField, stream=None) -> str:
-    """Long-format columns: x, t, re, im."""
+    """Long-format columns: x, t, re, im; one line per node, t fastest.
+
+    Each x-row of the field is written by one `%` format of all its lines.
+    """
     buf = stream if stream is not None else io.StringIO()
     buf.write("x,t,re,im\n")
-    xs, ts = u.xgrid.nodes, u.tgrid.nodes
-    for i, x in enumerate(xs):
-        for n, t in enumerate(ts):
-            v = u.values[i, n]
-            buf.write(f"{x:.17g},{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    count_t = u.tgrid.count
+    lines = "%s,%s,%.17g,%.17g\n" * count_t
+    cells: list = [None] * (4 * count_t)
+    cells[1::4] = [f"{t:.17g}" for t in u.tgrid.nodes.tolist()]
+    for x, row in zip(u.xgrid.nodes.tolist(), u.values):
+        cells[0::4] = [f"{x:.17g}"] * count_t
+        cells[2::4] = row.real.tolist()
+        cells[3::4] = row.imag.tolist()
+        buf.write(lines % tuple(cells))
     return buf.getvalue() if stream is None else ""

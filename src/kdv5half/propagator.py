@@ -6,7 +6,11 @@ mode-wise on the integrand exp(-i*(t-t')*xi^5) * F_hat(xi,t') with the phase
 evaluated analytically; only the smooth F_hat is interpolated (cubic spline)
 and integrated (4-node Gauss-Legendre, one panel per time step).
 `duhamel_trajectory` gives the integral at every time node in one sweep per
-time direction.
+time direction.  It integrates the real part of its forcing, as the real
+problem requires: it fits and sweeps only the band-capped xi >= 0 modes and
+fills xi < 0 by conjugation, and on the uniform time grid every panel's
+Gauss sum is the spline's power coefficients times one fixed (4, K) phase
+table per direction.
 """
 
 from __future__ import annotations
@@ -70,6 +74,10 @@ class PropagatorPlan:
             self.__dict__["_free_phases"] = cached
         return cached[1]
 
+    def release_free_phases(self) -> None:
+        """Drop the cached `free_phases` table (it is rebuilt on demand)."""
+        self.__dict__.pop("_free_phases", None)
+
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:
     """Exact free evolution: multiply the spectrum by exp(-i*t*xi^5).
@@ -92,36 +100,36 @@ def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None 
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-_PANEL_BLOCK = 64  # panels per block of `_sweep`
 
 
-def _sweep(spline, xi5: np.ndarray, tgrid: UniformGrid, panels: np.ndarray, forward: bool) -> np.ndarray:
-    """Phase-exact recursion acc <- e^{-/+ i dt xi5} acc +/- p_n over `panels`.
+def _panel_table(dt: float, xi5: np.ndarray, forward: bool) -> np.ndarray:
+    """G_p = +/-(dt/2) sum_k w_k d_k^(3-p) e^{-i lag_k xi5}, shape (4, K).
 
-    Panel n spans [t_n, t_{n+1}] and `panels` runs away from t = 0: upwards
-    when `forward`, downwards otherwise.  p_n is the Gauss-Legendre integral
-    of exp(-i*(target-t')*xi5) * F_hat over the panel, with target its end
-    farther from 0; the Gauss sums of a whole block of panels are taken at
-    once.  Returns acc after each panel, shape (count_x, len(panels)).
+    d_k = (dt/2)(1 + x_k) are the Gauss-Legendre node offsets from a panel's
+    left end, and a cubic with power coefficients c[p] on the panel (as in
+    `CubicSpline.c`) has the phase-weighted panel sum sum_p c[p] G_p.  The
+    forward sweep targets the right end (lag_k = dt - d_k); the backward
+    sweep targets the left end (lag_k = -d_k) and subtracts, hence the sign.
     """
-    nodes = tgrid.nodes
-    step_phase = np.exp(-1j * tgrid.step * xi5)
-    if not forward:
-        step_phase = np.conj(step_phase)
-    out = np.empty((len(xi5), len(panels)), dtype=np.complex128)
-    acc = np.zeros(len(xi5), dtype=np.complex128)
-    for start in range(0, len(panels), _PANEL_BLOCK):
-        block = panels[start : start + _PANEL_BLOCK]
-        a, b = nodes[block], nodes[block + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tq = mid[:, None] + half[:, None] * _GL_NODES  # (panels, 4)
-        target = b if forward else a
-        phases = np.exp(-1j * ((target[:, None] - tq)[:, :, None] * xi5))
-        sums = half[:, None] * np.einsum("q,pqk,pqk->pk", _GL_WEIGHTS, phases, spline(tq))
-        for i, p_n in enumerate(sums):
-            acc = step_phase * acc + p_n if forward else step_phase * acc - p_n
-            out[:, start + i] = acc
-    return out
+    offsets = 0.5 * dt * (1.0 + _GL_NODES)
+    lags = dt - offsets if forward else -offsets
+    weighted = (0.5 * dt) * _GL_WEIGHTS[None, :] * offsets[None, :] ** np.arange(3, -1, -1)[:, None]
+    table = weighted @ np.exp(-1j * np.outer(lags, xi5))
+    return table if forward else -table
+
+
+def _sweep(coef: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.ndarray:
+    """Phase-exact recursion acc <- step_phase acc + p_n over the panels of
+    `coef` (power coefficients, shape (4, panels, K), in sweep order), with
+    p_n = sum_p coef[p, n] table[p].  Returns acc after each panel, shape
+    (panels, K)."""
+    sums = np.einsum("pnk,pk->nk", coef, table)
+    acc = np.zeros(coef.shape[2], dtype=np.complex128)
+    for n, p_n in enumerate(sums):
+        acc *= step_phase
+        acc += p_n
+        sums[n] = acc
+    return sums
 
 
 def duhamel_trajectory(
@@ -129,18 +137,25 @@ def duhamel_trajectory(
     plan: PropagatorPlan | None = None,
     t_window: tuple | None = None,
 ) -> SpaceTimeField:
-    """integral_0^t W(t-t') F(t') dt' at every time node, mode-wise.
+    """integral_0^t W(t-t') Re F(t') dt' at every time node, mode-wise.
 
-    Modes above the band cap are dropped before the xi^5 phase is applied.
-    `t_window` restricts the computed range (values outside are zero), which
-    callers use when a time cutoff will kill those samples anyway.
+    Only Re F enters (the forcing of the real problem; an imaginary part is
+    rounding), so only the band-capped modes xi >= 0 are fitted and swept,
+    xi < 0 is filled by conjugation, and the result is real to rounding.
+    Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
+    t = 0.  `t_window` restricts the computed range (values outside are
+    zero), which callers use when a time cutoff will kill those samples
+    anyway.
     """
     plan = plan or PropagatorPlan(F.xgrid)
     tg = F.tgrid
     n0 = tg.index_of(0.0)
-    spec_t = x_spectrum(F.values, F.xgrid)
-    spec_t[~plan.cap_mask, :] = 0.0
-    spline = CubicSpline(tg.nodes, spec_t.T, axis=0)
+    xi = plan.xi
+    pos = np.flatnonzero(plan.cap_mask & (xi >= 0.0))
+    mirrored = np.flatnonzero(xi[pos] > 0.0)
+    xi5 = plan.xi5[pos]
+    spec_t = x_spectrum(F.values.real, F.xgrid)[pos]
+    coef = CubicSpline(tg.nodes, spec_t.T, axis=0).c
     lo, hi = 0, tg.count - 1
     if t_window is not None:
         nodes = tg.nodes
@@ -151,10 +166,17 @@ def duhamel_trajectory(
             lo = hi = n0
     lo = min(lo, n0)
     hi = max(hi, n0)
-    out = np.zeros((F.xgrid.count, tg.count), dtype=np.complex128)
-    out[:, n0 + 1 : hi + 1] = _sweep(spline, plan.xi5, tg, np.arange(n0, hi), forward=True)
-    out[:, lo:n0] = _sweep(spline, plan.xi5, tg, np.arange(n0 - 1, lo - 1, -1), forward=False)[:, ::-1]
-    return SpaceTimeField(F.xgrid, tg, x_values(out, F.xgrid))
+    dt = tg.step
+    step_phase = np.exp(-1j * dt * xi5)
+    rows = np.zeros((tg.count, len(pos)), dtype=np.complex128)
+    rows[n0 + 1 : hi + 1] = _sweep(coef[:, n0:hi], _panel_table(dt, xi5, True), step_phase)
+    rows[lo:n0] = _sweep(
+        coef[:, lo:n0][:, ::-1], _panel_table(dt, xi5, False), np.conj(step_phase)
+    )[::-1]
+    spec = np.zeros((F.xgrid.count, tg.count), dtype=np.complex128)
+    spec[pos] = rows.T
+    spec[F.xgrid.count - pos[mirrored]] = np.conj(rows[:, mirrored].T)
+    return SpaceTimeField(F.xgrid, tg, x_values(spec, F.xgrid))
 
 
 def trace_at_origin(

@@ -1,7 +1,9 @@
 """Independent oracles and claim checks for the half-line solver.
 
 Nothing here shares numerics with the production path: the whole-line
-reference solver is a Strang split-step scheme, the interior residual uses
+reference solver is a Strang split-step scheme on the rfft half-spectrum of
+a real datum, with its own transforms (manufactured boundary data are read
+off its spectrum by one x = 0 row functional), the interior residual uses
 finite differences in time, and the weak-form check integrates the solution
 against an explicit family of separable test functions.  Agreement between
 these and the fixed-point output is the end-to-end evidence.
@@ -15,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.integrate import simpson
 
-from .boundary import AccuracyError
+from .boundary import AccuracyError, PreconditionError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -48,31 +50,40 @@ class HarnessError(RuntimeError):
 
 def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: bool = False) -> np.ndarray:
     """Split-step slices at every step, shape (X, steps + 1); with
-    `final_only` just the last slice, shape (X,)."""
+    `final_only` just the last slice, shape (X,).
+
+    g_l must be real (PreconditionError otherwise): the scheme runs on the
+    rfft half-spectrum V, each step takes 2 irfft and 2 rfft (one pair per
+    advection stage), and the slices are stored as spectra and
+    inverse-transformed together at the end.
+    """
+    if np.any(g_l.values.imag):
+        raise PreconditionError("the whole-line oracle takes a real initial datum")
     grid = g_l.grid
-    xi = grid.frequencies
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
     dt = T / steps
     half = np.exp(-1j * (dt / 2.0) * xi**5)
     dealias = np.abs(xi) <= (2.0 / 3.0) * grid.nyquist
-    deriv = 1j * xi * dealias
+    deriv = (-0.5j) * xi * dealias
 
-    def burgers_rate(v: np.ndarray) -> np.ndarray:
-        v_d = np.fft.ifft(dealias * np.fft.fft(v))
-        return np.fft.ifft(deriv * np.fft.fft(v_d * v_d)) * (-0.5)
+    def burgers_rate(V: np.ndarray) -> np.ndarray:
+        v_d = np.fft.irfft(dealias * V, n=grid.count)
+        return deriv * np.fft.rfft(v_d * v_d)
 
-    out = None if final_only else np.empty((grid.count, steps + 1), dtype=np.complex128)
-    v = np.asarray(g_l.values, dtype=np.complex128).copy()
+    V = np.fft.rfft(g_l.values.real)
+    out = None if final_only else np.empty((steps + 1, len(xi)), dtype=np.complex128)
     if out is not None:
-        out[:, 0] = v
+        out[0] = V
     for n in range(steps):
-        v = np.fft.ifft(half * np.fft.fft(v))
-        k1 = burgers_rate(v)
-        k2 = burgers_rate(v + (dt / 2.0) * k1)
-        v = v + dt * k2
-        v = np.fft.ifft(half * np.fft.fft(v))
+        V = half * V
+        k1 = burgers_rate(V)
+        k2 = burgers_rate(V + (dt / 2.0) * k1)
+        V = half * (V + dt * k2)
         if out is not None:
-            out[:, n + 1] = v
-    return v if final_only else out
+            out[n + 1] = V
+    if final_only:
+        return np.fft.irfft(V, n=grid.count)
+    return np.fft.irfft(out, n=grid.count, axis=1).T
 
 
 def whole_line_oracle(
@@ -85,9 +96,11 @@ def whole_line_oracle(
     """Reference trajectory of u_t + d^5_x u + u d_x u = 0 on the periodic box.
 
     Strang splitting: exact dispersive half-steps exp(-i dt/2 xi^5) around an
-    explicit-midpoint step of the advection term with 2/3-rule dealiasing.
-    With check=True the step count is halved-vs-doubled and the final-slice
-    L^2 difference must stay below halving_tol, otherwise AccuracyError.
+    explicit-midpoint step of the advection term with 2/3-rule dealiasing,
+    carried on the half-spectrum of the real datum (a g_l with a nonzero
+    imaginary part raises PreconditionError).  With check=True the step
+    count is halved-vs-doubled and the final-slice L^2 difference must stay
+    below halving_tol, otherwise AccuracyError.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -126,12 +139,11 @@ def manufactured_data(
     """Boundary data manufactured from the whole-line solution of g_l.
 
     Runs the split-step oracle on [0, horizon] at a rate that contains every
-    solver time node, reads off the x = 0 traces of orders 0, 1, 2, tapers
-    them smoothly to zero before the horizon end (the solver's data window
-    eta(t/2T) must die before the taper begins), keeps their real parts (the
-    whole-line solution of a real datum is real; the imaginary parts are
-    complex-FFT rounding), and returns
-    (SolverData, oracle field, node stride).
+    solver time node, reads off the x = 0 traces of orders 0, 1, 2 (real, as
+    the whole-line solution of a real datum is), tapers them smoothly to zero
+    before the horizon end (the solver's data window eta(t/2T) must die
+    before the taper begins), and returns (SolverData, oracle field, node
+    stride).
     """
     dt = cfg.tgrid.step
     n_nodes = int(round(horizon / dt))
@@ -141,18 +153,25 @@ def manufactured_data(
         raise ValueError("data window 2T reaches into the taper; shorten T or move the taper")
     steps = n_nodes * steps_per_node
     oracle = whole_line_oracle(g_l, horizon, steps)
-    spec = x_spectrum(oracle.values, oracle.xgrid)
-    xi = g_l.grid.frequencies[:, None]
-    origin_row = g_l.grid.index_of(0.0)
-    traces = []
-    for j in range(3):
-        deriv = x_values((1j * xi) ** j * spec, g_l.grid)
-        traces.append(deriv[origin_row, :])
+    # d^j/dx^j u(0, t) = Re sum_k m_k (i xi_k)^j e^{2 pi i k r / X} V_k(t) / X
+    # over the rfft half-spectrum V, with r the row of x = 0 and m_k = 2 on
+    # the modes whose conjugate is not stored (1 on the zero and Nyquist
+    # modes); k r is reduced mod X so that the phase is exact to rounding.
+    grid = g_l.grid
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
+    mult = np.full(len(xi), 2.0)
+    mult[0] = 1.0
+    if grid.count % 2 == 0:
+        mult[-1] = 1.0
+    turns = (np.arange(len(xi)) * grid.index_of(0.0)) % grid.count
+    shift = np.exp(2j * np.pi * turns / grid.count)
+    rows = (1j * xi) ** np.arange(3)[:, None] * (mult * shift / grid.count)
+    traces = (rows @ np.fft.rfft(oracle.values.real, axis=0)).real
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
     series = []
     for tr in traces:
         vals = np.zeros(cfg.tgrid.count, dtype=np.complex128)
-        sub = (tr * taper)[::steps_per_node].real
+        sub = (tr * taper)[::steps_per_node]
         i0 = cfg.tgrid.index_of(0.0)
         vals[i0 : i0 + n_nodes + 1] = sub
         series.append(TimeSeries(cfg.tgrid, vals))

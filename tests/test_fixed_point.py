@@ -213,6 +213,12 @@ class TestPicard:
         assert not np.any(nonlinear.values)
         assert np.array_equal(first.values, result.linear.values)
 
+    def test_free_phase_table_released(self, manufactured_case):
+        # q and L are built by the first application; the (T, X) table of
+        # e^{-i t xi^5} is not kept through the Picard loop.
+        _, _, _, result = manufactured_case
+        assert "_free_phases" not in vars(result.workspace.plan)
+
     def test_diagnostics_payload(self, manufactured_case):
         _, _, _, result = manufactured_case
         diag = result.diagnostics

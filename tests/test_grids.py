@@ -1,5 +1,6 @@
 """Grid containers, immutability, and deterministic serialization."""
 
+import io
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from kdv5half.grids import (
     TimeSeries,
     UniformGrid,
     canonical_json,
+    field_to_csv,
 )
 
 
@@ -105,3 +107,36 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_json({"v": float("nan")})
 
+
+
+def loop_csv(u: SpaceTimeField) -> str:
+    """One formatted line per node: the reference writer for `field_to_csv`."""
+    buf = io.StringIO()
+    buf.write("x,t,re,im\n")
+    for i, x in enumerate(u.xgrid.nodes):
+        for n, t in enumerate(u.tgrid.nodes):
+            v = u.values[i, n]
+            buf.write(f"{x:.17g},{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    return buf.getvalue()
+
+
+class TestFieldCsv:
+    def field(self):
+        xg, tg = small_grid(), UniformGrid(origin=-0.5, step=0.125, count=5)
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        vals[0, 0] = complex(-0.0, -0.0)
+        vals[1, 2] = complex(0.0, -0.0)
+        vals[2, 3] = complex(3e-310, -1e-305)
+        vals[7, 4] = complex(-2.5e-308, 1e300)
+        return SpaceTimeField(xg, tg, vals)
+
+    def test_matches_line_by_line_writer(self):
+        u = self.field()
+        assert field_to_csv(u) == loop_csv(u)
+
+    def test_stream_receives_same_bytes(self):
+        u = self.field()
+        stream = io.StringIO()
+        assert field_to_csv(u, stream) == ""
+        assert stream.getvalue() == loop_csv(u)

@@ -82,6 +82,15 @@ class TestFreeField:
             direct = apply_group(g, TG.nodes[n]).values
             assert np.max(np.abs(slice_n - direct)) < 1e-11
 
+    def test_plan_keeps_phase_table_until_released(self):
+        plan = PropagatorPlan(XG)
+        first = plan.free_phases(TG)
+        assert plan.free_phases(TG) is first
+        plan.release_free_phases()
+        again = plan.free_phases(TG)
+        assert again is not first
+        assert np.array_equal(again, first)
+
     def test_returns_field_on_both_grids(self):
         F = free_field(gaussian_datum(), TG)
         assert isinstance(F, SpaceTimeField)
@@ -160,6 +169,14 @@ class TestDuhamel:
             single = duhamel_oracle(F, t)
             scale = max(np.max(np.abs(single)), 1e-30)
             assert np.max(np.abs(traj.time_slice(n).values - single)) < 1e-9 * scale
+
+    def test_integrates_the_real_part(self):
+        xg, tg = self.coarse()
+        F = self.forcing(xg, tg)
+        noisy = SpaceTimeField(xg, tg, F.values + 1j * np.outer(np.cos(xg.nodes), tg.nodes))
+        out = duhamel_trajectory(noisy).values
+        assert np.array_equal(out, duhamel_trajectory(F).values)
+        assert np.max(np.abs(out.imag)) <= 1e-15 * np.max(np.abs(out))
 
     def test_trajectory_window_zeroes_outside(self):
         xg, tg = self.coarse()

@@ -216,13 +216,18 @@ class TestPipelines:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "report.json").exists()
 
-    def test_summary_deterministic(self, tmp_path):
-        path = self.write(tmp_path, self.linear_payload())
+    def assert_rerun_identical(self, path, tmp_path):
         run_scenario(path, out_dir=tmp_path / "a")
         run_scenario(path, out_dir=tmp_path / "b")
         a = (tmp_path / "a" / "summary.json").read_bytes()
         b = (tmp_path / "b" / "summary.json").read_bytes()
         assert a == b
+
+    def test_summary_deterministic(self, tmp_path):
+        self.assert_rerun_identical(self.write(tmp_path, self.linear_payload()), tmp_path)
+
+    def test_bundled_linear_summary_deterministic(self, tmp_path):
+        self.assert_rerun_identical(SCENARIO_DIR / "linear_diagnostics.json", tmp_path)
 
     def test_failing_check_sets_exit_code(self, tmp_path):
         payload = self.linear_payload()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kdv5half.boundary import AccuracyError
+from kdv5half.boundary import AccuracyError, PreconditionError
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import apply_group, free_field
 from kdv5half.spectral import (
@@ -35,6 +35,30 @@ def gaussian(amp, width=3.0, center=0.0, grid=XG):
     return GridFunction(grid, vals.astype(complex))
 
 
+def physical_split_step(g: GridFunction, T: float, steps: int) -> np.ndarray:
+    """The same Strang scheme on complex samples with full FFTs (12 per
+    step), shape (X, steps + 1): the reference for the half-spectrum oracle."""
+    xi = g.grid.frequencies
+    dt = T / steps
+    half = np.exp(-1j * (dt / 2.0) * xi**5)
+    dealias = np.abs(xi) <= (2.0 / 3.0) * g.grid.nyquist
+    deriv = 1j * xi * dealias
+
+    def burgers_rate(v):
+        v_d = np.fft.ifft(dealias * np.fft.fft(v))
+        return np.fft.ifft(deriv * np.fft.fft(v_d * v_d)) * (-0.5)
+
+    out = np.empty((g.grid.count, steps + 1), dtype=complex)
+    v = out[:, 0] = g.values
+    for n in range(steps):
+        v = np.fft.ifft(half * np.fft.fft(v))
+        k1 = burgers_rate(v)
+        k2 = burgers_rate(v + (dt / 2.0) * k1)
+        v = np.fft.ifft(half * np.fft.fft(v + dt * k2))
+        out[:, n + 1] = v
+    return out
+
+
 class TestOracle:
     def test_argument_validation(self):
         g = gaussian(0.1)
@@ -42,6 +66,17 @@ class TestOracle:
             whole_line_oracle(g, -1.0, 8)
         with pytest.raises(ValueError, match="at least one step"):
             whole_line_oracle(g, 0.5, 0)
+
+    def test_complex_datum_refused(self):
+        g = GridFunction(XG, gaussian(0.1).values * (1.0 + 1e-3j))
+        with pytest.raises(PreconditionError, match="real"):
+            whole_line_oracle(g, 0.5, 8)
+
+    def test_matches_physical_space_scheme(self):
+        g = gaussian(0.5, width=1.5, center=1.0)
+        field = whole_line_oracle(g, 0.5, 64, check=False).values
+        reference = physical_split_step(g, 0.5, 64)
+        assert np.max(np.abs(field - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_linear_limit(self):
         # At tiny amplitude the advection term is negligible and the oracle
@@ -99,6 +134,22 @@ class TestManufacturedData:
             data.g_l.values[i0], rel=1e-10
         )
         assert oracle.tgrid.step * stride == pytest.approx(tg.step)
+
+    def test_traces_are_oracle_derivative_rows(self, manufactured_case, solver_config):
+        # Before the taper (t < 0.7) h_{j+1} is the x = 0 row of d^j/dx^j of
+        # the oracle field, here by full complex FFTs of each column.  The
+        # two sums differ by rounding of the spectrum amplified by |xi|^j:
+        # at most eps * max|V| * sum |xi|^j / X per column.
+        data, oracle, stride = manufactured_case[0], manufactured_case[1], manufactured_case[2]
+        tg, xg = solver_config.tgrid, solver_config.xgrid
+        nodes = np.arange(0, int(round(0.6 / tg.step)) + 1)
+        cols = np.fft.fft(oracle.values[:, nodes * stride], axis=0)
+        xi = xg.frequencies[:, None]
+        for j, h in enumerate(data.boundary_series):
+            rows = np.fft.ifft((1j * xi) ** j * cols, axis=0)[xg.index_of(0.0)].real
+            got = h.values[tg.index_of(0.0) + nodes]
+            floor = np.finfo(float).eps * np.max(np.abs(cols), axis=0) * np.sum(np.abs(xi) ** j)
+            assert np.all(np.abs(got - rows) <= floor / xg.count)
 
 
 class TestPdeResidual:
