@@ -45,7 +45,6 @@ from .fixed_point import (
 )
 from .grids import (
     GridFunction,
-    GridMismatchError,
     SpaceTimeField,
     SpectrumFunction,
     TimeSeries,
@@ -87,7 +86,6 @@ __all__ = [
     "CompatibilityReport",
     "GammaWorkspace",
     "GridFunction",
-    "GridMismatchError",
     "HarnessError",
     "NonContractionError",
     "NormIndices",

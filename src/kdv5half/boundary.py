@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import rho
-from .grids import TimeSeries, UniformGrid
+from .grids import TimeSeries
 from .spectral import BAND_CAP, forward_transform, nonuniform_transform
 
 __all__ = [
@@ -437,34 +437,34 @@ class BoundaryPotential:
             values[start : start + _X_BLOCK, self.t_sel] = self.field_values(xs, self.ttargets)
         return values
 
-    def trace_values(self, j: int, ttargets) -> np.ndarray:
-        """d^j/dx^j at x = 0 from the analytic kernel derivatives (r^j factors)."""
-        if j not in (0, 1, 2):
-            raise ValueError(f"trace order j must be 0, 1, or 2, got {j}")
+    def trace_values(self, ttargets) -> np.ndarray:
+        """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel
+        derivatives (r^j factors), shape (3, len(ttargets))."""
         ttargets = np.asarray(ttargets, dtype=float)
-        node_vals = np.sum(self.coeffs * self.quad.roots**j, axis=-1)
+        quad = self.quad
+        node_vals = np.sum(self.coeffs[:, :, None] * quad.roots[:, :, None] ** np.arange(3), axis=1)
         phases = self._time_table(ttargets)
-        return self._node_sum(phases, self.quad.weights * node_vals) / np.sqrt(2.0 * np.pi)
+        return self._node_sum(phases, quad.weights[:, None] * node_vals).T / np.sqrt(2.0 * np.pi)
 
-    def trace_on_grid(self, j: int) -> TimeSeries:
-        """Trace of order j on the data's time grid; zero off the rows `t_sel`."""
+    def trace_on_grid(self) -> tuple:
+        """Traces of orders 0, 1, 2 on the data's time grid, as three
+        TimeSeries; zero off the rows `t_sel`."""
         if self.t_sel is None:
             raise ValueError("trace_on_grid needs a potential bound to time rows (t_sel)")
-        vals = np.zeros(self.tgrid.count, dtype=np.complex128)
-        vals[self.t_sel] = self.trace_values(j, self.ttargets)
-        return TimeSeries(self.tgrid, vals)
+        vals = np.zeros((3, self.tgrid.count), dtype=np.complex128)
+        vals[:, self.t_sel] = self.trace_values(self.ttargets)
+        return tuple(TimeSeries(self.tgrid, v) for v in vals)
 
 
 def boundary_potential_traces(
     h1: TimeSeries,
     h2: TimeSeries,
     h3: TimeSeries,
-    tgrid: UniformGrid,
-    j: int,
     depth: int = 2,
     t_window: tuple | None = None,
-) -> TimeSeries:
-    """x = 0 trace of order j of the assembled field, on the time grid.
+) -> tuple:
+    """x = 0 traces of orders 0, 1, 2 of the assembled field, as three
+    TimeSeries on the data's time grid (zero series for all-zero data).
 
     Derivatives come from the kernel exponentials analytically (factors r^j);
     no finite differences are involved.  The truncation radius is where all
@@ -473,5 +473,6 @@ def boundary_potential_traces(
     """
     pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0, t_window=t_window)
     if pot is None:
-        return TimeSeries(tgrid, np.zeros(tgrid.count, dtype=np.complex128))
-    return pot.trace_on_grid(j)
+        zero = TimeSeries(h1.grid, np.zeros(h1.grid.count, dtype=np.complex128))
+        return zero, zero, zero
+    return pot.trace_on_grid()

@@ -110,29 +110,29 @@ def _zero_extension(g: GridFunction) -> np.ndarray:
     return vals
 
 
-def _one_sided_jet(g: GridFunction, orders: int = 5, points: int = 16, degree: int = 7):
-    """Derivatives of g at 0 from the right, orders 0..orders-1.
+_JET_ORDER = 7  # derivatives 0..6 are matched across the join
 
-    A least-squares polynomial on the first `points` half-line samples keeps
-    the estimate stable for all orders at once (one-sided difference
+
+def _one_sided_jet(g: GridFunction):
+    """Derivatives of g at 0 from the right, orders 0.._JET_ORDER-1.
+
+    A degree-9 least-squares polynomial on the first 20 half-line samples
+    keeps the estimate stable for all orders at once (one-sided difference
     stencils above order 2 amplify rounding much more)."""
     k0 = g.grid.index_of(0.0)
-    xs = g.grid.nodes[k0 : k0 + points]
-    ys = g.values[k0 : k0 + points]
+    xs = g.grid.nodes[k0 : k0 + 20]
+    ys = g.values[k0 : k0 + 20]
     scale = float(xs[-1]) if xs[-1] > 0 else 1.0
     t = xs / scale
-    cr = np.polynomial.polynomial.polyfit(t, ys.real, degree)
-    ci = np.polynomial.polynomial.polyfit(t, ys.imag, degree)
+    cr = np.polynomial.polynomial.polyfit(t, ys.real, 9)
+    ci = np.polynomial.polynomial.polyfit(t, ys.imag, 9)
     jet = []
     fact = 1.0
-    for m in range(orders):
+    for m in range(_JET_ORDER):
         if m > 0:
             fact *= m
         jet.append(fact * complex(cr[m], ci[m]) / scale**m)
     return jet
-
-
-_JET_ORDER = 7  # derivatives 0..6 are matched across the join
 
 
 def _reflection_extension(g: GridFunction) -> np.ndarray:
@@ -152,7 +152,7 @@ def _reflection_extension(g: GridFunction) -> np.ndarray:
     neg = nodes < -1e-14
     if not np.any(neg):
         return vals
-    jet = _one_sided_jet(g, orders=_JET_ORDER, points=20, degree=9)
+    jet = _one_sided_jet(g)
     taylor = np.array(
         [d / math.factorial(m) for m, d in enumerate(jet)], dtype=np.complex128
     )
@@ -193,18 +193,9 @@ def halfline_norm_upper(g: GridFunction, s: float, method: str = "auto") -> floa
 # Time-data zero extension and compatibility checks.
 # ---------------------------------------------------------------------------
 
-def zero_extend_time(h: TimeSeries, r: float, tolerance: float = 1e-10):
-    """Zero the t < 0 samples; flag invalid when r > 1/2 but h(0) != 0."""
-    if r < 0:
-        raise ValueError(f"time regularity must be >= 0, got {r}")
-    vals = np.array(h.values)
-    nodes = h.grid.nodes
-    vals[nodes < -1e-14] = 0.0
-    origin_value = 0.0
-    if np.any(np.abs(nodes) <= 1e-14):
-        origin_value = complex(vals[np.argmin(np.abs(nodes))])
-    valid = not (r > 0.5 and abs(origin_value) > tolerance)
-    return TimeSeries(h.grid, vals), valid
+def zero_extend_time(h: TimeSeries) -> TimeSeries:
+    """h with its t < 0 samples set to zero."""
+    return TimeSeries(h.grid, _zero_extension(h))
 
 
 _D1_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0

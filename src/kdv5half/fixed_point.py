@@ -204,7 +204,7 @@ class GammaWorkspace:
         self.data_window = eta(tnodes / (2.0 * cfg.T)) * (tnodes > 0)
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
-        self.q = tuple(trace_at_origin(data.g_l, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
+        self.q = trace_at_origin(data.g_l, cfg.tgrid, self.plan)
         self.linear: SpaceTimeField | None = None
         self._pot: BoundaryPotential | None = None
         self.diagnostics: dict = {"applications": 0}
@@ -285,7 +285,7 @@ class GammaWorkspace:
             self.plan.release_free_phases()
         if np.any(forcing.values):
             duh = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
-            r = tuple(trace_at_origin(duh, j, cfg.tgrid, self.plan) for j in (0, 1, 2))
+            r = trace_at_origin(duh, cfg.tgrid, self.plan)
             values = duh.values * self.eta_t[None, :]
             self._add_potential(
                 values, tuple(TimeSeries(cfg.tgrid, -self.data_window * rj.values) for rj in r)

@@ -21,14 +21,9 @@ __all__ = [
     "TimeSeries",
     "SpectrumFunction",
     "SpaceTimeField",
-    "GridMismatchError",
     "canonical_json",
     "field_to_csv",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Binary operation between functions living on different grids."""
 
 
 @dataclass(frozen=True)
@@ -105,23 +100,6 @@ class GridFunction:
     def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
         return cls(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
 
-    def require_same_grid(self, other: "GridFunction") -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError(f"grids differ: {self.grid} vs {other.grid}")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self.require_same_grid(other)
-        return type(self)(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self.require_same_grid(other)
-        return type(self)(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return type(self)(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 class TimeSeries(GridFunction):
     """A GridFunction whose grid runs over t rather than x."""
@@ -158,23 +136,6 @@ class SpaceTimeField:
         object.__setattr__(
             self, "values", _freeze(self.values, (self.xgrid.count, self.tgrid.count))
         )
-
-    def require_same_grids(self, other: "SpaceTimeField") -> None:
-        if self.xgrid != other.xgrid or self.tgrid != other.tgrid:
-            raise GridMismatchError("space-time grids differ")
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        self.require_same_grids(other)
-        return SpaceTimeField(self.xgrid, self.tgrid, self.values + other.values)
-
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        self.require_same_grids(other)
-        return SpaceTimeField(self.xgrid, self.tgrid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "SpaceTimeField":
-        return SpaceTimeField(self.xgrid, self.tgrid, self.values * scalar)
-
-    __rmul__ = __mul__
 
     def time_slice(self, n: int) -> GridFunction:
         return GridFunction(self.xgrid, self.values[:, n])

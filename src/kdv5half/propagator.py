@@ -64,6 +64,11 @@ class PropagatorPlan:
     def cap_mask(self) -> np.ndarray:
         return band_mask(self.xgrid)
 
+    @cached_property
+    def trace_multipliers(self) -> np.ndarray:
+        """Band-capped (i xi)^j for the trace orders j = 0, 1, 2, shape (3, X)."""
+        return np.where(self.cap_mask, (1j * self.xi) ** np.arange(3)[:, None], 0.0)
+
     def free_phases(self, tgrid: UniformGrid) -> np.ndarray:
         """e^{-i t_n xi^5}, shape (T, X); built once per time grid (the plan
         keeps the table of the last grid asked for)."""
@@ -181,48 +186,45 @@ def duhamel_trajectory(
 
 def trace_at_origin(
     source,
-    j: int,
     tgrid: UniformGrid,
     plan: PropagatorPlan | None = None,
-) -> TimeSeries:
-    """eta(t) * d^j/dx^j [field](0, t) by exact spectral summation at x = 0.
+) -> tuple:
+    """eta(t) * d^j/dx^j [field](0, t) for j = 0, 1, 2 by exact spectral
+    summation at x = 0, as three TimeSeries.
 
     `source` is either a GridFunction (traced along its free evolution) or a
-    SpaceTimeField on `tgrid` (traced as-is).  The derivative multiplier
-    (i*xi)^j is applied with the band cap.
+    SpaceTimeField on `tgrid` (traced as-is).  The derivative multipliers
+    (i*xi)^j are applied with the band cap, all three orders in one product.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"trace order j must be 0, 1, or 2, got {j}")
     if isinstance(source, SpaceTimeField):
         if source.tgrid != tgrid:
             raise ValueError("source field lives on a different time grid")
         plan = plan or PropagatorPlan(source.xgrid)
-        spec_t = x_spectrum(source.values, source.xgrid)
-        mult = np.where(plan.cap_mask, (1j * plan.xi) ** j, 0.0)
-        sums = mult @ spec_t
+        sums = plan.trace_multipliers @ x_spectrum(source.values, source.xgrid)
     elif isinstance(source, GridFunction):
         plan = plan or PropagatorPlan(source.grid)
         ghat = forward_transform(source).coefficients
-        mult = np.where(plan.cap_mask, (1j * plan.xi) ** j, 0.0)
-        sums = plan.free_phases(tgrid) @ (mult * ghat)
+        sums = (plan.free_phases(tgrid) @ (plan.trace_multipliers * ghat).T).T
     else:
         raise TypeError(f"unsupported trace source: {type(source)}")
     scale = plan.xgrid.freq_step / np.sqrt(2.0 * np.pi)
     vals = eta(tgrid.nodes) * scale * sums
-    return TimeSeries(tgrid, vals)
+    return tuple(TimeSeries(tgrid, v) for v in vals)
 
 
 def kato_smoothing_ratio(
     g: GridFunction,
     s: float,
-    j: int,
     tgrid: UniformGrid,
     plan: PropagatorPlan | None = None,
-) -> float:
-    """Trace-gain diagnostic: time-Sobolev norm of the cut-off origin trace of
-    the free evolution, over the H^s norm of the datum."""
+) -> tuple:
+    """Trace-gain diagnostics (r0, r1, r2): the time-Sobolev norm of order
+    (s + 2 - j)/5 of the cut-off origin trace of order j of the free
+    evolution, over the H^s norm of the datum."""
     denom = sobolev_norm(g, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
-    trace = trace_at_origin(g, j, tgrid, plan)
-    return fractional_time_norm(trace, (s + 2.0 - j) / 5.0) / denom
+    traces = trace_at_origin(g, tgrid, plan)
+    return tuple(
+        fractional_time_norm(trace, (s + 2.0 - j) / 5.0) / denom for j, trace in enumerate(traces)
+    )

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import _X_BLOCK, BoundaryPotential, BoundaryQuadrature, truncation_radius
+from .boundary import (
+    _X_BLOCK,
+    BoundaryPotential,
+    BoundaryQuadrature,
+    boundary_potential_traces,
+    truncation_radius,
+)
 from .bourgain import bilinear_ratio, seeded_band_limited_field
 from .cutoffs import check_compatibility, extend_initial_datum, right_bump, zero_extend_time
 from .fixed_point import SolverConfig, SolverData, picard_solve
@@ -190,7 +196,9 @@ class Scenario:
         if "manufactured" in data:
             path = "scenario.data.manufactured"
             _check_keys(data["manufactured"], path, required=(), optional=tuple(_MANUFACTURED_KEYS))
-            _positive_numbers(data["manufactured"], path, _MANUFACTURED_KEYS)
+            # Kept as cast for _run_solve; a key left out takes manufactured_data's default.
+            manufactured = _positive_numbers(data["manufactured"], path, _MANUFACTURED_KEYS)
+            data = {**data, "manufactured": manufactured}
         probe = payload.get("probe", {})
         _check_keys(
             probe,
@@ -320,10 +328,7 @@ def _build_boundary(scenario: Scenario) -> tuple:
     out = []
     for label in ("h1", "h2", "h3"):
         spec = scenario.data.get(label, {"profile": "zero"})
-        series = boundary_from_profile(spec, scenario.tgrid, label)
-        r = (scenario.indices["s"] + 2.0 - (int(label[1]) - 1)) / 5.0
-        extended, _valid = zero_extend_time(series, r)
-        out.append(extended)
+        out.append(zero_extend_time(boundary_from_profile(spec, scenario.tgrid, label)))
     return tuple(out)
 
 
@@ -346,12 +351,9 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
     # One scale for all three channels: zero channels are judged against the
     # driving channel's amplitude, not against themselves.
     scale = max(max(float(np.max(np.abs(d.values))) for d in data_series), 1e-300)
-    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0)
-    zero = TimeSeries(scenario.tgrid, np.zeros(scenario.tgrid.count, dtype=np.complex128))
-    for j in range(3):
-        tr = zero if pot is None else pot.trace_on_grid(j)
-        target = data_series[j].values
-        err = float(np.max(np.abs(tr.values[plateau] - target[plateau]))) / scale
+    traces = boundary_potential_traces(h1, h2, h3, depth=depth)
+    for j, (tr, h) in enumerate(zip(traces, data_series)):
+        err = float(np.max(np.abs(tr.values[plateau] - h.values[plateau]))) / scale
         trace_error = max(trace_error, err)
         report["traces"][f"j{j}"] = {
             "t": tnodes[plateau].tolist(),
@@ -359,7 +361,6 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
             "im": tr.values[plateau].imag.tolist(),
             "relative_error": err,
         }
-    del pot  # its T x Q time table would otherwise stay alive through the probe below
     checks = {}
     if "trace_error" in scenario.checks:
         checks["trace_error"] = _summary_entry(trace_error, scenario.checks["trace_error"])
@@ -412,8 +413,8 @@ def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
         report["interior_residual_free"] = value
     if "kato_ratio_max" in scenario.checks:
         ratios = {
-            f"s={s:g},j={j}": kato_smoothing_ratio(g, s, j, scenario.tgrid, plan)
-            for j in (0, 1, 2)
+            f"s={s:g},j={j}": ratio
+            for j, ratio in enumerate(kato_smoothing_ratio(g, s, scenario.tgrid, plan))
         }
         worst = max(ratios.values())
         checks["kato_ratio_max"] = _summary_entry(worst, scenario.checks["kato_ratio_max"])
@@ -435,15 +436,8 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
     checks: dict = {}
     oracle = None
     if "manufactured" in scenario.data:
-        mspec = scenario.data["manufactured"]
         g_l = _build_datum(scenario, seed)
-        data, oracle, stride = manufactured_data(
-            g_l,
-            cfg,
-            steps_per_node=int(mspec.get("steps_per_node", 8)),
-            horizon=float(mspec.get("horizon", 1.0)),
-            taper_start=float(mspec.get("taper_start", 0.7)),
-        )
+        data, oracle, stride = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
     else:
         g_l = _build_datum(scenario, seed)
         h1, h2, h3 = _build_boundary(scenario)

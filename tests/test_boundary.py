@@ -187,10 +187,8 @@ class TestTruncationRadius:
 class TestBoundaryField:
     def test_trace_reproduces_data(self):
         h1 = bump_series()
-        for j, target in ((0, h1.values), (1, None), (2, None)):
-            trace = boundary_potential_traces(
-                h1, zero_series(), zero_series(), TG, j, t_window=(0.0, 2.0)
-            )
+        traces = boundary_potential_traces(h1, zero_series(), zero_series(), t_window=(0.0, 2.0))
+        for trace, target in zip(traces, (h1.values, None, None)):
             window = (TG.nodes >= 0.0) & (TG.nodes <= 2.0)
             got = trace.values[window]
             want = target[window] if target is not None else 0.0
@@ -200,32 +198,31 @@ class TestBoundaryField:
     def test_channel_permutation(self):
         # driving h2 instead of h1 moves the reproduced profile to the j = 1 trace
         h = bump_series()
-        trace0 = boundary_potential_traces(zero_series(), h, zero_series(), TG, 0, t_window=(0.0, 2.0))
-        trace1 = boundary_potential_traces(zero_series(), h, zero_series(), TG, 1, t_window=(0.0, 2.0))
+        trace0, trace1, _ = boundary_potential_traces(
+            zero_series(), h, zero_series(), t_window=(0.0, 2.0)
+        )
         window = (TG.nodes >= 0.0) & (TG.nodes <= 2.0)
         scale = np.max(np.abs(h.values))
         assert np.max(np.abs(trace1.values[window] - h.values[window])) < 1e-6 * scale
         assert np.max(np.abs(trace0.values[window])) < 1e-6 * scale
 
-    def test_invalid_trace_order(self):
-        with pytest.raises(ValueError, match="0, 1, or 2"):
-            boundary_potential_traces(bump_series(), zero_series(), zero_series(), TG, 5)
-
     def test_zero_data_short_circuit(self):
-        out = boundary_potential_traces(zero_series(), zero_series(), zero_series(), TG, 0)
-        assert out.grid == TG
-        assert not np.any(out.values)
+        traces = boundary_potential_traces(zero_series(), zero_series(), zero_series())
+        assert len(traces) == 3
+        for out in traces:
+            assert out.grid == TG
+            assert not np.any(out.values)
 
     def test_rough_data_precondition(self):
         rng = np.random.default_rng(1)
         noisy = TimeSeries(TG, rng.standard_normal(TG.count).astype(complex))
         with pytest.raises(PreconditionError, match="decay"):
-            boundary_potential_traces(noisy, zero_series(), zero_series(), TG, 0)
+            boundary_potential_traces(noisy, zero_series(), zero_series())
 
     def test_grid_mismatch(self):
         other = UniformGrid(-2.0, 4.0 / 512, 512)
         with pytest.raises(ValueError, match="time grid"):
-            boundary_potential_traces(bump_series(), zero_series(other), zero_series(other), TG, 0)
+            boundary_potential_traces(bump_series(), zero_series(other), zero_series(other))
 
     def test_left_halfline_stays_bounded(self):
         # The decaying-root exponentials grow like e^(|Re r| |x|) for x < 0;
@@ -349,15 +346,16 @@ class TestBoundaryPotentialTables:
         # transform.  Both match the oracle's analytic x-derivatives at x = 0.
         bound = three_channel_potential(t_sel=np.arange(TG.count))
         unbound = three_channel_potential()
-        for j in range(3):
-            got = bound.trace_on_grid(j)
+        unbound_values = unbound.trace_values(TG.nodes)
+        assert unbound_values.shape == (3, TG.count)
+        for j, got in enumerate(bound.trace_on_grid()):
             assert got.grid == TG
             assert not np.any(got.values.imag)
-            assert rel_max_error(got.values, unbound.trace_values(j, TG.nodes)) <= 1e-13
+            assert rel_max_error(got.values, unbound_values[j]) <= 1e-13
             want = direct_field(bound, three_channel_series(), [0.0], TG.nodes, root_power=j)[0]
             assert rel_max_error(got.values, want) <= 1e-13, j
         with pytest.raises(ValueError, match="t_sel"):
-            unbound.trace_on_grid(0)
+            unbound.trace_on_grid()
 
     def test_far_left_field_stays_finite(self):
         # e^{Re r x_b} overflows for most nodes this far left; the taper is
@@ -402,8 +400,8 @@ class TestFromData:
             )
 
     def test_boundary_only_traces_equal_the_wrapper(self, tmp_path):
-        # One potential serves all three trace orders of the pipeline; each
-        # must equal the wrapper's own build bit for bit.  256 time nodes
+        # The three traces in report.json must be the wrapper's, bit for bit,
+        # through the pipeline and the JSON round trip.  256 time nodes
         # with ramps of about 90 nodes keep the spectra inside the band.
         payload = {
             "name": "traces",
@@ -431,8 +429,8 @@ class TestFromData:
         series = _build_boundary(scenario)
         tnodes = scenario.tgrid.nodes
         plateau = (tnodes >= 0.0) & (tnodes <= 1.0)
-        for j in range(3):
-            want = boundary_potential_traces(*series, scenario.tgrid, j, depth=1).values[plateau]
+        for j, trace in enumerate(boundary_potential_traces(*series, depth=1)):
+            want = trace.values[plateau]
             got = report["traces"][f"j{j}"]
             assert np.array_equal(got["re"], want.real) and np.array_equal(got["im"], want.imag)
 
@@ -470,8 +468,8 @@ class TestRealDataHalfRule:
         assert not np.any(np.delete(values, t_sel, axis=1))
         want = direct_field(pot, series, xs, TG.nodes[t_sel])
         assert rel_max_error(values[:, t_sel], want) <= 1e-13
-        for j in range(3):
-            trace = pot.trace_on_grid(j).values
+        for j, trace in enumerate(pot.trace_on_grid()):
+            trace = trace.values
             assert not np.any(trace.imag)
             assert not np.any(np.delete(trace, t_sel))
             want = direct_field(pot, series, [0.0], TG.nodes[t_sel], root_power=j)[0]

@@ -163,22 +163,9 @@ class TestExtensions:
 class TestZeroExtendTime:
     def test_zeroes_negative_times(self):
         h = TimeSeries(TG, np.ones(TG.count, dtype=complex))
-        out, valid = zero_extend_time(h, 0.3)
+        out = zero_extend_time(h)
         assert np.all(out.values[TG.nodes < -1e-14] == 0.0)
-        assert valid  # r <= 1/2 never flags
-
-    def test_flags_jump_when_regularity_demands_vanishing(self):
-        h = TimeSeries(TG, np.ones(TG.count, dtype=complex))
-        _, valid = zero_extend_time(h, 0.6)
-        assert not valid
-        ramp = TimeSeries(TG, (TG.nodes * (TG.nodes > 0)).astype(complex))
-        _, valid2 = zero_extend_time(ramp, 0.6)
-        assert valid2
-
-    def test_negative_regularity_rejected(self):
-        h = TimeSeries(TG, np.zeros(TG.count, dtype=complex))
-        with pytest.raises(ValueError):
-            zero_extend_time(h, -0.1)
+        assert np.all(out.values[TG.nodes >= 0.0] == 1.0)
 
 
 class TestOneSidedValue:

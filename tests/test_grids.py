@@ -8,7 +8,6 @@ import pytest
 
 from kdv5half.grids import (
     GridFunction,
-    GridMismatchError,
     SpaceTimeField,
     TimeSeries,
     UniformGrid,
@@ -61,22 +60,6 @@ class TestGridFunction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(small_grid(), np.ones(7, dtype=complex))
-
-    def test_arithmetic(self):
-        g = small_grid()
-        f = GridFunction.from_callable(g, lambda x: x)
-        h = GridFunction.from_callable(g, lambda x: 2 * x)
-        assert np.allclose((f + h).values, 3 * g.nodes)
-        assert np.allclose((h - f).values, g.nodes)
-        assert np.allclose((f * 2.0).values, 2 * g.nodes)
-
-    def test_cross_grid_arithmetic_rejected(self):
-        f = GridFunction(small_grid(), np.zeros(8, dtype=complex))
-        other = GridFunction(
-            UniformGrid(origin=0.0, step=0.25, count=8), np.zeros(8, dtype=complex)
-        )
-        with pytest.raises(GridMismatchError):
-            _ = f + other
 
 
 class TestSpaceTimeField:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
@@ -198,8 +200,9 @@ class TestTraceAtOrigin:
     def test_matches_free_evolution_samples(self):
         g = gaussian_datum(amp=0.3, center=1.0)
         n_origin = XG.index_of(0.0)
-        for j in (0, 1, 2):
-            trace = trace_at_origin(g, j, TG)
+        traces = trace_at_origin(g, TG)
+        assert len(traces) == 3
+        for j, trace in enumerate(traces):
             sampled = np.empty(TG.count, dtype=complex)
             for n, t in enumerate(TG.nodes):
                 evolved = apply_group(g, t)
@@ -208,26 +211,30 @@ class TestTraceAtOrigin:
             expected = eta(TG.nodes) * sampled
             assert np.max(np.abs(trace.values - expected)) < 1e-10
 
-    def test_field_source_matches_datum_source(self):
-        g = gaussian_datum(amp=0.2)
-        F = free_field(g, TG)
-        from_datum = trace_at_origin(g, 0, TG)
-        from_field = trace_at_origin(F, 0, TG)
-        assert np.max(np.abs(from_datum.values - from_field.values)) < 1e-10
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="0, 1, or 2"):
-            trace_at_origin(gaussian_datum(), 3, TG)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        band=st.floats(0.5, 4.0),
+        real=st.booleans(),
+    )
+    def test_field_source_matches_datum_source(self, seed, band, real):
+        g = random_band_limited(XG, band=band, rng=np.random.default_rng(seed))
+        if real:
+            g = GridFunction(XG, g.values.real)
+        from_datum = trace_at_origin(g, TG)
+        from_field = trace_at_origin(free_field(g, TG), TG)
+        for j in range(3):
+            assert np.max(np.abs(from_datum[j].values - from_field[j].values)) < 1e-10, j
 
     def test_rejects_foreign_time_grid(self):
         F = free_field(gaussian_datum(), TG)
         other = UniformGrid(-2.0, 4.0 / 512, 512)
         with pytest.raises(ValueError, match="different time grid"):
-            trace_at_origin(F, 0, other)
+            trace_at_origin(F, other)
 
     def test_rejects_unsupported_source(self):
         with pytest.raises(TypeError, match="trace source"):
-            trace_at_origin(np.zeros(TG.count), 0, TG)
+            trace_at_origin(np.zeros(TG.count), TG)
 
 
 class TestKatoRatio:
@@ -235,14 +242,15 @@ class TestKatoRatio:
         rng = np.random.default_rng(5)
         g = random_band_limited(XG, band=4.0, rng=rng)
         for s in (0.0, 1.0):
-            for j in (0, 1, 2):
-                r = kato_smoothing_ratio(g, s, j, TG)
+            ratios = kato_smoothing_ratio(g, s, TG)
+            assert len(ratios) == 3
+            for r in ratios:
                 assert np.isfinite(r) and r > 0.0
 
     def test_zero_datum_rejected(self):
         g = GridFunction(XG, np.zeros(XG.count, dtype=complex))
         with pytest.raises(ValueError, match="zero datum"):
-            kato_smoothing_ratio(g, 1.0, 0, TG)
+            kato_smoothing_ratio(g, 1.0, TG)
 
     def test_stable_under_refinement(self):
         # The same band-limited datum drawn on a twice-finer lattice changes
@@ -251,6 +259,6 @@ class TestKatoRatio:
         fine_t = UniformGrid(TG.origin, TG.step / 2.0, TG.count * 2)
         coarse = random_band_limited(XG, band=4.0, rng=np.random.default_rng(77))
         fine = random_band_limited(fine_x, band=4.0, rng=np.random.default_rng(77))
-        r0 = kato_smoothing_ratio(coarse, 1.0, 1, TG)
-        r1 = kato_smoothing_ratio(fine, 1.0, 1, fine_t)
+        r0 = kato_smoothing_ratio(coarse, 1.0, TG)[1]
+        r1 = kato_smoothing_ratio(fine, 1.0, fine_t)[1]
         assert abs(r1 - r0) <= 0.1 * r0
