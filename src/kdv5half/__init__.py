@@ -46,7 +46,6 @@ from .fixed_point import (
 from .grids import (
     GridFunction,
     SpaceTimeField,
-    SpectrumFunction,
     TimeSeries,
     UniformGrid,
     canonical_json,
@@ -59,17 +58,11 @@ from .propagator import (
     trace_at_origin,
 )
 from .scenarios import Scenario, ScenarioError, run_scenario
-from .spectral import (
-    forward_transform,
-    fractional_time_norm,
-    inverse_transform,
-    sobolev_norm,
-)
+from .spectral import sobolev_norm, x_spectrum, x_values
 from .verification import (
     HarnessError,
     extension_independence,
     manufactured_data,
-    oracle_self_errors,
     pde_residual,
     smoothing_report,
     weak_form_residual,
@@ -97,7 +90,6 @@ __all__ = [
     "SolverConfig",
     "SolverData",
     "SpaceTimeField",
-    "SpectrumFunction",
     "TimeSeries",
     "UniformGrid",
     "apply_group",
@@ -108,14 +100,10 @@ __all__ = [
     "eta",
     "extend_initial_datum",
     "extension_independence",
-    "forward_transform",
-    "fractional_time_norm",
     "free_field",
     "halfline_norm_upper",
-    "inverse_transform",
     "kato_smoothing_ratio",
     "manufactured_data",
-    "oracle_self_errors",
     "pde_residual",
     "picard_solve",
     "rho",
@@ -128,6 +116,8 @@ __all__ = [
     "weak_form_residual",
     "weak_test_family",
     "whole_line_oracle",
+    "x_spectrum",
+    "x_values",
     "xsb_norm",
     "xsba_norm",
     "zero_extend_time",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cutoffs import rho
 from .grids import TimeSeries
-from .spectral import BAND_CAP, forward_transform, nonuniform_transform
+from .spectral import BAND_CAP, nonuniform_transform, x_spectrum
 
 __all__ = [
     "AccuracyError",
@@ -196,12 +196,11 @@ def truncation_radius(series, tolerance: float, cap: float):
     ok = True
     tail = 0.0
     for h in series:
-        spec = forward_transform(h)
-        mags = np.abs(spec.coefficients)
+        mags = np.abs(x_spectrum(h.values, h.grid))
         peak = float(mags.max())
         if peak == 0.0:
             continue
-        freqs = np.abs(spec.frequencies)
+        freqs = np.abs(h.grid.frequencies)
         order = np.argsort(freqs)
         f_sorted, m_sorted = freqs[order], mags[order]
         from_above = np.maximum.accumulate(m_sorted[::-1])[::-1]
@@ -213,7 +212,7 @@ def truncation_radius(series, tolerance: float, cap: float):
         if needed > cap:
             ok = False
             above = f_sorted > cap
-            tail += float(np.sum(m_sorted[above]) * spec.grid.freq_step)
+            tail += float(np.sum(m_sorted[above]) * h.grid.freq_step)
         radius = max(radius, min(needed, cap))
     return radius, tail, ok
 

@@ -220,18 +220,12 @@ class CompatibilityReport:
     s: float
     required: tuple
     measured_gaps: tuple
-    tolerance: float
-    satisfied: tuple
-    passed: bool
 
     def to_payload(self) -> dict:
         return {
             "s": self.s,
             "required": list(self.required),
             "measured_gaps": [float(g) for g in self.measured_gaps],
-            "tolerance": self.tolerance,
-            "satisfied": list(self.satisfied),
-            "pass": self.passed,
         }
 
 
@@ -244,12 +238,13 @@ def check_compatibility(
     h2: TimeSeries,
     h3: TimeSeries,
     s: float,
-    tolerance: float = 1e-8,
 ) -> CompatibilityReport:
-    """Corner matching conditions at (x,t) = (0,0), keyed by the s-range.
+    """Corner matching gaps at (x,t) = (0,0), keyed by the s-range.
 
     Nothing is required below s = 1/2; one, two, or three derivative matches
-    are required on the successive admissible bands above it.
+    are required on the successive admissible bands above it.  The report
+    holds the measured gaps only: the caller judges them against its own
+    tolerance (a scenario's `compatibility` check).
     """
     validate_regularity(s)
     if s < 0.5:
@@ -261,18 +256,11 @@ def check_compatibility(
     else:
         n_req = 3
     series = (h1, h2, h3)
-    gaps, satisfied = [], []
+    gaps = []
     for j in range(n_req):
         lhs = one_sided_value(g, j, at=0.0)
         rhs = complex(series[j].values[series[j].grid.index_of(0.0)])
-        gap = abs(lhs - rhs)
-        gaps.append(gap)
-        satisfied.append(bool(gap <= tolerance))
+        gaps.append(abs(lhs - rhs))
     return CompatibilityReport(
-        s=s,
-        required=_CONDITION_NAMES[:n_req],
-        measured_gaps=tuple(gaps),
-        tolerance=tolerance,
-        satisfied=tuple(satisfied),
-        passed=all(satisfied),
+        s=s, required=_CONDITION_NAMES[:n_req], measured_gaps=tuple(gaps)
     )

@@ -19,7 +19,6 @@ __all__ = [
     "UniformGrid",
     "GridFunction",
     "TimeSeries",
-    "SpectrumFunction",
     "SpaceTimeField",
     "canonical_json",
     "field_to_csv",
@@ -96,32 +95,9 @@ class GridFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values, (self.grid.count,)))
 
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
-
 
 class TimeSeries(GridFunction):
     """A GridFunction whose grid runs over t rather than x."""
-
-
-@dataclass(frozen=True)
-class SpectrumFunction:
-    """Discrete spectrum paired with the physical grid it came from.
-
-    Coefficients are stored in FFT frequency order; `grid.frequencies` gives
-    the matching angular frequencies.
-    """
-
-    grid: UniformGrid
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _freeze(self.coefficients, (self.grid.count,)))
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.grid.frequencies
 
 
 @dataclass(frozen=True)
@@ -136,12 +112,6 @@ class SpaceTimeField:
         object.__setattr__(
             self, "values", _freeze(self.values, (self.xgrid.count, self.tgrid.count))
         )
-
-    def time_slice(self, n: int) -> GridFunction:
-        return GridFunction(self.xgrid, self.values[:, n])
-
-    def space_slice(self, i: int) -> TimeSeries:
-        return TimeSeries(self.tgrid, self.values[i, :])
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .cutoffs import eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import (
-    SpectrumFunction,
-    band_mask,
-    forward_transform,
-    fractional_time_norm,
-    inverse_transform,
-    sobolev_norm,
-    x_spectrum,
-    x_values,
-)
+from .spectral import band_mask, sobolev_norm, x_spectrum, x_values
 
 __all__ = [
     "PropagatorPlan",
@@ -91,15 +82,14 @@ def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -
     and every H^s norm is preserved to rounding.
     """
     plan = plan or PropagatorPlan(g.grid)
-    spec = forward_transform(g)
-    evolved = spec.coefficients * np.exp(-1j * t * plan.xi5)
-    return inverse_transform(SpectrumFunction(g.grid, evolved), type(g))
+    evolved = x_spectrum(g.values, g.grid) * np.exp(-1j * t * plan.xi5)
+    return type(g)(g.grid, x_values(evolved, g.grid))
 
 
 def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None = None) -> SpaceTimeField:
     """W(t_n) g for every node of tgrid, as one space-time field."""
     plan = plan or PropagatorPlan(g.grid)
-    ghat = forward_transform(g).coefficients
+    ghat = x_spectrum(g.values, g.grid)
     phases = plan.free_phases(tgrid).T
     return SpaceTimeField(g.grid, tgrid, x_values(phases * ghat[:, None], g.grid))
 
@@ -203,7 +193,7 @@ def trace_at_origin(
         sums = plan.trace_multipliers @ x_spectrum(source.values, source.xgrid)
     elif isinstance(source, GridFunction):
         plan = plan or PropagatorPlan(source.grid)
-        ghat = forward_transform(source).coefficients
+        ghat = x_spectrum(source.values, source.grid)
         sums = (plan.free_phases(tgrid) @ (plan.trace_multipliers * ghat).T).T
     else:
         raise TypeError(f"unsupported trace source: {type(source)}")
@@ -226,5 +216,5 @@ def kato_smoothing_ratio(
         raise ValueError("smoothing ratio undefined for zero datum")
     traces = trace_at_origin(g, tgrid, plan)
     return tuple(
-        fractional_time_norm(trace, (s + 2.0 - j) / 5.0) / denom for j, trace in enumerate(traces)
+        sobolev_norm(trace, (s + 2.0 - j) / 5.0) / denom for j, trace in enumerate(traces)
     )

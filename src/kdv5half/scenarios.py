@@ -26,17 +26,11 @@ from .boundary import (
 from .bourgain import bilinear_ratio, seeded_band_limited_field
 from .cutoffs import check_compatibility, extend_initial_datum, right_bump, zero_extend_time
 from .fixed_point import SolverConfig, SolverData, picard_solve
-from .grids import (
-    GridFunction,
-    SpectrumFunction,
-    TimeSeries,
-    UniformGrid,
-    canonical_json,
-    field_to_csv,
-)
+from .grids import GridFunction, TimeSeries, UniformGrid, canonical_json, field_to_csv
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
-from .spectral import BAND_CAP, field_l2_norm, forward_transform, inverse_transform, sobolev_norm
+from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_spectrum, x_values
 from .verification import (
+    _halfline_box,
     extension_independence,
     manufactured_data,
     pde_residual,
@@ -272,8 +266,7 @@ def _rough_tail_datum(grid: UniformGrid, s: float, amplitude: float, seed: int, 
         coeffs[k] = mag * np.exp(1j * phase)
         coeffs[n - k] = np.conj(coeffs[k])
     coeffs[0] = 1.0
-    g = inverse_transform(SpectrumFunction(grid, coeffs))
-    vals = g.values.real.astype(np.complex128)
+    vals = x_values(coeffs, grid).real.astype(np.complex128)
     peak = float(np.max(np.abs(vals)))
     return GridFunction(grid, vals * (amplitude / peak))
 
@@ -419,11 +412,10 @@ def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
         worst = max(ratios.values())
         checks["kato_ratio_max"] = _summary_entry(worst, scenario.checks["kato_ratio_max"])
         report["kato_ratios"] = ratios
-    spectrum = forward_transform(g)
     report["spectra"] = {
         "g": {
-            "xi": np.abs(spectrum.frequencies).tolist(),
-            "magnitude": np.abs(spectrum.coefficients).tolist(),
+            "xi": np.abs(g.grid.frequencies).tolist(),
+            "magnitude": np.abs(x_spectrum(g.values, g.grid)).tolist(),
         }
     }
     report["checks"] = checks
@@ -462,10 +454,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
         late = result.trace.factors[1:] or [0.0]
         checks["contraction"] = _summary_entry(max(late), scenario.checks["contraction"])
     if "oracle_match" in scenario.checks:
-        t_sel = np.where(
-            (scenario.tgrid.nodes >= -1e-14) & (scenario.tgrid.nodes <= cfg.T + 1e-14)
-        )[0]
-        x_sel = np.where(scenario.xgrid.nodes >= -1e-14)[0]
+        x_sel, t_sel = _halfline_box(scenario.xgrid, scenario.tgrid, cfg.T)
         i0 = scenario.tgrid.index_of(0.0)
         oracle_cols = (t_sel - i0) * stride
         diff = result.u.values[np.ix_(x_sel, t_sel)] - oracle.values[np.ix_(x_sel, oracle_cols)]

@@ -1,4 +1,4 @@
-"""Discrete Fourier transforms and fractional Sobolev norms.
+"""Discrete Fourier transforms and the fractional Sobolev norm.
 
 Conventions (fixed repo-wide):
   forward:  f_hat(xi) = (2*pi)^(-1/2) * integral f(x) exp(-i*xi*x) dx
@@ -12,27 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import (
-    GridFunction,
-    SpaceTimeField,
-    SpectrumFunction,
-    TimeSeries,
-    UniformGrid,
-)
+from .grids import GridFunction, SpaceTimeField, UniformGrid
 
 __all__ = [
     "BAND_CAP",
     "x_spectrum",
     "x_values",
-    "forward_transform",
-    "inverse_transform",
     "spectrum_matrix",
     "values_from_spectrum_matrix",
     "field_l2_norm",
     "sobolev_norm",
-    "fractional_time_norm",
-    "band_limited_sobolev_norm",
-    "spectral_derivative",
     "band_mask",
     "nonuniform_transform",
     "random_band_limited",
@@ -62,15 +51,6 @@ def x_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
 
 
-def forward_transform(f: GridFunction) -> SpectrumFunction:
-    """Discrete surrogate of the continuum forward transform."""
-    return SpectrumFunction(f.grid, x_spectrum(f.values, f.grid))
-
-
-def inverse_transform(spec: SpectrumFunction, cls=GridFunction) -> GridFunction:
-    return cls(spec.grid, x_values(spec.coefficients, spec.grid))
-
-
 def spectrum_matrix(u: SpaceTimeField) -> np.ndarray:
     """2-D spectrum u_hat(xi, tau), shape (count_x, count_t), FFT order."""
     xg, tg = u.xgrid, u.tgrid
@@ -96,48 +76,27 @@ def field_l2_norm(u: SpaceTimeField) -> float:
     )
 
 
-def _weighted_spectrum_norm(spec: SpectrumFunction, s: float) -> float:
-    w = (1.0 + np.abs(spec.frequencies)) ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(spec.coefficients) ** 2) * spec.grid.freq_step))
+def sobolev_norm(f: GridFunction, s: float, band: float | None = None) -> float:
+    """H^s norm with weight (1+|xi|)^(2s) on the discrete spectrum.
 
-
-def sobolev_norm(f: GridFunction, s: float) -> float:
-    """H^s norm with weight (1+|xi|)^(2s) on the discrete spectrum."""
+    `f` is a GridFunction or a TimeSeries, so the frequencies are those of
+    x or of t.  With `band`, only the modes |xi| <= band are summed (for
+    band-extension studies).
+    """
     if s < 0:
         raise ValueError(f"sobolev_norm requires s >= 0, got {s}")
-    return _weighted_spectrum_norm(forward_transform(f), s)
-
-
-def fractional_time_norm(h: TimeSeries, r: float) -> float:
-    """Same contract as sobolev_norm, with t-frequencies."""
-    if r < 0:
-        raise ValueError(f"fractional_time_norm requires r >= 0, got {r}")
-    return _weighted_spectrum_norm(forward_transform(h), r)
-
-
-def band_limited_sobolev_norm(f: GridFunction, s: float, band: float) -> float:
-    """H^s norm restricted to modes |xi| <= band (for band-extension studies)."""
-    if s < 0:
-        raise ValueError(f"band_limited_sobolev_norm requires s >= 0, got {s}")
-    spec = forward_transform(f)
-    keep = np.abs(spec.frequencies) <= band
-    w = (1.0 + np.abs(spec.frequencies[keep])) ** (2.0 * s)
-    return float(
-        np.sqrt(np.sum(w * np.abs(spec.coefficients[keep]) ** 2) * spec.grid.freq_step)
-    )
+    freqs = f.grid.frequencies
+    coeffs = x_spectrum(f.values, f.grid)
+    if band is not None:
+        keep = np.abs(freqs) <= band
+        freqs, coeffs = freqs[keep], coeffs[keep]
+    w = (1.0 + np.abs(freqs)) ** (2.0 * s)
+    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2) * f.grid.freq_step))
 
 
 def band_mask(grid: UniformGrid) -> np.ndarray:
     """Boolean mask keeping modes with |xi| <= BAND_CAP * nyquist."""
     return np.abs(grid.frequencies) <= BAND_CAP * grid.nyquist
-
-
-def spectral_derivative(f: GridFunction, order: int) -> GridFunction:
-    """(i*xi)^order multiplier with modes above the band cap zeroed."""
-    spec = forward_transform(f)
-    mult = (1j * spec.frequencies) ** order
-    mult = np.where(band_mask(f.grid), mult, 0.0)
-    return inverse_transform(SpectrumFunction(f.grid, spec.coefficients * mult), type(f))
 
 
 def nonuniform_transform(f: GridFunction, freqs, support_tol: float = 0.0) -> np.ndarray:
@@ -177,6 +136,9 @@ def random_band_limited(
 ) -> GridFunction:
     """Random smooth function with spectrum supported in |xi| <= band.
 
+    A deliberate seeded test-data generator: the package itself never calls
+    it; the tests and ad-hoc studies draw their band-limited data from it.
+
     Coefficients are complex Gaussian with an exp(-decay*(xi/band)^2)
     envelope; the result is normalized to the requested L-infinity amplitude.
 
@@ -192,8 +154,8 @@ def random_band_limited(
         for idx, kk in signed:
             raw = complex(rng.standard_normal(), rng.standard_normal())
             coeffs[idx] = raw * np.exp(-decay * (kk * freq_step / band) ** 2)
-    f = inverse_transform(SpectrumFunction(grid, coeffs))
-    peak = np.max(np.abs(f.values))
+    values = x_values(coeffs, grid)
+    peak = np.max(np.abs(values))
     if peak == 0.0:
         return GridFunction(grid, np.zeros(grid.count, dtype=np.complex128))
-    return GridFunction(grid, f.values * (amplitude / peak))
+    return GridFunction(grid, values * (amplitude / peak))

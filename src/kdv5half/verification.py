@@ -21,12 +21,11 @@ from .boundary import AccuracyError, PreconditionError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import BAND_CAP, band_limited_sobolev_norm, forward_transform, x_spectrum, x_values
+from .spectral import BAND_CAP, sobolev_norm, x_spectrum, x_values
 
 __all__ = [
     "HarnessError",
     "whole_line_oracle",
-    "oracle_self_errors",
     "manufactured_data",
     "pde_residual",
     "SeparableTestFunction",
@@ -42,6 +41,14 @@ __all__ = [
 
 class HarnessError(RuntimeError):
     """A verification fixture violated its own stated constraints."""
+
+
+def _halfline_box(xgrid: UniformGrid, tgrid: UniformGrid, T: float) -> tuple:
+    """Node indices (x_sel, t_sel) of the box x >= 0, 0 <= t <= T, to rounding."""
+    tnodes = tgrid.nodes
+    x_sel = np.where(xgrid.nodes >= -1e-14)[0]
+    t_sel = np.where((tnodes >= -1e-14) & (tnodes <= T + 1e-14))[0]
+    return x_sel, t_sel
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +124,6 @@ def whole_line_oracle(
             )
     tgrid = UniformGrid(origin=0.0, step=T / steps, count=steps + 1)
     return SpaceTimeField(g_l.grid, tgrid, vals)
-
-
-def oracle_self_errors(g_l: GridFunction, T: float, steps: int) -> tuple:
-    """(coarse-vs-mid, mid-vs-fine) final-slice L^2 errors for step counts
-    (steps, 2*steps, 4*steps); their ratio estimates the convergence order."""
-    runs = [_split_step_trajectory(g_l, T, k * steps, final_only=True) for k in (1, 2, 4)]
-    dx = g_l.grid.step
-    e1 = float(np.sqrt(np.sum(np.abs(runs[0] - runs[1]) ** 2) * dx))
-    e2 = float(np.sqrt(np.sum(np.abs(runs[1] - runs[2]) ** 2) * dx))
-    return e1, e2
 
 
 def manufactured_data(
@@ -337,10 +334,8 @@ def weak_form_residual(
     if not family:
         raise HarnessError("empty test-function family")
     u.tgrid.index_of(T)  # T must be a grid node
-    xnodes, tnodes = u.xgrid.nodes, u.tgrid.nodes
-    x_sel = np.where(xnodes >= -1e-14)[0]
-    t_sel = np.where((tnodes >= -1e-14) & (tnodes <= T + 1e-14))[0]
-    xs, ts = xnodes[x_sel], tnodes[t_sel]
+    x_sel, t_sel = _halfline_box(u.xgrid, u.tgrid, T)
+    xs, ts = u.xgrid.nodes[x_sel], u.tgrid.nodes[t_sel]
     U = u.values[np.ix_(x_sel, t_sel)]
     g_vals = np.asarray(g.values)[x_sel]
     h_vals = [np.asarray(h.values)[t_sel] for h in (h1, h2, h3)]
@@ -403,9 +398,7 @@ def extension_independence(
             result = picard_solve(data, run_cfg)
             solutions.append(result.u)
             labels.append(f"{method}/collar={collar:g}")
-    xnodes, tnodes = cfg.xgrid.nodes, cfg.tgrid.nodes
-    x_sel = np.where(xnodes >= -1e-14)[0]
-    t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
+    x_sel, t_sel = _halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
     measure = cfg.xgrid.step * cfg.tgrid.step
     worst = 0.0
     for i in range(len(solutions)):
@@ -430,8 +423,7 @@ def _log_slope(freqs: np.ndarray, mags: np.ndarray, band: tuple) -> float:
 
 def spectral_tail_slope(f: GridFunction, band: tuple) -> float:
     """Least-squares slope of log|f_hat| against log<xi> over the band."""
-    spec = forward_transform(f)
-    return _log_slope(spec.frequencies, np.abs(spec.coefficients), band)
+    return _log_slope(f.grid.frequencies, np.abs(x_spectrum(f.values, f.grid)), band)
 
 
 def field_tail_slope(u: SpaceTimeField, band: tuple, t_indices) -> float:
@@ -462,17 +454,18 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
     are flagged but still measured.
     """
     tnodes = cfg.tgrid.nodes
-    t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
+    _, t_sel = _halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
     samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
     cap = BAND_CAP * cfg.xgrid.nyquist
     band = (2.0, 0.9 * cap)
     band_factors = (1.0, 2.0)
     base_band = band[1] / max(band_factors)
-    slope_g = spectral_tail_slope(result.workspace.data.g_l, band)
+    g_l = result.workspace.data.g_l
+    slope_g = spectral_tail_slope(g_l, band)
     slope_nl = field_tail_slope(result.nonlinear, band, samples)
     # W(t) g_l on the sample times only, (X, len(samples)); eta = 1 on every
     # sample column, so the free evolution needs no cutoff.
-    ghat = forward_transform(result.workspace.data.g_l).coefficients
+    ghat = x_spectrum(g_l.values, g_l.grid)
     phases = np.exp(-1j * np.outer(tnodes[samples], result.workspace.plan.xi5)).T
     free_part = x_values(phases * ghat[:, None], cfg.xgrid)
     nonlinear_part = result.nonlinear.values[:, samples]
@@ -498,7 +491,7 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
                 for column in part.T:
                     slice_fn = GridFunction(cfg.xgrid, column)
                     worst = max(
-                        worst, band_limited_sobolev_norm(slice_fn, target, factor * base_band)
+                        worst, sobolev_norm(slice_fn, target, band=factor * base_band)
                     )
                 norms.append(worst)
             growth[label] = norms[-1] / norms[0] - 1.0 if norms[0] > 0 else 0.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kdv5half.bourgain import (
     NormIndices,
@@ -84,6 +86,24 @@ class TestAdmissibility:
         assert any("2/5 <= b < 1/2" in m and "b=0.38" in m for m in msgs)
         msgs = NormIndices(0.3, 0.46).auxiliary_violations()
         assert any("1/2 < s < 11/4" in m and "s=0.3" in m for m in msgs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.sampled_from([0.0, 0.5, 1.0, 2.6, 2.75]) | st.floats(0.0, 3.0),
+        b=st.sampled_from([0.4, 0.42, 0.45, 0.47, 0.48, 0.5]) | st.floats(0.35, 0.55),
+        a=st.sampled_from([0.0, 0.2, 0.5, 1.8]) | st.floats(0.0, 3.0),
+    )
+    @example(s=0.0, b=0.4, a=0.0)
+    @example(s=1.0, b=0.45, a=0.5)
+    @example(s=2.6, b=0.47, a=0.0)
+    @example(s=2.6, b=0.48, a=0.1)
+    def test_flags_are_exactly_the_stated_windows(self, s, b, a):
+        idx = NormIndices(s, b, a=a)
+        assert idx.gain_admissible == (2 / 5 <= b < 1 / 2 and a <= 10 * b - 4)
+        assert idx.auxiliary_admissible == (
+            1 / 2 < s < 11 / 4 and a < 11 / 4 - s and max((s + a) / 5 - 1 / 20, 2 / 5) < b < 1 / 2
+        )
+        assert idx.contraction_admissible == (max(s / 5 - 1 / 20, 2 / 5) < b < 1 / 2)
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError, match="s must be >= 0"):

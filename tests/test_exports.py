@@ -1,7 +1,10 @@
-"""Every name a module exports resolves, so `from kdv5half.<module> import *` works."""
+"""Every name a module exports resolves, so `from kdv5half.<module> import *`
+works, and is used somewhere in the program."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,50 @@ import kdv5half
 
 MODULES = ["kdv5half"] + [f"kdv5half.{m.name}" for m in pkgutil.iter_modules(kdv5half.__path__)]
 
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_FILES = sorted(
+    p for p in (ROOT / "src" / "kdv5half").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# Deliberate public helpers that the program itself never calls.
+UNUSED_EXPORTS_ALLOWED = {"random_band_limited"}  # seeded test-data generator
+
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def _exports_and_loads(path: Path) -> tuple:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exported: list = []
+    loaded: set = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [ast.literal_eval(elt) for elt in node.value.elts]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return exported, loaded
+
+
+def test_no_export_only_for_the_tests():
+    """No public helper exists only for the tests: every name in a module's
+    `__all__` is loaded somewhere in `src/kdv5half` or `perfbench`."""
+    exports, loaded = {}, set()
+    for path in PROGRAM_FILES:
+        names, used = _exports_and_loads(path)
+        exports[path.stem] = names
+        loaded |= used
+    unused = sorted(
+        f"{module}.{name}"
+        for module, names in exports.items()
+        for name in names
+        if name not in loaded and name not in UNUSED_EXPORTS_ALLOWED
+    )
+    assert unused == []

@@ -9,7 +9,6 @@ import pytest
 from kdv5half.grids import (
     GridFunction,
     SpaceTimeField,
-    TimeSeries,
     UniformGrid,
     canonical_json,
     field_to_csv,
@@ -60,17 +59,6 @@ class TestGridFunction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(small_grid(), np.ones(7, dtype=complex))
-
-
-class TestSpaceTimeField:
-    def test_slices(self):
-        xg, tg = small_grid(), UniformGrid(origin=0.0, step=0.5, count=4)
-        vals = np.arange(32, dtype=complex).reshape(8, 4)
-        u = SpaceTimeField(xg, tg, vals)
-        assert isinstance(u.time_slice(1), GridFunction)
-        assert np.allclose(u.time_slice(1).values, vals[:, 1])
-        assert isinstance(u.space_slice(2), TimeSeries)
-        assert np.allclose(u.space_slice(2).values, vals[2, :])
 
 
 class TestCanonicalJson:
