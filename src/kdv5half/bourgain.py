@@ -33,18 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormIndices:
-    """Index bundle (s, b, alpha, a) with admissibility flags.
+    """Index bundle (s, b, a) with the windows of the two bilinear estimates.
 
-    `gain_admissible` is the window of the derivative-gain bilinear estimate
-    (numerator measured in X^{s+a, -b}); `auxiliary_admissible` is the window
-    of the companion estimate used at higher regularity (numerator in
-    X^{1/2, (2(s+a)-1-10b)/10}); `contraction_admissible` is the b-window of
-    the fixed-point argument.
+    `gain_violations` lists the breaches of the derivative-gain window
+    (numerator measured in X^{s+a, -b}); `auxiliary_violations` those of the
+    companion estimate used at higher regularity (numerator in
+    X^{1/2, (2(s+a)-1-10b)/10}).  An empty list means admissible.  The
+    contraction window of the fixed-point argument is `SolverConfig`'s.
     """
 
     s: float
     b: float
-    alpha: float = 0.0
     a: float = 0.0
 
     def __post_init__(self):
@@ -53,22 +52,8 @@ class NormIndices:
         if self.a < 0:
             raise ValueError(f"gain index a must be >= 0, got {self.a}")
 
-    @property
-    def gain_admissible(self) -> bool:
-        return not self.gain_violations()
-
-    @property
-    def auxiliary_admissible(self) -> bool:
-        return not self.auxiliary_violations()
-
-    @property
-    def contraction_admissible(self) -> bool:
-        return max(self.s / 5.0 - 0.05, 0.4) < self.b < 0.5
-
     def gain_violations(self) -> list:
         v = []
-        if self.s < 0:
-            v.append(f"s >= 0 (got s={self.s})")
         if not (0.4 <= self.b < 0.5):
             v.append(f"2/5 <= b < 1/2 (got b={self.b})")
         if not (0.0 <= self.a <= 10.0 * self.b - 4.0):

@@ -12,12 +12,12 @@ total trace reproduces the prescribed h_j on the working window.
 Everything is assembled on fixed grids with one shared boundary potential
 per solve: BoundaryPotential.from_data builds its quadrature nodes,
 e^{i beta t} table and x-block tables from the first nonzero data and only
-the data change afterwards.  L is built once, at the first application,
-and every iterate is L + N(u) as summed, so the linear/nonlinear split of
-the result is exact by construction.  The problem data g_l and h_j must be
-real (PreconditionError otherwise), and the potential, which takes real
-data only, is handed the real parts of the corrected series: the imaginary
-parts of q_j and r_j are complex-FFT rounding.
+the data change afterwards.  L is built once, with the workspace, and every
+iterate is L + N(u) as summed, so the linear/nonlinear split of the result
+is exact by construction.  The problem data g_l and h_j must be real
+(PreconditionError otherwise), so the traces q_j, r_j and the corrected
+data are kept as real (3, T) arrays: the imaginary parts of the spectral
+traces are complex-FFT rounding.
 """
 
 from __future__ import annotations
@@ -30,19 +30,13 @@ from .boundary import BoundaryPotential, PreconditionError
 from .bourgain import xsba_norm
 from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .propagator import (
-    PropagatorPlan,
-    duhamel_trajectory,
-    free_field,
-    trace_at_origin,
-)
+from .propagator import PropagatorPlan, duhamel_trajectory, free_field, trace_at_origin
 from .spectral import band_mask, x_spectrum, x_values
 
 __all__ = [
     "SolverConfig",
     "SolverData",
     "IterationTrace",
-    "TraceDecomposition",
     "NonContractionError",
     "nonlinearity_FT",
     "GammaWorkspace",
@@ -142,20 +136,6 @@ class IterationTrace:
         }
 
 
-@dataclass(frozen=True)
-class TraceDecomposition:
-    """x = 0 traces: q from the free term, r from the Duhamel term, p = q + r."""
-
-    q: tuple
-    r: tuple
-    p: tuple
-
-    @classmethod
-    def from_parts(cls, q, r) -> "TraceDecomposition":
-        p = tuple(TimeSeries(qj.grid, qj.values + rj.values) for qj, rj in zip(q, r))
-        return cls(q=tuple(q), r=tuple(r), p=p)
-
-
 def nonlinearity_FT(u: SpaceTimeField, T: float) -> SpaceTimeField:
     """F_T(u) = eta(t/2T) * (-1/2) d_x(u^2), with band caps around the square.
 
@@ -178,13 +158,13 @@ def nonlinearity_FT(u: SpaceTimeField, T: float) -> SpaceTimeField:
 class GammaWorkspace:
     """Gamma_T as the affine map Gamma_T(u) = L + N(u) on fixed data.
 
-    L = eta W(t) g_l + eta Pot[w (h - q)] is built at the first application;
-    every application adds N(u) = eta Duhamel[F_T(u)] - eta Pot[w r(u)],
-    where w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the
-    Duhamel term.  One BoundaryPotential (quadrature nodes plus its
-    data-independent time and space tables) is shared by all of them, since
-    the potential is linear in its data.  g_l and every h_j must be real;
-    the potential gets Re of each corrected series.
+    L = eta W(t) g_l + eta Pot[w (h - q)] is built here, once; every
+    application adds N(u) = eta Duhamel[F_T(u)] - eta Pot[w r(u)], where
+    w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the Duhamel
+    term, read off its x-spectrum.  One BoundaryPotential (quadrature nodes
+    plus its data-independent time and space tables) is shared by all of
+    them, since the potential is linear in its data.  g_l and every h_j must
+    be real; h, q and r are held as real (3, T) arrays.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -204,48 +184,40 @@ class GammaWorkspace:
         self.data_window = eta(tnodes / (2.0 * cfg.T)) * (tnodes > 0)
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
-        self.q = trace_at_origin(data.g_l, cfg.tgrid, self.plan)
-        self.linear: SpaceTimeField | None = None
         self._pot: BoundaryPotential | None = None
         self.diagnostics: dict = {"applications": 0}
+        self.h = np.array([h.values.real for h in data.boundary_series])
+        self.q = trace_at_origin(data.g_l, cfg.tgrid, self.plan).real
+        values = free_field(data.g_l, cfg.tgrid, self.plan).values * self.eta_t[None, :]
+        self._add_potential(values, self.data_window * (self.h - self.q))
+        self.linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+        # q and the free term were the last readers of the (T, X) table.
+        self.plan.release_free_phases()
 
-    # -- corrected boundary data -------------------------------------------------
-    def corrected_series(self, r_traces) -> tuple:
-        """eta(t/2T) * chi_{t>0} * (h_j - q_j - r_j) for j = 0, 1, 2."""
-        out = []
-        for h, qj, rj in zip(self.data.boundary_series, self.q, r_traces):
-            out.append(
-                TimeSeries(self.cfg.tgrid, self.data_window * (h.values - qj.values - rj.values))
-            )
-        return tuple(out)
-
-    def zero_extension_flags(self, series) -> list:
-        """Near-origin magnitudes of the corrected data, with the per-channel
-        requirement: channel j must vanish at t = 0+ when s > 1/2 + j."""
-        flags = []
-        for j, d in enumerate(series):
-            scale = float(np.max(np.abs(d.values)))
-            near = float(abs(d.values[self.cfg.tgrid.index_of(0.0) + 1]))
-            required = self.cfg.s > 0.5 + j
-            ok = (not required) or (scale == 0.0) or (near <= 0.05 * scale + 1e-12)
-            flags.append(
-                {"channel": j + 1, "required": required, "near_origin": near, "ok": bool(ok)}
-            )
-        return flags
+    def zero_extension_flags(self, r: np.ndarray) -> list:
+        """Near-origin magnitudes of the corrected data w (h - q - r), with the
+        per-channel requirement: channel j must vanish at t = 0+ when
+        s > 1/2 + j."""
+        k = self.cfg.tgrid.index_of(0.0) + 1
+        near = np.abs(self.data_window[k] * (self.h - self.q - r)[:, k])
+        return [
+            {"channel": j + 1, "required": self.cfg.s > 0.5 + j, "near_origin": float(near[j])}
+            for j in range(3)
+        ]
 
     # -- boundary potential ------------------------------------------------------
-    def _add_potential(self, values: np.ndarray, series) -> None:
+    def _add_potential(self, values: np.ndarray, series: np.ndarray) -> None:
         """values += eta(t) * BoundaryPotential[series] on the shared potential.
 
-        The first nonzero series builds the potential (truncation radius,
-        quadrature and tables; a spectrum clamped at the band cap is reported,
-        not raised); later calls only update the data.  All-zero series add
-        nothing.  The series enter by their real parts.
+        `series` is the real (3, T) corrected data.  The first nonzero series
+        builds the potential (truncation radius, quadrature and tables; a
+        spectrum clamped at the band cap is reported, not raised); later
+        calls only update the data.  All-zero series add nothing.
         """
         cfg = self.cfg
-        series = tuple(TimeSeries(cfg.tgrid, d.values.real) for d in series)
-        if not any(np.any(d.values) for d in series):
+        if not np.any(series):
             return
+        series = tuple(TimeSeries(cfg.tgrid, d) for d in series)
         if self._pot is None:
             self._pot = BoundaryPotential.from_data(
                 *series,
@@ -268,31 +240,23 @@ class GammaWorkspace:
 
     # -- one application of Gamma_T ---------------------------------------------
     def apply(self, u: SpaceTimeField) -> tuple:
-        """Returns (Gamma_T(u), N(u), r(u)); Gamma_T(u) = L + N(u) bitwise."""
+        """Returns (Gamma_T(u), N(u), r(u)) with r(u) real, shape (3, T);
+        Gamma_T(u) = L + N(u) bitwise."""
         cfg = self.cfg
         if u.xgrid != cfg.xgrid or u.tgrid != cfg.tgrid:
             raise ValueError("iterate must live on the solver grids")
         forcing = nonlinearity_FT(u, cfg.T)
-        if self.linear is None:
-            values = free_field(self.data.g_l, cfg.tgrid, self.plan).values * self.eta_t[None, :]
-            series = tuple(
-                TimeSeries(cfg.tgrid, self.data_window * (h.values - qj.values))
-                for h, qj in zip(self.data.boundary_series, self.q)
-            )
-            self._add_potential(values, series)
-            self.linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
-            # q and the free term were the last readers of the (T, X) table.
-            self.plan.release_free_phases()
         if np.any(forcing.values):
-            duh = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
-            r = trace_at_origin(duh, cfg.tgrid, self.plan)
-            values = duh.values * self.eta_t[None, :]
-            self._add_potential(
-                values, tuple(TimeSeries(cfg.tgrid, -self.data_window * rj.values) for rj in r)
-            )
+            spec = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
+            r = trace_at_origin(spec, cfg.tgrid, self.plan).real
+            values = x_values(spec, cfg.xgrid)
+            # The spectrum is not read again; free it before the potential's tables.
+            del spec
+            values *= self.eta_t[None, :]
+            self._add_potential(values, -self.data_window * r)
         else:
             values = np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
-            r = tuple(TimeSeries(cfg.tgrid, np.zeros(cfg.tgrid.count)) for _ in range(3))
+            r = np.zeros((3, cfg.tgrid.count))
         nonlinear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
         total = SpaceTimeField(cfg.xgrid, cfg.tgrid, self.linear.values + nonlinear.values)
         self.diagnostics["applications"] += 1
@@ -303,7 +267,7 @@ class GammaWorkspace:
 class SolveResult:
     u: SpaceTimeField
     trace: IterationTrace
-    decomposition: TraceDecomposition
+    traces: np.ndarray  # real (3, T): x = 0 traces p = q + r of the free and Duhamel terms
     nonlinear: SpaceTimeField
     linear: SpaceTimeField
     diagnostics: dict
@@ -357,12 +321,12 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
         cfg.alpha,
     )
     diagnostics = dict(ws.diagnostics)
-    diagnostics["zero_extension_flags"] = ws.zero_extension_flags(ws.corrected_series(r))
+    diagnostics["zero_extension_flags"] = ws.zero_extension_flags(r)
     diagnostics["T"] = cfg.T
     return SolveResult(
         u=u,
         trace=trace,
-        decomposition=TraceDecomposition.from_parts(ws.q, r),
+        traces=ws.q + r,
         nonlinear=nonlinear,
         linear=ws.linear,
         diagnostics=diagnostics,

@@ -5,12 +5,13 @@ explicit time-stepping of the multiplier hopeless, every time integral is done
 mode-wise on the integrand exp(-i*(t-t')*xi^5) * F_hat(xi,t') with the phase
 evaluated analytically; only the smooth F_hat is interpolated (cubic spline)
 and integrated (4-node Gauss-Legendre, one panel per time step).
-`duhamel_trajectory` gives the integral at every time node in one sweep per
-time direction.  It integrates the real part of its forcing, as the real
-problem requires: it fits and sweeps only the band-capped xi >= 0 modes and
-fills xi < 0 by conjugation, and on the uniform time grid every panel's
-Gauss sum is the spline's power coefficients times one fixed (4, K) phase
-table per direction.
+`duhamel_trajectory` gives the x-spectrum of the integral at every time node
+in one sweep per time direction.  It integrates the real part of its forcing,
+as the real problem requires: it fits and sweeps only the band-capped
+xi >= 0 modes and fills xi < 0 by conjugation, and on the uniform time grid
+every panel's Gauss sum is the spline's power coefficients times one fixed
+(4, K) phase table per direction.  `trace_at_origin` reads the x = 0 traces
+off that spectrum, or off a datum's free evolution.
 """
 
 from __future__ import annotations
@@ -131,16 +132,17 @@ def duhamel_trajectory(
     F: SpaceTimeField,
     plan: PropagatorPlan | None = None,
     t_window: tuple | None = None,
-) -> SpaceTimeField:
-    """integral_0^t W(t-t') Re F(t') dt' at every time node, mode-wise.
+) -> np.ndarray:
+    """x-spectrum of integral_0^t W(t-t') Re F(t') dt' at every time node,
+    shape (X, T), computed mode-wise; `x_values` turns it into the field.
 
     Only Re F enters (the forcing of the real problem; an imaginary part is
     rounding), so only the band-capped modes xi >= 0 are fitted and swept,
-    xi < 0 is filled by conjugation, and the result is real to rounding.
-    Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
-    t = 0.  `t_window` restricts the computed range (values outside are
-    zero), which callers use when a time cutoff will kill those samples
-    anyway.
+    xi < 0 is filled by conjugation, and the field is real to rounding.
+    Modes beyond the band cap are zero.  Panel n spans [t_n, t_{n+1}] and is
+    summed towards its end farther from t = 0.  `t_window` restricts the
+    computed range (columns outside are zero), which callers use when a time
+    cutoff will kill those samples anyway.
     """
     plan = plan or PropagatorPlan(F.xgrid)
     tg = F.tgrid
@@ -171,35 +173,40 @@ def duhamel_trajectory(
     spec = np.zeros((F.xgrid.count, tg.count), dtype=np.complex128)
     spec[pos] = rows.T
     spec[F.xgrid.count - pos[mirrored]] = np.conj(rows[:, mirrored].T)
-    return SpaceTimeField(F.xgrid, tg, x_values(spec, F.xgrid))
+    return spec
 
 
 def trace_at_origin(
     source,
     tgrid: UniformGrid,
     plan: PropagatorPlan | None = None,
-) -> tuple:
+) -> np.ndarray:
     """eta(t) * d^j/dx^j [field](0, t) for j = 0, 1, 2 by exact spectral
-    summation at x = 0, as three TimeSeries.
+    summation at x = 0, shape (3, T).
 
-    `source` is either a GridFunction (traced along its free evolution) or a
-    SpaceTimeField on `tgrid` (traced as-is).  The derivative multipliers
-    (i*xi)^j are applied with the band cap, all three orders in one product.
+    `source` is either a GridFunction (traced along its free evolution) or
+    the (X, T) x-spectrum of a field on `plan`'s space grid and on `tgrid`,
+    as `duhamel_trajectory` returns it (traced as-is).  The derivative
+    multipliers (i*xi)^j are applied with the band cap, all three orders in
+    one product.
     """
-    if isinstance(source, SpaceTimeField):
-        if source.tgrid != tgrid:
-            raise ValueError("source field lives on a different time grid")
-        plan = plan or PropagatorPlan(source.xgrid)
-        sums = plan.trace_multipliers @ x_spectrum(source.values, source.xgrid)
-    elif isinstance(source, GridFunction):
+    if isinstance(source, GridFunction):
         plan = plan or PropagatorPlan(source.grid)
         ghat = x_spectrum(source.values, source.grid)
         sums = (plan.free_phases(tgrid) @ (plan.trace_multipliers * ghat).T).T
+    elif isinstance(source, np.ndarray):
+        if plan is None:
+            raise ValueError("a spectrum source needs the plan of its space grid")
+        if source.shape != (plan.xgrid.count, tgrid.count):
+            raise ValueError(
+                f"source spectrum of shape {source.shape} does not match the space "
+                f"and time grids ({plan.xgrid.count}, {tgrid.count})"
+            )
+        sums = plan.trace_multipliers @ source
     else:
         raise TypeError(f"unsupported trace source: {type(source)}")
     scale = plan.xgrid.freq_step / np.sqrt(2.0 * np.pi)
-    vals = eta(tgrid.nodes) * scale * sums
-    return tuple(TimeSeries(tgrid, v) for v in vals)
+    return eta(tgrid.nodes) * scale * sums
 
 
 def kato_smoothing_ratio(
@@ -216,5 +223,6 @@ def kato_smoothing_ratio(
         raise ValueError("smoothing ratio undefined for zero datum")
     traces = trace_at_origin(g, tgrid, plan)
     return tuple(
-        sobolev_norm(trace, (s + 2.0 - j) / 5.0) / denom for j, trace in enumerate(traces)
+        sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
+        for j, trace in enumerate(traces)
     )

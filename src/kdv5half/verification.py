@@ -504,7 +504,6 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
                 "tail_slope_nonlinear": slope_nl,
                 "tail_slope_reference": slope_g,
                 "slope_gain": float(slope_g - slope_nl),
-                "meets_slope_gain": bool(slope_g - slope_nl >= 0.8 * a),
                 "band_caps": [float(f * base_band) for f in band_factors],
                 "band_norms_linear": band_norms["linear"],
                 "band_norms_nonlinear": band_norms["nonlinear"],

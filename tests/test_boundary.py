@@ -91,6 +91,29 @@ class TestCoefficientSolve:
         assert abs((c * r).sum() - (-0.25)) < 1e-12
         assert abs((c * r * r).sum() - 0.75j) < 1e-12
 
+    # Componentwise backward error of the Cramer solve, in units of the
+    # float64 epsilon: 200,000 draws over |beta| in [1e-8, 1e8] and rhs
+    # scales 1e-6..1e6 gave at most 1.74, so 16 leaves a margin of 9.
+    CRAMER_BACKWARD_ERROR = 16 * np.finfo(float).eps
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_beta=st.floats(-8.0, 8.0),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_cramer_residual_over_beta_decades(self, log_beta, negative, seed, log_scale):
+        beta = -(10.0**log_beta) if negative else 10.0**log_beta
+        roots = stable_root_array(np.array([beta]))[0]
+        rng = np.random.default_rng(seed)
+        rhs = 10.0**log_scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        c = solve_coefficients_batch(roots, rhs)
+        powers = roots[None, :] ** np.arange(3)[:, None]  # row k holds r_m^k
+        residual = np.abs(powers @ c - rhs)
+        scale = np.abs(powers) @ np.abs(c) + np.abs(rhs)
+        assert np.all(residual <= self.CRAMER_BACKWARD_ERROR * scale)
+
 
 class TestQuadratureNodes:
     def test_edges_cover_interval(self):

@@ -61,25 +61,18 @@ class TestNorms:
 
 class TestAdmissibility:
     def test_gain_window(self):
-        assert NormIndices(0.0, 0.45).gain_admissible
-        assert NormIndices(1.0, 0.45, a=0.5).gain_admissible
-        assert not NormIndices(0.0, 0.38).gain_admissible
-        assert not NormIndices(0.0, 0.5).gain_admissible  # b must stay below 1/2
-        assert not NormIndices(0.0, 0.45, a=0.6).gain_admissible  # a > 10b-4
+        assert not NormIndices(0.0, 0.45).gain_violations()
+        assert not NormIndices(1.0, 0.45, a=0.5).gain_violations()
+        assert NormIndices(0.0, 0.38).gain_violations()
+        assert NormIndices(0.0, 0.5).gain_violations()  # b must stay below 1/2
+        assert NormIndices(0.0, 0.45, a=0.6).gain_violations()  # a > 10b-4
 
     def test_auxiliary_window(self):
-        assert NormIndices(1.0, 0.46, a=0.2).auxiliary_admissible
-        assert not NormIndices(0.3, 0.46).auxiliary_admissible  # s <= 1/2
-        assert not NormIndices(2.8, 0.46).auxiliary_admissible  # s >= 11/4
-        assert not NormIndices(1.0, 0.46, a=1.8).auxiliary_admissible  # a >= 11/4 - s
-        assert not NormIndices(2.6, 0.46, a=0.1).auxiliary_admissible  # b below (s+a)/5 - 1/20
-
-    def test_contraction_window(self):
-        assert NormIndices(1.0, 0.42).contraction_admissible
-        assert NormIndices(2.6, 0.48).contraction_admissible
-        assert not NormIndices(2.6, 0.47).contraction_admissible  # b = s/5 - 1/20 exactly
-        assert not NormIndices(0.0, 0.39).contraction_admissible
-        assert not NormIndices(0.0, 0.5).contraction_admissible
+        assert not NormIndices(1.0, 0.46, a=0.2).auxiliary_violations()
+        assert NormIndices(0.3, 0.46).auxiliary_violations()  # s <= 1/2
+        assert NormIndices(2.8, 0.46).auxiliary_violations()  # s >= 11/4
+        assert NormIndices(1.0, 0.46, a=1.8).auxiliary_violations()  # a >= 11/4 - s
+        assert NormIndices(2.6, 0.46, a=0.1).auxiliary_violations()  # b below (s+a)/5 - 1/20
 
     def test_violation_messages_name_the_ranges(self):
         msgs = NormIndices(0.0, 0.38).gain_violations()
@@ -99,11 +92,10 @@ class TestAdmissibility:
     @example(s=2.6, b=0.48, a=0.1)
     def test_flags_are_exactly_the_stated_windows(self, s, b, a):
         idx = NormIndices(s, b, a=a)
-        assert idx.gain_admissible == (2 / 5 <= b < 1 / 2 and a <= 10 * b - 4)
-        assert idx.auxiliary_admissible == (
+        assert (not idx.gain_violations()) == (2 / 5 <= b < 1 / 2 and a <= 10 * b - 4)
+        assert (not idx.auxiliary_violations()) == (
             1 / 2 < s < 11 / 4 and a < 11 / 4 - s and max((s + a) / 5 - 1 / 20, 2 / 5) < b < 1 / 2
         )
-        assert idx.contraction_admissible == (max(s / 5 - 1 / 20, 2 / 5) < b < 1 / 2)
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError, match="s must be >= 0"):

@@ -1,5 +1,6 @@
 """Every name a module exports resolves, so `from kdv5half.<module> import *`
-works, and is used somewhere in the program."""
+works, and is used somewhere in the program; so is every public method,
+property and field of a class in `src/kdv5half`."""
 
 import ast
 import importlib
@@ -17,6 +18,8 @@ PROGRAM_FILES = sorted(
     p for p in (ROOT / "src" / "kdv5half").glob("*.py") if p.name != "__init__.py"
 ) + sorted((ROOT / "perfbench").glob("*.py"))
 
+SOURCE_FILES = sorted((ROOT / "src" / "kdv5half").glob("*.py"))
+
 # Deliberate public helpers that the program itself never calls.
 UNUSED_EXPORTS_ALLOWED = {"random_band_limited"}  # seeded test-data generator
 
@@ -28,11 +31,14 @@ def test_all_names_resolve(module_name):
     assert missing == []
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _exports_and_loads(path: Path) -> tuple:
-    tree = ast.parse(path.read_text(), filename=str(path))
     exported: list = []
     loaded: set = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -44,18 +50,52 @@ def _exports_and_loads(path: Path) -> tuple:
     return exported, loaded
 
 
+def _program_loads() -> set:
+    loaded: set = set()
+    for path in PROGRAM_FILES:
+        loaded |= _exports_and_loads(path)[1]
+    return loaded
+
+
+def _public_members(path: Path):
+    """(class, member) for every public method, property and annotated field
+    of a public class defined in `path`."""
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield node.name, name
+
+
 def test_no_export_only_for_the_tests():
     """No public helper exists only for the tests: every name in a module's
     `__all__` is loaded somewhere in `src/kdv5half` or `perfbench`."""
-    exports, loaded = {}, set()
-    for path in PROGRAM_FILES:
-        names, used = _exports_and_loads(path)
-        exports[path.stem] = names
-        loaded |= used
+    exports = {path.stem: _exports_and_loads(path)[0] for path in PROGRAM_FILES}
+    loaded = _program_loads()
     unused = sorted(
         f"{module}.{name}"
         for module, names in exports.items()
         for name in names
+        if name not in loaded and name not in UNUSED_EXPORTS_ALLOWED
+    )
+    assert unused == []
+
+
+def test_no_class_member_only_for_the_tests():
+    """Every public method, property and field of a `src/kdv5half` class is
+    loaded, by name, somewhere in `src/kdv5half` or `perfbench`."""
+    loaded = _program_loads()
+    unused = sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path in SOURCE_FILES
+        for cls, name in _public_members(path)
         if name not in loaded and name not in UNUSED_EXPORTS_ALLOWED
     )
     assert unused == []

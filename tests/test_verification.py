@@ -299,7 +299,6 @@ class TestSmoothingReport:
             "tail_slope_nonlinear",
             "tail_slope_reference",
             "slope_gain",
-            "meets_slope_gain",
             "band_caps",
             "band_norms_linear",
             "band_norms_nonlinear",
