@@ -415,7 +415,7 @@ class BoundaryPotential:
         return self._node_sum(self._time_table(ttargets), kernel).T
 
     def field_on_grid(self, xnodes) -> np.ndarray:
-        """Field on xnodes and every node of the data's time grid, shape
+        """Real field on xnodes and every node of the data's time grid, shape
         (X, T); zero off the rows `t_sel`.
 
         Evaluated by `field_values` in blocks of _X_BLOCK targets.  The block
@@ -427,7 +427,7 @@ class BoundaryPotential:
         xnodes = np.asarray(xnodes, dtype=float)
         if xnodes.tobytes() != self._grid_key:
             self._grid_key, self._blocks = xnodes.tobytes(), {}
-        values = np.zeros((len(xnodes), self.tgrid.count), dtype=np.complex128)
+        values = np.zeros((len(xnodes), self.tgrid.count))
         for start in range(0, len(xnodes), _X_BLOCK):
             xs = xnodes[start : start + _X_BLOCK]
             if xs.tobytes() not in self._blocks:
@@ -460,7 +460,6 @@ def boundary_potential_traces(
     h2: TimeSeries,
     h3: TimeSeries,
     depth: int = 2,
-    t_window: tuple | None = None,
 ) -> tuple:
     """x = 0 traces of orders 0, 1, 2 of the assembled field, as three
     TimeSeries on the data's time grid (zero series for all-zero data).
@@ -470,7 +469,7 @@ def boundary_potential_traces(
     three spectra fall below 1e-8 of their peaks, and data whose spectra do
     not decay inside the band cap raise PreconditionError.
     """
-    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0, t_window=t_window)
+    pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0)
     if pot is None:
         zero = TimeSeries(h1.grid, np.zeros(h1.grid.count, dtype=np.complex128))
         return zero, zero, zero

@@ -14,10 +14,12 @@ per solve: BoundaryPotential.from_data builds its quadrature nodes,
 e^{i beta t} table and x-block tables from the first nonzero data and only
 the data change afterwards.  L is built once, with the workspace, and every
 iterate is L + N(u) as summed, so the linear/nonlinear split of the result
-is exact by construction.  The problem data g_l and h_j must be real
-(PreconditionError otherwise), so the traces q_j, r_j and the corrected
-data are kept as real (3, T) arrays: the imaginary parts of the spectral
-traces are complex-FFT rounding.
+is exact by construction; the loop starts at u_1 = Gamma_T(0) = L, since
+F_T(0) = 0.  The problem data g_l and h_j must be real (PreconditionError
+otherwise), so L, N(u) and every iterate are real (X, T) arrays and the
+traces q_j, r_j and the corrected data real (3, T) arrays: the imaginary
+parts of the complex FFTs are rounding.  The loop passes these arrays
+directly; only the norms and the result wrap them in SpaceTimeFields.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .bourgain import xsba_norm
 from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import PropagatorPlan, duhamel_trajectory, free_field, trace_at_origin
-from .spectral import band_mask, x_spectrum, x_values
+from .spectral import x_spectrum, x_values
 
 __all__ = [
     "SolverConfig",
@@ -136,23 +138,23 @@ class IterationTrace:
         }
 
 
-def nonlinearity_FT(u: SpaceTimeField, T: float) -> SpaceTimeField:
-    """F_T(u) = eta(t/2T) * (-1/2) d_x(u^2), with band caps around the square.
+def nonlinearity_FT(u: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan, T: float) -> np.ndarray:
+    """F_T(u) = eta(t/2T) * (-1/2) d_x(u^2) for the real (X, T) samples u on
+    `plan`'s space grid and on `tgrid`, with band caps around the square.
 
     The band cap is applied to u before squaring and to the derivative
     multiplier after, so the quadratic term cannot fold energy back from
-    beyond the resolved band.
+    beyond the resolved band.  Returns a real (X, T) array.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    xgrid = u.xgrid
-    xi = xgrid.frequencies[:, None]
-    mask = band_mask(xgrid)[:, None]
-    u_capped = x_values(mask * x_spectrum(u.values, xgrid), xgrid)
+    xgrid = plan.xgrid
+    mask = plan.cap_mask[:, None]
+    u_capped = x_values(mask * x_spectrum(u, xgrid), xgrid).real
     sq_spec = x_spectrum(u_capped * u_capped, xgrid)
-    deriv = x_values(mask * (1j * xi) * sq_spec, xgrid)
-    window = eta(u.tgrid.nodes / (2.0 * T))[None, :]
-    return SpaceTimeField(xgrid, u.tgrid, -0.5 * window * deriv)
+    deriv = x_values(mask * (1j * plan.xi[:, None]) * sq_spec, xgrid).real
+    window = eta(tgrid.nodes / (2.0 * T))[None, :]
+    return -0.5 * window * deriv
 
 
 class GammaWorkspace:
@@ -164,7 +166,8 @@ class GammaWorkspace:
     term, read off its x-spectrum.  One BoundaryPotential (quadrature nodes
     plus its data-independent time and space tables) is shared by all of
     them, since the potential is linear in its data.  g_l and every h_j must
-    be real; h, q and r are held as real (3, T) arrays.
+    be real, and so is everything held here: L and every iterate are real
+    (X, T) arrays on the solver grids, and h, q and r real (3, T) arrays.
     """
 
     def __init__(self, data: SolverData, cfg: SolverConfig):
@@ -185,12 +188,13 @@ class GammaWorkspace:
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
         self._pot: BoundaryPotential | None = None
-        self.diagnostics: dict = {"applications": 0}
+        # L = Gamma_T(0), as F_T(0) = 0: building it counts as the first application.
+        self.diagnostics: dict = {"applications": 1}
         self.h = np.array([h.values.real for h in data.boundary_series])
         self.q = trace_at_origin(data.g_l, cfg.tgrid, self.plan).real
-        values = free_field(data.g_l, cfg.tgrid, self.plan).values * self.eta_t[None, :]
-        self._add_potential(values, self.data_window * (self.h - self.q))
-        self.linear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
+        self.linear = free_field(data.g_l, cfg.tgrid, self.plan).values.real * self.eta_t[None, :]
+        self._add_potential(self.linear, self.data_window * (self.h - self.q))
+        self.linear.flags.writeable = False
         # q and the free term were the last readers of the (T, X) table.
         self.plan.release_free_phases()
 
@@ -239,28 +243,22 @@ class GammaWorkspace:
         values += field
 
     # -- one application of Gamma_T ---------------------------------------------
-    def apply(self, u: SpaceTimeField) -> tuple:
-        """Returns (Gamma_T(u), N(u), r(u)) with r(u) real, shape (3, T);
+    def apply(self, u: np.ndarray) -> tuple:
+        """(Gamma_T(u), N(u), r(u)) for a real (X, T) iterate u on the solver
+        grids: real arrays of shapes (X, T), (X, T) and (3, T), with
         Gamma_T(u) = L + N(u) bitwise."""
         cfg = self.cfg
-        if u.xgrid != cfg.xgrid or u.tgrid != cfg.tgrid:
-            raise ValueError("iterate must live on the solver grids")
-        forcing = nonlinearity_FT(u, cfg.T)
-        if np.any(forcing.values):
-            spec = duhamel_trajectory(forcing, self.plan, t_window=self.t_window)
-            r = trace_at_origin(spec, cfg.tgrid, self.plan).real
-            values = x_values(spec, cfg.xgrid)
-            # The spectrum is not read again; free it before the potential's tables.
-            del spec
-            values *= self.eta_t[None, :]
-            self._add_potential(values, -self.data_window * r)
-        else:
-            values = np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
-            r = np.zeros((3, cfg.tgrid.count))
-        nonlinear = SpaceTimeField(cfg.xgrid, cfg.tgrid, values)
-        total = SpaceTimeField(cfg.xgrid, cfg.tgrid, self.linear.values + nonlinear.values)
+        forcing = nonlinearity_FT(u, cfg.tgrid, self.plan, cfg.T)
+        spec = duhamel_trajectory(forcing, cfg.tgrid, self.plan, t_window=self.t_window)
+        r = trace_at_origin(spec, cfg.tgrid, self.plan).real
+        # Copy the real part so the complex field goes at once; the spectrum is
+        # not read again either: free both before the potential's tables.
+        nonlinear = x_values(spec, cfg.xgrid).real.copy()
+        del spec
+        nonlinear *= self.eta_t[None, :]
+        self._add_potential(nonlinear, -self.data_window * r)
         self.diagnostics["applications"] += 1
-        return total, nonlinear, r
+        return self.linear + nonlinear, nonlinear, r
 
 
 @dataclass(frozen=True)
@@ -275,30 +273,27 @@ class SolveResult:
 
 
 def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
-    """Iterate u_{k+1} = Gamma_T(u_k) from u_0 = 0 to the fixed point.
+    """Iterate u_{k+1} = Gamma_T(u_k) from u_1 = Gamma_T(0) = L to the fixed point.
 
     Convergence is declared when the successive difference in the discrete
-    X^{s,b,alpha} norm falls below cfg.fp_tol; the returned residual is
-    measured by one extra application.  Three consecutive non-contracting
-    steps raise NonContractionError with the trace attached (the horizon is
-    too large for the data at this resolution).
+    X^{s,b,alpha} norm falls below cfg.fp_tol (the first difference is
+    u_1 - 0 = L); the returned residual is measured by one extra
+    application.  Three consecutive non-contracting steps raise
+    NonContractionError with the trace attached (the horizon is too large
+    for the data at this resolution).  The loop runs on the workspace's real
+    arrays; the result hands u, L and N out as SpaceTimeFields.
     """
     ws = GammaWorkspace(data, cfg)
-    zero = SpaceTimeField(
-        cfg.xgrid, cfg.tgrid, np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
-    )
+
+    def norm_of(values: np.ndarray) -> float:
+        return xsba_norm(SpaceTimeField(cfg.xgrid, cfg.tgrid, values), cfg.s, cfg.b, cfg.alpha)
+
     trace = IterationTrace()
-    u = zero
-    for _ in range(cfg.max_iter):
-        u_next, nonlinear, r = ws.apply(u)
-        diff = xsba_norm(
-            SpaceTimeField(cfg.xgrid, cfg.tgrid, u_next.values - u.values),
-            cfg.s,
-            cfg.b,
-            cfg.alpha,
-        )
-        trace.record(norm=xsba_norm(u_next, cfg.s, cfg.b, cfg.alpha), diff=diff)
-        u = u_next
+    # N(0) and r(0) vanish, as F_T(0) = 0.
+    u, nonlinear, r = ws.linear, np.zeros_like(ws.linear), np.zeros((3, cfg.tgrid.count))
+    norm = diff = norm_of(u)
+    while True:
+        trace.record(norm=norm, diff=diff)
         if diff < cfg.fp_tol:
             trace.converged = True
             break
@@ -308,27 +303,25 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
                 "the horizon T is too large for this data at this resolution",
                 trace,
             )
-    if not trace.converged:
-        raise NonContractionError(
-            f"no convergence within {cfg.max_iter} iterations (last diff {trace.diffs[-1]:.3e})",
-            trace,
-        )
-    residual_field = ws.apply(u)[0]
-    trace.residual = xsba_norm(
-        SpaceTimeField(cfg.xgrid, cfg.tgrid, residual_field.values - u.values),
-        cfg.s,
-        cfg.b,
-        cfg.alpha,
-    )
+        if trace.iterations == cfg.max_iter:
+            raise NonContractionError(
+                f"no convergence within {cfg.max_iter} iterations (last diff {diff:.3e})",
+                trace,
+            )
+        u_next, nonlinear, r = ws.apply(u)
+        diff = norm_of(u_next - u)
+        norm = norm_of(u_next)
+        u = u_next
+    trace.residual = norm_of(ws.apply(u)[0] - u)
     diagnostics = dict(ws.diagnostics)
     diagnostics["zero_extension_flags"] = ws.zero_extension_flags(r)
     diagnostics["T"] = cfg.T
     return SolveResult(
-        u=u,
+        u=SpaceTimeField(cfg.xgrid, cfg.tgrid, u),
         trace=trace,
         traces=ws.q + r,
-        nonlinear=nonlinear,
-        linear=ws.linear,
+        nonlinear=SpaceTimeField(cfg.xgrid, cfg.tgrid, nonlinear),
+        linear=SpaceTimeField(cfg.xgrid, cfg.tgrid, ws.linear),
         diagnostics=diagnostics,
         workspace=ws,
     )

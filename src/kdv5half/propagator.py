@@ -129,33 +129,33 @@ def _sweep(coef: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.nd
 
 
 def duhamel_trajectory(
-    F: SpaceTimeField,
-    plan: PropagatorPlan | None = None,
+    F: np.ndarray,
+    tgrid: UniformGrid,
+    plan: PropagatorPlan,
     t_window: tuple | None = None,
 ) -> np.ndarray:
     """x-spectrum of integral_0^t W(t-t') Re F(t') dt' at every time node,
     shape (X, T), computed mode-wise; `x_values` turns it into the field.
 
-    Only Re F enters (the forcing of the real problem; an imaginary part is
-    rounding), so only the band-capped modes xi >= 0 are fitted and swept,
-    xi < 0 is filled by conjugation, and the field is real to rounding.
-    Modes beyond the band cap are zero.  Panel n spans [t_n, t_{n+1}] and is
-    summed towards its end farther from t = 0.  `t_window` restricts the
-    computed range (columns outside are zero), which callers use when a time
-    cutoff will kill those samples anyway.
+    F holds the (X, T) forcing samples on `plan`'s space grid and on `tgrid`.
+    Only Re F enters (the forcing of the real problem is real, and `F.real`
+    is F itself for a float64 array), so only the band-capped modes xi >= 0
+    are fitted and swept, xi < 0 is filled by conjugation, and the field is
+    real to rounding.  Modes beyond the band cap are zero.  Panel n spans
+    [t_n, t_{n+1}] and is summed towards its end farther from t = 0.
+    `t_window` restricts the computed range (columns outside are zero),
+    which callers use when a time cutoff will kill those samples anyway.
     """
-    plan = plan or PropagatorPlan(F.xgrid)
-    tg = F.tgrid
-    n0 = tg.index_of(0.0)
+    n0 = tgrid.index_of(0.0)
     xi = plan.xi
     pos = np.flatnonzero(plan.cap_mask & (xi >= 0.0))
     mirrored = np.flatnonzero(xi[pos] > 0.0)
     xi5 = plan.xi5[pos]
-    spec_t = x_spectrum(F.values.real, F.xgrid)[pos]
-    coef = CubicSpline(tg.nodes, spec_t.T, axis=0).c
-    lo, hi = 0, tg.count - 1
+    spec_t = x_spectrum(F.real, plan.xgrid)[pos]
+    coef = CubicSpline(tgrid.nodes, spec_t.T, axis=0).c
+    lo, hi = 0, tgrid.count - 1
     if t_window is not None:
-        nodes = tg.nodes
+        nodes = tgrid.nodes
         inside = np.where((nodes >= t_window[0]) & (nodes <= t_window[1]))[0]
         if len(inside):
             lo, hi = int(inside[0]), int(inside[-1])
@@ -163,16 +163,16 @@ def duhamel_trajectory(
             lo = hi = n0
     lo = min(lo, n0)
     hi = max(hi, n0)
-    dt = tg.step
+    dt = tgrid.step
     step_phase = np.exp(-1j * dt * xi5)
-    rows = np.zeros((tg.count, len(pos)), dtype=np.complex128)
+    rows = np.zeros((tgrid.count, len(pos)), dtype=np.complex128)
     rows[n0 + 1 : hi + 1] = _sweep(coef[:, n0:hi], _panel_table(dt, xi5, True), step_phase)
     rows[lo:n0] = _sweep(
         coef[:, lo:n0][:, ::-1], _panel_table(dt, xi5, False), np.conj(step_phase)
     )[::-1]
-    spec = np.zeros((F.xgrid.count, tg.count), dtype=np.complex128)
+    spec = np.zeros((plan.xgrid.count, tgrid.count), dtype=np.complex128)
     spec[pos] = rows.T
-    spec[F.xgrid.count - pos[mirrored]] = np.conj(rows[:, mirrored].T)
+    spec[plan.xgrid.count - pos[mirrored]] = np.conj(rows[:, mirrored].T)
     return spec
 
 

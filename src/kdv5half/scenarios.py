@@ -75,9 +75,12 @@ def _positive_numbers(d: dict, path: str, kinds: dict) -> dict:
 
 def _grid_from(d: dict, path: str) -> UniformGrid:
     _check_keys(d, path, required=("origin", "step", "count"))
+    origin = _number(d["origin"], f"{path}.origin")
+    step = _number(d["step"], f"{path}.step", positive=True)
+    count = _number(d["count"], f"{path}.count", integral=True, positive=True)
     try:
-        return UniformGrid(origin=float(d["origin"]), step=float(d["step"]), count=int(d["count"]))
-    except (TypeError, ValueError) as exc:
+        return UniformGrid(origin=origin, step=step, count=count)
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -170,9 +173,7 @@ class Scenario:
         checks = payload.get("checks", {})
         if not isinstance(checks, dict):
             raise ScenarioError("scenario.checks: expected an object of name -> tolerance")
-        for key, value in checks.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"scenario.checks.{key}: tolerance must be a number")
+        checks = {k: _number(v, f"scenario.checks.{k}") for k, v in checks.items()}
         data = payload.get("data", {})
         _check_keys(
             data,
@@ -216,7 +217,7 @@ class Scenario:
             depth=_number(payload.get("depth", 2), "scenario.depth", integral=True),
             solver=solver,
             data=dict(data),
-            checks=dict(checks),
+            checks=checks,
             probe=dict(probe),
             emit=dict(emit),
         )

@@ -210,7 +210,7 @@ class TestTruncationRadius:
 class TestBoundaryField:
     def test_trace_reproduces_data(self):
         h1 = bump_series()
-        traces = boundary_potential_traces(h1, zero_series(), zero_series(), t_window=(0.0, 2.0))
+        traces = boundary_potential_traces(h1, zero_series(), zero_series())
         for trace, target in zip(traces, (h1.values, None, None)):
             window = (TG.nodes >= 0.0) & (TG.nodes <= 2.0)
             got = trace.values[window]
@@ -221,9 +221,7 @@ class TestBoundaryField:
     def test_channel_permutation(self):
         # driving h2 instead of h1 moves the reproduced profile to the j = 1 trace
         h = bump_series()
-        trace0, trace1, _ = boundary_potential_traces(
-            zero_series(), h, zero_series(), t_window=(0.0, 2.0)
-        )
+        trace0, trace1, _ = boundary_potential_traces(zero_series(), h, zero_series())
         window = (TG.nodes >= 0.0) & (TG.nodes <= 2.0)
         scale = np.max(np.abs(h.values))
         assert np.max(np.abs(trace1.values[window] - h.values[window])) < 1e-6 * scale

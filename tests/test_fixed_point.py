@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kdv5half import fixed_point
 from kdv5half.boundary import PreconditionError
 from kdv5half.cutoffs import eta, extend_initial_datum
 from kdv5half.fixed_point import (
@@ -15,7 +16,7 @@ from kdv5half.fixed_point import (
     nonlinearity_FT,
     picard_solve,
 )
-from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
+from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from kdv5half.spectral import band_mask, x_spectrum, x_values
 
@@ -145,20 +146,20 @@ class TestNonlinearity:
         xg = UniformGrid(-20.0, 40.0 / 512, 512)
         tg = UniformGrid(-1.0, 2.0 / 256, 256)
         profile = np.exp(-((xg.nodes / 3.0) ** 2))
-        u = SpaceTimeField(xg, tg, np.outer(profile, np.ones(tg.count)).astype(complex))
+        u = np.outer(profile, np.ones(tg.count))
         T = 0.25
-        out = nonlinearity_FT(u, T)
+        out = nonlinearity_FT(u, tg, PropagatorPlan(xg), T)
+        assert out.dtype == np.float64 and out.shape == u.shape
         ux = x_values(np.where(band_mask(xg), 1j * xg.frequencies, 0.0) * x_spectrum(profile, xg), xg)
         expected = eta(tg.nodes / (2 * T))[None, :] * (-(profile * ux))[:, None]
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out.values - expected)) < 1e-8 * scale
+        assert np.max(np.abs(out - expected)) < 1e-8 * scale
 
     def test_requires_positive_horizon(self):
         xg = UniformGrid(-20.0, 40.0 / 64, 64)
         tg = UniformGrid(-1.0, 2.0 / 64, 64)
-        u = SpaceTimeField(xg, tg, np.zeros((64, 64), dtype=complex))
         with pytest.raises(ValueError, match="positive"):
-            nonlinearity_FT(u, 0.0)
+            nonlinearity_FT(np.zeros((64, 64)), tg, PropagatorPlan(xg), 0.0)
 
 
 class TestIterationTrace:
@@ -193,14 +194,15 @@ class TestPicard:
     def test_first_iterate_is_linear_part(self, manufactured_case, solver_config):
         _, _, _, result = manufactured_case
         cfg = solver_config
-        zero = SpaceTimeField(
-            cfg.xgrid, cfg.tgrid, np.zeros((cfg.xgrid.count, cfg.tgrid.count), np.complex128)
-        )
-        first, nonlinear, _ = result.workspace.apply(zero)
+        ws = result.workspace
+        first, nonlinear, r = ws.apply(np.zeros((cfg.xgrid.count, cfg.tgrid.count)))
         # Gamma(0) carries no Duhamel forcing: its nonlinear part is zero and
-        # the first iterate is the linear part L of the map.
-        assert not np.any(nonlinear.values)
-        assert np.array_equal(first.values, result.linear.values)
+        # Gamma(0) is exactly the linear part L of the map, as real arrays.
+        assert first.dtype == nonlinear.dtype == r.dtype == np.float64
+        assert first.shape == nonlinear.shape == (cfg.xgrid.count, cfg.tgrid.count)
+        assert not np.any(nonlinear) and not np.any(r)
+        assert np.array_equal(first, ws.linear)
+        assert np.array_equal(first, result.linear.values)
 
     def test_traces_are_free_plus_duhamel(self, manufactured_case, solver_config):
         # q is the trace of the datum's free evolution; r, read off the
@@ -212,9 +214,11 @@ class TestPicard:
         ws = result.workspace
         plan = PropagatorPlan(cfg.xgrid)
         assert np.array_equal(ws.q, trace_at_origin(ws.data.g_l, cfg.tgrid, plan).real)
-        _, _, r = ws.apply(result.u)
-        forcing = nonlinearity_FT(result.u, cfg.T)
-        duhamel = x_values(duhamel_trajectory(forcing, plan, t_window=ws.t_window), cfg.xgrid)
+        u = result.u.values.real
+        _, _, r = ws.apply(u)
+        forcing = nonlinearity_FT(u, cfg.tgrid, plan, cfg.T)
+        spec = duhamel_trajectory(forcing, cfg.tgrid, plan, t_window=ws.t_window)
+        duhamel = x_values(spec, cfg.xgrid)
         from_field = trace_at_origin(x_spectrum(duhamel, cfg.xgrid), cfg.tgrid, plan)
         for j in range(3):
             scale = np.max(np.abs(from_field[j]))
@@ -260,3 +264,46 @@ class TestPicard:
         with pytest.raises(NonContractionError) as err:
             picard_solve(data, cfg)
         assert err.value.trace.iterations >= 3
+
+
+class TestPicardLoop:
+    XG = UniformGrid(-20.0, 40.0 / 256, 256)
+    TG = UniformGrid(-1.0, 2.0 / 256, 256)
+
+    def solve(self, amplitude):
+        g = GridFunction(self.XG, amplitude * np.exp(-(((self.XG.nodes - 2.0) / 3.0) ** 2)))
+        zeros = TimeSeries(self.TG, np.zeros(self.TG.count))
+        data = SolverData(g_l=g, h1=zeros, h2=zeros, h3=zeros)
+        cfg = SolverConfig(xgrid=self.XG, tgrid=self.TG, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
+        return picard_solve(data, cfg)
+
+    def test_starts_from_the_linear_part(self, monkeypatch):
+        # u_1 = L costs no application: F_T and the Duhamel sweep run once per
+        # later iterate and once for the residual, i.e. `iterations` times,
+        # while `applications` counts L as the first one.
+        calls = {"nonlinearity_FT": 0, "duhamel_trajectory": 0}
+        for name in calls:
+            original = getattr(fixed_point, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fixed_point, name, counted)
+        result = self.solve(0.01)
+        iterations = result.trace.iterations
+        assert result.trace.converged and iterations >= 3
+        assert calls == {"nonlinearity_FT": iterations, "duhamel_trajectory": iterations}
+        assert result.diagnostics["applications"] == iterations + 1
+        assert result.trace.norms[0] == result.trace.diffs[0]
+        assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
+
+    def test_zero_data_give_zero_without_a_potential(self):
+        result = self.solve(0.0)
+        assert not np.any(result.u.values) and not np.any(result.nonlinear.values)
+        assert result.trace.converged and result.trace.iterations == 1
+        assert result.trace.residual == 0.0
+        assert result.diagnostics["applications"] == 2
+        assert result.workspace._pot is None
+        assert "quadrature_nodes" not in result.diagnostics
+        assert not np.any(result.traces)

@@ -119,64 +119,61 @@ class TestFreeField:
         assert F.xgrid == XG and F.tgrid == TG
 
 
-def duhamel_oracle(F: SpaceTimeField, t: float) -> np.ndarray:
+def duhamel_oracle(F: np.ndarray, xg: UniformGrid, tg: UniformGrid, t: float) -> np.ndarray:
     """integral_0^t W(t-t') F(t') dt' at one time t, by its own composite sum.
 
     4-node Gauss-Legendre panels between the time nodes of [0, t] on a cubic
     spline of the band-capped x-spectrum; for t < 0 the sum runs over [t, 0]
     and is negated.
     """
-    spec = x_spectrum(F.values, F.xgrid)
-    spec[~band_mask(F.xgrid), :] = 0.0
-    spline = CubicSpline(F.tgrid.nodes, spec.T, axis=0)
-    xi5 = F.xgrid.frequencies**5
+    spec = x_spectrum(F, xg)
+    spec[~band_mask(xg), :] = 0.0
+    spline = CubicSpline(tg.nodes, spec.T, axis=0)
+    xi5 = xg.frequencies**5
     lo, hi = min(0.0, t), max(0.0, t)
-    nodes = F.tgrid.nodes
+    nodes = tg.nodes
     edges = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
     x, w = np.polynomial.legendre.leggauss(4)
-    acc = np.zeros(F.xgrid.count, dtype=complex)
+    acc = np.zeros(xg.count, dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         tq = 0.5 * (a + b) + 0.5 * (b - a) * x
         phases = np.exp(-1j * np.outer(t - tq, xi5))
         acc += 0.5 * (b - a) * np.sum(w[:, None] * phases * spline(tq), axis=0)
-    return x_values(acc if t >= 0 else -acc, F.xgrid)
-
-
-def duhamel_field(F: SpaceTimeField, **kwargs) -> np.ndarray:
-    """The (X, T) values of the Duhamel trajectory, from its x-spectrum."""
-    return x_values(duhamel_trajectory(F, **kwargs), F.xgrid)
+    return x_values(acc if t >= 0 else -acc, xg)
 
 
 class TestDuhamel:
-    def coarse(self):
-        xg = UniformGrid(-20.0, 40.0 / 256, 256)
-        tg = UniformGrid(-1.0, 2.0 / 256, 256)
-        return xg, tg
+    XG = UniformGrid(-20.0, 40.0 / 256, 256)
+    TG = UniformGrid(-1.0, 2.0 / 256, 256)
 
-    def forcing(self, xg, tg):
-        f = np.exp(-((xg.nodes / 2.0) ** 2))
-        w = np.exp(-((tg.nodes - 0.3) ** 2) / 0.1)
-        return SpaceTimeField(xg, tg, np.outer(f, w).astype(complex))
+    def forcing(self):
+        """Real (X, T) forcing samples on the coarse grids."""
+        f = np.exp(-((self.XG.nodes / 2.0) ** 2))
+        w = np.exp(-((self.TG.nodes - 0.3) ** 2) / 0.1)
+        return np.outer(f, w)
+
+    def field(self, F, **kwargs):
+        """The (X, T) values of the Duhamel trajectory, from its x-spectrum."""
+        spec = duhamel_trajectory(F, self.TG, PropagatorPlan(self.XG), **kwargs)
+        return x_values(spec, self.XG)
 
     def test_zero_at_time_zero(self):
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
-        out = duhamel_field(F)[:, tg.index_of(0.0)]
+        out = self.field(self.forcing())[:, self.TG.index_of(0.0)]
         assert np.max(np.abs(out)) < 1e-14
 
     def test_matches_direct_quadrature(self):
         # integral_0^t W(t-t') F(t') dt' against a dense composite Simpson sum
         # of group-evolved slices.
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
+        xg, tg = self.XG, self.TG
+        F = self.forcing()
         t = 0.5
         n0, nt = tg.index_of(0.0), tg.index_of(t)
         nodes = tg.nodes[n0 : nt + 1]
         stack = np.empty((len(nodes), xg.count), dtype=complex)
         for i, tp in enumerate(nodes):
-            stack[i] = apply_group(GridFunction(F.xgrid, F.values[:, n0 + i]), t - tp).values
+            stack[i] = apply_group(GridFunction(xg, F[:, n0 + i]), t - tp).values
         direct = simpson(stack, x=nodes, axis=0)
-        fast = duhamel_field(F)[:, nt]
+        fast = self.field(F)[:, nt]
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-6 * scale
 
@@ -188,41 +185,35 @@ class TestDuhamel:
         self.check_against_oracle((-0.75, -0.5, -0.25))
 
     def check_against_oracle(self, times):
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
-        traj = duhamel_field(F)
+        F = self.forcing()
+        traj = self.field(F)
         for t in times:
-            n = tg.index_of(t)
-            single = duhamel_oracle(F, t)
+            n = self.TG.index_of(t)
+            single = duhamel_oracle(F, self.XG, self.TG, t)
             scale = max(np.max(np.abs(single)), 1e-30)
             assert np.max(np.abs(traj[:, n] - single)) < 1e-9 * scale
 
     def test_integrates_the_real_part(self):
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
-        noisy = SpaceTimeField(xg, tg, F.values + 1j * np.outer(np.cos(xg.nodes), tg.nodes))
-        out = duhamel_field(noisy)
-        assert np.array_equal(out, duhamel_field(F))
+        F = self.forcing()
+        noisy = F + 1j * np.outer(np.cos(self.XG.nodes), self.TG.nodes)
+        out = self.field(noisy)
+        assert np.array_equal(out, self.field(F))
         assert np.max(np.abs(out.imag)) <= 1e-15 * np.max(np.abs(out))
 
     def test_trajectory_window_zeroes_outside(self):
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
-        traj = duhamel_field(F, t_window=(0.0, 0.5))
-        assert np.max(np.abs(traj[:, tg.index_of(0.875)])) == 0.0
+        traj = self.field(self.forcing(), t_window=(0.0, 0.5))
+        assert np.max(np.abs(traj[:, self.TG.index_of(0.875)])) == 0.0
 
     def test_spectrum_is_band_capped(self):
-        xg, tg = self.coarse()
-        spec = duhamel_trajectory(self.forcing(xg, tg))
-        assert spec.shape == (xg.count, tg.count)
-        assert not np.any(spec[~band_mask(xg)])
+        spec = duhamel_trajectory(self.forcing(), self.TG, PropagatorPlan(self.XG))
+        assert spec.shape == (self.XG.count, self.TG.count)
+        assert not np.any(spec[~band_mask(self.XG)])
 
     def test_window_is_a_restriction_of_the_full_trajectory(self):
-        xg, tg = self.coarse()
-        F = self.forcing(xg, tg)
-        full = duhamel_field(F)
-        windowed = duhamel_field(F, t_window=(-0.5, 0.5))
-        inside = (tg.nodes >= -0.5) & (tg.nodes <= 0.5)
+        F = self.forcing()
+        full = self.field(F)
+        windowed = self.field(F, t_window=(-0.5, 0.5))
+        inside = (self.TG.nodes >= -0.5) & (self.TG.nodes <= 0.5)
         assert np.array_equal(windowed[:, inside], full[:, inside])
         assert not np.any(windowed[:, ~inside])
 

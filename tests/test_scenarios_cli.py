@@ -71,10 +71,49 @@ class TestSchema:
             Scenario.from_payload(bad)
 
     def test_checks_must_be_numeric(self):
-        with pytest.raises(ScenarioError, match="tolerance must be a number"):
+        with pytest.raises(ScenarioError, match=r"scenario\.checks\.trace_error: expected a number"):
             Scenario.from_payload(minimal_payload(checks={"trace_error": "tight"}))
         with pytest.raises(ScenarioError, match="expected an object"):
             Scenario.from_payload(minimal_payload(checks=[1, 2]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1e-6", None])
+    def test_tolerance_is_a_finite_number(self, value):
+        with pytest.raises(ScenarioError, match=r"^scenario\.checks\.group_isometry: expected a number"):
+            Scenario.from_payload(minimal_payload(checks={"group_isometry": value}))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("count", 1024.7, r"grids\.x\.count: expected a positive whole number"),
+            ("count", "1024", r"grids\.x\.count: expected a positive whole number"),
+            ("count", 0, r"grids\.x\.count: expected a positive whole number"),
+            ("count", True, r"grids\.x\.count: expected a positive whole number"),
+            ("count", 1, r"grids\.x: grid count must be >= 2"),
+            ("step", "0.078125", r"grids\.x\.step: expected a positive number"),
+            ("step", 0.0, r"grids\.x\.step: expected a positive number"),
+            ("step", float("inf"), r"grids\.x\.step: expected a positive number"),
+            ("origin", float("nan"), r"grids\.x\.origin: expected a number"),
+            ("origin", "-10", r"grids\.x\.origin: expected a number"),
+        ],
+    )
+    def test_grid_values_named_by_their_path(self, key, value, message):
+        grids = {"x": {**SMALL_GRIDS["x"], key: value}, "t": SMALL_GRIDS["t"]}
+        with pytest.raises(ScenarioError, match=rf"^scenario\.{message}"):
+            Scenario.from_payload(minimal_payload(grids=grids))
+
+    def test_whole_float_count_is_an_int(self):
+        grids = {"x": {**SMALL_GRIDS["x"], "count": 64.0}, "t": SMALL_GRIDS["t"]}
+        sc = Scenario.from_payload(minimal_payload(grids=grids))
+        assert sc.xgrid.count == 64 and isinstance(sc.xgrid.count, int)
+
+    def test_nan_tolerance_exits_2_before_the_run(self, tmp_path, capsys):
+        # json writes and reads NaN; a NaN tolerance used to pass validation,
+        # run the pipeline and end in a traceback from the summary writer.
+        file = tmp_path / "nan.json"
+        file.write_text(json.dumps(minimal_payload(checks={"group_isometry": float("nan")})))
+        assert "NaN" in file.read_text()
+        assert main(["solve", str(file)]) == 2
+        assert "scenario.checks.group_isometry" in capsys.readouterr().err
 
     def test_manufactured_exclusive_with_h(self):
         data = {"manufactured": {}, "h1": {"profile": "zero"}}
