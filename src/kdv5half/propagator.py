@@ -3,8 +3,11 @@
 The group is the Fourier multiplier exp(-i*t*xi^5).  Because xi^5 makes any
 explicit time-stepping of the multiplier hopeless, every time integral is done
 mode-wise on the integrand exp(-i*(t-t')*xi^5) * F_hat(xi,t') with the phase
-evaluated analytically; only the smooth F_hat is interpolated (cubic spline)
-and integrated (4-node Gauss-Legendre, one panel per time step).
+evaluated analytically; only the smooth F_hat is interpolated and integrated
+(4-node Gauss-Legendre, one panel per time step).  The interpolant is the
+not-a-knot cubic spline in t, fitted by the private
+`_not_a_knot_coefficients` (one tridiagonal sweep on the uniform grid,
+vectorised over the modes).
 `duhamel_trajectory` gives the x-spectrum of the integral at every time node
 in one sweep per time direction.  It integrates the real part of its forcing,
 as the real problem requires: it fits and sweeps only the band-capped
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .cutoffs import eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -102,16 +104,52 @@ def _panel_table(dt: float, xi5: np.ndarray, forward: bool) -> np.ndarray:
     """G_p = +/-(dt/2) sum_k w_k d_k^(3-p) e^{-i lag_k xi5}, shape (4, K).
 
     d_k = (dt/2)(1 + x_k) are the Gauss-Legendre node offsets from a panel's
-    left end, and a cubic with power coefficients c[p] on the panel (as in
-    `CubicSpline.c`) has the phase-weighted panel sum sum_p c[p] G_p.  The
-    forward sweep targets the right end (lag_k = dt - d_k); the backward
-    sweep targets the left end (lag_k = -d_k) and subtracts, hence the sign.
+    left end, and a cubic with power coefficients c[p] on the panel (as
+    `_not_a_knot_coefficients` returns them) has the phase-weighted panel
+    sum sum_p c[p] G_p.  The forward sweep targets the right end
+    (lag_k = dt - d_k); the backward sweep targets the left end
+    (lag_k = -d_k) and subtracts, hence the sign.
     """
     offsets = 0.5 * dt * (1.0 + _GL_NODES)
     lags = dt - offsets if forward else -offsets
     weighted = (0.5 * dt) * _GL_WEIGHTS[None, :] * offsets[None, :] ** np.arange(3, -1, -1)[:, None]
     table = weighted @ np.exp(-1j * np.outer(lags, xi5))
     return table if forward else -table
+
+
+def _not_a_knot_coefficients(y: np.ndarray, h: float) -> np.ndarray:
+    """Power coefficients, shape (4, n - 1, K), of the not-a-knot cubic
+    spline through the n rows of y (shape (n, K)) on a uniform grid of step
+    h: on [t_i, t_{i+1}] the spline is sum_p c[p, i] (t - t_i)^(3 - p).
+
+    The node slopes s solve the tridiagonal system with interior rows
+    s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i), d_i = (y_{i+1} - y_i)/h,
+    and the not-a-knot end rows (third derivative continuous at t_1 and
+    t_{n-2}) s_0 + 2 s_1 = (5 d_0 + d_1)/2 and 2 s_{n-2} + s_{n-1} =
+    (d_{n-3} + 5 d_{n-2})/2; one Thomas sweep solves it for all K columns.
+    Below 4 nodes the two end conditions coincide, so n < 4 is refused.
+    """
+    n = len(y)
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 nodes, got {n}")
+    slope = np.diff(y, axis=0) / h
+    s = np.empty(y.shape, dtype=np.result_type(y, float))
+    s[0] = 0.5 * (5.0 * slope[0] + slope[1])
+    s[1:-1] = 3.0 * (slope[:-1] + slope[1:])
+    s[-1] = 0.5 * (slope[-2] + 5.0 * slope[-1])
+    # Forward elimination leaves row i < n - 1 as s_i + upper[i] s_{i+1} = s[i].
+    upper = [2.0]
+    for i in range(1, n - 1):
+        pivot = 4.0 - upper[-1]
+        s[i] -= s[i - 1]
+        s[i] /= pivot
+        upper.append(1.0 / pivot)
+    s[-1] -= 2.0 * s[-2]
+    s[-1] /= 1.0 - 2.0 * upper[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] -= upper[i] * s[i + 1]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
 
 
 def _sweep(coef: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.ndarray:
@@ -152,7 +190,7 @@ def duhamel_trajectory(
     mirrored = np.flatnonzero(xi[pos] > 0.0)
     xi5 = plan.xi5[pos]
     spec_t = x_spectrum(F.real, plan.xgrid)[pos]
-    coef = CubicSpline(tgrid.nodes, spec_t.T, axis=0).c
+    coef = _not_a_knot_coefficients(spec_t.T, tgrid.step)
     lo, hi = 0, tgrid.count - 1
     if t_window is not None:
         nodes = tgrid.nodes

@@ -66,6 +66,14 @@ def _number(value, path: str, integral: bool = False, positive: bool = False):
     return int(value) if integral else float(value)
 
 
+def _count(value, path: str) -> int:
+    """A non-negative whole number (a seed or a quadrature depth), else ScenarioError at `path`."""
+    n = _number(value, path, integral=True)
+    if n < 0:
+        raise ScenarioError(f"{path}: expected a non-negative whole number, got {value!r}")
+    return n
+
+
 def _positive_numbers(d: dict, path: str, kinds: dict) -> dict:
     """The entries of d named in `kinds` (key -> integral), cast as positive numbers."""
     return {
@@ -209,12 +217,12 @@ class Scenario:
         return cls(
             name=str(payload["name"]),
             pipeline=payload["pipeline"],
-            seed=_number(payload.get("seed", 0), "scenario.seed", integral=True),
+            seed=_count(payload.get("seed", 0), "scenario.seed"),
             xgrid=xgrid,
             tgrid=tgrid,
             indices=indices,
             T=_number(payload.get("T", 0.25), "scenario.T"),
-            depth=_number(payload.get("depth", 2), "scenario.depth", integral=True),
+            depth=_count(payload.get("depth", 2), "scenario.depth"),
             solver=solver,
             data=dict(data),
             checks=checks,
@@ -594,8 +602,8 @@ def run_scenario(
     out_dir when given.
     """
     scenario = Scenario.from_file(path)
-    run_seed = scenario.seed if seed is None else int(seed)
-    run_depth = scenario.depth if depth is None else int(depth)
+    run_seed = scenario.seed if seed is None else _count(seed, "--seed")
+    run_depth = scenario.depth if depth is None else _count(depth, "--depth")
     pipeline = scenario.pipeline
     if command == "probe-bilinear":
         pipeline = "probe-bilinear"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import simpson
 
 from .boundary import AccuracyError, PreconditionError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
@@ -301,6 +300,27 @@ class SeparableTestFunction:
             raise HarnessError("test function violates constraints: " + ", ".join(bad))
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for n >= 3 samples at uniform spacing h.
+
+    Odd n is the classical h/3 (1, 4, 2, ..., 2, 4, 1) rule.  Even n (the
+    x >= 0 half of an even grid) applies it to the first n - 1 samples and
+    integrates the last interval with Cartwright's correction, the parabola
+    through the last three samples: weights (-1/12, 2/3, 5/12) h.
+    """
+    if n < 3:
+        raise ValueError(f"composite Simpson needs at least 3 samples, got {n}")
+    odd = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[1:odd:2] = 4.0
+    w[2 : odd - 1 : 2] = 2.0
+    w[0] = w[odd - 1] = 1.0
+    w *= h / 3.0
+    if odd < n:
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
 def weak_test_family(T: float) -> list:
     """Twelve members: p in {2,3,4} x (c,w) in {(3,2),(6,3)} x q in {1,2}."""
     members = []
@@ -339,6 +359,8 @@ def weak_form_residual(
     U = u.values[np.ix_(x_sel, t_sel)]
     g_vals = np.asarray(g.values)[x_sel]
     h_vals = [np.asarray(h.values)[t_sel] for h in (h1, h2, h3)]
+    wx = _simpson_weights(len(xs), u.xgrid.step)
+    wt = _simpson_weights(len(ts), u.tgrid.step)
     results = []
     for member in family:
         member.check_constraints()
@@ -346,14 +368,13 @@ def weak_form_residual(
         theta, theta_t = member.theta(ts), member.theta_t(ts)
         interior = U * (X[0][:, None] * theta_t[None, :] + X[5][:, None] * theta[None, :])
         interior = interior + 0.5 * U * U * (X[1][:, None] * theta[None, :])
-        inner_x = simpson(interior, x=xs, axis=0)
-        total = complex(simpson(inner_x, x=ts))
-        total += complex(simpson(g_vals * X[0], x=xs)) * float(member.theta(0.0))
+        total = complex(wt @ (wx @ interior))
+        total += complex(wx @ (g_vals * X[0])) * float(member.theta(0.0))
         x0 = np.array([0.0])
         d4, d3, d2 = (float(member.x_part(x0, k)[0]) for k in (4, 3, 2))
-        total += complex(simpson(h_vals[0] * theta, x=ts)) * d4
-        total -= complex(simpson(h_vals[1] * theta, x=ts)) * d3
-        total += complex(simpson(h_vals[2] * theta, x=ts)) * d2
+        total += complex(wt @ (h_vals[0] * theta)) * d4
+        total -= complex(wt @ (h_vals[1] * theta)) * d3
+        total += complex(wt @ (h_vals[2] * theta)) * d2
         results.append(abs(total))
     worst = float(max(results))
     if return_details:

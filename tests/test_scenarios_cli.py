@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kdv5half import scenarios
 from kdv5half.cli import main
 from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
@@ -25,6 +26,10 @@ SMALL_GRIDS = {
     "t": {"origin": -1.0, "step": 2.0 / 64, "count": 64},
 }
 INDICES = {"s": 1.0, "b": 0.42, "bstar": 0.46, "alpha": 0.52}
+
+
+def _no_pipeline(*args):
+    raise AssertionError("the pipeline ran")
 
 
 def minimal_payload(**over):
@@ -105,6 +110,20 @@ class TestSchema:
         grids = {"x": {**SMALL_GRIDS["x"], "count": 64.0}, "t": SMALL_GRIDS["t"]}
         sc = Scenario.from_payload(minimal_payload(grids=grids))
         assert sc.xgrid.count == 64 and isinstance(sc.xgrid.count, int)
+
+    @pytest.mark.parametrize("key", ["seed", "depth"])
+    def test_negative_seed_or_depth_named_by_its_path(self, key):
+        with pytest.raises(ScenarioError, match=rf"^scenario\.{key}: expected a non-negative"):
+            Scenario.from_payload(minimal_payload(**{key: -1}))
+
+    def test_negative_seed_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # A rough_tail datum used to reach numpy's default_rng(-1) mid-run.
+        monkeypatch.setattr(scenarios, "_run_linear_only", _no_pipeline)
+        g_spec = {"profile": "rough_tail", "amplitude": 0.1, "band_fraction": 0.5}
+        file = tmp_path / "seed.json"
+        file.write_text(json.dumps(minimal_payload(seed=-1, data={"g": g_spec})))
+        assert main(["solve", str(file)]) == 2
+        assert "scenario error: scenario.seed" in capsys.readouterr().err
 
     def test_nan_tolerance_exits_2_before_the_run(self, tmp_path, capsys):
         # json writes and reads NaN; a NaN tolerance used to pass validation,
@@ -430,6 +449,15 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main([command, str(path)]) == 2
         assert f"{runs} pipeline reads no solver keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--depth"])
+    def test_negative_override_exits_2_before_the_run(self, capsys, monkeypatch, flag):
+        # --depth -3 used to fail inside gamma_panel_edges after the
+        # boundary-only pipeline had started.
+        monkeypatch.setattr(scenarios, "_run_boundary_only", _no_pipeline)
+        path = str(SCENARIO_DIR / "boundary_traces.json")
+        assert main(["solve", path, flag, "-3"]) == 2
+        assert f"scenario error: {flag}: expected a non-negative" in capsys.readouterr().err
 
     def test_seed_flag(self, tmp_path, capsys):
         payload = minimal_payload(

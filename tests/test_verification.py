@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from kdv5half.boundary import AccuracyError, PreconditionError
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -10,6 +11,7 @@ from kdv5half.spectral import random_band_limited, sobolev_norm, x_values
 from kdv5half.verification import (
     HarnessError,
     SeparableTestFunction,
+    _simpson_weights,
     extension_independence,
     field_tail_slope,
     manufactured_data,
@@ -214,6 +216,34 @@ class TestTestFunctions:
         assert len(family) == 12
         for phi in family:
             phi.check_constraints()
+
+
+class TestSimpsonWeights:
+    # The bundled x and t steps and two others, all powers of two times a
+    # small integer, so scipy's node differences are exactly h.
+    STEPS = (80.0 / 1024, 4.0 / 1024, 0.375, 3.0)
+
+    def test_match_scipy_simpson(self):
+        # Odd and even counts 3..600 (x >= 0 of a 1024-node grid is 512),
+        # against simpson with the spacing and with the nodes.  The distance
+        # is relative to h * sum |y|; measured worst 2.6e-16, a margin of 7
+        # under 2e-15.
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for n in range(3, 601):
+            y = rng.standard_normal(n)
+            for h in self.STEPS:
+                ours = _simpson_weights(n, h) @ y
+                nodes = h * (np.arange(n) - 5)
+                scale = h * np.sum(np.abs(y))
+                for theirs in (simpson(y, dx=h), simpson(y, x=nodes)):
+                    worst = max(worst, abs(ours - theirs) / scale)
+        assert worst < 2e-15
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_needs_three_samples(self, n):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            _simpson_weights(n, 0.5)
 
 
 class TestWeakForm:
