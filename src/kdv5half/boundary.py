@@ -450,7 +450,7 @@ class BoundaryPotential:
         TimeSeries; zero off the rows `t_sel`."""
         if self.t_sel is None:
             raise ValueError("trace_on_grid needs a potential bound to time rows (t_sel)")
-        vals = np.zeros((3, self.tgrid.count), dtype=np.complex128)
+        vals = np.zeros((3, self.tgrid.count))
         vals[:, self.t_sel] = self.trace_values(self.ttargets)
         return tuple(TimeSeries(self.tgrid, v) for v in vals)
 
@@ -471,6 +471,6 @@ def boundary_potential_traces(
     """
     pot = BoundaryPotential.from_data(h1, h2, h3, depth=depth, x_span=0.0)
     if pot is None:
-        zero = TimeSeries(h1.grid, np.zeros(h1.grid.count, dtype=np.complex128))
+        zero = TimeSeries(h1.grid, np.zeros(h1.grid.count))
         return zero, zero, zero
     return pot.trace_on_grid()

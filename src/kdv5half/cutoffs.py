@@ -123,15 +123,11 @@ def _one_sided_jet(g: GridFunction):
     ys = g.values[k0 : k0 + 20]
     scale = float(xs[-1]) if xs[-1] > 0 else 1.0
     t = xs / scale
-    cr = np.polynomial.polynomial.polyfit(t, ys.real, 9)
-    ci = np.polynomial.polynomial.polyfit(t, ys.imag, 9)
-    jet = []
-    fact = 1.0
-    for m in range(_JET_ORDER):
-        if m > 0:
-            fact *= m
-        jet.append(fact * complex(cr[m], ci[m]) / scale**m)
-    return jet
+    coef = np.polynomial.polynomial.polyfit(t, ys.real, 9)
+    if np.iscomplexobj(ys):
+        imag = np.polynomial.polynomial.polyfit(t, ys.imag, 9)
+        coef = [complex(cr, ci) for cr, ci in zip(coef, imag)]
+    return [math.factorial(m) * coef[m] / scale**m for m in range(_JET_ORDER)]
 
 
 def _reflection_extension(g: GridFunction) -> np.ndarray:
@@ -152,9 +148,7 @@ def _reflection_extension(g: GridFunction) -> np.ndarray:
     if not np.any(neg):
         return vals
     jet = _one_sided_jet(g)
-    taylor = np.array(
-        [d / math.factorial(m) for m, d in enumerate(jet)], dtype=np.complex128
-    )
+    taylor = np.array([d / math.factorial(m) for m, d in enumerate(jet)])
     width = min(4.0, 0.15 * abs(float(nodes[0])))
     # Q = (Taylor series of g) * (Taylor series of exp(+(x/w)^2)), truncated:
     # then Q(x) exp(-(x/w)^2) carries exactly the datum's jet.
@@ -242,11 +236,11 @@ def check_compatibility(
         n_req = 2
     else:
         n_req = 3
-    jet = [complex(g.values[g.grid.index_of(0.0)])]
+    jet = [g.values[g.grid.index_of(0.0)]]
     if n_req > 1:
         jet += _one_sided_jet(g)[1:n_req]
     gaps = [
-        abs(lhs - complex(h.values[h.grid.index_of(0.0)]))
+        abs(lhs - h.values[h.grid.index_of(0.0)])
         for lhs, h in zip(jet[:n_req], (h1, h2, h3))
     ]
     return CompatibilityReport(

@@ -75,7 +75,8 @@ class UniformGrid:
 
 
 def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    """Read-only copy: complex input as complex128, any other as float64."""
+    arr = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if arr.shape != shape_expected:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {shape_expected}")
     if not np.all(np.isfinite(arr)):
@@ -87,7 +88,7 @@ def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a UniformGrid (a function of one variable)."""
+    """Samples on a UniformGrid (a function of one variable), float64 or complex128."""
 
     grid: UniformGrid
     values: np.ndarray = field(repr=False)
@@ -102,7 +103,7 @@ class TimeSeries(GridFunction):
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Complex samples u(x_i, t_n) on a tensor grid, shape (count_x, count_t)."""
+    """Samples u(x_i, t_n) on a tensor grid, shape (count_x, count_t), float64 or complex128."""
 
     xgrid: UniformGrid
     tgrid: UniformGrid

@@ -252,7 +252,9 @@ class Scenario:
                 **self.solver,
             )
         except ValueError as exc:
-            raise ScenarioError(f"scenario.indices: {exc}") from exc
+            # SolverConfig checks the indices and the horizon T; name the key that failed.
+            path = "scenario.T" if str(exc).startswith("horizon T") else "scenario.indices"
+            raise ScenarioError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,7 @@ def _rough_tail_datum(grid: UniformGrid, s: float, amplitude: float, seed: int, 
         coeffs[k] = mag * np.exp(1j * phase)
         coeffs[n - k] = np.conj(coeffs[k])
     coeffs[0] = 1.0
-    vals = x_values(coeffs, grid).real.astype(np.complex128)
+    vals = x_values(coeffs, grid).real
     peak = float(np.max(np.abs(vals)))
     return GridFunction(grid, vals * (amplitude / peak))
 
@@ -286,11 +288,11 @@ def datum_from_profile(spec: dict, grid: UniformGrid, s: float, seed: int) -> Gr
     amplitude = float(spec.get("amplitude", 1.0))
     nodes = grid.nodes
     if profile == "zero":
-        vals = np.zeros(grid.count, dtype=np.complex128)
+        vals = np.zeros(grid.count)
     elif profile == "gaussian":
         center = float(spec.get("center", 0.0))
         width = float(spec.get("width", 2.0))
-        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2)).astype(np.complex128)
+        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2))
     else:  # rough_tail
         return _rough_tail_datum(grid, s, amplitude, seed, float(spec.get("band_fraction", 0.6)))
     return GridFunction(grid, vals)
@@ -302,18 +304,17 @@ def boundary_from_profile(spec: dict, tgrid: UniformGrid, label: str) -> TimeSer
     amplitude = float(spec.get("amplitude", 1.0))
     nodes = tgrid.nodes
     if profile == "zero":
-        vals = np.zeros(tgrid.count, dtype=np.complex128)
+        vals = np.zeros(tgrid.count)
     elif profile == "bump":
         t0 = float(spec.get("t0", 0.05))
         t1 = float(spec.get("t1", 0.15))
         t2 = float(spec.get("t2", 0.45))
         t3 = float(spec.get("t3", 0.6))
-        vals = amplitude * right_bump(nodes, t0, t1, t2, t3).astype(np.complex128)
+        vals = amplitude * right_bump(nodes, t0, t1, t2, t3)
     else:  # gaussian_pulse
         center = float(spec.get("center", 0.3))
         width = float(spec.get("width", 0.08))
-        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2))
-        vals = (vals * (nodes > 0)).astype(np.complex128)
+        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2)) * (nodes > 0)
     return TimeSeries(tgrid, vals)
 
 

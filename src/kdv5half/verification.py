@@ -147,6 +147,9 @@ def manufactured_data(
         raise ValueError("horizon must be a multiple of the solver time step")
     if 2.0 * cfg.T > taper_start:
         raise ValueError("data window 2T reaches into the taper; shorten T or move the taper")
+    i0 = cfg.tgrid.index_of(0.0)
+    if i0 + n_nodes >= cfg.tgrid.count:
+        raise ValueError(f"horizon {horizon:g} passes the last time node {cfg.tgrid.nodes[-1]:g}")
     steps = n_nodes * steps_per_node
     oracle = whole_line_oracle(g_l, horizon, steps)
     # d^j/dx^j u(0, t) = Re sum_k m_k (i xi_k)^j e^{2 pi i k r / X} V_k(t) / X
@@ -164,14 +167,10 @@ def manufactured_data(
     rows = (1j * xi) ** np.arange(3)[:, None] * (mult * shift / grid.count)
     traces = (rows @ np.fft.rfft(oracle.values.real, axis=0)).real
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
-    series = []
-    for tr in traces:
-        vals = np.zeros(cfg.tgrid.count, dtype=np.complex128)
-        sub = (tr * taper)[::steps_per_node]
-        i0 = cfg.tgrid.index_of(0.0)
-        vals[i0 : i0 + n_nodes + 1] = sub
-        series.append(TimeSeries(cfg.tgrid, vals))
-    data = SolverData(g_l=g_l, h1=series[0], h2=series[1], h3=series[2])
+    vals = np.zeros((3, cfg.tgrid.count))
+    vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::steps_per_node]
+    h1, h2, h3 = (TimeSeries(cfg.tgrid, v) for v in vals)
+    data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
     return data, oracle, steps_per_node
 
 

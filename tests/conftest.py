@@ -39,10 +39,24 @@ def solver_config(xgrid, tgrid):
 
 
 @pytest.fixture(scope="session")
+def small_config():
+    """A 64 x 64 configuration for fast solves: x in [-10, 10), t in [-1, 1)."""
+    return SolverConfig(
+        xgrid=UniformGrid(-10.0, 20.0 / 64, 64),
+        tgrid=UniformGrid(-1.0, 2.0 / 64, 64),
+        s=1.0,
+        b=0.42,
+        bstar=0.46,
+        alpha=0.52,
+        T=0.25,
+    )
+
+
+@pytest.fixture(scope="session")
 def manufactured_case(solver_config):
     """(data, oracle, stride, result) for a small-amplitude Gaussian datum."""
     xg = solver_config.xgrid
-    vals = 0.01 * np.exp(-(((xg.nodes - 2.0) / 3.0) ** 2)).astype(np.complex128)
+    vals = 0.01 * np.exp(-(((xg.nodes - 2.0) / 3.0) ** 2))
     g_l = GridFunction(xg, vals)
     data, oracle, stride = manufactured_data(g_l, solver_config)
     result = picard_solve(data, solver_config)

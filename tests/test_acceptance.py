@@ -46,7 +46,7 @@ BETA_SWEEP = np.concatenate(
 
 
 def zero_series(tgrid: UniformGrid) -> TimeSeries:
-    return TimeSeries(tgrid, np.zeros(tgrid.count, dtype=np.complex128))
+    return TimeSeries(tgrid, np.zeros(tgrid.count))
 
 
 class TestRootSystem:
@@ -97,7 +97,7 @@ class TestBoundaryPotential:
     TG = UniformGrid(-2.0, 4.0 / 1024, 1024)
 
     def test_traces_reproduce_each_data_channel(self):
-        bump_vals = right_bump(self.TG.nodes, 0.1, 0.6, 1.4, 1.9).astype(np.complex128)
+        bump_vals = right_bump(self.TG.nodes, 0.1, 0.6, 1.4, 1.9)
         bump = TimeSeries(self.TG, bump_vals)
         window = (self.TG.nodes >= 0.0) & (self.TG.nodes <= 2.0)
         for channel in range(3):
@@ -109,9 +109,7 @@ class TestBoundaryPotential:
 
     def test_interior_maxima_shrink_under_depth_doubling(self):
         tg = UniformGrid(-4.0, 8.0 / 1024, 1024)
-        h1 = TimeSeries(
-            tg, 0.3 * right_bump(tg.nodes, 0.1, 0.6, 1.4, 1.9).astype(np.complex128)
-        )
+        h1 = TimeSeries(tg, 0.3 * right_bump(tg.nodes, 0.1, 0.6, 1.4, 1.9))
         z = zero_series(tg)
         radius, _, ok = truncation_radius((h1, z, z), 1e-8, 0.75 * tg.nyquist)
         assert ok
@@ -136,10 +134,7 @@ class TestInteriorResidual:
         # Widths chosen so the spectrum dies before xi^5 oscillations outrun
         # the time stencil at this step; a width-2 Gaussian already fails.
         for width in (4.0, 6.0):
-            g = GridFunction(
-                self.XG,
-                0.05 * np.exp(-((self.XG.nodes / width) ** 2)).astype(np.complex128),
-            )
+            g = GridFunction(self.XG, 0.05 * np.exp(-((self.XG.nodes / width) ** 2)))
             field = free_field(g, self.TG, plan)
             residual = pde_residual(
                 field, stencil_order=6, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5)
@@ -148,9 +143,7 @@ class TestInteriorResidual:
 
     def test_boundary_potential_satisfies_the_equation(self):
         tt = self.TG.nodes
-        pulse = lambda c, w, a: TimeSeries(
-            self.TG, (a * np.exp(-(((tt - c) / w) ** 2)) * (tt > 0)).astype(np.complex128)
-        )
+        pulse = lambda c, w, a: TimeSeries(self.TG, a * np.exp(-(((tt - c) / w) ** 2)) * (tt > 0))
         h1, h3 = pulse(0.5, 0.1, 0.3), pulse(0.6, 0.12, 0.1)
         pot = BoundaryPotential.from_data(
             h1, zero_series(self.TG), h3, depth=2, x_span=float(np.max(np.abs(self.XG.nodes)))
@@ -159,7 +152,7 @@ class TestInteriorResidual:
         # The kernel exponentials give the fifth x-derivative analytically
         # (root_power=5); only the time derivative is discretized, so the
         # residual isolates the quadrature error of the potential itself.
-        fifth_vals = np.zeros((self.XG.count, self.TG.count), dtype=np.complex128)
+        fifth_vals = np.zeros((self.XG.count, self.TG.count))
         pos = self.XG.nodes >= 0
         fifth_vals[pos, :] = pot.field_values(self.XG.nodes[pos], tt, root_power=5)
         fifth = SpaceTimeField(self.XG, self.TG, fifth_vals)
@@ -252,12 +245,7 @@ class TestExtensionIndependence:
         xg = UniformGrid(-40.0, 80.0 / 1024, 1024)
         tg = UniformGrid(-2.0, 4.0 / 1024, 1024)
         x = xg.nodes
-        datum = GridFunction(
-            xg,
-            np.where(x >= 0, 0.005 * x**3 * np.exp(-((x / 2.0) ** 2)), 0.0).astype(
-                np.complex128
-            ),
-        )
+        datum = GridFunction(xg, np.where(x >= 0, 0.005 * x**3 * np.exp(-((x / 2.0) ** 2)), 0.0))
         z = zero_series(tg)
         cfg = SolverConfig(
             xgrid=xg, tgrid=tg, s=s, b=0.42, bstar=0.46, alpha=0.52, T=0.25
@@ -309,7 +297,7 @@ class TestNonlinearSmoothing:
         spec[np.abs(freqs) > 0.75 * self.XG.nyquist] = 0.0
         vals = np.real(np.fft.ifft(spec))
         vals = vals / np.max(np.abs(vals)) * amp
-        return GridFunction(self.XG, vals.astype(np.complex128))
+        return GridFunction(self.XG, vals)
 
     def test_nonlinear_part_gains_regularity_and_scales_quadratically(self):
         cfg = SolverConfig(

@@ -19,6 +19,7 @@ from kdv5half.fixed_point import (
 from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from kdv5half.spectral import band_mask, x_spectrum, x_values
+from kdv5half.verification import manufactured_data
 
 
 class TestSolverConfig:
@@ -251,6 +252,20 @@ class TestPicard:
         cfg = SolverConfig(xgrid=xg, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
         with pytest.raises(PreconditionError, match="must be real"):
             picard_solve(data, cfg)
+
+    def test_complex_typed_real_data_solve_alike(self, small_config):
+        # Complex-typed samples whose imaginary parts are exactly zero are
+        # accepted and give bit for bit the solve of the float64 samples.
+        cfg = small_config
+        xg, tg = cfg.xgrid, cfg.tgrid
+        g = GridFunction(xg, 0.01 * np.exp(-(((xg.nodes - 2.0) / 2.0) ** 2)))
+        data, _, _ = manufactured_data(g, cfg, horizon=0.75)
+        h1, h2, h3 = (TimeSeries(tg, h.values.astype(complex)) for h in data.boundary_series)
+        typed = SolverData(g_l=GridFunction(xg, g.values.astype(complex)), h1=h1, h2=h2, h3=h3)
+        assert data.h1.values.dtype == np.float64 and typed.h1.values.dtype == np.complex128
+        real, cplx = picard_solve(data, cfg), picard_solve(typed, cfg)
+        assert np.array_equal(real.u.values, cplx.u.values)
+        assert np.array_equal(real.traces, cplx.traces)
 
     def test_large_data_fails_to_contract(self):
         xg = UniformGrid(-20.0, 40.0 / 256, 256)

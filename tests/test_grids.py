@@ -6,13 +6,17 @@ import json
 import numpy as np
 import pytest
 
+from kdv5half.boundary import boundary_potential_traces
 from kdv5half.grids import (
     GridFunction,
     SpaceTimeField,
+    TimeSeries,
     UniformGrid,
     canonical_json,
     field_to_csv,
 )
+from kdv5half.scenarios import boundary_from_profile, datum_from_profile
+from kdv5half.verification import manufactured_data
 
 
 def small_grid():
@@ -59,6 +63,60 @@ class TestGridFunction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(small_grid(), np.ones(7, dtype=complex))
+
+
+class TestStorageRule:
+    @pytest.mark.parametrize(
+        "source, dtype",
+        [
+            (np.linspace(-1.0, 1.0, 8), np.float64),
+            (np.arange(8), np.float64),
+            (np.arange(8) % 3 == 0, np.float64),
+            (np.linspace(-1.0, 1.0, 8) * (0.5 - 2j), np.complex128),
+        ],
+        ids=["float", "int", "bool", "complex"],
+    )
+    @pytest.mark.parametrize("two_d", [False, True], ids=["grid_function", "space_time_field"])
+    def test_values_keep_the_given_kind(self, source, dtype, two_d):
+        def make(values):
+            if values.ndim == 1:
+                return GridFunction(small_grid(), values)
+            return SpaceTimeField(small_grid(), UniformGrid(origin=0.0, step=0.5, count=2), values)
+
+        source = np.stack([source, source[::-1]], axis=1) if two_d else source.copy()
+        expected = source.astype(dtype)
+        f = make(source)
+        assert f.values.dtype == dtype
+        source[...] = 0
+        assert np.array_equal(f.values, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1
+        for bad in (np.nan, np.inf, -np.inf):
+            values = expected.copy()
+            values.flat[1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                make(values)
+
+    def test_real_data_producers_emit_float64(self, small_config):
+        xg, tg = small_config.xgrid, small_config.tgrid
+        datum_specs = [
+            {"profile": "zero"},
+            {"profile": "gaussian", "amplitude": 0.01},
+            {"profile": "rough_tail", "amplitude": 0.01},
+        ]
+        data = [datum_from_profile(spec, xg, 1.0, seed=3) for spec in datum_specs]
+        for profile in ("zero", "bump", "gaussian_pulse"):
+            data.append(boundary_from_profile({"profile": profile}, tg, "h1"))
+        manufactured, oracle, _ = manufactured_data(data[1], small_config, horizon=0.75)
+        data += [*manufactured.boundary_series, oracle]
+        # a bump wide enough for the band cap of this grid
+        wide = UniformGrid(origin=-2.0, step=4.0 / 1024, count=1024)
+        h = boundary_from_profile(
+            {"profile": "bump", "t0": 0.1, "t1": 0.6, "t2": 1.4, "t3": 1.9}, wide, "h1"
+        )
+        zero = TimeSeries(wide, np.zeros(wide.count))
+        data += [*boundary_potential_traces(h, h, h), *boundary_potential_traces(zero, zero, zero)]
+        assert [f.values.dtype for f in data] == [np.float64] * len(data)
 
 
 class TestCanonicalJson:

@@ -428,6 +428,13 @@ class TestCli:
         assert main(["probe-bilinear", str(path)]) == 2
         assert "probe-bilinear pipeline evaluates no such check" in capsys.readouterr().err
 
+    def test_exit_two_names_a_bad_horizon_by_its_path(self, tmp_path, capsys):
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(minimal_payload(pipeline="full-solve", T=0.7)))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: scenario.T: horizon T must lie in (0, 1/2], got 0.7" in err
+
     def test_exit_two_on_oracle_match_without_manufactured_data(self, tmp_path, capsys):
         payload = minimal_payload(pipeline="full-solve", checks={"oracle_match": 1e-5})
         path = tmp_path / "oracle.json"

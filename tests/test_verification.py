@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from kdv5half import verification
 from kdv5half.boundary import AccuracyError, PreconditionError
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import apply_group, free_field
@@ -112,6 +113,20 @@ class TestManufacturedData:
         g = gaussian(0.01, grid=solver_config.xgrid)
         with pytest.raises(ValueError, match="multiple of the solver time step"):
             manufactured_data(g, solver_config, horizon=1.0001)
+
+    def test_horizon_must_end_on_the_time_grid(self, small_config, monkeypatch):
+        cfg = small_config
+        g = gaussian(0.01, grid=cfg.xgrid)
+        data, _, _ = manufactured_data(g, cfg, horizon=cfg.tgrid.nodes[-1])
+        assert data.h1.values[-1] == 0.0  # the taper ends on the last node
+
+        # One step further the series would not fit: refused before the oracle runs.
+        def oracle_ran(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(verification, "whole_line_oracle", oracle_ran)
+        with pytest.raises(ValueError, match=r"horizon 1 passes the last time node 0\.96875"):
+            manufactured_data(g, cfg)
 
     def test_taper_clearance(self, solver_config):
         from dataclasses import replace
