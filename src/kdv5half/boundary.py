@@ -33,7 +33,7 @@ import numpy as np
 
 from .cutoffs import rho
 from .grids import TimeSeries
-from .spectral import BAND_CAP, nonuniform_transform, x_spectrum
+from .spectral import BAND_CAP, x_spectrum
 
 __all__ = [
     "AccuracyError",
@@ -230,7 +230,8 @@ def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class BoundaryPotential:
-    """Boundary-data field bound to one quadrature table (from data: `from_data`).
+    """Boundary-data field bound to one quadrature table and to the rows
+    `t_sel` of the data's time grid (from data: `from_data`).
 
     Each data update costs one data transform and one batch of per-node
     Cramer solves; evaluation is then one dense contraction per x-block.
@@ -241,11 +242,11 @@ class BoundaryPotential:
 
     The tables that do not depend on the data are built once per potential:
 
-    * with `t_sel` (rows of the data's time grid where the field is wanted),
-      the unweighted table e^{i beta_q t_n} on those rows, shape (T_sel, Q).
-      It serves every evaluation on those times and, whenever the data
-      vanish off those rows, the data transform too (through its conjugate);
-      otherwise the transform falls back to `nonuniform_transform`.
+    * on the required rows `t_sel` of the data's time grid (where the field
+      is wanted), the unweighted table e^{i beta_q t_n}, shape (T_sel, Q).
+      It serves every evaluation on those times and, through its conjugate,
+      the data transform, so the data must vanish off those rows
+      (ValueError otherwise).
     * in `field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
       e^{r_m (x - x_b)} per x-block with left end x_b: one (3, Q, B) offset
       table shared by every block whose offsets match the first block's (all
@@ -257,17 +258,14 @@ class BoundaryPotential:
     coefficients, so the contraction is a plain matrix product.
     """
 
-    def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel=None):
+    def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel):
         self.quad = quad
         self.tgrid = h1.grid
-        self.t_sel = None if t_sel is None else np.asarray(t_sel)
-        self.ttargets = None
-        self._ttable = None
-        if self.t_sel is not None:
-            self.ttargets = self.tgrid.nodes[self.t_sel]
-            self._ttable = np.exp(1j * np.outer(self.ttargets, quad.betas))
-            self._off_rows = np.ones(self.tgrid.count, dtype=bool)
-            self._off_rows[self.t_sel] = False
+        self.t_sel = np.asarray(t_sel)
+        self.ttargets = self.tgrid.nodes[self.t_sel]
+        self._ttable = np.exp(1j * np.outer(self.ttargets, quad.betas))
+        self._off_rows = np.ones(self.tgrid.count, dtype=bool)
+        self._off_rows[self.t_sel] = False
         self._grid_key = None
         self._blocks: dict = {}
         self.update_data(h1, h2, h3)
@@ -287,10 +285,11 @@ class BoundaryPotential:
         strict: bool = True,
     ) -> "BoundaryPotential | None":
         """Potential of (h1, h2, h3) bound to the rows of their time grid inside
-        `t_window` (all rows for None), with its choices in `diagnostics`;
-        None when all three series vanish.  A spectrum that does not fall
-        below `spectrum_tol` inside the band cap raises PreconditionError when
-        `strict`, else it is clamped there and reported as `tail_mass`."""
+        `t_window` (all rows for None; data nonzero outside raise ValueError),
+        with its choices in `diagnostics`; None when all three series vanish.
+        A spectrum that does not fall below `spectrum_tol` inside the band cap
+        raises PreconditionError when `strict`, else it is clamped there and
+        reported as `tail_mass`."""
         series = (h1, h2, h3)
         tgrid = h1.grid
         if any(h.grid != tgrid for h in series):
@@ -310,7 +309,7 @@ class BoundaryPotential:
         if t_window is not None:
             t_sel = np.flatnonzero((tnodes >= t_window[0]) & (tnodes <= t_window[1]))
         ttargets = tnodes[t_sel]
-        t_span = float(np.max(np.abs(ttargets))) if len(ttargets) else 1.0
+        t_span = float(np.max(np.abs(ttargets), initial=0.0))
         quad = BoundaryQuadrature.build(radius, depth, t_span, x_span, collar=collar)
         pot = cls(quad, h1, h2, h3, t_sel=t_sel)
         pot.diagnostics = {
@@ -331,22 +330,17 @@ class BoundaryPotential:
             raise PreconditionError(
                 "boundary data must be real: the potential sums the beta > 0 nodes only"
             )
-        quad = self.quad
-        if self._ttable is not None and all(
-            h.grid == self.tgrid and not np.any(h.values[self._off_rows]) for h in series
-        ):
-            data = np.stack([h.values[self.t_sel] for h in series], axis=-1)
-            scale = self.tgrid.step / np.sqrt(2.0 * np.pi)
-            self.rhs = scale * np.conj(self._ttable.T @ np.conj(data))
-        else:
-            self.rhs = np.stack(
-                [nonuniform_transform(h, quad.betas, support_tol=1e-15) for h in series],
-                axis=-1,
+        if any(h.grid != self.tgrid or np.any(h.values[self._off_rows]) for h in series):
+            raise ValueError(
+                "boundary data must lie on the potential's time grid and vanish off its rows t_sel"
             )
-        self.coeffs = solve_coefficients_batch(quad.roots, self.rhs)
+        data = np.stack([h.values[self.t_sel] for h in series], axis=-1)
+        scale = self.tgrid.step / np.sqrt(2.0 * np.pi)
+        self.rhs = scale * np.conj(self._ttable.T @ np.conj(data))
+        self.coeffs = solve_coefficients_batch(self.quad.roots, self.rhs)
 
     def _time_table(self, ttargets: np.ndarray) -> np.ndarray:
-        if self._ttable is not None and np.array_equal(ttargets, self.ttargets):
+        if np.array_equal(ttargets, self.ttargets):
             return self._ttable
         return np.exp(1j * np.outer(ttargets, self.quad.betas))
 
@@ -388,23 +382,17 @@ class BoundaryPotential:
         live = slice(None) if live.all() else np.flatnonzero(live)
         return offsets, table, base, live, taper[live]
 
-    def _weighted_coefficients(self, root_power: int) -> tuple:
-        """w_q (2 pi)^(-1/2) c_m(beta_q) r_m^root_power split into its
-        oscillatory-root and decaying-root entries, (Q, 3) each."""
-        quad = self.quad
-        coeffs = self.coeffs * quad.roots**root_power if root_power else self.coeffs
-        weighted = coeffs * (quad.weights / np.sqrt(2.0 * np.pi))[:, None]
+    def _weighted_coefficients(self) -> tuple:
+        """w_q (2 pi)^(-1/2) c_m(beta_q) split into its oscillatory-root and
+        decaying-root entries, (Q, 3) each."""
+        weighted = self.coeffs * (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
         return np.where(_OSC, weighted, 0.0), np.where(_OSC, 0.0, weighted)
 
-    def field_values(self, xtargets, ttargets, root_power: int = 0) -> np.ndarray:
-        """Field samples, shape (len(xtargets), len(ttargets)).
-
-        root_power = 5 gives the analytic fifth x-derivative (valid where the
-        collar cutoff is identically 1, i.e. x >= 0).
-        """
+    def field_values(self, xtargets, ttargets) -> np.ndarray:
+        """Field samples, shape (len(xtargets), len(ttargets))."""
         xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
-        osc, dec = self._weighted_coefficients(root_power)
+        osc, dec = self._weighted_coefficients()
         tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
         _, table, base, live, taper = tables
         if live is None:
@@ -422,8 +410,6 @@ class BoundaryPotential:
         tables stay for the next call on the same nodes, which the
         fixed-point loop makes once per application.
         """
-        if self.t_sel is None:
-            raise ValueError("field_on_grid needs a potential bound to time rows (t_sel)")
         xnodes = np.asarray(xnodes, dtype=float)
         if xnodes.tobytes() != self._grid_key:
             self._grid_key, self._blocks = xnodes.tobytes(), {}
@@ -448,8 +434,6 @@ class BoundaryPotential:
     def trace_on_grid(self) -> tuple:
         """Traces of orders 0, 1, 2 on the data's time grid, as three
         TimeSeries; zero off the rows `t_sel`."""
-        if self.t_sel is None:
-            raise ValueError("trace_on_grid needs a potential bound to time rows (t_sel)")
         vals = np.zeros((3, self.tgrid.count))
         vals[:, self.t_sel] = self.trace_values(self.ttargets)
         return tuple(TimeSeries(self.tgrid, v) for v in vals)

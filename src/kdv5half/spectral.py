@@ -99,23 +99,19 @@ def band_mask(grid: UniformGrid) -> np.ndarray:
     return np.abs(grid.frequencies) <= BAND_CAP * grid.nyquist
 
 
-def nonuniform_transform(f: GridFunction, freqs, support_tol: float = 0.0) -> np.ndarray:
+def nonuniform_transform(f: GridFunction, freqs) -> np.ndarray:
     """Forward transform evaluated at arbitrary frequencies by direct summation.
 
     Spectrally accurate for data supported inside the grid window (periodic
-    trapezoid rule).  `support_tol` > 0 restricts the sum to samples with
-    |f| > support_tol * max|f|, which speeds up compactly supported data.
-    All-zero data give exact zeros without a sum.
+    trapezoid rule).  All-zero data give exact zeros without a sum.  A
+    deliberate independent oracle: the package itself never calls it; the
+    tests check the boundary potential's data transform (the conjugate of
+    its stored time table) against it.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     nodes, vals = f.grid.nodes, f.values
     if not np.any(vals):
         return np.zeros(len(freqs), dtype=np.complex128)
-    if support_tol > 0.0:
-        keep = np.abs(vals) > support_tol * np.max(np.abs(vals))
-        if np.any(keep):
-            lo, hi = np.argmax(keep), len(keep) - np.argmax(keep[::-1])
-            nodes, vals = nodes[lo:hi], vals[lo:hi]
     out = np.empty(len(freqs), dtype=np.complex128)
     chunk = 512
     scale = f.grid.step / np.sqrt(2.0 * np.pi)

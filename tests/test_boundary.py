@@ -1,5 +1,6 @@
 """Root systems, Cramer solves, the gamma quadrature rule, boundary field."""
 
+import copy
 import json
 
 import numpy as np
@@ -297,12 +298,23 @@ def three_channel_series():
     return h1, h2, h3
 
 
-def three_channel_potential(t_sel=None, x_span=5.0, series=None):
+ALL_ROWS = np.arange(TG.count)
+
+
+def three_channel_potential(t_sel=ALL_ROWS, x_span=5.0, series=None):
     series = three_channel_series() if series is None else series
     radius, _, ok = truncation_radius(series, 1e-8, 0.75 * TG.nyquist)
     assert ok
     quad = BoundaryQuadrature.build(radius, depth=1, t_span=2.0, x_span=x_span)
     return BoundaryPotential(quad, *series, t_sel=t_sel)
+
+
+def fifth_derivative(pot):
+    """pot with coefficients c_m r_m^5: on x >= 0, where the collar cutoff is
+    1, its field is the analytic fifth x-derivative of pot's field."""
+    fifth = copy.copy(pot)
+    fifth.coeffs = pot.coeffs * pot.quad.roots**5
+    return fifth
 
 
 def rel_max_error(got, want):
@@ -319,11 +331,11 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential()
         series = three_channel_series()
         assert len(pot.coeffs) == len(pot.quad.betas)
-        for kwargs in ({}, {"root_power": 5}):
-            got = pot.field_values(self.XS, self.TS, **kwargs)
+        for root_power, evaluated in ((0, pot), (5, fifth_derivative(pot))):
+            got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
-            want = direct_field(pot, series, self.XS, self.TS, **kwargs)
-            assert rel_max_error(got, want) <= 1e-13, kwargs
+            want = direct_field(pot, series, self.XS, self.TS, root_power=root_power)
+            assert rel_max_error(got, want) <= 1e-13, root_power
         shuffled = pot.field_values(self.XS[::-1], self.TS)
         assert rel_max_error(shuffled[::-1], direct_field(pot, series, self.XS, self.TS)) <= 1e-13
 
@@ -352,31 +364,35 @@ class TestBoundaryPotentialTables:
         want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
         assert rel_max_error(pot.rhs, want) <= 1e-13
 
-    def test_transform_falls_back_when_data_leave_the_rows(self):
-        # Rows cover t in [0, 1] only; the bump reaches t = 1.9.
-        t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 1.0))[0]
-        pot = three_channel_potential(t_sel=t_sel)
+    def test_data_off_the_rows_refused(self):
+        # Rows cover t in [0, 1] only; the bump reaches t = 1.9.  The stored
+        # table is the only data transform, so such data have none.
+        rows = np.where((TG.nodes >= 0.0) & (TG.nodes <= 1.0))[0]
         series = (bump_series(), zero_series(), zero_series())
-        pot.update_data(*series)
-        want = np.stack([nonuniform_transform(h, pot.quad.betas) for h in series], axis=-1)
-        assert rel_max_error(pot.rhs, want) <= 1e-13
+        quad = three_channel_potential().quad
+        with pytest.raises(ValueError, match="t_sel"):
+            BoundaryPotential(quad, *series, t_sel=rows)
+        pot = BoundaryPotential(quad, zero_series(), zero_series(), zero_series(), t_sel=rows)
+        with pytest.raises(ValueError, match="t_sel"):
+            pot.update_data(*series)
+        # A window that misses part of the data, or all of it (no rows).
+        for window in ((0.0, 1.0), (2.5, 3.0)):
+            with pytest.raises(ValueError, match="t_sel"):
+                BoundaryPotential.from_data(*series, depth=1, x_span=5.0, t_window=window)
 
-    def test_trace_on_grid_matches_unbound_trace_values(self):
-        # Bound to every row, the trace comes from the stored table; unbound,
-        # trace_values uses fresh exponentials and the nonuniform data
-        # transform.  Both match the oracle's analytic x-derivatives at x = 0.
-        bound = three_channel_potential(t_sel=np.arange(TG.count))
-        unbound = three_channel_potential()
-        unbound_values = unbound.trace_values(TG.nodes)
-        assert unbound_values.shape == (3, TG.count)
-        for j, got in enumerate(bound.trace_on_grid()):
+    def test_trace_values_on_other_times_match_trace_on_grid(self):
+        # trace_on_grid evaluates on the stored table of the bound rows;
+        # trace_values on the reversed times builds a fresh table.  Both
+        # match the oracle's analytic x-derivatives at x = 0.
+        pot = three_channel_potential()
+        fresh = pot.trace_values(TG.nodes[::-1])[:, ::-1]
+        assert fresh.shape == (3, TG.count)
+        for j, got in enumerate(pot.trace_on_grid()):
             assert got.grid == TG
             assert not np.any(got.values.imag)
-            assert rel_max_error(got.values, unbound_values[j]) <= 1e-13
-            want = direct_field(bound, three_channel_series(), [0.0], TG.nodes, root_power=j)[0]
+            assert rel_max_error(got.values, fresh[j]) <= 1e-13
+            want = direct_field(pot, three_channel_series(), [0.0], TG.nodes, root_power=j)[0]
             assert rel_max_error(got.values, want) <= 1e-13, j
-        with pytest.raises(ValueError, match="t_sel"):
-            unbound.trace_on_grid()
 
     def test_far_left_field_stays_finite(self):
         # e^{Re r x_b} overflows for most nodes this far left; the taper is
@@ -473,11 +489,11 @@ class TestRealDataHalfRule:
         series = permuted_series()
         pot = three_channel_potential(series=series)
         assert len(pot.coeffs) == pot.quad.node_count // 2
-        for kwargs in ({}, {"root_power": 5}):
-            got = pot.field_values(self.XS, self.TS, **kwargs)
+        for root_power, evaluated in ((0, pot), (5, fifth_derivative(pot))):
+            got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
-            want = direct_field(pot, series, self.XS, self.TS, **kwargs)
-            assert rel_max_error(got, want) <= 1e-13, kwargs
+            want = direct_field(pot, series, self.XS, self.TS, root_power=root_power)
+            assert rel_max_error(got, want) <= 1e-13, root_power
 
     def test_field_and_traces_on_grid_match_the_full_rule(self):
         t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
@@ -521,7 +537,7 @@ class TestRealDataHalfRule:
             BoundaryPotential.from_data(h1, complex_h2, h3, depth=1, x_span=5.0)
         pot = three_channel_potential()
         with pytest.raises(PreconditionError, match="must be real"):
-            BoundaryPotential(pot.quad, h1, complex_h2, h3)
+            BoundaryPotential(pot.quad, h1, complex_h2, h3, t_sel=ALL_ROWS)
         with pytest.raises(PreconditionError, match="must be real"):
             pot.update_data(h1, complex_h2, h3)
 

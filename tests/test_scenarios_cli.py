@@ -499,6 +499,21 @@ class TestBundledScenarios:
             sc = Scenario.from_file(f)
             assert set(sc.checks) <= set(_PIPELINE_CHECKS[sc.pipeline]), f.name
 
+    def test_initial_vanishing_probe_keeps_its_values(self, tmp_path):
+        # Pins the probe's quadrature choices (t_span 1.0, 2 nodes per panel,
+        # radius at 1e-12 of the peak, depths d and d + 1) against silent
+        # drift.  The values were measured while the probe still transformed
+        # its data by direct summation; moving it onto the stored table of
+        # the rows t >= 0 moved them by at most 7.4e-11 relative (the ratio),
+        # so rtol 1e-9 is about 13 times that move.
+        code, _ = run_scenario(SCENARIO_DIR / "boundary_traces.json", out_dir=tmp_path)
+        assert code == 0
+        probe = json.loads((tmp_path / "report.json").read_text())["initial_vanishing"]
+        np.testing.assert_allclose(
+            probe["maxima"], [1.6160393392605324e-05, 8.4427148237492686e-07], rtol=1e-9, atol=0
+        )
+        np.testing.assert_allclose(probe["ratio"], 19.141228538415518, rtol=1e-9, atol=0)
+
     def test_solver_configs_valid(self):
         for f in sorted(SCENARIO_DIR.glob("*.json")):
             sc = Scenario.from_file(f)

@@ -127,10 +127,9 @@ class TestNonuniform:
         )
         assert np.max(np.abs(got - direct)) < 1e-12
 
-    @pytest.mark.parametrize("support_tol", [0.0, 1e-15])
-    def test_zero_data_give_exact_zeros(self, support_tol):
+    def test_zero_data_give_exact_zeros(self):
         f = GridFunction(GRID, np.zeros(256, dtype=complex))
-        got = nonuniform_transform(f, np.linspace(-40.0, 40.0, 1001), support_tol=support_tol)
+        got = nonuniform_transform(f, np.linspace(-40.0, 40.0, 1001))
         assert got.shape == (1001,) and got.dtype == np.complex128
         assert np.all(got == 0.0)
 
