@@ -177,9 +177,9 @@ def extend_initial_datum(g: GridFunction, s: float, method: str = "auto") -> Gri
     return GridFunction(g.grid, extend(g))
 
 
-def halfline_norm_upper(g: GridFunction, s: float, method: str = "auto") -> float:
-    """Upper bound for the half-line H^s norm: the norm of one extension."""
-    return sobolev_norm(extend_initial_datum(g, s, method=method), s)
+def halfline_norm_upper(g: GridFunction, s: float) -> float:
+    """Upper bound for the half-line H^s norm: the norm of the "auto" extension."""
+    return sobolev_norm(extend_initial_datum(g, s), s)
 
 
 # ---------------------------------------------------------------------------

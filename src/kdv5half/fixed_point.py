@@ -32,7 +32,7 @@ from .boundary import BoundaryPotential, PreconditionError
 from .bourgain import xsba_norm
 from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .propagator import PropagatorPlan, duhamel_trajectory, free_field, trace_at_origin
+from .propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from .spectral import x_spectrum, x_values
 
 __all__ = [
@@ -139,22 +139,24 @@ class IterationTrace:
 
 
 def nonlinearity_FT(u: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan, T: float) -> np.ndarray:
-    """F_T(u) = eta(t/2T) * (-1/2) d_x(u^2) for the real (X, T) samples u on
-    `plan`'s space grid and on `tgrid`, with band caps around the square.
+    """x-spectrum of F_T(u) = eta(t/2T) * (-1/2) d_x(u^2) for the real (X, T)
+    samples u on `plan`'s space grid and on `tgrid`, with band caps around
+    the square.
 
     The band cap is applied to u before squaring and to the derivative
     multiplier after, so the quadratic term cannot fold energy back from
-    beyond the resolved band.  Returns a real (X, T) array.
+    beyond the resolved band.  Returns the complex (X, T) spectrum, zero
+    beyond the band cap, as `duhamel_trajectory` takes it.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     xgrid = plan.xgrid
     mask = plan.cap_mask[:, None]
     u_capped = x_values(mask * x_spectrum(u, xgrid), xgrid).real
-    sq_spec = x_spectrum(u_capped * u_capped, xgrid)
-    deriv = x_values(mask * (1j * plan.xi[:, None]) * sq_spec, xgrid).real
-    window = eta(tgrid.nodes / (2.0 * T))[None, :]
-    return -0.5 * window * deriv
+    spec = x_spectrum(u_capped * u_capped, xgrid)
+    spec *= mask * (1j * plan.xi[:, None])
+    spec *= -0.5 * eta(tgrid.nodes / (2.0 * T))[None, :]
+    return spec
 
 
 class GammaWorkspace:
@@ -191,12 +193,15 @@ class GammaWorkspace:
         # L = Gamma_T(0), as F_T(0) = 0: building it counts as the first application.
         self.diagnostics: dict = {"applications": 1}
         self.h = np.array([h.values.real for h in data.boundary_series])
-        self.q = trace_at_origin(data.g_l, cfg.tgrid, self.plan).real
-        self.linear = free_field(data.g_l, cfg.tgrid, self.plan).values.real * self.eta_t[None, :]
+        # One spectrum gives q and the free term, as in `apply`; the (T, X)
+        # table behind it is not read again: free it before the potential's.
+        spec = self.plan.free_spectrum(data.g_l, cfg.tgrid)
+        self.plan.release_free_phases()
+        self.q = trace_at_origin(spec, cfg.tgrid, self.plan).real
+        self.linear = x_values(spec, cfg.xgrid).real * self.eta_t[None, :]
+        del spec
         self._add_potential(self.linear, self.data_window * (self.h - self.q))
         self.linear.flags.writeable = False
-        # q and the free term were the last readers of the (T, X) table.
-        self.plan.release_free_phases()
 
     def zero_extension_flags(self, r: np.ndarray) -> list:
         """Near-origin magnitudes of the corrected data w (h - q - r), with the
@@ -250,6 +255,7 @@ class GammaWorkspace:
         cfg = self.cfg
         forcing = nonlinearity_FT(u, cfg.tgrid, self.plan, cfg.T)
         spec = duhamel_trajectory(forcing, cfg.tgrid, self.plan, t_window=self.t_window)
+        del forcing
         r = trace_at_origin(spec, cfg.tgrid, self.plan).real
         # Copy the real part so the complex field goes at once; the spectrum is
         # not read again either: free both before the potential's tables.

@@ -8,13 +8,14 @@ evaluated analytically; only the smooth F_hat is interpolated and integrated
 not-a-knot cubic spline in t, fitted by the private
 `_not_a_knot_coefficients` (one tridiagonal sweep on the uniform grid,
 vectorised over the modes).
-`duhamel_trajectory` gives the x-spectrum of the integral at every time node
-in one sweep per time direction.  It integrates the real part of its forcing,
-as the real problem requires: it fits and sweeps only the band-capped
-xi >= 0 modes and fills xi < 0 by conjugation, and on the uniform time grid
-every panel's Gauss sum is the spline's power coefficients times one fixed
-(4, K) phase table per direction.  `trace_at_origin` reads the x = 0 traces
-off that spectrum, or off a datum's free evolution.
+`duhamel_trajectory` takes the x-spectrum of a real forcing and gives the
+x-spectrum of the integral at every time node in one sweep per time
+direction: it fits and sweeps only the band-capped xi >= 0 modes and fills
+xi < 0 by conjugation, and on the uniform time grid every panel's Gauss sum
+is the spline's power coefficients times one fixed (4, K) phase table per
+direction.  `PropagatorPlan.free_spectrum` gives the x-spectrum of a datum's
+free evolution, and `trace_at_origin` reads the x = 0 traces off any such
+(X, T) spectrum.
 """
 
 from __future__ import annotations
@@ -63,18 +64,18 @@ class PropagatorPlan:
         """Band-capped (i xi)^j for the trace orders j = 0, 1, 2, shape (3, X)."""
         return np.where(self.cap_mask, (1j * self.xi) ** np.arange(3)[:, None], 0.0)
 
-    def free_phases(self, tgrid: UniformGrid) -> np.ndarray:
-        """e^{-i t_n xi^5}, shape (T, X); built once per time grid (the plan
-        keeps the table of the last grid asked for)."""
+    def free_spectrum(self, g: GridFunction, tgrid: UniformGrid) -> np.ndarray:
+        """x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g, shape (X, T): the
+        transposed product of g_hat with a (T, X) phase table, which the plan
+        keeps for the last time grid asked for until `release_free_phases`."""
         cached = self.__dict__.get("_free_phases")
         if cached is None or cached[0] != tgrid:
             cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, self.xi5)))
-            cached[1].flags.writeable = False
             self.__dict__["_free_phases"] = cached
-        return cached[1]
+        return (cached[1] * x_spectrum(g.values, g.grid)).T
 
     def release_free_phases(self) -> None:
-        """Drop the cached `free_phases` table (it is rebuilt on demand)."""
+        """Drop the cached e^{-i t_n xi^5} table (it is rebuilt on demand)."""
         self.__dict__.pop("_free_phases", None)
 
 
@@ -92,9 +93,7 @@ def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -
 def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None = None) -> SpaceTimeField:
     """W(t_n) g for every node of tgrid, as one space-time field."""
     plan = plan or PropagatorPlan(g.grid)
-    ghat = x_spectrum(g.values, g.grid)
-    phases = plan.free_phases(tgrid).T
-    return SpaceTimeField(g.grid, tgrid, x_values(phases * ghat[:, None], g.grid))
+    return SpaceTimeField(g.grid, tgrid, x_values(plan.free_spectrum(g, tgrid), g.grid))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -172,15 +171,15 @@ def duhamel_trajectory(
     plan: PropagatorPlan,
     t_window: tuple | None = None,
 ) -> np.ndarray:
-    """x-spectrum of integral_0^t W(t-t') Re F(t') dt' at every time node,
+    """x-spectrum of integral_0^t W(t-t') F(t') dt' at every time node,
     shape (X, T), computed mode-wise; `x_values` turns it into the field.
 
-    F holds the (X, T) forcing samples on `plan`'s space grid and on `tgrid`.
-    Only Re F enters (the forcing of the real problem is real, and `F.real`
-    is F itself for a float64 array), so only the band-capped modes xi >= 0
-    are fitted and swept, xi < 0 is filled by conjugation, and the field is
-    real to rounding.  Modes beyond the band cap are zero.  Panel n spans
-    [t_n, t_{n+1}] and is summed towards its end farther from t = 0.
+    F is the (X, T) x-spectrum of a real forcing on `plan`'s space grid and
+    on `tgrid`, as `nonlinearity_FT` returns it.  Only its band-capped rows
+    xi >= 0 are read, fitted and swept; xi < 0 is filled by conjugation, so
+    the field is real to rounding, and modes beyond the band cap are zero.
+    Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
+    t = 0.
     `t_window` restricts the computed range (columns outside are zero),
     which callers use when a time cutoff will kill those samples anyway.
     """
@@ -189,8 +188,7 @@ def duhamel_trajectory(
     pos = np.flatnonzero(plan.cap_mask & (xi >= 0.0))
     mirrored = np.flatnonzero(xi[pos] > 0.0)
     xi5 = plan.xi5[pos]
-    spec_t = x_spectrum(F.real, plan.xgrid)[pos]
-    coef = _not_a_knot_coefficients(spec_t.T, tgrid.step)
+    coef = _not_a_knot_coefficients(F[pos].T, tgrid.step)
     lo, hi = 0, tgrid.count - 1
     if t_window is not None:
         nodes = tgrid.nodes
@@ -214,37 +212,22 @@ def duhamel_trajectory(
     return spec
 
 
-def trace_at_origin(
-    source,
-    tgrid: UniformGrid,
-    plan: PropagatorPlan | None = None,
-) -> np.ndarray:
+def trace_at_origin(spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan) -> np.ndarray:
     """eta(t) * d^j/dx^j [field](0, t) for j = 0, 1, 2 by exact spectral
     summation at x = 0, shape (3, T).
 
-    `source` is either a GridFunction (traced along its free evolution) or
-    the (X, T) x-spectrum of a field on `plan`'s space grid and on `tgrid`,
-    as `duhamel_trajectory` returns it (traced as-is).  The derivative
-    multipliers (i*xi)^j are applied with the band cap, all three orders in
-    one product.
+    `spec` is the (X, T) x-spectrum of the field on `plan`'s space grid and
+    on `tgrid`, as `duhamel_trajectory` or `PropagatorPlan.free_spectrum`
+    returns it.  The derivative multipliers (i*xi)^j are applied with the
+    band cap, all three orders in one product.
     """
-    if isinstance(source, GridFunction):
-        plan = plan or PropagatorPlan(source.grid)
-        ghat = x_spectrum(source.values, source.grid)
-        sums = (plan.free_phases(tgrid) @ (plan.trace_multipliers * ghat).T).T
-    elif isinstance(source, np.ndarray):
-        if plan is None:
-            raise ValueError("a spectrum source needs the plan of its space grid")
-        if source.shape != (plan.xgrid.count, tgrid.count):
-            raise ValueError(
-                f"source spectrum of shape {source.shape} does not match the space "
-                f"and time grids ({plan.xgrid.count}, {tgrid.count})"
-            )
-        sums = plan.trace_multipliers @ source
-    else:
-        raise TypeError(f"unsupported trace source: {type(source)}")
+    if spec.shape != (plan.xgrid.count, tgrid.count):
+        raise ValueError(
+            f"spectrum of shape {spec.shape} does not match the space "
+            f"and time grids ({plan.xgrid.count}, {tgrid.count})"
+        )
     scale = plan.xgrid.freq_step / np.sqrt(2.0 * np.pi)
-    return eta(tgrid.nodes) * scale * sums
+    return eta(tgrid.nodes) * scale * (plan.trace_multipliers @ spec)
 
 
 def kato_smoothing_ratio(
@@ -259,7 +242,8 @@ def kato_smoothing_ratio(
     denom = sobolev_norm(g, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
-    traces = trace_at_origin(g, tgrid, plan)
+    plan = plan or PropagatorPlan(g.grid)
+    traces = trace_at_origin(plan.free_spectrum(g, tgrid), tgrid, plan)
     return tuple(
         sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
         for j, trace in enumerate(traces)

@@ -125,6 +125,7 @@ _MANUFACTURED_KEYS = {"steps_per_node": True, "horizon": False, "taper_start": F
 _PROBE_KEYS = {"ensemble": True, "band_x": False, "band_t": False}
 _SOLVE_CHECKS = ("compatibility", "fixed_point_residual", "contraction", "oracle_match",
                  "weak_form", "extension_independence", "smoothing_slope_gain")
+_COMMANDS = ("solve", "verify", "probe-bilinear")
 # The check names each pipeline evaluates (the verification-only ones of a
 # full-solve are skipped under `solve`); any other name is refused.
 _PIPELINE_CHECKS = {
@@ -410,7 +411,7 @@ def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
         report["group_isometry_drift"] = drift
     if "interior_residual_free" in scenario.checks:
         field_ = free_field(g, scenario.tgrid, plan)
-        value = pde_residual(field_, stencil_order=6)
+        value = pde_residual(field_)
         checks["interior_residual_free"] = _summary_entry(
             value, scenario.checks["interior_residual_free"]
         )
@@ -438,11 +439,10 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
     report: dict = {}
     checks: dict = {}
     oracle = None
+    g_l = _build_datum(scenario, seed)
     if "manufactured" in scenario.data:
-        g_l = _build_datum(scenario, seed)
         data, oracle, stride = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
     else:
-        g_l = _build_datum(scenario, seed)
         h1, h2, h3 = _build_boundary(scenario)
         data, stride = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3), None
 
@@ -481,9 +481,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
         report["weak_form_residual"] = value
         checks["weak_form"] = _summary_entry(value, scenario.checks["weak_form"])
     if with_verification and "extension_independence" in scenario.checks:
-        ext = extension_independence(
-            _build_datum(scenario, seed), (data.h1, data.h2, data.h3), cfg
-        )
+        ext = extension_independence(g_l, (data.h1, data.h2, data.h3), cfg)
         report["extension_independence"] = {
             "runs": list(ext.runs),
             "max_distance": ext.max_distance,
@@ -599,10 +597,13 @@ def run_scenario(
 ) -> tuple:
     """Execute a scenario file; returns (exit_code, summary dict).
 
-    exit code 0 iff validation passed and every requested check passed.
-    Artifacts (summary.json, report.json, plot data, CSV fields) go to
-    out_dir when given.
+    `command` is "solve", "verify" or "probe-bilinear"; any other is a
+    ScenarioError before the file is read.  exit code 0 iff validation
+    passed and every requested check passed.  Artifacts (summary.json,
+    report.json, plot data, CSV fields) go to out_dir when given.
     """
+    if command not in _COMMANDS:
+        raise ScenarioError(f"unknown command {command!r} (known: {', '.join(_COMMANDS)})")
     scenario = Scenario.from_file(path)
     run_seed = scenario.seed if seed is None else _count(seed, "--seed")
     run_depth = scenario.depth if depth is None else _count(depth, "--depth")

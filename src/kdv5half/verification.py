@@ -20,6 +20,7 @@ from .boundary import AccuracyError, PreconditionError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
+from .propagator import apply_group
 from .spectral import BAND_CAP, sobolev_norm, x_spectrum, x_values
 
 __all__ = [
@@ -178,36 +179,31 @@ def manufactured_data(
 # Interior residual of the differential equation.
 # ---------------------------------------------------------------------------
 
-_DT_STENCILS = {
-    4: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 2),
-    6: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 3),
-}
+# Centered sixth-order first derivative: weights of u[n - 3 .. n + 3].
+_DT_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
 def pde_residual(
     u: SpaceTimeField,
     fifth_x: SpaceTimeField | None = None,
-    stencil_order: int = 4,
     x_range: tuple | None = None,
     t_range: tuple | None = None,
 ) -> float:
     """L^2 norm of u_t + d^5_x u over an interior window.
 
-    The time derivative is a centered finite difference (order 4 or 6) on the
+    The time derivative is a centered sixth-order finite difference on the
     field's own grid; the fifth x-derivative is spectral unless an analytic
     field is supplied via `fifth_x` (mandatory for fields that are not
     box-periodic, e.g. boundary potentials whose oscillatory part does not
     wrap smoothly).
     """
-    if stencil_order not in _DT_STENCILS:
-        raise ValueError("stencil_order must be 4 or 6")
-    coeffs, margin = _DT_STENCILS[stencil_order]
+    margin = len(_DT_STENCIL) // 2
     nt = u.tgrid.count
     if nt < 2 * margin + 1:
-        raise ValueError("time grid too short for the requested stencil")
+        raise ValueError("time grid too short for the 7-point stencil")
     dt = u.tgrid.step
     u_t = np.zeros_like(u.values)
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(_DT_STENCIL):
         if c == 0.0:
             continue
         shift = k - margin
@@ -483,19 +479,19 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
     g_l = result.workspace.data.g_l
     slope_g = spectral_tail_slope(g_l, band)
     slope_nl = field_tail_slope(result.nonlinear, band, samples)
-    # W(t) g_l on the sample times only, (X, len(samples)); eta = 1 on every
-    # sample column, so the free evolution needs no cutoff.
-    ghat = x_spectrum(g_l.values, g_l.grid)
-    phases = np.exp(-1j * np.outer(tnodes[samples], result.workspace.plan.xi5)).T
-    free_part = x_values(phases * ghat[:, None], cfg.xgrid)
-    nonlinear_part = result.nonlinear.values[:, samples]
+    # W(t) g_l at the sample times only; eta = 1 at every sample time, so
+    # the free evolution needs no cutoff.
+    plan = result.workspace.plan
+    free_part = [apply_group(g_l, t, plan) for t in tnodes[samples]]
+    nonlinear_part = [
+        GridFunction(cfg.xgrid, column) for column in result.nonlinear.values[:, samples].T
+    ]
     rows = []
     for a in a_grid:
         target = cfg.s + a
         sup_norm = 0.0
-        for column in nonlinear_part.T:
-            slice_fn = GridFunction(cfg.xgrid, column)
-            sup_norm = max(sup_norm, halfline_norm_upper(slice_fn, target, method="auto"))
+        for slice_fn in nonlinear_part:
+            sup_norm = max(sup_norm, halfline_norm_upper(slice_fn, target))
         growth = {}
         band_norms = {}
         # The band-extension contrast compares the datum's free evolution
@@ -508,8 +504,7 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a_grid) -> list:
             norms = []
             for factor in band_factors:
                 worst = 0.0
-                for column in part.T:
-                    slice_fn = GridFunction(cfg.xgrid, column)
+                for slice_fn in part:
                     worst = max(
                         worst, sobolev_norm(slice_fn, target, band=factor * base_band)
                     )

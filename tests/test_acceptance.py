@@ -139,9 +139,7 @@ class TestInteriorResidual:
         for width in (4.0, 6.0):
             g = GridFunction(self.XG, 0.05 * np.exp(-((self.XG.nodes / width) ** 2)))
             field = free_field(g, self.TG, plan)
-            residual = pde_residual(
-                field, stencil_order=6, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5)
-            )
+            residual = pde_residual(field, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
             assert residual < 1e-8
 
     def test_boundary_potential_satisfies_the_equation(self):
@@ -162,13 +160,7 @@ class TestInteriorResidual:
         pos = self.XG.nodes >= 0
         fifth_vals[pos, :] = fifth_pot.field_values(self.XG.nodes[pos], tt)
         fifth = SpaceTimeField(self.XG, self.TG, fifth_vals)
-        residual = pde_residual(
-            field,
-            fifth_x=fifth,
-            stencil_order=6,
-            x_range=(0.5, 39.0),
-            t_range=(-3.5, 3.5),
-        )
+        residual = pde_residual(field, fifth_x=fifth, x_range=(0.5, 39.0), t_range=(-3.5, 3.5))
         assert residual < 1e-5
 
     def test_random_field_fails_the_equation(self):
@@ -176,7 +168,7 @@ class TestInteriorResidual:
         noise = SpaceTimeField(
             self.XG, self.TG, 0.05 * rng.standard_normal((self.XG.count, self.TG.count))
         )
-        assert pde_residual(noise, stencil_order=4) >= 1e-1
+        assert pde_residual(noise) >= 1e-1
 
 
 class TestTraceGain:

@@ -149,8 +149,10 @@ class TestNonlinearity:
         profile = np.exp(-((xg.nodes / 3.0) ** 2))
         u = np.outer(profile, np.ones(tg.count))
         T = 0.25
-        out = nonlinearity_FT(u, tg, PropagatorPlan(xg), T)
-        assert out.dtype == np.float64 and out.shape == u.shape
+        spec = nonlinearity_FT(u, tg, PropagatorPlan(xg), T)
+        assert spec.dtype == np.complex128 and spec.shape == u.shape
+        assert not np.any(spec[~band_mask(xg)])
+        out = x_values(spec, xg)
         ux = x_values(np.where(band_mask(xg), 1j * xg.frequencies, 0.0) * x_spectrum(profile, xg), xg)
         expected = eta(tg.nodes / (2 * T))[None, :] * (-(profile * ux))[:, None]
         scale = np.max(np.abs(expected))
@@ -214,7 +216,8 @@ class TestPicard:
         cfg = solver_config
         ws = result.workspace
         plan = PropagatorPlan(cfg.xgrid)
-        assert np.array_equal(ws.q, trace_at_origin(ws.data.g_l, cfg.tgrid, plan).real)
+        free = plan.free_spectrum(ws.data.g_l, cfg.tgrid)
+        assert np.array_equal(ws.q, trace_at_origin(free, cfg.tgrid, plan).real)
         u = result.u.values.real
         _, _, r = ws.apply(u)
         forcing = nonlinearity_FT(u, cfg.tgrid, plan, cfg.T)
@@ -285,12 +288,15 @@ class TestPicardLoop:
     XG = UniformGrid(-20.0, 40.0 / 256, 256)
     TG = UniformGrid(-1.0, 2.0 / 256, 256)
 
-    def solve(self, amplitude):
+    def problem(self, amplitude):
         g = GridFunction(self.XG, amplitude * np.exp(-(((self.XG.nodes - 2.0) / 3.0) ** 2)))
         zeros = TimeSeries(self.TG, np.zeros(self.TG.count))
         data = SolverData(g_l=g, h1=zeros, h2=zeros, h3=zeros)
         cfg = SolverConfig(xgrid=self.XG, tgrid=self.TG, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
-        return picard_solve(data, cfg)
+        return data, cfg
+
+    def solve(self, amplitude):
+        return picard_solve(*self.problem(amplitude))
 
     def test_starts_from_the_linear_part(self, monkeypatch):
         # u_1 = L costs no application: F_T and the Duhamel sweep run once per
@@ -312,6 +318,43 @@ class TestPicardLoop:
         assert result.diagnostics["applications"] == iterations + 1
         assert result.trace.norms[0] == result.trace.diffs[0]
         assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
+
+    def test_one_application_runs_four_x_transforms(self, monkeypatch):
+        # nonlinearity_FT transforms u, the capped u back and u^2; the forcing
+        # spectrum goes to the Duhamel sweep as it is, and one inverse
+        # transform gives N.  The boundary potential runs no FFT.
+        ws = fixed_point.GammaWorkspace(*self.problem(0.01))
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += np.ndim(a) == 2
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        ws.apply(ws.linear)
+        assert calls == {"fft": 2, "ifft": 2}
+
+    def test_free_table_released_before_the_potential(self, monkeypatch):
+        # The workspace reads q and L's free term off one spectrum and drops
+        # the (T, X) table of e^{-i t xi^5} before the potential's tables.
+        plans, held = [], []
+        make_plan = fixed_point.PropagatorPlan
+        from_data = fixed_point.BoundaryPotential.from_data
+
+        def recorded_plan(xgrid):
+            plans.append(make_plan(xgrid))
+            return plans[-1]
+
+        def checked_from_data(*args, **kwargs):
+            held.append("_free_phases" in vars(plans[-1]))
+            return from_data(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_point, "PropagatorPlan", recorded_plan)
+        monkeypatch.setattr(fixed_point.BoundaryPotential, "from_data", checked_from_data)
+        self.solve(0.01)
+        assert held == [False]
 
     def test_zero_data_give_zero_without_a_potential(self):
         result = self.solve(0.0)

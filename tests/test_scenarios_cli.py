@@ -294,6 +294,15 @@ class TestPipelines:
         assert code == 1
         assert summary["pass"] is False
 
+    def test_unknown_command_refused_before_the_run(self, monkeypatch):
+        # "verfy" used to run the solve pipeline and exit 0 without weak_form.
+        for name in ("_run_boundary_only", "_run_linear_only", "_run_solve", "_run_probe"):
+            monkeypatch.setattr(scenarios, name, _no_pipeline)
+        path = SCENARIO_DIR / "manufactured_small.json"
+        known = r"\(known: solve, verify, probe-bilinear\)"
+        with pytest.raises(ScenarioError, match=rf"^unknown command 'verfy' {known}$"):
+            run_scenario(path, command="verfy")
+
     def test_probe_pipeline(self, tmp_path):
         payload = minimal_payload(
             pipeline="probe-bilinear",

@@ -176,7 +176,7 @@ class TestPdeResidual:
         tg = UniformGrid(-1.0, 2.0 / 512, 512)
         g = gaussian(0.05, width=4.0, grid=self.WIDE)
         F = free_field(g, tg)
-        res = pde_residual(F, stencil_order=6, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
+        res = pde_residual(F, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
         assert res < 1e-8
 
     def test_negative_control(self):
@@ -186,17 +186,15 @@ class TestPdeResidual:
         bad = SpaceTimeField(
             F.xgrid, F.tgrid, F.values * (1.0 + 0.1 * np.sin(F.xgrid.nodes)[:, None])
         )
-        res = pde_residual(bad, stencil_order=6, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
+        res = pde_residual(bad, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
         assert res > 1e-1 * np.max(np.abs(F.values))
 
     def test_validation(self):
         tg = UniformGrid(-1.0, 2.0 / 256, 256)
         F = free_field(gaussian(0.05), tg)
-        with pytest.raises(ValueError, match="stencil_order"):
-            pde_residual(F, stencil_order=8)
         short = SpaceTimeField(XG, UniformGrid(0.0, 0.1, 4), np.zeros((XG.count, 4), complex))
         with pytest.raises(ValueError, match="too short"):
-            pde_residual(short, stencil_order=6)
+            pde_residual(short)
         other = free_field(gaussian(0.05), UniformGrid(-1.0, 2.0 / 128, 128))
         with pytest.raises(ValueError, match="share the field's grids"):
             pde_residual(F, fifth_x=other)
