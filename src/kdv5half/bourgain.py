@@ -99,22 +99,43 @@ def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
 
     The weight is <xi>^s <tau+xi^5>^b + chi_{[-1,1]}(xi) <tau>^alpha applied
     to the spectrum before the L^2 sum, so the result always dominates
-    xsb_norm.
+    xsb_norm.  u must be real: its spectrum is one rfft2 over the columns
+    tau >= 0, summed against the folded squared weight.
     """
-    spec, _, _, measure = _spectrum_weights(u)
-    return _weighted_l2(spec, _xsba_weight(u.xgrid, u.tgrid, s, b, alpha), measure)
+    if np.iscomplexobj(u.values):
+        raise ValueError("xsba_norm takes a real field")
+    xg, tg = u.xgrid, u.tgrid
+    spec = np.fft.rfft2(u.values)
+    power = spec.real**2 + spec.imag**2
+    scale = xg.step * tg.step / (2.0 * np.pi)
+    total = np.vdot(_folded_xsba_weight(xg, tg, s, b, alpha), power)
+    return float(scale * np.sqrt(total * xg.freq_step * tg.freq_step))
 
 
 @lru_cache(maxsize=2, typed=True)
-def _xsba_weight(xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float, alpha: float) -> np.ndarray:
-    """The (X, T) weight of `xsba_norm`, built once per (grids, indices); a
-    fixed-point solve measures every iterate with the same one."""
+def _folded_xsba_weight(
+    xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float, alpha: float
+) -> np.ndarray:
+    """w^2(xi, tau) + w^2(-xi, -tau) for the weight w of `xsba_norm` on the
+    columns tau >= 0 of an rfft2, shape (X, T // 2 + 1), built once per
+    (grids, indices); a fixed-point solve measures every iterate with it.
+
+    A real field's spectrum takes the same modulus at (xi, tau) and at
+    (-xi, -tau), the index pair (k, m) and (-k mod X, -m mod T), so each kept
+    column stands for its missing mirror, except the columns tau = 0 and, for
+    an even T, the Nyquist column, which are their own mirrors and keep w^2.
+    """
     xi = xgrid.frequencies[:, None]
     tau = tgrid.frequencies[None, :]
     weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
     weight = weight + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
-    weight.flags.writeable = False
-    return weight
+    square = weight**2
+    half = tgrid.count // 2 + 1
+    mirror = square[(-np.arange(xgrid.count)) % xgrid.count][:, (-np.arange(half)) % tgrid.count]
+    self_paired = (np.arange(half) == 0) | (2 * np.arange(half) == tgrid.count)
+    folded = square[:, :half] + np.where(self_paired, 0.0, mirror)
+    folded.flags.writeable = False
+    return folded
 
 
 def bilinear_ratio(

@@ -17,9 +17,11 @@ iterate is L + N(u) as summed, so the linear/nonlinear split of the result
 is exact by construction; the loop starts at u_1 = Gamma_T(0) = L, since
 F_T(0) = 0.  The problem data g_l and h_j must be real (PreconditionError
 otherwise), so L, N(u) and every iterate are real (X, T) arrays and the
-traces q_j, r_j and the corrected data real (3, T) arrays: the imaginary
-parts of the complex FFTs are rounding.  The loop passes these arrays
-directly; only the norms and the result wrap them in SpaceTimeFields.
+traces q_j, r_j and the corrected data real (3, T) arrays.  Every x
+transform is a real one: the free and Duhamel terms are held as their half
+x-spectra (rows xi >= 0), from which the traces are read and one inverse
+rfft gives the field.  The loop passes these arrays directly; only the
+norms and the result wrap them in SpaceTimeFields.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundaryPotential, PreconditionError
+from .boundary import BoundaryPotential, PreconditionError, truncation_radius
 from .bourgain import xsba_norm
 from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
-from .spectral import x_spectrum, x_values
+from .spectral import BAND_CAP, x_half_spectrum, x_half_values
 
 __all__ = [
     "SolverConfig",
@@ -139,22 +141,21 @@ class IterationTrace:
 
 
 def nonlinearity_FT(u: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan, T: float) -> np.ndarray:
-    """x-spectrum of F_T(u) = eta(t/2T) * (-1/2) d_x(u^2) for the real (X, T)
-    samples u on `plan`'s space grid and on `tgrid`, with band caps around
-    the square.
+    """Band-capped half x-spectrum of F_T(u) = eta(t/2T) * (-1/2) d_x(u^2)
+    for the real (X, T) samples u on `plan`'s space grid and on `tgrid`,
+    with band caps around the square.
 
     The band cap is applied to u before squaring and to the derivative
     multiplier after, so the quadratic term cannot fold energy back from
-    beyond the resolved band.  Returns the complex (X, T) spectrum, zero
-    beyond the band cap, as `duhamel_trajectory` takes it.
+    beyond the resolved band.  Returns the complex (K, T) rows 0 <= xi <=
+    BAND_CAP * nyquist (K = `plan.band_rows`), as `duhamel_trajectory`
+    takes them.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    xgrid = plan.xgrid
-    mask = plan.cap_mask[:, None]
-    u_capped = x_values(mask * x_spectrum(u, xgrid), xgrid).real
-    spec = x_spectrum(u_capped * u_capped, xgrid)
-    spec *= mask * (1j * plan.xi[:, None])
+    xgrid, k = plan.xgrid, plan.band_rows
+    u_capped = x_half_values(x_half_spectrum(u, xgrid)[:k], xgrid)
+    spec = x_half_spectrum(u_capped * u_capped, xgrid)[:k] * (1j * plan.xi[:k, None])
     spec *= -0.5 * eta(tgrid.nodes / (2.0 * T))[None, :]
     return spec
 
@@ -165,9 +166,9 @@ class GammaWorkspace:
     L = eta W(t) g_l + eta Pot[w (h - q)] is built here, once; every
     application adds N(u) = eta Duhamel[F_T(u)] - eta Pot[w r(u)], where
     w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the Duhamel
-    term, read off its x-spectrum.  One BoundaryPotential (quadrature nodes
-    plus its data-independent time and space tables) is shared by all of
-    them, since the potential is linear in its data.  g_l and every h_j must
+    term, read off its half x-spectrum.  One BoundaryPotential (quadrature
+    nodes plus its data-independent time and space tables) is shared by all
+    of them, since the potential is linear in its data.  g_l and every h_j must
     be real, and so is everything held here: L and every iterate are real
     (X, T) arrays on the solver grids, and h, q and r real (3, T) arrays.
     """
@@ -191,15 +192,23 @@ class GammaWorkspace:
         self.t_window = (-1.0 - dt, 1.0 + dt)
         self._pot: BoundaryPotential | None = None
         # L = Gamma_T(0), as F_T(0) = 0: building it counts as the first application.
-        self.diagnostics: dict = {"applications": 1}
+        self.diagnostics: dict = {
+            "applications": 1,
+            # The x band the time grid carries, |xi|^5 <= BAND_CAP * pi / dt,
+            # and g_l's band by the truncation rule; reported, not judged.
+            "resolved_band": (BAND_CAP * np.pi / dt) ** 0.2,
+            "data_band": truncation_radius([data.g_l], cfg.spectrum_tol, np.inf)[0],
+        }
         self.h = np.array([h.values.real for h in data.boundary_series])
-        # One spectrum gives q and the free term, as in `apply`; the (T, X)
-        # table behind it is not read again: free it before the potential's.
-        spec = self.plan.free_spectrum(data.g_l, cfg.tgrid)
+        # One spectrum gives q and the free term, as in `apply`; the
+        # (T, X // 2 + 1) table behind it is not read again: free it before
+        # the potential's.
+        spec = self.plan.free_spectrum(data.g_l.values.real, cfg.tgrid)
         self.plan.release_free_phases()
-        self.q = trace_at_origin(spec, cfg.tgrid, self.plan).real
-        self.linear = x_values(spec, cfg.xgrid).real * self.eta_t[None, :]
+        self.q = trace_at_origin(spec, cfg.tgrid, self.plan)
+        self.linear = x_half_values(spec, cfg.xgrid)
         del spec
+        self.linear *= self.eta_t[None, :]
         self._add_potential(self.linear, self.data_window * (self.h - self.q))
         self.linear.flags.writeable = False
 
@@ -256,10 +265,9 @@ class GammaWorkspace:
         forcing = nonlinearity_FT(u, cfg.tgrid, self.plan, cfg.T)
         spec = duhamel_trajectory(forcing, cfg.tgrid, self.plan, t_window=self.t_window)
         del forcing
-        r = trace_at_origin(spec, cfg.tgrid, self.plan).real
-        # Copy the real part so the complex field goes at once; the spectrum is
-        # not read again either: free both before the potential's tables.
-        nonlinear = x_values(spec, cfg.xgrid).real.copy()
+        r = trace_at_origin(spec, cfg.tgrid, self.plan)
+        # The spectrum is not read again: free it before the potential's tables.
+        nonlinear = x_half_values(spec, cfg.xgrid)
         del spec
         nonlinear *= self.eta_t[None, :]
         self._add_potential(nonlinear, -self.data_window * r)

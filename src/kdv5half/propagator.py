@@ -8,14 +8,16 @@ evaluated analytically; only the smooth F_hat is interpolated and integrated
 not-a-knot cubic spline in t, fitted by the private
 `_not_a_knot_coefficients` (one tridiagonal sweep on the uniform grid,
 vectorised over the modes).
-`duhamel_trajectory` takes the x-spectrum of a real forcing and gives the
-x-spectrum of the integral at every time node in one sweep per time
-direction: it fits and sweeps only the band-capped xi >= 0 modes and fills
-xi < 0 by conjugation, and on the uniform time grid every panel's Gauss sum
-is the spline's power coefficients times one fixed (4, K) phase table per
-direction.  `PropagatorPlan.free_spectrum` gives the x-spectrum of a datum's
-free evolution, and `trace_at_origin` reads the x = 0 traces off any such
-(X, T) spectrum.
+Every field here is real, so it is held as its half x-spectrum, the rows
+xi >= 0 that `x_half_spectrum` gives.  `duhamel_trajectory` takes the
+band-capped rows of a real forcing's half spectrum and gives the same rows
+of the integral at every time node in one sweep per time direction; on the
+uniform time grid every panel's Gauss sum is the spline's power
+coefficients times one fixed (4, K) phase table per direction.
+`PropagatorPlan.free_spectrum` gives the half spectrum of a datum's free
+evolution, and `trace_at_origin` reads the real x = 0 traces off any such
+half spectrum.  A complex datum reaches `free_field` and
+`kato_smoothing_ratio` by linearity, as W(Re g) + i W(Im g).
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ import numpy as np
 
 from .cutoffs import eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import band_mask, sobolev_norm, x_spectrum, x_values
+from .spectral import (
+    band_mask,
+    sobolev_norm,
+    x_half_spectrum,
+    x_half_values,
+    x_spectrum,
+    x_values,
+)
 
 __all__ = [
     "PropagatorPlan",
@@ -56,27 +65,43 @@ class PropagatorPlan:
         return self.xi**5
 
     @cached_property
-    def cap_mask(self) -> np.ndarray:
-        return band_mask(self.xgrid)
+    def band_rows(self) -> int:
+        """K, the number of leading half-spectrum rows inside the band cap:
+        the modes 0 <= xi <= BAND_CAP * nyquist."""
+        return int(np.count_nonzero(band_mask(self.xgrid) & (self.xi >= 0.0)))
 
     @cached_property
     def trace_multipliers(self) -> np.ndarray:
-        """Band-capped (i xi)^j for the trace orders j = 0, 1, 2, shape (3, X)."""
-        return np.where(self.cap_mask, (1j * self.xi) ** np.arange(3)[:, None], 0.0)
+        """c (i xi)^j on the band-capped rows for the trace orders j = 0, 1, 2,
+        shape (3, K), with c = 1 at xi = 0 and 2 above: each row xi > 0
+        stands for itself and its conjugate row -xi."""
+        xi = self.xi[: self.band_rows]
+        return np.where(xi > 0.0, 2.0, 1.0) * (1j * xi) ** np.arange(3)[:, None]
 
-    def free_spectrum(self, g: GridFunction, tgrid: UniformGrid) -> np.ndarray:
-        """x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g, shape (X, T): the
-        transposed product of g_hat with a (T, X) phase table, which the plan
-        keeps for the last time grid asked for until `release_free_phases`."""
+    def free_spectrum(self, values: np.ndarray, tgrid: UniformGrid) -> np.ndarray:
+        """Half x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g for the real
+        samples `values` of g on the plan's grid, shape (X // 2 + 1, T): the
+        transposed product of g_hat with a (T, X // 2 + 1) phase table, which
+        the plan keeps for the last time grid asked for until
+        `release_free_phases`."""
         cached = self.__dict__.get("_free_phases")
         if cached is None or cached[0] != tgrid:
-            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, self.xi5)))
+            xi5 = self.xi5[: self.xgrid.count // 2 + 1]
+            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, xi5)))
             self.__dict__["_free_phases"] = cached
-        return (cached[1] * x_spectrum(g.values, g.grid)).T
+        return (cached[1] * x_half_spectrum(values, self.xgrid)).T
 
     def release_free_phases(self) -> None:
         """Drop the cached e^{-i t_n xi^5} table (it is rebuilt on demand)."""
         self.__dict__.pop("_free_phases", None)
+
+
+def _by_parts(g: GridFunction, real_map):
+    """real_map(g) for real samples g; real_map(Re g) + i real_map(Im g) for
+    complex ones, which a real-linear map allows."""
+    if not np.iscomplexobj(g.values):
+        return real_map(g.values)
+    return real_map(g.values.real) + 1j * real_map(g.values.imag)
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:
@@ -93,7 +118,11 @@ def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -
 def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None = None) -> SpaceTimeField:
     """W(t_n) g for every node of tgrid, as one space-time field."""
     plan = plan or PropagatorPlan(g.grid)
-    return SpaceTimeField(g.grid, tgrid, x_values(plan.free_spectrum(g, tgrid), g.grid))
+    return SpaceTimeField(
+        g.grid,
+        tgrid,
+        _by_parts(g, lambda v: x_half_values(plan.free_spectrum(v, tgrid), g.grid)),
+    )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -171,24 +200,22 @@ def duhamel_trajectory(
     plan: PropagatorPlan,
     t_window: tuple | None = None,
 ) -> np.ndarray:
-    """x-spectrum of integral_0^t W(t-t') F(t') dt' at every time node,
-    shape (X, T), computed mode-wise; `x_values` turns it into the field.
+    """Band-capped half x-spectrum of integral_0^t W(t-t') F(t') dt' at every
+    time node, shape (K, T) for the plan's K = `band_rows`, computed
+    mode-wise; `x_half_values` turns it into the real field.
 
-    F is the (X, T) x-spectrum of a real forcing on `plan`'s space grid and
-    on `tgrid`, as `nonlinearity_FT` returns it.  Only its band-capped rows
-    xi >= 0 are read, fitted and swept; xi < 0 is filled by conjugation, so
-    the field is real to rounding, and modes beyond the band cap are zero.
+    F is a half x-spectrum of a real forcing on `plan`'s space grid and on
+    `tgrid`, as `nonlinearity_FT` returns it; only its first K rows are read,
+    fitted and swept, so the modes beyond the band cap are zero.
     Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
     t = 0.
     `t_window` restricts the computed range (columns outside are zero),
     which callers use when a time cutoff will kill those samples anyway.
     """
     n0 = tgrid.index_of(0.0)
-    xi = plan.xi
-    pos = np.flatnonzero(plan.cap_mask & (xi >= 0.0))
-    mirrored = np.flatnonzero(xi[pos] > 0.0)
-    xi5 = plan.xi5[pos]
-    coef = _not_a_knot_coefficients(F[pos].T, tgrid.step)
+    k = plan.band_rows
+    xi5 = plan.xi5[:k]
+    coef = _not_a_knot_coefficients(F[:k].T, tgrid.step)
     lo, hi = 0, tgrid.count - 1
     if t_window is not None:
         nodes = tgrid.nodes
@@ -201,33 +228,32 @@ def duhamel_trajectory(
     hi = max(hi, n0)
     dt = tgrid.step
     step_phase = np.exp(-1j * dt * xi5)
-    rows = np.zeros((tgrid.count, len(pos)), dtype=np.complex128)
+    rows = np.zeros((tgrid.count, k), dtype=np.complex128)
     rows[n0 + 1 : hi + 1] = _sweep(coef[:, n0:hi], _panel_table(dt, xi5, True), step_phase)
     rows[lo:n0] = _sweep(
         coef[:, lo:n0][:, ::-1], _panel_table(dt, xi5, False), np.conj(step_phase)
     )[::-1]
-    spec = np.zeros((plan.xgrid.count, tgrid.count), dtype=np.complex128)
-    spec[pos] = rows.T
-    spec[plan.xgrid.count - pos[mirrored]] = np.conj(rows[:, mirrored].T)
-    return spec
+    return rows.T
 
 
 def trace_at_origin(spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan) -> np.ndarray:
     """eta(t) * d^j/dx^j [field](0, t) for j = 0, 1, 2 by exact spectral
-    summation at x = 0, shape (3, T).
+    summation at x = 0, as a real (3, T) array.
 
-    `spec` is the (X, T) x-spectrum of the field on `plan`'s space grid and
+    `spec` is a half x-spectrum of a real field on `plan`'s space grid and
     on `tgrid`, as `duhamel_trajectory` or `PropagatorPlan.free_spectrum`
-    returns it.  The derivative multipliers (i*xi)^j are applied with the
-    band cap, all three orders in one product.
+    returns it, with between K = `band_rows` and X // 2 + 1 rows.  Its first
+    K rows are summed with the band-capped derivative multipliers, all three
+    orders in one product; each row xi > 0 counts for its conjugate too.
     """
-    if spec.shape != (plan.xgrid.count, tgrid.count):
+    k, rows = plan.band_rows, plan.xgrid.count // 2 + 1
+    if not (k <= spec.shape[0] <= rows and spec.shape[1:] == (tgrid.count,)):
         raise ValueError(
-            f"spectrum of shape {spec.shape} does not match the space "
-            f"and time grids ({plan.xgrid.count}, {tgrid.count})"
+            f"spectrum of shape {spec.shape} does not match the space and time "
+            f"grids: {k} to {rows} half-spectrum rows of {tgrid.count} columns"
         )
     scale = plan.xgrid.freq_step / np.sqrt(2.0 * np.pi)
-    return eta(tgrid.nodes) * scale * (plan.trace_multipliers @ spec)
+    return eta(tgrid.nodes) * scale * (plan.trace_multipliers @ spec[:k]).real
 
 
 def kato_smoothing_ratio(
@@ -243,7 +269,7 @@ def kato_smoothing_ratio(
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
     plan = plan or PropagatorPlan(g.grid)
-    traces = trace_at_origin(plan.free_spectrum(g, tgrid), tgrid, plan)
+    traces = _by_parts(g, lambda v: trace_at_origin(plan.free_spectrum(v, tgrid), tgrid, plan))
     return tuple(
         sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
         for j, trace in enumerate(traces)

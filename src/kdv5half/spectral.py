@@ -18,6 +18,8 @@ __all__ = [
     "BAND_CAP",
     "x_spectrum",
     "x_values",
+    "x_half_spectrum",
+    "x_half_values",
     "spectrum_matrix",
     "values_from_spectrum_matrix",
     "field_l2_norm",
@@ -49,6 +51,33 @@ def x_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
     """Inverse of `x_spectrum`, along the same axis."""
     phase = _axis0(np.exp(1j * grid.frequencies * grid.origin), np.ndim(spec))
     return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
+
+
+def x_half_spectrum(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """`x_spectrum` of real samples on its rows 0 ... count // 2, by one rfft.
+
+    These rows hold xi >= 0 (and, for an even count, the Nyquist frequency
+    last, at -nyquist as in `grid.frequencies`); the rows xi < 0 of a real
+    field are their conjugates.
+    """
+    freqs = grid.frequencies[: grid.count // 2 + 1]
+    phase = _axis0(np.exp(-1j * freqs * grid.origin), np.ndim(values))
+    return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.rfft(values, axis=0)
+
+
+def x_half_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Inverse of `x_half_spectrum`: the real samples whose half spectrum has
+    the leading rows `spec` and is zero on the rows it does not reach."""
+    rows = np.shape(spec)[0]
+    if rows > grid.count // 2 + 1:
+        raise ValueError(
+            f"a half spectrum of a {grid.count}-point grid has at most "
+            f"{grid.count // 2 + 1} rows, got {rows}"
+        )
+    phase = _axis0(np.exp(1j * grid.frequencies[:rows] * grid.origin), np.ndim(spec))
+    values = np.fft.irfft(spec * phase, n=grid.count, axis=0)
+    values *= np.sqrt(2.0 * np.pi) / grid.step
+    return values
 
 
 def spectrum_matrix(u: SpaceTimeField) -> np.ndarray:

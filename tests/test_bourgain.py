@@ -27,6 +27,21 @@ def lattice_mode(kx, kt, amp=1.0):
     return SpaceTimeField(XG, TG, vals), xi, tau
 
 
+def real_part(u: SpaceTimeField) -> SpaceTimeField:
+    return SpaceTimeField(u.xgrid, u.tgrid, u.values.real)
+
+
+def unfolded_xsba_norm(u: SpaceTimeField, s, b, alpha) -> float:
+    """Oracle: the weight of `xsba_norm` on every (xi, tau) of a full fft2."""
+    xi = u.xgrid.frequencies[:, None]
+    tau = u.tgrid.frequencies[None, :]
+    weight = (1 + np.abs(xi)) ** s * (1 + np.abs(tau + xi**5)) ** b
+    weight = weight + (np.abs(xi) <= 1) * (1 + np.abs(tau)) ** alpha
+    spec = (u.xgrid.step * u.tgrid.step / (2 * np.pi)) * np.fft.fft2(u.values)
+    measure = u.xgrid.freq_step * u.tgrid.freq_step
+    return float(np.sqrt(np.sum((weight * np.abs(spec)) ** 2) * measure))
+
+
 class TestNorms:
     def test_zero_indices_reduce_to_l2(self):
         u, _, _ = lattice_mode(3, -5, amp=0.7)
@@ -40,7 +55,7 @@ class TestNorms:
             assert xsb_norm(u, s, b) == pytest.approx(expected, rel=1e-10)
 
     def test_homogeneity(self):
-        u = seeded_band_limited_field(XG, TG, 3.0, 10.0, seed=2)
+        u = real_part(seeded_band_limited_field(XG, TG, 3.0, 10.0, seed=2))
         scaled = SpaceTimeField(XG, TG, 3.5 * u.values)
         assert xsb_norm(scaled, 1.0, 0.4) == pytest.approx(3.5 * xsb_norm(u, 1.0, 0.4), rel=1e-12)
         assert xsba_norm(scaled, 1.0, 0.4, 0.52) == pytest.approx(
@@ -48,15 +63,36 @@ class TestNorms:
         )
 
     def test_low_frequency_weight_dominates(self):
-        u = seeded_band_limited_field(XG, TG, 2.0, 8.0, seed=3)
+        u = real_part(seeded_band_limited_field(XG, TG, 2.0, 8.0, seed=3))
         assert xsba_norm(u, 0.3, 0.46, 0.51) > xsb_norm(u, 0.3, 0.46)
 
     def test_xsba_single_mode_closed_form(self):
+        # amp cos(xi x + tau t) is two modes of amplitude amp / 2 at (xi, tau)
+        # and (-xi, -tau), which share the weight here.
         amp = 0.5
-        u, xi, tau = lattice_mode(1, 6, amp)  # |xi| <= 1 so the extra weight is live
+        _, xi, tau = lattice_mode(1, 6)  # |xi| <= 1 so the extra weight is live
+        u = SpaceTimeField(XG, TG, amp * np.cos(xi * XG.nodes[:, None] + tau * TG.nodes[None, :]))
         s, b, alpha = 0.3, 0.46, 0.51
         weight = (1 + abs(xi)) ** s * (1 + abs(tau + xi**5)) ** b + (1 + abs(tau)) ** alpha
-        assert xsba_norm(u, s, b, alpha) == pytest.approx(amp * weight * BOX, rel=1e-10)
+        expected = amp * weight * BOX / np.sqrt(2.0)
+        assert xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("nx, nt", [(64, 64), (63, 64), (64, 65), (65, 63)])
+    def test_xsba_folded_weight_matches_the_full_sum(self, nx, nt):
+        # White noise has content on both Nyquist lines; the self-paired
+        # columns tau = 0 and tau = Nyquist keep w^2 alone.  Measured: at
+        # most 2.1e-16 relative.
+        xg = UniformGrid(-20.0, 40.0 / nx, nx)
+        tg = UniformGrid(-1.0, 2.0 / nt, nt)
+        u = SpaceTimeField(xg, tg, np.random.default_rng(nx * nt).standard_normal((nx, nt)))
+        for s, b, alpha in ((1.0, 0.42, 0.52), (0.3, 0.46, 0.51), (2.6, 0.49, 0.505)):
+            expected = unfolded_xsba_norm(u, s, b, alpha)
+            assert xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-13)
+
+    def test_xsba_refuses_a_complex_field(self):
+        u, _, _ = lattice_mode(1, 6)
+        with pytest.raises(ValueError, match="real field"):
+            xsba_norm(u, 0.3, 0.46, 0.51)
 
 
 class TestAdmissibility:

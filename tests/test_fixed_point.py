@@ -18,7 +18,16 @@ from kdv5half.fixed_point import (
 )
 from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
-from kdv5half.spectral import band_mask, x_spectrum, x_values
+from kdv5half.bourgain import xsba_norm
+from kdv5half.grids import SpaceTimeField
+from kdv5half.spectral import (
+    band_mask,
+    random_band_limited,
+    x_half_spectrum,
+    x_half_values,
+    x_spectrum,
+    x_values,
+)
 from kdv5half.verification import manufactured_data
 
 
@@ -149,10 +158,11 @@ class TestNonlinearity:
         profile = np.exp(-((xg.nodes / 3.0) ** 2))
         u = np.outer(profile, np.ones(tg.count))
         T = 0.25
-        spec = nonlinearity_FT(u, tg, PropagatorPlan(xg), T)
-        assert spec.dtype == np.complex128 and spec.shape == u.shape
-        assert not np.any(spec[~band_mask(xg)])
-        out = x_values(spec, xg)
+        plan = PropagatorPlan(xg)
+        spec = nonlinearity_FT(u, tg, plan, T)
+        # The band-capped rows 0 <= xi <= 0.75 * nyquist of the half spectrum.
+        assert spec.dtype == np.complex128 and spec.shape == (plan.band_rows, tg.count)
+        out = x_half_values(spec, xg)
         ux = x_values(np.where(band_mask(xg), 1j * xg.frequencies, 0.0) * x_spectrum(profile, xg), xg)
         expected = eta(tg.nodes / (2 * T))[None, :] * (-(profile * ux))[:, None]
         scale = np.max(np.abs(expected))
@@ -216,14 +226,14 @@ class TestPicard:
         cfg = solver_config
         ws = result.workspace
         plan = PropagatorPlan(cfg.xgrid)
-        free = plan.free_spectrum(ws.data.g_l, cfg.tgrid)
-        assert np.array_equal(ws.q, trace_at_origin(free, cfg.tgrid, plan).real)
-        u = result.u.values.real
+        free = plan.free_spectrum(ws.data.g_l.values, cfg.tgrid)
+        assert np.array_equal(ws.q, trace_at_origin(free, cfg.tgrid, plan))
+        u = result.u.values
         _, _, r = ws.apply(u)
         forcing = nonlinearity_FT(u, cfg.tgrid, plan, cfg.T)
         spec = duhamel_trajectory(forcing, cfg.tgrid, plan, t_window=ws.t_window)
-        duhamel = x_values(spec, cfg.xgrid)
-        from_field = trace_at_origin(x_spectrum(duhamel, cfg.xgrid), cfg.tgrid, plan)
+        duhamel = x_half_values(spec, cfg.xgrid)
+        from_field = trace_at_origin(x_half_spectrum(duhamel, cfg.xgrid), cfg.tgrid, plan)
         for j in range(3):
             scale = np.max(np.abs(from_field[j]))
             assert np.max(np.abs(r[j] - from_field[j])) <= 1e-12 * scale, j
@@ -235,6 +245,24 @@ class TestPicard:
         # e^{-i t xi^5} is not kept through the Picard loop.
         _, _, _, result = manufactured_case
         assert "_free_phases" not in vars(result.workspace.plan)
+
+    def test_bands_reported(self, manufactured_case):
+        # The time grid carries |xi| <= (0.75 pi / dt)^(1/5); the Gaussian
+        # datum's band at spectrum_tol, by the truncation radius rule, lies
+        # inside it.
+        diag = manufactured_case[3].diagnostics
+        assert diag["resolved_band"] == pytest.approx(3.598240771993113, rel=1e-12)
+        assert diag["data_band"] == pytest.approx(3.5342917352885173, rel=1e-12)
+
+    def test_rough_datum_band_beyond_the_resolved_band(self, solver_config):
+        # A datum with content up to |xi| = 30 on the same grids: reported
+        # beyond the resolved band, and nothing refuses it.
+        cfg = solver_config
+        rough = random_band_limited(cfg.xgrid, band=30.0, rng=np.random.default_rng(3))
+        zeros = TimeSeries(cfg.tgrid, np.zeros(cfg.tgrid.count))
+        g = GridFunction(cfg.xgrid, 0.01 * rough.values.real)
+        diag = fixed_point.GammaWorkspace(SolverData(g, zeros, zeros, zeros), cfg).diagnostics
+        assert diag["data_band"] > 29.0 and diag["resolved_band"] < 3.6
 
     def test_diagnostics_payload(self, manufactured_case):
         _, _, _, result = manufactured_case
@@ -320,11 +348,14 @@ class TestPicardLoop:
         assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
 
     def test_one_application_runs_four_x_transforms(self, monkeypatch):
-        # nonlinearity_FT transforms u, the capped u back and u^2; the forcing
-        # spectrum goes to the Duhamel sweep as it is, and one inverse
-        # transform gives N.  The boundary potential runs no FFT.
-        ws = fixed_point.GammaWorkspace(*self.problem(0.01))
-        calls = {"fft": 0, "ifft": 0}
+        # Every x transform is a real one: nonlinearity_FT runs rfft(u),
+        # irfft of its capped rows and rfft(u^2); the forcing rows go to the
+        # Duhamel sweep as they are, and one irfft gives N.  The boundary
+        # potential runs no FFT, and the norm of the iterate is one rfft2.
+        # No complex transform runs.
+        data, cfg = self.problem(0.01)
+        ws = fixed_point.GammaWorkspace(data, cfg)
+        calls = dict.fromkeys(("rfft", "irfft", "rfft2", "fft", "ifft", "fft2", "ifft2"), 0)
         for name in calls:
             original = getattr(np.fft, name)
 
@@ -333,8 +364,10 @@ class TestPicardLoop:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        ws.apply(ws.linear)
-        assert calls == {"fft": 2, "ifft": 2}
+        u = ws.apply(ws.linear)[0]
+        xsba_norm(SpaceTimeField(cfg.xgrid, cfg.tgrid, u), cfg.s, cfg.b, cfg.alpha)
+        real = {"rfft": 2, "irfft": 2, "rfft2": 1}
+        assert calls == {**dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0), **real}
 
     def test_free_table_released_before_the_potential(self, monkeypatch):
         # The workspace reads q and L's free term off one spectrum and drops
