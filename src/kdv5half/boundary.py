@@ -23,6 +23,12 @@ conjugates of those at beta in reversed order, so the beta < 0 half of the
 integral is the conjugate of the beta > 0 half.  The quadrature therefore
 tabulates the beta > 0 nodes only, the potential returns 2 Re of their sum,
 and data with a nonzero imaginary part are refused (PreconditionError).
+
+The time table is folded about t = 0 as well: e^{-i beta t} is the conjugate
+of e^{i beta t}, so the field at +-t is 2 (cos(beta |t|) Re K -+ sin(beta |t|)
+Im K) for the kernel sums K, and the potential stores real cos and sin of
+beta |t| on the distinct values of |t| among its rows only.  Rows pair by
+exact equality of |t|; a symmetric window needs half the table.
 """
 
 from __future__ import annotations
@@ -221,12 +227,47 @@ _X_BLOCK = 128  # x targets per `field_values` block (`field_on_grid`, the initi
 
 
 def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_m coef[q, m] * table[m, q, b] -> (Q, B)."""
+    """sum_m coef[q, m] * table[m, q, b] -> (Q, B), over the roots m that
+    coef and table hold (all three, or the nonzero ones of an x < 0 block)."""
     out = coef[:, 0, None] * table[0]
     term = np.empty_like(out)
-    for m in (1, 2):
+    for m in range(1, len(table)):
         out += np.multiply(coef[:, m, None], table[m], out=term)
     return out
+
+
+@dataclass(frozen=True)
+class _FoldedTable:
+    """e^{i beta t} on the targets t, folded about t = 0: cos and sin of
+    beta |t| on the distinct |t| (U, Q), the row of each target among them
+    and sign(t)."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    rows: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def build(cls, ttargets: np.ndarray, betas: np.ndarray) -> "_FoldedTable":
+        mags, rows = np.unique(np.abs(ttargets), return_inverse=True)
+        phase = np.outer(mags, betas)
+        return cls(np.cos(phase), np.sin(phase), rows, np.sign(ttargets))
+
+    def node_sum(self, values: np.ndarray) -> np.ndarray:
+        """2 Re (e^{i beta t} @ values) on the targets, (T, B) for values
+        (Q, B): two real products on the distinct |t|, gathered to +-t."""
+        even = self.cos @ np.ascontiguousarray(values.real)
+        odd = self.sin @ np.ascontiguousarray(values.imag)
+        return 2.0 * (even[self.rows] - self.sign[:, None] * odd[self.rows])
+
+    def transform(self, data: np.ndarray) -> np.ndarray:
+        """sum_n e^{-i beta t_n} data[n] for real data (T, C), (Q, C): the
+        data summed over each |t| pair, weighted by 1 and by sign(t), against
+        the cos and sin columns."""
+        even, odd = np.zeros((2, len(self.cos), data.shape[1]))
+        np.add.at(even, self.rows, data)
+        np.add.at(odd, self.rows, self.sign[:, None] * data)
+        return self.cos.T @ even - 1j * (self.sin.T @ odd)
 
 
 class BoundaryPotential:
@@ -237,16 +278,18 @@ class BoundaryPotential:
     Cramer solves; evaluation is then one dense contraction per x-block.
     The data must be real (PreconditionError otherwise): every table, `rhs`
     and `coeffs` hold the beta > 0 nodes of `quad` only, and `field_values` /
-    `trace_values` return 2 Re of their sum, as one real product of the
-    interleaved (cos, sin) time table with (Re, -Im) of the kernel.
+    `trace_values` return 2 Re of their sum, as two real products of the
+    folded time table's cos and sin with Re and Im of the kernel.
 
     The tables that do not depend on the data are built once per potential:
 
     * on the required rows `t_sel` of the data's time grid (where the field
-      is wanted), the unweighted table e^{i beta_q t_n}, shape (T_sel, Q).
-      It serves every evaluation on those times and, through its conjugate,
-      the data transform, so the data must vanish off those rows
-      (ValueError otherwise).
+      is wanted), the unweighted table e^{i beta_q t_n} folded about t = 0:
+      real cos and sin of beta_q |t|, shape (U, Q) for the U distinct |t_n|,
+      with the map back to the rows and sign(t_n) (U = 258 for the 515 rows
+      of a symmetric 1024-node solver window).  It serves every evaluation
+      on those times and, through its conjugate, the data transform, so the
+      data must vanish off those rows (ValueError otherwise).
     * in `field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
       e^{r_m (x - x_b)} per x-block with left end x_b: one (3, Q, B) offset
       table shared by every block whose offsets match the first block's (all
@@ -255,7 +298,8 @@ class BoundaryPotential:
       vanish.
 
     The quadrature weights and (2 pi)^(-1/2) are folded into the per-node
-    coefficients, so the contraction is a plain matrix product.
+    coefficients `coeffs` once per data update, so the contraction is a
+    plain matrix product.
     """
 
     def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel):
@@ -263,7 +307,7 @@ class BoundaryPotential:
         self.tgrid = h1.grid
         self.t_sel = np.asarray(t_sel)
         self.ttargets = self.tgrid.nodes[self.t_sel]
-        self._ttable = np.exp(1j * np.outer(self.ttargets, quad.betas))
+        self._ttable = _FoldedTable.build(self.ttargets, quad.betas)
         self._off_rows = np.ones(self.tgrid.count, dtype=bool)
         self._off_rows[self.t_sel] = False
         self._grid_key = None
@@ -334,22 +378,17 @@ class BoundaryPotential:
             raise ValueError(
                 "boundary data must lie on the potential's time grid and vanish off its rows t_sel"
             )
-        data = np.stack([h.values[self.t_sel] for h in series], axis=-1)
+        data = np.stack([h.values[self.t_sel].real for h in series], axis=-1)
         scale = self.tgrid.step / np.sqrt(2.0 * np.pi)
-        self.rhs = scale * np.conj(self._ttable.T @ np.conj(data))
+        self.rhs = scale * self._ttable.transform(data)
+        # w_q (2 pi)^(-1/2) c_m(beta_q), (Q, 3).
         self.coeffs = solve_coefficients_batch(self.quad.roots, self.rhs)
+        self.coeffs *= (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
 
-    def _time_table(self, ttargets: np.ndarray) -> np.ndarray:
+    def _time_table(self, ttargets: np.ndarray) -> _FoldedTable:
         if np.array_equal(ttargets, self.ttargets):
             return self._ttable
-        return np.exp(1j * np.outer(ttargets, self.quad.betas))
-
-    @staticmethod
-    def _node_sum(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """2 Re (table @ values), as the real product of table's (cos, sin)
-        columns with (Re, -Im) of values."""
-        pairs = np.stack([values.real, -values.imag], axis=1)
-        return 2.0 * (table.view(np.float64) @ pairs.reshape(2 * len(values), *values.shape[1:]))
+        return _FoldedTable.build(ttargets, self.quad.betas)
 
     def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
         """(offsets, offset table, base, live rows, taper) of an x-block; x_b = min xs.
@@ -382,29 +421,28 @@ class BoundaryPotential:
         live = slice(None) if live.all() else np.flatnonzero(live)
         return offsets, table, base, live, taper[live]
 
-    def _weighted_coefficients(self) -> tuple:
-        """w_q (2 pi)^(-1/2) c_m(beta_q) split into its oscillatory-root and
-        decaying-root entries, (Q, 3) each."""
-        weighted = self.coeffs * (self.quad.weights / np.sqrt(2.0 * np.pi))[:, None]
-        return np.where(_OSC, weighted, 0.0), np.where(_OSC, 0.0, weighted)
-
     def field_values(self, xtargets, ttargets) -> np.ndarray:
-        """Field samples, shape (len(xtargets), len(ttargets))."""
+        """Field samples, shape (len(xtargets), len(ttargets)).
+
+        On an x < 0 block the oscillatory root (column 2) is summed on every
+        node and the two decaying roots on the `live` nodes only, under the
+        taper; the other entries are zero and are not summed."""
         xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
-        osc, dec = self._weighted_coefficients()
         tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
         _, table, base, live, taper = tables
+        coef = base * self.coeffs
         if live is None:
-            kernel = _combine(base * (osc + dec), table)
+            kernel = _combine(coef, table)
         else:
-            kernel = _combine(base * osc, table)
-            kernel[live] += taper * _combine((base * dec)[live], table[:, live])
-        return self._node_sum(self._time_table(ttargets), kernel).T
+            kernel = _combine(coef[:, 2:], table[2:])
+            kernel[live] += taper * _combine(coef[live, :2], table[:2, live])
+        return self._time_table(ttargets).node_sum(kernel).T
 
     def field_on_grid(self, xnodes) -> np.ndarray:
         """Real field on xnodes and every node of the data's time grid, shape
-        (X, T); zero off the rows `t_sel`.
+        (X, T) and column-major, the layout of the solver's L and N; zero off
+        the rows `t_sel`.
 
         Evaluated by `field_values` in blocks of _X_BLOCK targets.  The block
         tables stay for the next call on the same nodes, which the
@@ -413,7 +451,7 @@ class BoundaryPotential:
         xnodes = np.asarray(xnodes, dtype=float)
         if xnodes.tobytes() != self._grid_key:
             self._grid_key, self._blocks = xnodes.tobytes(), {}
-        values = np.zeros((len(xnodes), self.tgrid.count))
+        values = np.zeros((len(xnodes), self.tgrid.count), order="F")
         for start in range(0, len(xnodes), _X_BLOCK):
             xs = xnodes[start : start + _X_BLOCK]
             if xs.tobytes() not in self._blocks:
@@ -426,10 +464,9 @@ class BoundaryPotential:
         """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel
         derivatives (r^j factors), shape (3, len(ttargets))."""
         ttargets = np.asarray(ttargets, dtype=float)
-        quad = self.quad
-        node_vals = np.sum(self.coeffs[:, :, None] * quad.roots[:, :, None] ** np.arange(3), axis=1)
-        phases = self._time_table(ttargets)
-        return self._node_sum(phases, quad.weights[:, None] * node_vals).T / np.sqrt(2.0 * np.pi)
+        roots = self.quad.roots
+        node_vals = np.sum(self.coeffs[:, :, None] * roots[:, :, None] ** np.arange(3), axis=1)
+        return self._time_table(ttargets).node_sum(node_vals).T
 
     def trace_on_grid(self) -> tuple:
         """Traces of orders 0, 1, 2 on the data's time grid, as three

@@ -75,13 +75,14 @@ class UniformGrid:
 
 
 def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
-    """Read-only copy: complex input as complex128, any other as float64."""
+    """Read-only copy in the input's own memory layout: complex input as
+    complex128, any other as float64."""
     arr = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if arr.shape != shape_expected:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {shape_expected}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values contain non-finite entries")
-    arr = arr.copy()
+    arr = arr.copy(order="K")
     arr.flags.writeable = False
     return arr
 

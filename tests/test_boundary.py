@@ -12,6 +12,7 @@ from kdv5half.boundary import (
     BoundaryPotential,
     BoundaryQuadrature,
     PreconditionError,
+    _FoldedTable,
     boundary_potential_traces,
     gamma_panel_edges,
     panel_nodes_weights,
@@ -540,6 +541,65 @@ class TestRealDataHalfRule:
             BoundaryPotential(pot.quad, h1, complex_h2, h3, t_sel=ALL_ROWS)
         with pytest.raises(PreconditionError, match="must be real"):
             pot.update_data(h1, complex_h2, h3)
+
+
+def rows_in(lo, hi):
+    return np.flatnonzero((TG.nodes >= lo) & (TG.nodes <= hi))
+
+
+# The solver's window (-1 - dt, 1 + dt) on the 1024-node time grid, the rows
+# t >= 0 of the initial-vanishing probe, the single row t = 0, and a window
+# whose |t| pair on (-0.3, 0.3) only.
+FOLD_ROWS = {
+    "symmetric": rows_in(-1.0 - TG.step, 1.0 + TG.step),
+    "one_sided": rows_in(0.0, 2.0),
+    "origin": rows_in(0.0, 0.0),
+    "partly_paired": rows_in(-0.3, 1.9),
+}
+
+
+class TestFoldedTimeTable:
+    # The table folded about t = 0 against the dense e^{i beta t} product.
+
+    @pytest.mark.parametrize("name", sorted(FOLD_ROWS))
+    def test_node_sum_matches_the_dense_table(self, name):
+        t = TG.nodes[FOLD_ROWS[name]]
+        betas = three_channel_potential().quad.betas
+        rng = np.random.default_rng(3)
+        kernel = rng.standard_normal((len(betas), 5)) + 1j * rng.standard_normal((len(betas), 5))
+        got = _FoldedTable.build(t, betas).node_sum(kernel)
+        want = 2.0 * (np.exp(1j * np.outer(t, betas)) @ kernel).real
+        assert got.shape == (len(t), 5)
+        assert rel_max_error(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(FOLD_ROWS))
+    def test_data_transform_matches_the_dense_table(self, name):
+        rows = FOLD_ROWS[name]
+        rng = np.random.default_rng(4)
+        series = []
+        for _ in range(3):
+            values = np.zeros(TG.count)
+            values[rows] = rng.standard_normal(len(rows))
+            series.append(TimeSeries(TG, values))
+        pot = BoundaryPotential(three_channel_potential().quad, *series, t_sel=rows)
+        data = np.stack([h.values[rows] for h in series], axis=-1)
+        dense = np.exp(-1j * np.outer(pot.quad.betas, TG.nodes[rows]))
+        want = TG.step / np.sqrt(2.0 * np.pi) * (dense @ data)
+        assert rel_max_error(pot.rhs, want) <= 1e-13
+
+    def test_rows_pair_by_exact_equality_of_abs_t(self):
+        quad = three_channel_potential().quad
+        distinct = {"symmetric": 258, "one_sided": 512, "origin": 1, "partly_paired": 487}
+        for name, rows in FOLD_ROWS.items():
+            values = np.zeros(TG.count)
+            pot = BoundaryPotential(quad, *(TimeSeries(TG, values),) * 3, t_sel=rows)
+            assert pot._ttable.cos.shape == pot._ttable.sin.shape == (distinct[name], len(quad.betas))
+        # The 76 rows t < 0 of the partly paired window fold onto t > 0.
+        assert [len(FOLD_ROWS[k]) for k in ("symmetric", "partly_paired")] == [515, 563]
+
+    def test_field_on_grid_is_column_major(self):
+        pot = three_channel_potential()
+        assert pot.field_on_grid(np.linspace(-1.0, 3.0, 40)).flags.f_contiguous
 
 
 class TestConjugateSymmetry:

@@ -97,6 +97,15 @@ class TestStorageRule:
             with pytest.raises(ValueError, match="non-finite"):
                 make(values)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_copy_keeps_the_memory_layout(self, order):
+        # The solver's iterates are column-major; wrapping one must not
+        # transpose it in memory.
+        source = np.array(np.arange(16.0).reshape(8, 2), order=order)
+        f = SpaceTimeField(small_grid(), UniformGrid(origin=0.0, step=0.5, count=2), source)
+        assert f.values.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(f.values, source) and not np.shares_memory(f.values, source)
+
     def test_real_data_producers_emit_float64(self, small_config):
         xg, tg = small_config.xgrid, small_config.tgrid
         datum_specs = [
