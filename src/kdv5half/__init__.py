@@ -15,7 +15,6 @@ from .boundary import (
     AccuracyError,
     BoundaryPotential,
     BoundaryQuadrature,
-    PreconditionError,
     boundary_potential_traces,
 )
 from .bourgain import (
@@ -45,6 +44,7 @@ from .fixed_point import (
 )
 from .grids import (
     GridFunction,
+    PreconditionError,
     SpaceTimeField,
     TimeSeries,
     UniformGrid,
@@ -58,7 +58,7 @@ from .propagator import (
     trace_at_origin,
 )
 from .scenarios import Scenario, ScenarioError, run_scenario
-from .spectral import sobolev_norm, x_spectrum, x_values
+from .spectral import sobolev_norm
 from .verification import (
     HarnessError,
     extension_independence,
@@ -116,8 +116,6 @@ __all__ = [
     "weak_form_residual",
     "weak_test_family",
     "whole_line_oracle",
-    "x_spectrum",
-    "x_values",
     "xsb_norm",
     "xsba_norm",
     "zero_extend_time",

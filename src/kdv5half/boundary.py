@@ -21,8 +21,8 @@ The problem is real, and so is every boundary datum: for real h_j,
 h_j_hat(-beta) = conj h_j_hat(beta) and the stable roots at -beta are the
 conjugates of those at beta in reversed order, so the beta < 0 half of the
 integral is the conjugate of the beta > 0 half.  The quadrature therefore
-tabulates the beta > 0 nodes only, the potential returns 2 Re of their sum,
-and data with a nonzero imaginary part are refused (PreconditionError).
+tabulates the beta > 0 nodes only and the potential returns 2 Re of their
+sum; the data are real because a TimeSeries holds real samples only.
 
 The time table is folded about t = 0 as well: e^{-i beta t} is the conjugate
 of e^{i beta t}, so the field at +-t is 2 (cos(beta |t|) Re K -+ sin(beta |t|)
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import rho
-from .grids import TimeSeries
-from .spectral import BAND_CAP, x_spectrum
+from .grids import PreconditionError, TimeSeries
+from .spectral import BAND_CAP, half_multiplicity, x_half_spectrum
 
 __all__ = [
     "AccuracyError",
@@ -57,10 +57,6 @@ __all__ = [
 
 class AccuracyError(RuntimeError):
     """A quadrature or convergence target was not met."""
-
-
-class PreconditionError(ValueError):
-    """Input data violates a stated operating precondition."""
 
 
 # Root phases (stable half-plane Re r <= 0), one list per sign of beta.  The
@@ -196,29 +192,28 @@ def truncation_radius(series, tolerance: float, cap: float):
     """Smallest radius outside which every spectrum is below tolerance*max.
 
     Returns (radius, tail_mass, ok).  tail_mass is the spectral l1 mass beyond
-    the returned radius (only nonzero when the cap had to clamp the radius).
+    the returned radius, on both signs of xi (only nonzero when the cap had to
+    clamp the radius).  The half-spectrum rows run in increasing |xi|.
     """
     radius = 1.0
     ok = True
     tail = 0.0
     for h in series:
-        mags = np.abs(x_spectrum(h.values, h.grid))
+        mags = np.abs(x_half_spectrum(h.values, h.grid))
         peak = float(mags.max())
         if peak == 0.0:
             continue
-        freqs = np.abs(h.grid.frequencies)
-        order = np.argsort(freqs)
-        f_sorted, m_sorted = freqs[order], mags[order]
-        from_above = np.maximum.accumulate(m_sorted[::-1])[::-1]
+        freqs = np.abs(h.grid.frequencies[: len(mags)])
+        from_above = np.maximum.accumulate(mags[::-1])[::-1]
         below = from_above < tolerance * peak
         if np.any(below):
-            needed = float(f_sorted[np.argmax(below)])
+            needed = float(freqs[np.argmax(below)])
         else:
-            needed = float(f_sorted[-1])
+            needed = float(freqs[-1])
         if needed > cap:
             ok = False
-            above = f_sorted > cap
-            tail += float(np.sum(m_sorted[above]) * h.grid.freq_step)
+            above = freqs > cap
+            tail += float(np.sum((half_multiplicity(h.grid) * mags)[above]) * h.grid.freq_step)
         radius = max(radius, min(needed, cap))
     return radius, tail, ok
 
@@ -276,8 +271,8 @@ class BoundaryPotential:
 
     Each data update costs one data transform and one batch of per-node
     Cramer solves; evaluation is then one dense contraction per x-block.
-    The data must be real (PreconditionError otherwise): every table, `rhs`
-    and `coeffs` hold the beta > 0 nodes of `quad` only, and `field_values` /
+    The data are real TimeSeries, so every table, `rhs` and `coeffs` hold
+    the beta > 0 nodes of `quad` only, and `field_values` /
     `trace_values` return 2 Re of their sum, as two real products of the
     folded time table's cos and sin with Re and Im of the kernel.
 
@@ -370,15 +365,11 @@ class BoundaryPotential:
 
     def update_data(self, h1, h2, h3) -> None:
         series = (h1, h2, h3)
-        if any(np.any(h.values.imag) for h in series):
-            raise PreconditionError(
-                "boundary data must be real: the potential sums the beta > 0 nodes only"
-            )
         if any(h.grid != self.tgrid or np.any(h.values[self._off_rows]) for h in series):
             raise ValueError(
                 "boundary data must lie on the potential's time grid and vanish off its rows t_sel"
             )
-        data = np.stack([h.values[self.t_sel].real for h in series], axis=-1)
+        data = np.stack([h.values[self.t_sel] for h in series], axis=-1)
         scale = self.tgrid.step / np.sqrt(2.0 * np.pi)
         self.rhs = scale * self._ttable.transform(data)
         # w_q (2 pi)^(-1/2) c_m(beta_q), (Q, 3).

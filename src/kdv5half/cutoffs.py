@@ -123,10 +123,7 @@ def _one_sided_jet(g: GridFunction):
     ys = g.values[k0 : k0 + 20]
     scale = float(xs[-1]) if xs[-1] > 0 else 1.0
     t = xs / scale
-    coef = np.polynomial.polynomial.polyfit(t, ys.real, 9)
-    if np.iscomplexobj(ys):
-        imag = np.polynomial.polynomial.polyfit(t, ys.imag, 9)
-        coef = [complex(cr, ci) for cr, ci in zip(coef, imag)]
+    coef = np.polynomial.polynomial.polyfit(t, ys, 9)
     return [math.factorial(m) * coef[m] / scale**m for m in range(_JET_ORDER)]
 
 

@@ -15,13 +15,13 @@ e^{i beta t} table and x-block tables from the first nonzero data and only
 the data change afterwards.  L is built once, with the workspace, and every
 iterate is L + N(u) as summed, so the linear/nonlinear split of the result
 is exact by construction; the loop starts at u_1 = Gamma_T(0) = L, since
-F_T(0) = 0.  The problem data g_l and h_j must be real (PreconditionError
-otherwise), so L, N(u) and every iterate are real (X, T) arrays and the
-traces q_j, r_j and the corrected data real (3, T) arrays.  Every x
-transform is a real one: the free and Duhamel terms are held as their half
-x-spectra (rows xi >= 0), from which the traces are read and one inverse
-rfft gives the field.  The loop passes these arrays directly; only the
-norms and the result wrap them in SpaceTimeFields.
+F_T(0) = 0.  The problem data g_l and h_j are real (a GridFunction or
+TimeSeries holds real samples only), so L, N(u) and every iterate are real
+(X, T) arrays and the traces q_j, r_j and the corrected data real (3, T)
+arrays.  Every x transform is a real one: the free and Duhamel terms are
+held as their half x-spectra (rows xi >= 0), from which the traces are read
+and one inverse rfft gives the field.  The loop passes these arrays
+directly; only the norms and the result wrap them in SpaceTimeFields.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundaryPotential, PreconditionError, truncation_radius
+from .boundary import BoundaryPotential, truncation_radius
 from .bourgain import xsba_norm
 from .cutoffs import eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
@@ -168,8 +168,8 @@ class GammaWorkspace:
     w = eta(t/2T) chi_{t>0} and r(u) are the x = 0 traces of the Duhamel
     term, read off its half x-spectrum.  One BoundaryPotential (quadrature
     nodes plus its data-independent time and space tables) is shared by all
-    of them, since the potential is linear in its data.  g_l and every h_j must
-    be real, and so is everything held here: L and every iterate are real
+    of them, since the potential is linear in its data.  g_l and every h_j are
+    real, and so is everything held here: L and every iterate are real
     (X, T) arrays on the solver grids, and h, q and r real (3, T) arrays.
     """
 
@@ -179,8 +179,6 @@ class GammaWorkspace:
                 raise ValueError("boundary series must live on the solver time grid")
         if data.g_l.grid != cfg.xgrid:
             raise ValueError("initial datum must live on the solver space grid")
-        if any(np.any(f.values.imag) for f in (data.g_l, *data.boundary_series)):
-            raise PreconditionError("initial and boundary data must be real")
         self.data = data
         self.cfg = cfg
         self.plan = PropagatorPlan(cfg.xgrid)
@@ -199,11 +197,11 @@ class GammaWorkspace:
             "resolved_band": (BAND_CAP * np.pi / dt) ** 0.2,
             "data_band": truncation_radius([data.g_l], cfg.spectrum_tol, np.inf)[0],
         }
-        self.h = np.array([h.values.real for h in data.boundary_series])
+        self.h = np.array([h.values for h in data.boundary_series])
         # One spectrum gives q and the free term, as in `apply`; the
         # (T, X // 2 + 1) table behind it is not read again: free it before
         # the potential's.
-        spec = self.plan.free_spectrum(data.g_l.values.real, cfg.tgrid)
+        spec = self.plan.free_spectrum(data.g_l.values, cfg.tgrid)
         self.plan.release_free_phases()
         self.q = trace_at_origin(spec, cfg.tgrid, self.plan)
         self.linear = x_half_values(spec, cfg.xgrid)

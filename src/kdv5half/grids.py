@@ -4,6 +4,13 @@ Everything downstream (transforms, norms, the solver) works on periodized
 uniform grids.  A grid stands in for the real line: scenario data decay fast
 enough that the periodization error sits below every tolerance used in the
 test harness.
+
+The problem is real, and this module is the one place that decides it: a
+GridFunction or TimeSeries (a datum g or a boundary series h_j) holds
+float64 samples only.  Complex-typed samples with a zero imaginary part are
+stored as their real part; a nonzero imaginary part raises PreconditionError.
+Only SpaceTimeField, which also carries the bilinear probes' complex fields,
+keeps complex128 input.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "PreconditionError",
     "UniformGrid",
     "GridFunction",
     "TimeSeries",
@@ -23,6 +31,10 @@ __all__ = [
     "canonical_json",
     "field_to_csv",
 ]
+
+
+class PreconditionError(ValueError):
+    """Input data violates a stated operating precondition."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +86,21 @@ class UniformGrid:
         return k
 
 
-def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
+def _freeze(values: np.ndarray, shape_expected: tuple, real: bool) -> np.ndarray:
     """Read-only copy in the input's own memory layout: complex input as
-    complex128, any other as float64."""
+    complex128, any other as float64.  With `real`, complex input is stored
+    as its real part and refused (PreconditionError) if that drops anything."""
     arr = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if arr.shape != shape_expected:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {shape_expected}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values contain non-finite entries")
+    if real and np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            raise PreconditionError(
+                "GridFunction and TimeSeries samples must be real: the imaginary part is nonzero"
+            )
+        arr = arr.real
     arr = arr.copy(order="K")
     arr.flags.writeable = False
     return arr
@@ -89,13 +108,13 @@ def _freeze(values: np.ndarray, shape_expected: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples on a UniformGrid (a function of one variable), float64 or complex128."""
+    """Real samples on a UniformGrid (a function of one variable), float64."""
 
     grid: UniformGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values, (self.grid.count,)))
+        object.__setattr__(self, "values", _freeze(self.values, (self.grid.count,), real=True))
 
 
 class TimeSeries(GridFunction):
@@ -112,7 +131,7 @@ class SpaceTimeField:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", _freeze(self.values, (self.xgrid.count, self.tgrid.count))
+            self, "values", _freeze(self.values, (self.xgrid.count, self.tgrid.count), real=False)
         )
 
 

@@ -16,8 +16,8 @@ uniform time grid every panel's Gauss sum is the spline's power
 coefficients times one fixed (4, K) phase table per direction.
 `PropagatorPlan.free_spectrum` gives the half spectrum of a datum's free
 evolution, and `trace_at_origin` reads the real x = 0 traces off any such
-half spectrum.  A complex datum reaches `free_field` and
-`kato_smoothing_ratio` by linearity, as W(Re g) + i W(Im g).
+half spectrum.  The datum g is real (the grid types hold real samples only),
+and so are `apply_group` and `free_field`.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ import numpy as np
 
 from .cutoffs import eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import (
-    band_mask,
-    sobolev_norm,
-    x_half_spectrum,
-    x_half_values,
-    x_spectrum,
-    x_values,
-)
+from .spectral import band_mask, half_multiplicity, sobolev_norm, x_half_spectrum, x_half_values
 
 __all__ = [
     "PropagatorPlan",
@@ -56,7 +49,8 @@ class PropagatorPlan:
 
     @property
     def xi(self) -> np.ndarray:
-        return self.xgrid.frequencies
+        """Frequencies of the half-spectrum rows 0 ... X // 2."""
+        return self.xgrid.frequencies[: self.xgrid.count // 2 + 1]
 
     # Computed once per plan; cached_property writes the instance dict
     # directly, so it works on the frozen dataclass.
@@ -67,16 +61,15 @@ class PropagatorPlan:
     @cached_property
     def band_rows(self) -> int:
         """K, the number of leading half-spectrum rows inside the band cap:
-        the modes 0 <= xi <= BAND_CAP * nyquist."""
-        return int(np.count_nonzero(band_mask(self.xgrid) & (self.xi >= 0.0)))
+        the modes 0 <= xi < BAND_CAP * nyquist."""
+        return int(np.count_nonzero(band_mask(self.xgrid)[: len(self.xi)]))
 
     @cached_property
     def trace_multipliers(self) -> np.ndarray:
         """c (i xi)^j on the band-capped rows for the trace orders j = 0, 1, 2,
-        shape (3, K), with c = 1 at xi = 0 and 2 above: each row xi > 0
-        stands for itself and its conjugate row -xi."""
-        xi = self.xi[: self.band_rows]
-        return np.where(xi > 0.0, 2.0, 1.0) * (1j * xi) ** np.arange(3)[:, None]
+        shape (3, K), with c the rows' `half_multiplicity`."""
+        k = self.band_rows
+        return half_multiplicity(self.xgrid)[:k] * (1j * self.xi[:k]) ** np.arange(3)[:, None]
 
     def free_spectrum(self, values: np.ndarray, tgrid: UniformGrid) -> np.ndarray:
         """Half x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g for the real
@@ -86,22 +79,13 @@ class PropagatorPlan:
         `release_free_phases`."""
         cached = self.__dict__.get("_free_phases")
         if cached is None or cached[0] != tgrid:
-            xi5 = self.xi5[: self.xgrid.count // 2 + 1]
-            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, xi5)))
+            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, self.xi5)))
             self.__dict__["_free_phases"] = cached
         return (cached[1] * x_half_spectrum(values, self.xgrid)).T
 
     def release_free_phases(self) -> None:
         """Drop the cached e^{-i t_n xi^5} table (it is rebuilt on demand)."""
         self.__dict__.pop("_free_phases", None)
-
-
-def _by_parts(g: GridFunction, real_map):
-    """real_map(g) for real samples g; real_map(Re g) + i real_map(Im g) for
-    complex ones, which a real-linear map allows."""
-    if not np.iscomplexobj(g.values):
-        return real_map(g.values)
-    return real_map(g.values.real) + 1j * real_map(g.values.imag)
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:
@@ -111,18 +95,14 @@ def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -
     and every H^s norm is preserved to rounding.
     """
     plan = plan or PropagatorPlan(g.grid)
-    evolved = x_spectrum(g.values, g.grid) * np.exp(-1j * t * plan.xi5)
-    return type(g)(g.grid, x_values(evolved, g.grid))
+    evolved = x_half_spectrum(g.values, g.grid) * np.exp(-1j * t * plan.xi5)
+    return type(g)(g.grid, x_half_values(evolved, g.grid))
 
 
 def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None = None) -> SpaceTimeField:
     """W(t_n) g for every node of tgrid, as one space-time field."""
     plan = plan or PropagatorPlan(g.grid)
-    return SpaceTimeField(
-        g.grid,
-        tgrid,
-        _by_parts(g, lambda v: x_half_values(plan.free_spectrum(v, tgrid), g.grid)),
-    )
+    return SpaceTimeField(g.grid, tgrid, x_half_values(plan.free_spectrum(g.values, tgrid), g.grid))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -269,7 +249,7 @@ def kato_smoothing_ratio(
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
     plan = plan or PropagatorPlan(g.grid)
-    traces = _by_parts(g, lambda v: trace_at_origin(plan.free_spectrum(v, tgrid), tgrid, plan))
+    traces = trace_at_origin(plan.free_spectrum(g.values, tgrid), tgrid, plan)
     return tuple(
         sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
         for j, trace in enumerate(traces)

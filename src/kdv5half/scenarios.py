@@ -28,7 +28,7 @@ from .cutoffs import check_compatibility, extend_initial_datum, right_bump, zero
 from .fixed_point import SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, TimeSeries, UniformGrid, canonical_json, field_to_csv
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
-from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_spectrum, x_values
+from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_half_values
 from .verification import (
     _halfline_box,
     extension_independence,
@@ -263,22 +263,22 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def _rough_tail_datum(grid: UniformGrid, s: float, amplitude: float, seed: int, band_fraction: float) -> GridFunction:
-    """Real datum with |g_hat(xi)| proportional to <xi>^-(s+0.55): in H^s, barely."""
+    """Real datum with |g_hat(xi)| proportional to <xi>^-(s+0.55): in H^s, barely.
+
+    Its half spectrum is 1 at xi = 0 and carries a random phase on the rows
+    0 < xi <= band below count // 2."""
     rng = np.random.default_rng(seed)
-    n = grid.count
     freqs = grid.frequencies
     band = band_fraction * grid.nyquist
-    coeffs = np.zeros(n, dtype=np.complex128)
-    half = n // 2
-    for k in range(1, half):
-        if abs(freqs[k]) > band:
+    coeffs = np.zeros(grid.count // 2, dtype=np.complex128)
+    for k in range(1, len(coeffs)):
+        if freqs[k] > band:
             continue
-        mag = (1.0 + abs(freqs[k])) ** (-(s + 0.55))
+        mag = (1.0 + freqs[k]) ** (-(s + 0.55))
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coeffs[k] = mag * np.exp(1j * phase)
-        coeffs[n - k] = np.conj(coeffs[k])
     coeffs[0] = 1.0
-    vals = x_values(coeffs, grid).real
+    vals = x_half_values(coeffs, grid)
     peak = float(np.max(np.abs(vals)))
     return GridFunction(grid, vals * (amplitude / peak))
 
@@ -359,10 +359,11 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
     for j, (tr, h) in enumerate(zip(traces, data_series)):
         err = float(np.max(np.abs(tr.values[plateau] - h.values[plateau]))) / scale
         trace_error = max(trace_error, err)
+        # The traces are real TimeSeries; `im` stays, all zeros, as in a solve's report.
         report["traces"][f"j{j}"] = {
             "t": tnodes[plateau].tolist(),
-            "re": tr.values[plateau].real.tolist(),
-            "im": tr.values[plateau].imag.tolist(),
+            "re": tr.values[plateau].tolist(),
+            "im": np.zeros(int(plateau.sum())).tolist(),
             "relative_error": err,
         }
     checks = {}
@@ -424,11 +425,12 @@ def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
         worst = max(ratios.values())
         checks["kato_ratio_max"] = _summary_entry(worst, scenario.checks["kato_ratio_max"])
         report["kato_ratios"] = ratios
+    # |g_hat| on the whole FFT-ordered spectrum: row min(k, X - k) of the
+    # half spectrum, as |g_hat(-xi)| = |g_hat(xi)| for a real g.
+    k = np.arange(g.grid.count)
+    magnitude = np.abs(x_half_spectrum(g.values, g.grid))[np.minimum(k, g.grid.count - k)]
     report["spectra"] = {
-        "g": {
-            "xi": np.abs(g.grid.frequencies).tolist(),
-            "magnitude": np.abs(x_spectrum(g.values, g.grid)).tolist(),
-        }
+        "g": {"xi": np.abs(g.grid.frequencies).tolist(), "magnitude": magnitude.tolist()}
     }
     report["checks"] = checks
     return report

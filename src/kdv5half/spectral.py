@@ -6,6 +6,14 @@ Conventions (fixed repo-wide):
 The discrete sums carry the measure factors, so Parseval holds exactly:
   sum |f|^2 * step == sum |f_hat|^2 * freq_step.
 The Sobolev bracket is <xi> = 1 + |xi| (not sqrt(1+xi^2)).
+
+Every function of one variable is real (see `grids`), so the one 1-D pair is
+the half spectrum: `x_half_spectrum` keeps the rows xi >= 0 of the discrete
+transform, 0 ... count // 2 of `grid.frequencies` (for an even count the
+Nyquist frequency last, at -nyquist), and the rows xi < 0 are their
+conjugates.  A sum over the whole spectrum is a sum over these rows weighted
+by `half_multiplicity`.  The 2-D pair (`spectrum_matrix`) stays complex for
+the bilinear probes' fields.
 """
 
 from __future__ import annotations
@@ -16,10 +24,9 @@ from .grids import GridFunction, SpaceTimeField, UniformGrid
 
 __all__ = [
     "BAND_CAP",
-    "x_spectrum",
-    "x_values",
     "x_half_spectrum",
     "x_half_values",
+    "half_multiplicity",
     "spectrum_matrix",
     "values_from_spectrum_matrix",
     "field_l2_norm",
@@ -31,9 +38,9 @@ __all__ = [
 
 
 # The resolved band as a fraction of the Nyquist frequency, fixed repo-wide.
-# The Duhamel term, the x = 0 traces and the quadratic term drop the modes
-# with |xi| > BAND_CAP * nyquist of the x grid; the boundary potential's
-# beta-integral stops at BAND_CAP * nyquist of the t grid.
+# The Duhamel term, the x = 0 traces and the quadratic term keep the modes
+# with |xi| < BAND_CAP * nyquist of the x grid (`band_mask`); the boundary
+# potential's beta-integral stops at BAND_CAP * nyquist of the t grid.
 BAND_CAP = 0.75
 
 
@@ -41,25 +48,13 @@ def _axis0(row: np.ndarray, ndim: int) -> np.ndarray:
     return row[:, None] if ndim == 2 else row
 
 
-def x_spectrum(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Forward transform along axis 0 of a 1-D array or of every column of a 2-D one."""
-    phase = _axis0(np.exp(-1j * grid.frequencies * grid.origin), np.ndim(values))
-    return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(values, axis=0)
-
-
-def x_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Inverse of `x_spectrum`, along the same axis."""
-    phase = _axis0(np.exp(1j * grid.frequencies * grid.origin), np.ndim(spec))
-    return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
-
-
 def x_half_spectrum(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """`x_spectrum` of real samples on its rows 0 ... count // 2, by one rfft.
-
-    These rows hold xi >= 0 (and, for an even count, the Nyquist frequency
-    last, at -nyquist as in `grid.frequencies`); the rows xi < 0 of a real
-    field are their conjugates.
-    """
+    """Forward transform of real samples along axis 0 (of a 1-D array or of
+    every column of a 2-D one), on the rows 0 ... count // 2, by one rfft.
+    Complex samples are refused (ValueError): rfft would drop their
+    imaginary part."""
+    if np.iscomplexobj(values):
+        raise ValueError("x_half_spectrum takes real samples")
     freqs = grid.frequencies[: grid.count // 2 + 1]
     phase = _axis0(np.exp(-1j * freqs * grid.origin), np.ndim(values))
     return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.rfft(values, axis=0)
@@ -78,6 +73,17 @@ def x_half_values(spec: np.ndarray, grid: UniformGrid) -> np.ndarray:
     values = np.fft.irfft(spec * phase, n=grid.count, axis=0)
     values *= np.sqrt(2.0 * np.pi) / grid.step
     return values
+
+
+def half_multiplicity(grid: UniformGrid) -> np.ndarray:
+    """How many rows of the whole spectrum each half-spectrum row stands for:
+    1 at xi = 0 and on an even count's Nyquist row (their own conjugates),
+    2 on every other row (itself and its conjugate row -xi)."""
+    mult = np.full(grid.count // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if grid.count % 2 == 0:
+        mult[-1] = 1.0
+    return mult
 
 
 def spectrum_matrix(u: SpaceTimeField) -> np.ndarray:
@@ -114,18 +120,23 @@ def sobolev_norm(f: GridFunction, s: float, band: float | None = None) -> float:
     """
     if s < 0:
         raise ValueError(f"sobolev_norm requires s >= 0, got {s}")
-    freqs = f.grid.frequencies
-    coeffs = x_spectrum(f.values, f.grid)
+    freqs = np.abs(f.grid.frequencies[: f.grid.count // 2 + 1])
+    power = half_multiplicity(f.grid) * np.abs(x_half_spectrum(f.values, f.grid)) ** 2
     if band is not None:
-        keep = np.abs(freqs) <= band
-        freqs, coeffs = freqs[keep], coeffs[keep]
-    w = (1.0 + np.abs(freqs)) ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2) * f.grid.freq_step))
+        keep = freqs <= band
+        freqs, power = freqs[keep], power[keep]
+    w = (1.0 + freqs) ** (2.0 * s)
+    return float(np.sqrt(np.sum(w * power) * f.grid.freq_step))
 
 
 def band_mask(grid: UniformGrid) -> np.ndarray:
-    """Boolean mask keeping modes with |xi| <= BAND_CAP * nyquist."""
-    return np.abs(grid.frequencies) <= BAND_CAP * grid.nyquist
+    """Boolean mask, in FFT order, keeping the modes |xi| < BAND_CAP * nyquist.
+
+    Decided on the integer mode index k (xi = k * freq_step) as
+    2|k| < BAND_CAP * count, so a mode on the cap itself is dropped on every
+    grid rather than by the last bit of the float frequencies."""
+    k = np.abs(np.fft.fftfreq(grid.count, d=1.0 / grid.count))
+    return 2.0 * k < BAND_CAP * grid.count
 
 
 def nonuniform_transform(f: GridFunction, freqs) -> np.ndarray:
@@ -159,28 +170,29 @@ def random_band_limited(
     amplitude: float = 1.0,
     decay: float = 1.0,
 ) -> GridFunction:
-    """Random smooth function with spectrum supported in |xi| <= band.
+    """Random smooth real function with spectrum supported in |xi| <= band.
 
     A deliberate seeded test-data generator: the package itself never calls
     it; the tests and ad-hoc studies draw their band-limited data from it.
 
-    Coefficients are complex Gaussian with an exp(-decay*(xi/band)^2)
-    envelope; the result is normalized to the requested L-infinity amplitude.
-
-    Draws are assigned to lattice frequencies in the resolution-independent
-    order k = 0, 1, -1, 2, -2, ..., so the same rng state produces the same
-    continuum function on any refinement of a grid with the same period.
+    One complex Gaussian coefficient c_k is drawn per lattice frequency
+    k * freq_step, with an exp(-decay*(xi/band)^2) envelope, in the
+    resolution-independent order k = 0, 1, -1, 2, -2, ..., so the same rng
+    state produces the same continuum function on any refinement of a grid
+    with the same period.  The function is the real part of their sum, the
+    half spectrum (c_k + conj c_{-k})/2, normalized to the requested
+    L-infinity amplitude.
     """
     freq_step = grid.freq_step
     kmax = min(int(np.floor(band / freq_step)), (grid.count - 1) // 2)
-    coeffs = np.zeros(grid.count, dtype=np.complex128)
+    coeffs = np.zeros(kmax + 1, dtype=np.complex128)
     for k in range(0, kmax + 1):
-        signed = ((k, k),) if k == 0 else ((k, k), (grid.count - k, -k))
-        for idx, kk in signed:
-            raw = complex(rng.standard_normal(), rng.standard_normal())
-            coeffs[idx] = raw * np.exp(-decay * (kk * freq_step / band) ** 2)
-    values = x_values(coeffs, grid)
+        envelope = np.exp(-decay * (k * freq_step / band) ** 2)
+        pos = complex(rng.standard_normal(), rng.standard_normal())
+        neg = complex(rng.standard_normal(), rng.standard_normal()) if k else pos
+        coeffs[k] = 0.5 * envelope * (pos + np.conj(neg))
+    values = x_half_values(coeffs, grid)
     peak = np.max(np.abs(values))
     if peak == 0.0:
-        return GridFunction(grid, np.zeros(grid.count, dtype=np.complex128))
+        return GridFunction(grid, np.zeros(grid.count))
     return GridFunction(grid, values * (amplitude / peak))

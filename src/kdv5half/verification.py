@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .boundary import AccuracyError, PreconditionError
+from .boundary import AccuracyError
 from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import apply_group
-from .spectral import BAND_CAP, sobolev_norm, x_spectrum, x_values
+from .spectral import BAND_CAP, sobolev_norm, x_half_spectrum, x_half_values
 
 __all__ = [
     "HarnessError",
@@ -59,13 +59,10 @@ def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: 
     """Split-step slices at every step, shape (X, steps + 1); with
     `final_only` just the last slice, shape (X,).
 
-    g_l must be real (PreconditionError otherwise): the scheme runs on the
-    rfft half-spectrum V, each step takes 2 irfft and 2 rfft (one pair per
-    advection stage), and the slices are stored as spectra and
-    inverse-transformed together at the end.
+    The real datum makes the scheme run on the rfft half-spectrum V: each
+    step takes 2 irfft and 2 rfft (one pair per advection stage), and the
+    slices are stored as spectra and inverse-transformed together at the end.
     """
-    if np.any(g_l.values.imag):
-        raise PreconditionError("the whole-line oracle takes a real initial datum")
     grid = g_l.grid
     xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
     dt = T / steps
@@ -77,7 +74,7 @@ def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: 
         v_d = np.fft.irfft(dealias * V, n=grid.count)
         return deriv * np.fft.rfft(v_d * v_d)
 
-    V = np.fft.rfft(g_l.values.real)
+    V = np.fft.rfft(g_l.values)
     out = None if final_only else np.empty((steps + 1, len(xi)), dtype=np.complex128)
     if out is not None:
         out[0] = V
@@ -104,8 +101,7 @@ def whole_line_oracle(
 
     Strang splitting: exact dispersive half-steps exp(-i dt/2 xi^5) around an
     explicit-midpoint step of the advection term with 2/3-rule dealiasing,
-    carried on the half-spectrum of the real datum (a g_l with a nonzero
-    imaginary part raises PreconditionError).  With check=True the step
+    carried on the half-spectrum of the real datum.  With check=True the step
     count is halved-vs-doubled and the final-slice L^2 difference must stay
     below halving_tol, otherwise AccuracyError.
     """
@@ -166,7 +162,7 @@ def manufactured_data(
     turns = (np.arange(len(xi)) * grid.index_of(0.0)) % grid.count
     shift = np.exp(2j * np.pi * turns / grid.count)
     rows = (1j * xi) ** np.arange(3)[:, None] * (mult * shift / grid.count)
-    traces = (rows @ np.fft.rfft(oracle.values.real, axis=0)).real
+    traces = (rows @ np.fft.rfft(oracle.values, axis=0)).real
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
     vals = np.zeros((3, cfg.tgrid.count))
     vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::steps_per_node]
@@ -217,8 +213,9 @@ def pde_residual(
             raise ValueError("analytic fifth derivative must share the field's grids")
         u5 = fifth_x.values
     else:
-        xi = u.xgrid.frequencies[:, None]
-        u5 = x_values((1j * xi) ** 5 * x_spectrum(u.values, u.xgrid), u.xgrid)
+        spec = x_half_spectrum(u.values, u.xgrid)
+        xi = u.xgrid.frequencies[: len(spec), None]
+        u5 = x_half_values((1j * xi) ** 5 * spec, u.xgrid)
 
     res = u_t + u5
     xnodes, tnodes = u.xgrid.nodes, u.tgrid.nodes
@@ -439,14 +436,15 @@ def _log_slope(freqs: np.ndarray, mags: np.ndarray, band: tuple) -> float:
 
 def spectral_tail_slope(f: GridFunction, band: tuple) -> float:
     """Least-squares slope of log|f_hat| against log<xi> over the band."""
-    return _log_slope(f.grid.frequencies, np.abs(x_spectrum(f.values, f.grid)), band)
+    mags = np.abs(x_half_spectrum(f.values, f.grid))
+    return _log_slope(f.grid.frequencies[: len(mags)], mags, band)
 
 
 def field_tail_slope(u: SpaceTimeField, band: tuple, t_indices) -> float:
     """Slope fit of the time-sup envelope of the x-spectrum magnitudes."""
-    spec = x_spectrum(u.values[:, list(t_indices)], u.xgrid)
+    spec = x_half_spectrum(u.values[:, list(t_indices)], u.xgrid)
     envelope = np.max(np.abs(spec), axis=1)
-    return _log_slope(u.xgrid.frequencies, envelope, band)
+    return _log_slope(u.xgrid.frequencies[: len(envelope)], envelope, band)
 
 
 def _smoothing_window(s: float, b: float, a: float) -> bool:

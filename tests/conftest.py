@@ -1,9 +1,15 @@
-"""Shared fixtures: default grids and one session-wide manufactured solve.
+"""Shared fixtures: default grids and one session-wide manufactured solve;
+and the tests' complex DFT pair.
 
 The manufactured solve is the most expensive shared artifact (11 s of
 fixture setup, measured with `pytest --durations` on a 2-vCPU VM with
 numpy 2.4.6 and OpenBLAS); every test that needs a converged solution
 reuses it instead of solving again.
+
+`full_spectrum` / `full_values` are the whole complex transform pair along
+x, on every row of `grid.frequencies`, in the package's convention.  The
+package holds real functions as their half spectra only; the tests use this
+pair as the independent oracle of those (`from conftest import ...`).
 """
 
 import numpy as np
@@ -16,6 +22,22 @@ from kdv5half import (
     manufactured_data,
     picard_solve,
 )
+
+def full_spectrum(values, grid: UniformGrid) -> np.ndarray:
+    """Forward transform along axis 0 of a 1-D array or of every column of a
+    2-D one, on all rows of `grid.frequencies` (FFT order); complex input
+    allowed."""
+    phase = np.exp(-1j * grid.frequencies * grid.origin)
+    phase = phase[:, None] if np.ndim(values) == 2 else phase
+    return (grid.step / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(values, axis=0)
+
+
+def full_values(spec, grid: UniformGrid) -> np.ndarray:
+    """Inverse of `full_spectrum`, along the same axis; complex samples."""
+    phase = np.exp(1j * grid.frequencies * grid.origin)
+    phase = phase[:, None] if np.ndim(spec) == 2 else phase
+    return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
+
 
 DEFAULT_X = dict(origin=-40.0, step=80.0 / 1024, count=1024)
 DEFAULT_T = dict(origin=-2.0, step=4.0 / 1024, count=1024)

@@ -119,17 +119,16 @@ class TestExtensions:
         assert np.isfinite(d3) and np.isfinite(d4)
 
     def test_reflection_of_real_datum_is_real(self):
-        # Real samples fit only the real part of the jet, so the extension of
-        # real and of complex-typed samples differ by rounding alone: at most
-        # 5.5e-16 relative to the peak was measured; the bound allows 4x that.
+        # Complex-typed samples with a zero imaginary part are stored as
+        # float64, so their extension is the real samples' bit for bit.
         x = XG.nodes
         vals = np.where(x >= 0, (0.3 + x - 0.2 * x**2) * np.exp(-((x / 3.0) ** 2)), 0.0)
         real = extend_initial_datum(GridFunction(XG, vals), 1.0, method="reflection").values
         typed = extend_initial_datum(
             GridFunction(XG, vals.astype(complex)), 1.0, method="reflection"
         ).values
-        assert real.dtype == np.float64 and typed.dtype == np.complex128
-        assert np.max(np.abs(real - typed)) <= 4 * 5.5e-16 * np.max(np.abs(typed))
+        assert real.dtype == typed.dtype == np.float64
+        assert np.array_equal(real, typed)
 
     def test_reflection_vanishes_far_left(self):
         g = halfline_samples(lambda x: np.exp(-(((x - 3.0) / 1.5) ** 2)))

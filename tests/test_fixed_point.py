@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import full_spectrum, full_values
 from kdv5half import fixed_point
-from kdv5half.boundary import PreconditionError
+from kdv5half.grids import PreconditionError
 from kdv5half.cutoffs import eta, extend_initial_datum
 from kdv5half.fixed_point import (
     IterationTrace,
@@ -20,14 +21,7 @@ from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from kdv5half.bourgain import xsba_norm
 from kdv5half.grids import SpaceTimeField
-from kdv5half.spectral import (
-    band_mask,
-    random_band_limited,
-    x_half_spectrum,
-    x_half_values,
-    x_spectrum,
-    x_values,
-)
+from kdv5half.spectral import band_mask, random_band_limited, x_half_spectrum, x_half_values
 from kdv5half.verification import manufactured_data
 
 
@@ -163,7 +157,7 @@ class TestNonlinearity:
         # The band-capped rows 0 <= xi <= 0.75 * nyquist of the half spectrum.
         assert spec.dtype == np.complex128 and spec.shape == (plan.band_rows, tg.count)
         out = x_half_values(spec, xg)
-        ux = x_values(np.where(band_mask(xg), 1j * xg.frequencies, 0.0) * x_spectrum(profile, xg), xg)
+        ux = full_values(np.where(band_mask(xg), 1j * xg.frequencies, 0.0) * full_spectrum(profile, xg), xg)
         expected = eta(tg.nodes / (2 * T))[None, :] * (-(profile * ux))[:, None]
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(out - expected)) < 1e-8 * scale
@@ -260,7 +254,7 @@ class TestPicard:
         cfg = solver_config
         rough = random_band_limited(cfg.xgrid, band=30.0, rng=np.random.default_rng(3))
         zeros = TimeSeries(cfg.tgrid, np.zeros(cfg.tgrid.count))
-        g = GridFunction(cfg.xgrid, 0.01 * rough.values.real)
+        g = GridFunction(cfg.xgrid, 0.01 * rough.values)
         diag = fixed_point.GammaWorkspace(SolverData(g, zeros, zeros, zeros), cfg).diagnostics
         assert diag["data_band"] > 29.0 and diag["resolved_band"] < 3.6
 
@@ -272,28 +266,27 @@ class TestPicard:
 
     @pytest.mark.parametrize("channel", ["g_l", "h2"])
     def test_complex_data_refused(self, channel):
+        # The grid types hold real samples only, so a complex datum or
+        # boundary series is refused before it can reach a solve.
         xg = UniformGrid(-20.0, 40.0 / 64, 64)
         tg = UniformGrid(-1.0, 2.0 / 64, 64)
-        g = GridFunction(xg, 0.01 * np.exp(-(xg.nodes**2)).astype(complex))
-        zeros = TimeSeries(tg, np.zeros(tg.count, dtype=complex))
-        if channel == "g_l":
-            data = SolverData(g_l=GridFunction(xg, 1j * g.values), h1=zeros, h2=zeros, h3=zeros)
-        else:
-            data = SolverData(g_l=g, h1=zeros, h2=TimeSeries(tg, zeros.values + 1e-3j), h3=zeros)
-        cfg = SolverConfig(xgrid=xg, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
         with pytest.raises(PreconditionError, match="must be real"):
-            picard_solve(data, cfg)
+            if channel == "g_l":
+                GridFunction(xg, 0.01j * np.exp(-(xg.nodes**2)))
+            else:
+                TimeSeries(tg, np.zeros(tg.count) + 1e-3j)
 
     def test_complex_typed_real_data_solve_alike(self, small_config):
         # Complex-typed samples whose imaginary parts are exactly zero are
-        # accepted and give bit for bit the solve of the float64 samples.
+        # stored as float64 and give bit for bit the solve of the float64
+        # samples.
         cfg = small_config
         xg, tg = cfg.xgrid, cfg.tgrid
         g = GridFunction(xg, 0.01 * np.exp(-(((xg.nodes - 2.0) / 2.0) ** 2)))
         data, _, _ = manufactured_data(g, cfg, horizon=0.75)
         h1, h2, h3 = (TimeSeries(tg, h.values.astype(complex)) for h in data.boundary_series)
         typed = SolverData(g_l=GridFunction(xg, g.values.astype(complex)), h1=h1, h2=h2, h3=h3)
-        assert data.h1.values.dtype == np.float64 and typed.h1.values.dtype == np.complex128
+        assert all(f.values.dtype == np.float64 for f in (typed.g_l, *typed.boundary_series))
         real, cplx = picard_solve(data, cfg), picard_solve(typed, cfg)
         assert np.array_equal(real.u.values, cplx.u.values)
         assert np.array_equal(real.traces, cplx.traces)

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
+import kdv5half
+from kdv5half import boundary
 from kdv5half.boundary import boundary_potential_traces
 from kdv5half.grids import (
     GridFunction,
+    PreconditionError,
     SpaceTimeField,
     TimeSeries,
     UniformGrid,
@@ -65,6 +68,38 @@ class TestGridFunction:
             GridFunction(small_grid(), np.ones(7, dtype=complex))
 
 
+class TestRealness:
+    """GridFunction and TimeSeries hold float64 only: this is the one place
+    that decides the data are real."""
+
+    @pytest.mark.parametrize("kind", [GridFunction, TimeSeries])
+    @pytest.mark.parametrize("imag", [1.0, 1e-20, -1e-300])
+    def test_nonzero_imaginary_part_refused(self, kind, imag):
+        values = np.linspace(-1.0, 1.0, 8).astype(complex)
+        values[3] += 1j * imag
+        with pytest.raises(PreconditionError, match="must be real"):
+            kind(small_grid(), values)
+
+    @pytest.mark.parametrize("kind", [GridFunction, TimeSeries])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_zero_imaginary_part_stored_as_float64(self, kind, dtype):
+        real = np.linspace(-1.0, 1.0, 8) ** 3
+        values = (real - 0.0j).astype(dtype)
+        f = kind(small_grid(), values)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, values.real.astype(np.float64))
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+
+    def test_space_time_field_keeps_complex(self):
+        values = np.ones((8, 2)) * (1.0 + 2.0j)
+        f = SpaceTimeField(small_grid(), UniformGrid(origin=0.0, step=0.5, count=2), values)
+        assert f.values.dtype == np.complex128 and np.array_equal(f.values, values)
+
+    def test_one_precondition_error_class(self):
+        assert boundary.PreconditionError is kdv5half.PreconditionError is PreconditionError
+        assert issubclass(PreconditionError, ValueError)
+
+
 class TestStorageRule:
     @pytest.mark.parametrize(
         "source, dtype",
@@ -84,7 +119,11 @@ class TestStorageRule:
             return SpaceTimeField(small_grid(), UniformGrid(origin=0.0, step=0.5, count=2), values)
 
         source = np.stack([source, source[::-1]], axis=1) if two_d else source.copy()
-        expected = source.astype(dtype)
+        if not two_d and dtype == np.complex128:
+            # A GridFunction holds real samples: complex-typed ones with a
+            # zero imaginary part are stored as float64 (see TestRealness).
+            source, dtype = source.real + 0j, np.float64
+        expected = (source if dtype == np.complex128 else source.real).astype(dtype)
         f = make(source)
         assert f.values.dtype == dtype
         source[...] = 0

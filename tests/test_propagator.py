@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
+from conftest import full_spectrum, full_values
 from kdv5half.cutoffs import eta
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import (
@@ -24,8 +25,6 @@ from kdv5half.spectral import (
     sobolev_norm,
     x_half_spectrum,
     x_half_values,
-    x_spectrum,
-    x_values,
 )
 
 XG = UniformGrid(-40.0, 80.0 / 1024, 1024)
@@ -39,7 +38,7 @@ def gaussian_datum(amp=0.5, center=0.0, width=3.0):
 def capped_derivative(f: GridFunction, order: int) -> np.ndarray:
     """Oracle: the (i xi)^order multiplier with the modes above the band cap zeroed."""
     mult = np.where(band_mask(f.grid), (1j * f.grid.frequencies) ** order, 0.0)
-    return x_values(mult * x_spectrum(f.values, f.grid), f.grid)
+    return full_values(mult * full_spectrum(f.values, f.grid), f.grid)
 
 
 def full_row_traces(spec: np.ndarray, xg: UniformGrid, tg: UniformGrid) -> np.ndarray:
@@ -93,15 +92,14 @@ class TestGroup:
         assert abs(after - before) <= 1e-12 * before
 
     def test_single_mode_phase(self):
-        # One lattice mode evolves by the exact scalar phase exp(-i*t*xi^5).
-        k = 37
-        coeffs = np.zeros(XG.count, dtype=complex)
-        coeffs[k] = 1.0
-        g = GridFunction(XG, x_values(coeffs, XG))
-        xi = XG.frequencies[k]
+        # One real lattice mode cos(xi x + phase) evolves by the exact phase
+        # shift t xi^5: its modes +-xi take exp(-/+i t xi^5).
+        xi = XG.frequencies[37]
+        g = GridFunction(XG, np.cos(xi * XG.nodes + 0.4))
         t = 0.21
         evolved = apply_group(g, t)
-        expected = g.values * np.exp(-1j * t * xi**5)
+        assert evolved.values.dtype == np.float64
+        expected = np.cos(xi * XG.nodes + 0.4 - t * xi**5)
         assert np.max(np.abs(evolved.values - expected)) < 1e-12
 
 
@@ -115,17 +113,6 @@ class TestFreeField:
             direct = apply_group(g, TG.nodes[n]).values
             assert np.max(np.abs(slice_n - direct)) < 1e-11
 
-    def test_complex_datum_by_linearity(self):
-        # A complex datum is evolved as W(Re g) + i W(Im g).
-        g = GridFunction(
-            XG, gaussian_datum(center=-1.0).values + 1j * gaussian_datum(amp=0.2, center=3.0).values
-        )
-        F = free_field(g, TG)
-        assert F.values.dtype == np.complex128
-        for n in (0, 100, 512, 1023):
-            direct = apply_group(g, TG.nodes[n]).values
-            assert np.max(np.abs(F.values[:, n] - direct)) < 1e-11
-
     def test_free_spectrum_is_the_evolved_datum_spectrum(self):
         # e^{-i t xi^5} g_hat on the rows xi >= 0 at every node; a released
         # table is rebuilt to the same bits.
@@ -135,7 +122,7 @@ class TestFreeField:
         rows = XG.count // 2 + 1
         assert spec.shape == (rows, TG.count)
         for n in (0, 100, 512, 1023):
-            direct = x_spectrum(apply_group(g, TG.nodes[n]).values, XG)[:rows]
+            direct = full_spectrum(apply_group(g, TG.nodes[n]).values, XG)[:rows]
             assert np.max(np.abs(spec[:, n] - direct)) < 1e-11
         plan.release_free_phases()
         assert "_free_phases" not in vars(plan)
@@ -154,7 +141,7 @@ def duhamel_oracle(F: np.ndarray, xg: UniformGrid, tg: UniformGrid, t: float) ->
     spline of the band-capped x-spectrum; for t < 0 the sum runs over [t, 0]
     and is negated.
     """
-    spec = x_spectrum(F, xg)
+    spec = full_spectrum(F, xg)
     spec[~band_mask(xg), :] = 0.0
     spline = CubicSpline(tg.nodes, spec.T, axis=0)
     xi5 = xg.frequencies**5
@@ -167,7 +154,7 @@ def duhamel_oracle(F: np.ndarray, xg: UniformGrid, tg: UniformGrid, t: float) ->
         tq = 0.5 * (a + b) + 0.5 * (b - a) * x
         phases = np.exp(-1j * np.outer(t - tq, xi5))
         acc += 0.5 * (b - a) * np.sum(w[:, None] * phases * spline(tq), axis=0)
-    return x_values(acc if t >= 0 else -acc, xg)
+    return full_values(acc if t >= 0 else -acc, xg)
 
 
 class TestDuhamel:
@@ -249,8 +236,8 @@ class TestDuhamel:
         plan = PropagatorPlan(self.XG)
         spec = duhamel_trajectory(x_half_spectrum(self.forcing(), self.XG), self.TG, plan)
         assert spec.shape == (plan.band_rows, self.TG.count)
-        # 0 <= xi <= 0.75 * nyquist on 256 points; the mode k = 96 lies one
-        # rounding step above the cap.
+        # 0 <= xi < 0.75 * nyquist on 256 points; the mode k = 96 lies on
+        # the cap and is dropped.
         assert plan.band_rows == 96
 
     def test_window_is_a_restriction_of_the_full_trajectory(self):
@@ -262,19 +249,32 @@ class TestDuhamel:
         assert not np.any(windowed[:, ~inside])
 
 
-def spline_errors(y: np.ndarray, h: float) -> np.ndarray:
-    """Per-power relative distance of `_not_a_knot_coefficients` from
-    scipy's `CubicSpline(...).c`, shape (4,).  The nodes start at a multiple
-    of a power-of-two step, so scipy's node differences are exactly h."""
+def spline_distances(y: np.ndarray, h: float) -> tuple:
+    """(per-power largest distance of `_not_a_knot_coefficients` from
+    scipy's `CubicSpline(...).c`, shape (4,); scipy's coefficients).  The
+    nodes start at a multiple of a power-of-two step, so scipy's node
+    differences are exactly h."""
     nodes = h * (np.arange(len(y)) - 7)
     oracle = CubicSpline(nodes, y, axis=0).c
-    diff = np.max(np.abs(_not_a_knot_coefficients(y, h) - oracle), axis=(1, 2))
+    return np.max(np.abs(_not_a_knot_coefficients(y, h) - oracle), axis=(1, 2)), oracle
+
+
+def spline_errors(y: np.ndarray, h: float) -> np.ndarray:
+    """Per-power distance from scipy relative to scipy's largest coefficient
+    of that power, shape (4,)."""
+    diff, oracle = spline_distances(y, h)
     return diff / np.max(np.abs(oracle), axis=(1, 2))
 
 
 class TestNotAKnotSpline:
-    # 5000 seeded draws over the same ranges gave a largest per-power
-    # relative distance of 1.8e-15 (n = 4), a margin of 5 under 1e-14.
+    # Each power's distance is measured against the size that coefficient
+    # takes on data of this size, max|y| h^-(3-p), not against the
+    # coefficient itself: on a draw whose cubic coefficient nearly cancels
+    # (the example below: 1.76 against data near 150) both this sweep and
+    # scipy sit 2.7e-14 from the exact coefficient, so their relative
+    # distance (3.2e-14) measures the cancellation, not the sweep.  On the
+    # data scale that draw is 3.4e-16, and 5000 seeded draws over the same
+    # ranges gave 1.7e-15 at most, a margin of 5 under 1e-14.
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(4, 80),
@@ -283,10 +283,14 @@ class TestNotAKnotSpline:
         log10_amp=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=4, modes=1, log2_step=0, log10_amp=2.0, seed=20)
     def test_matches_cubic_spline(self, n, modes, log2_step, log10_amp, seed):
         rng = np.random.default_rng(seed)
         y = (rng.standard_normal((n, modes)) + 1j * rng.standard_normal((n, modes))) * 10.0**log10_amp
-        assert np.max(spline_errors(y, 2.0**log2_step)) < 1e-14
+        h = 2.0**log2_step
+        diff, _ = spline_distances(y, h)
+        scale = np.max(np.abs(y)) * h ** -(3.0 - np.arange(4))
+        assert np.max(diff / scale) < 1e-14
 
     def test_matches_cubic_spline_on_the_solver_shape(self):
         # The forcing spectrum of a 1024^2 solve: 1024 time nodes, K = 384
@@ -329,7 +333,7 @@ class TestTraceAtOrigin:
         field = np.random.default_rng(count).standard_normal((count, tg.count))
         plan = PropagatorPlan(xg)
         half = x_half_spectrum(field, xg)
-        expected = full_row_traces(x_spectrum(field, xg), xg, tg)
+        expected = full_row_traces(full_spectrum(field, xg), xg, tg)
         for spec in (half, half[: plan.band_rows]):
             traces = trace_at_origin(spec, tg, plan)
             for j in range(3):
@@ -340,7 +344,6 @@ class TestTraceAtOrigin:
     @given(seed=st.integers(0, 2**32 - 1), band=st.floats(0.5, 4.0))
     def test_field_source_matches_datum_source(self, seed, band):
         g = random_band_limited(XG, band=band, rng=np.random.default_rng(seed))
-        g = GridFunction(XG, g.values.real)
         plan = PropagatorPlan(XG)
         from_datum = trace_at_origin(plan.free_spectrum(g.values, TG), TG, plan)
         spectrum = x_half_spectrum(free_field(g, TG, plan).values, XG)
@@ -373,23 +376,23 @@ class TestKatoRatio:
             for r in ratios:
                 assert np.isfinite(r) and r > 0.0
 
-    def test_complex_datum_by_linearity(self):
-        # Re g and Im g are traced apart; the ratios are those of the traces
-        # summed over every row of the complex datum's evolved spectrum
-        # (measured: 1.0e-15 relative at most).
+    def test_matches_the_full_row_traces(self):
+        # The ratios of the traces summed over every row of the evolved
+        # datum's full spectrum, whose imaginary part is rounding (measured:
+        # 9.0e-15 of the peak; the ratios agree to 3.3e-16 relative).
         g = random_band_limited(XG, band=4.0, rng=np.random.default_rng(6))
-        assert np.iscomplexobj(g.values)
         phases = np.exp(-1j * np.outer(XG.frequencies**5, TG.nodes))
-        traces = full_row_traces(phases * x_spectrum(g.values, XG)[:, None], XG, TG)
+        traces = full_row_traces(phases * full_spectrum(g.values, XG)[:, None], XG, TG)
+        assert np.max(np.abs(traces.imag)) <= 1e-13 * np.max(np.abs(traces))
         s = 1.0
         expected = [
-            sobolev_norm(TimeSeries(TG, trace), (s + 2.0 - j) / 5.0) / sobolev_norm(g, s)
+            sobolev_norm(TimeSeries(TG, trace.real), (s + 2.0 - j) / 5.0) / sobolev_norm(g, s)
             for j, trace in enumerate(traces)
         ]
         assert kato_smoothing_ratio(g, s, TG) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_datum_rejected(self):
-        g = GridFunction(XG, np.zeros(XG.count, dtype=complex))
+        g = GridFunction(XG, np.zeros(XG.count))
         with pytest.raises(ValueError, match="zero datum"):
             kato_smoothing_ratio(g, 1.0, TG)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import full_spectrum, full_values
 from kdv5half import scenarios
 from kdv5half.cli import main
 from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
@@ -222,8 +223,6 @@ class TestProfiles:
             datum_from_profile({"profile": "sawtooth"}, self.XG, 1.0, seed=0)
 
     def test_rough_tail_spectrum_decay(self):
-        from kdv5half.spectral import x_spectrum
-
         s = 0.3
         rough = datum_from_profile(
             {"profile": "rough_tail", "amplitude": 0.1, "band_fraction": 0.75},
@@ -231,10 +230,30 @@ class TestProfiles:
             s,
             seed=7,
         )
-        freqs, mags = np.abs(rough.grid.frequencies), np.abs(x_spectrum(rough.values, rough.grid))
+        freqs, mags = np.abs(rough.grid.frequencies), np.abs(full_spectrum(rough.values, rough.grid))
         mask = (freqs > 2.0) & (freqs < 20.0) & (mags > 0)
         slope = np.polyfit(np.log1p(freqs[mask]), np.log(mags[mask]), 1)[0]
         assert slope == pytest.approx(-(s + 0.55), abs=0.1)
+
+    @pytest.mark.parametrize("count", [64, 65])
+    def test_rough_tail_is_its_conjugate_mirrored_spectrum(self, count):
+        # The same draws on the whole spectrum, row -k the conjugate of row k,
+        # give the same real datum (measured: 2.8e-16 of the peak at most).
+        grid = UniformGrid(-10.0, 20.0 / count, count)
+        s, band = 0.3, 0.6 * grid.nyquist
+        rng = np.random.default_rng(7)
+        coeffs = np.zeros(count, dtype=complex)
+        coeffs[0] = 1.0
+        for k in range(1, count // 2):
+            xi = grid.frequencies[k]
+            if xi <= band:
+                coeffs[k] = (1.0 + xi) ** (-(s + 0.55)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                coeffs[-k] = np.conj(coeffs[k])
+        expected = full_values(coeffs, grid).real
+        expected *= 0.1 / np.max(np.abs(expected))
+        rough = datum_from_profile({"profile": "rough_tail", "amplitude": 0.1}, grid, s, seed=7)
+        assert rough.values.dtype == np.float64
+        assert np.max(np.abs(rough.values - expected)) <= 1e-14 * 0.1
 
     def test_boundary_profiles(self):
         bump = boundary_from_profile(
@@ -285,6 +304,22 @@ class TestPipelines:
 
     def test_bundled_linear_summary_deterministic(self, tmp_path):
         self.assert_rerun_identical(SCENARIO_DIR / "linear_diagnostics.json", tmp_path)
+
+    @pytest.mark.parametrize("count", [64, 63])
+    def test_linear_report_spectrum_keeps_the_fft_layout(self, tmp_path, count):
+        # |g_hat| on all X rows in FFT order, read off the half spectrum
+        # (row min(k, X - k)); measured 2.0e-16 of the peak from the full DFT.
+        grids = dict(SMALL_GRIDS, x={"origin": -10.0, "step": 20.0 / count, "count": count})
+        payload = self.linear_payload()
+        payload["grids"] = grids
+        run_scenario(self.write(tmp_path, payload), out_dir=tmp_path / "out")
+        spectrum = json.loads((tmp_path / "out" / "report.json").read_text())["spectra"]["g"]
+        grid = UniformGrid(**grids["x"])
+        g = datum_from_profile(payload["data"]["g"], grid, 1.0, seed=0)
+        want = np.abs(full_spectrum(g.values, grid))
+        assert spectrum["xi"] == np.abs(grid.frequencies).tolist()
+        assert len(spectrum["magnitude"]) == count
+        assert np.max(np.abs(np.array(spectrum["magnitude"]) - want)) <= 1e-13 * np.max(want)
 
     def test_failing_check_sets_exit_code(self, tmp_path):
         payload = self.linear_payload()
