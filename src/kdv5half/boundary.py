@@ -61,10 +61,9 @@ class AccuracyError(RuntimeError):
 
 # Root phases (stable half-plane Re r <= 0), one list per sign of beta.  The
 # purely oscillatory root is index 0 for beta < 0 and index 2 for beta > 0;
-# the quadrature holds beta > 0 nodes only, so _OSC masks its oscillatory root.
+# the quadrature holds beta > 0 nodes only, so column 2 is its oscillatory root.
 _PHASES_NEG = np.exp(1j * np.pi * np.array([1.0 / 2.0, 9.0 / 10.0, 13.0 / 10.0]))
 _PHASES_POS = np.exp(1j * np.pi * np.array([7.0 / 10.0, 11.0 / 10.0, 3.0 / 2.0]))
-_OSC = np.arange(3) == 2
 
 
 def stable_root_array(betas: np.ndarray) -> np.ndarray:
@@ -221,14 +220,24 @@ def truncation_radius(series, tolerance: float, cap: float):
 _X_BLOCK = 128  # x targets per `field_values` block (`field_on_grid`, the initial-vanishing probe)
 
 
-def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_m coef[q, m] * table[m, q, b] -> (Q, B), over the roots m that
-    coef and table hold (all three, or the nonzero ones of an x < 0 block)."""
-    out = coef[:, 0, None] * table[0]
-    term = np.empty_like(out)
-    for m in range(1, len(table)):
-        out += np.multiply(coef[:, m, None], table[m], out=term)
+def _root_planes(roots: np.ndarray, column, width: int) -> np.ndarray:
+    """Real planes (Q, 6, width) [Re z_0, Im z_0, Re z_1, Im z_1, Re z_2, Im z_2]
+    of the complex (Q, width) columns z_m = column(roots[:, m]), built one root
+    at a time, so one complex (Q, width) temporary is held."""
+    out = np.empty((len(roots), 6, width))
+    for m in range(3):
+        z = column(roots[:, m])
+        out[:, 2 * m], out[:, 2 * m + 1] = z.real, z.imag
     return out
+
+
+def _coefficient_blocks(coef: np.ndarray) -> np.ndarray:
+    """Real (Q, 2, 6) matrices of the complex coef (Q, 3) that map the planes
+    of `_root_planes` to Re and Im of sum_m coef_m z_m: blocks [[a, -b],
+    [b, a]] of a + ib = coef_m, so the kernel planes are one batched matmul."""
+    a, b = coef.real, coef.imag
+    rows = np.stack([np.stack([a, -b], axis=-1), np.stack([b, a], axis=-1)], axis=1)
+    return rows.reshape(len(coef), 2, 6)
 
 
 @dataclass(frozen=True)
@@ -248,11 +257,12 @@ class _FoldedTable:
         phase = np.outer(mags, betas)
         return cls(np.cos(phase), np.sin(phase), rows, np.sign(ttargets))
 
-    def node_sum(self, values: np.ndarray) -> np.ndarray:
-        """2 Re (e^{i beta t} @ values) on the targets, (T, B) for values
-        (Q, B): two real products on the distinct |t|, gathered to +-t."""
-        even = self.cos @ np.ascontiguousarray(values.real)
-        odd = self.sin @ np.ascontiguousarray(values.imag)
+    def node_sum(self, planes: np.ndarray) -> np.ndarray:
+        """2 Re (e^{i beta t} @ K) on the targets, (T, B) for the kernel
+        planes (Q, 2, B) of Re K and Im K: two real products on the distinct
+        |t|, gathered to +-t; BLAS reads each plane as it is (lda = 2B)."""
+        even = self.cos @ planes[:, 0]
+        odd = self.sin @ planes[:, 1]
         return 2.0 * (even[self.rows] - self.sign[:, None] * odd[self.rows])
 
     def transform(self, data: np.ndarray) -> np.ndarray:
@@ -274,7 +284,8 @@ class BoundaryPotential:
     The data are real TimeSeries, so every table, `rhs` and `coeffs` hold
     the beta > 0 nodes of `quad` only, and `field_values` /
     `trace_values` return 2 Re of their sum, as two real products of the
-    folded time table's cos and sin with Re and Im of the kernel.
+    folded time table's cos and sin with the real planes (Q, 2, B) of Re
+    and Im of the kernel, one batched real matmul away from the tables.
 
     The tables that do not depend on the data are built once per potential:
 
@@ -286,11 +297,12 @@ class BoundaryPotential:
       on those times and, through its conjugate, the data transform, so the
       data must vanish off those rows (ValueError otherwise).
     * in `field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
-      e^{r_m (x - x_b)} per x-block with left end x_b: one (3, Q, B) offset
-      table shared by every block whose offsets match the first block's (all
+      e^{r_m (x - x_b)} per x-block with left end x_b: one offset table of
+      real planes (Q, 6, B), Re and Im of e^{r_m (x - x_b)} for m = 0, 1, 2,
+      shared by every block whose offsets match the first block's (all
       blocks of a uniform grid), one base vector per block and, for blocks
-      that reach x < 0, the collar taper on the nodes where it does not
-      vanish.
+      that reach x < 0, a compact copy of the collar taper on the prefix of
+      nodes where it does not vanish.
 
     The quadrature weights and (2 pi)^(-1/2) are folded into the per-node
     coefficients `coeffs` once per data update, so the contraction is a
@@ -382,15 +394,17 @@ class BoundaryPotential:
         return _FoldedTable.build(ttargets, self.quad.betas)
 
     def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
-        """(offsets, offset table, base, live rows, taper) of an x-block; x_b = min xs.
+        """(offsets, offset planes, base, live, taper) of an x-block; x_b = min xs.
 
-        The offset table (3, Q, B) holds e^{r_m (x - x_b)} and is taken from
-        the tables `shared` of another block when the offsets agree to the
+        The offset planes (Q, 6, B) of e^{r_m (x - x_b)} are taken from the
+        tables `shared` of another block when the offsets agree to the
         rounding of the nodes; base (Q, 3) holds e^{r_m x_b}.  On x >= 0 the
-        collar cutoff is 1 and live/taper are None.  Otherwise the
-        decaying-root base entries are zeroed on the nodes whose taper
-        vanishes across the block (so an overflowing e^{Re r x_b} never meets
-        a zero taper), and the taper is kept on the remaining `live` rows only.
+        collar cutoff is 1 and live/taper are None.  Otherwise rho(gamma x)
+        vanishes for gamma |x| >= collar and the gammas ascend, so the nodes
+        where the taper does not vanish across the block are a prefix of
+        length `live`; the decaying-root base entries are zeroed past it (so
+        an overflowing e^{Re r x_b} never meets a zero taper), and `taper`
+        is a compact (live, B) copy of its rows.
         """
         quad = self.quad
         x_b = float(np.min(xs))
@@ -400,34 +414,35 @@ class BoundaryPotential:
         ):
             table = shared[1]
         else:
-            table = np.exp(quad.roots.T[:, :, None] * offsets)
+            table = _root_planes(quad.roots, lambda r: np.exp(np.outer(r, offsets)), len(xs))
         z = quad.roots * x_b
         if x_b >= 0:
             return offsets, table, np.exp(z), None, None
         taper = rho(np.outer(quad.gammas, xs), quad.collar)
-        live = np.any(taper, axis=1)
+        live = int(np.count_nonzero(np.any(taper, axis=1)))  # a prefix: see above
         base = np.zeros_like(z)
-        keep = _OSC | live[:, None]
-        base[keep] = np.exp(z[keep])
-        live = slice(None) if live.all() else np.flatnonzero(live)
-        return offsets, table, base, live, taper[live]
+        base[:, 2] = np.exp(z[:, 2])
+        base[:live, :2] = np.exp(z[:live, :2])
+        return offsets, table, base, live, taper[:live].copy()
 
     def field_values(self, xtargets, ttargets) -> np.ndarray:
         """Field samples, shape (len(xtargets), len(ttargets)).
 
         On an x < 0 block the oscillatory root (column 2) is summed on every
-        node and the two decaying roots on the `live` nodes only, under the
+        node and the two decaying roots on the `live` prefix only, under the
         taper; the other entries are zero and are not summed."""
         xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
         tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
         _, table, base, live, taper = tables
-        coef = base * self.coeffs
+        blocks = _coefficient_blocks(base * self.coeffs)
         if live is None:
-            kernel = _combine(coef, table)
+            kernel = np.matmul(blocks, table)
         else:
-            kernel = _combine(coef[:, 2:], table[2:])
-            kernel[live] += taper * _combine(coef[live, :2], table[:2, live])
+            kernel = np.matmul(blocks[:, :, 4:], table[:, 4:])
+            decaying = np.matmul(blocks[:live, :, :4], table[:live, :4])
+            decaying *= taper[:, None]
+            kernel[:live] += decaying
         return self._time_table(ttargets).node_sum(kernel).T
 
     def field_on_grid(self, xnodes) -> np.ndarray:
@@ -455,9 +470,9 @@ class BoundaryPotential:
         """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel
         derivatives (r^j factors), shape (3, len(ttargets))."""
         ttargets = np.asarray(ttargets, dtype=float)
-        roots = self.quad.roots
-        node_vals = np.sum(self.coeffs[:, :, None] * roots[:, :, None] ** np.arange(3), axis=1)
-        return self._time_table(ttargets).node_sum(node_vals).T
+        powers = _root_planes(self.quad.roots, lambda r: r[:, None] ** np.arange(3), 3)
+        planes = np.matmul(_coefficient_blocks(self.coeffs), powers)
+        return self._time_table(ttargets).node_sum(planes).T
 
     def trace_on_grid(self) -> tuple:
         """Traces of orders 0, 1, 2 on the data's time grid, as three

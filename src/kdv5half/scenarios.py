@@ -443,7 +443,8 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
     oracle = None
     g_l = _build_datum(scenario, seed)
     if "manufactured" in scenario.data:
-        data, oracle, stride = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
+        data, oracle, stride, halving = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
+        report["oracle_halving_difference"] = halving
     else:
         h1, h2, h3 = _build_boundary(scenario)
         data, stride = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3), None

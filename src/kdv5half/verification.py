@@ -55,18 +55,20 @@ def _halfline_box(xgrid: UniformGrid, tgrid: UniformGrid, T: float) -> tuple:
 # Whole-line split-step reference solver.
 # ---------------------------------------------------------------------------
 
-def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: bool = False) -> np.ndarray:
-    """Split-step slices at every step, shape (X, steps + 1); with
-    `final_only` just the last slice, shape (X,).
+def _split_step_sweep(g_l: GridFunction, T: float, steps: int, check: bool) -> tuple:
+    """Split-step slices at every step, shape (X, steps + 1), and the final
+    slice of the run at twice the steps, shape (X,), with `check` (else None).
 
-    The real datum makes the scheme run on the rfft half-spectrum V: each
-    step takes 2 irfft and 2 rfft (one pair per advection stage), and the
-    slices are stored as spectra and inverse-transformed together at the end.
+    The real datum makes the scheme run on the rfft half-spectrum: each step
+    takes 2 irfft and 2 rfft (one pair per advection stage).  With `check`
+    the fine run is a second row: each outer step advances both rows by a
+    step of their own size (2-row transforms), then the fine row alone.
+    The slices are stored as spectra and inverse-transformed at the end.
     """
     grid = g_l.grid
     xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
-    dt = T / steps
-    half = np.exp(-1j * (dt / 2.0) * xi**5)
+    dts = np.array([T / steps, T / (2 * steps)][: 1 + check])[:, None]
+    half = np.exp(-1j * (dts / 2.0) * xi**5)
     dealias = np.abs(xi) <= (2.0 / 3.0) * grid.nyquist
     deriv = (-0.5j) * xi * dealias
 
@@ -74,20 +76,22 @@ def _split_step_trajectory(g_l: GridFunction, T: float, steps: int, final_only: 
         v_d = np.fft.irfft(dealias * V, n=grid.count)
         return deriv * np.fft.rfft(v_d * v_d)
 
-    V = np.fft.rfft(g_l.values)
-    out = None if final_only else np.empty((steps + 1, len(xi)), dtype=np.complex128)
-    if out is not None:
-        out[0] = V
-    for n in range(steps):
+    def step(V: np.ndarray, half: np.ndarray, dt: np.ndarray) -> np.ndarray:
         V = half * V
         k1 = burgers_rate(V)
         k2 = burgers_rate(V + (dt / 2.0) * k1)
-        V = half * (V + dt * k2)
-        if out is not None:
-            out[n + 1] = V
-    if final_only:
-        return np.fft.irfft(V, n=grid.count)
-    return np.fft.irfft(out, n=grid.count, axis=1).T
+        return half * (V + dt * k2)
+
+    V = np.tile(np.fft.rfft(g_l.values), (len(dts), 1))
+    out = np.empty((steps + 1, len(xi)), dtype=np.complex128)
+    out[0] = V[0]
+    for n in range(steps):
+        V = step(V, half, dts)
+        if check:
+            V[1:] = step(V[1:], half[1:], dts[1:])
+        out[n + 1] = V[0]
+    fine = np.fft.irfft(V[1], n=grid.count) if check else None
+    return np.fft.irfft(out, n=grid.count, axis=1).T, fine
 
 
 def whole_line_oracle(
@@ -96,22 +100,24 @@ def whole_line_oracle(
     steps: int,
     check: bool = True,
     halving_tol: float = 1e-7,
-) -> SpaceTimeField:
-    """Reference trajectory of u_t + d^5_x u + u d_x u = 0 on the periodic box.
+) -> tuple:
+    """Reference trajectory of u_t + d^5_x u + u d_x u = 0 on the periodic box,
+    as (SpaceTimeField, halving difference).
 
     Strang splitting: exact dispersive half-steps exp(-i dt/2 xi^5) around an
     explicit-midpoint step of the advection term with 2/3-rule dealiasing,
-    carried on the half-spectrum of the real datum.  With check=True the step
-    count is halved-vs-doubled and the final-slice L^2 difference must stay
-    below halving_tol, otherwise AccuracyError.
+    carried on the half-spectrum of the real datum.  With check=True the run
+    at twice the steps goes alongside, and the L^2 difference of the two
+    final slices is returned and must stay below halving_tol, otherwise
+    AccuracyError; with check=False the difference is None.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
-    vals = _split_step_trajectory(g_l, T, steps)
+    vals, fine = _split_step_sweep(g_l, T, steps, check)
+    diff = None
     if check:
-        fine = _split_step_trajectory(g_l, T, 2 * steps, final_only=True)
         diff = float(np.sqrt(np.sum(np.abs(vals[:, -1] - fine) ** 2) * g_l.grid.step))
         if diff > halving_tol:
             raise AccuracyError(
@@ -119,7 +125,7 @@ def whole_line_oracle(
                 f"slice by {diff:.3e} > {halving_tol:g}; increase steps"
             )
     tgrid = UniformGrid(origin=0.0, step=T / steps, count=steps + 1)
-    return SpaceTimeField(g_l.grid, tgrid, vals)
+    return SpaceTimeField(g_l.grid, tgrid, vals), diff
 
 
 def manufactured_data(
@@ -136,7 +142,7 @@ def manufactured_data(
     the whole-line solution of a real datum is), tapers them smoothly to zero
     before the horizon end (the solver's data window eta(t/2T) must die
     before the taper begins), and returns (SolverData, oracle field, node
-    stride).
+    stride, the oracle's halving difference).
     """
     dt = cfg.tgrid.step
     n_nodes = int(round(horizon / dt))
@@ -148,7 +154,7 @@ def manufactured_data(
     if i0 + n_nodes >= cfg.tgrid.count:
         raise ValueError(f"horizon {horizon:g} passes the last time node {cfg.tgrid.nodes[-1]:g}")
     steps = n_nodes * steps_per_node
-    oracle = whole_line_oracle(g_l, horizon, steps)
+    oracle, halving = whole_line_oracle(g_l, horizon, steps)
     # d^j/dx^j u(0, t) = Re sum_k m_k (i xi_k)^j e^{2 pi i k r / X} V_k(t) / X
     # over the rfft half-spectrum V, with r the row of x = 0 and m_k = 2 on
     # the modes whose conjugate is not stored (1 on the zero and Nyquist
@@ -168,7 +174,7 @@ def manufactured_data(
     vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::steps_per_node]
     h1, h2, h3 = (TimeSeries(cfg.tgrid, v) for v in vals)
     data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
-    return data, oracle, steps_per_node
+    return data, oracle, steps_per_node, halving
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,6 @@ def manufactured_case(solver_config):
     xg = solver_config.xgrid
     vals = 0.01 * np.exp(-(((xg.nodes - 2.0) / 3.0) ** 2))
     g_l = GridFunction(xg, vals)
-    data, oracle, stride = manufactured_data(g_l, solver_config)
+    data, oracle, stride, _ = manufactured_data(g_l, solver_config)
     result = picard_solve(data, solver_config)
     return data, oracle, stride, result

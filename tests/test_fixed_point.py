@@ -283,7 +283,7 @@ class TestPicard:
         cfg = small_config
         xg, tg = cfg.xgrid, cfg.tgrid
         g = GridFunction(xg, 0.01 * np.exp(-(((xg.nodes - 2.0) / 2.0) ** 2)))
-        data, _, _ = manufactured_data(g, cfg, horizon=0.75)
+        data, _, _, _ = manufactured_data(g, cfg, horizon=0.75)
         h1, h2, h3 = (TimeSeries(tg, h.values.astype(complex)) for h in data.boundary_series)
         typed = SolverData(g_l=GridFunction(xg, g.values.astype(complex)), h1=h1, h2=h2, h3=h3)
         assert all(f.values.dtype == np.float64 for f in (typed.g_l, *typed.boundary_series))

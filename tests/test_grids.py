@@ -155,7 +155,7 @@ class TestStorageRule:
         data = [datum_from_profile(spec, xg, 1.0, seed=3) for spec in datum_specs]
         for profile in ("zero", "bump", "gaussian_pulse"):
             data.append(boundary_from_profile({"profile": profile}, tg, "h1"))
-        manufactured, oracle, _ = manufactured_data(data[1], small_config, horizon=0.75)
+        manufactured, oracle, _, _ = manufactured_data(data[1], small_config, horizon=0.75)
         data += [*manufactured.boundary_series, oracle]
         # a bump wide enough for the band cap of this grid
         wide = UniformGrid(origin=-2.0, step=4.0 / 1024, count=1024)

@@ -11,6 +11,7 @@ from kdv5half import scenarios
 from kdv5half.cli import main
 from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
+from kdv5half.verification import manufactured_data
 from kdv5half.scenarios import (
     _PIPELINE_CHECKS,
     Scenario,
@@ -388,6 +389,26 @@ class TestPipelines:
         first = (tmp_path / "out" / "plots" / "trace_j0.dat").read_text().splitlines()
         assert first[0].startswith("#")
         assert len(first[1].split()) == 3
+
+    def test_manufactured_report_carries_the_oracle_halving_difference(self, tmp_path):
+        # The split-step oracle's halving difference is numerical health: it
+        # goes to report.json only, and summary.json reruns byte-identical.
+        g_spec = {"profile": "gaussian", "amplitude": 0.01, "center": 2.0, "width": 3.0}
+        manufactured = {"horizon": 0.75, "taper_start": 0.6}
+        payload = minimal_payload(
+            pipeline="full-solve", T=0.25, data={"g": g_spec, "manufactured": manufactured},
+            checks={"oracle_match": 1e-5},
+        )
+        path = self.write(tmp_path, payload)
+        self.assert_rerun_identical(path, tmp_path)
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        sc = Scenario.from_file(path)
+        g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
+        _, _, _, halving = manufactured_data(g, sc.solver_config(), **manufactured)
+        assert report["oracle_halving_difference"] == halving
+        assert 0.0 < halving < 1e-7
+        assert "oracle_halving_difference" not in json.dumps(summary)
 
     def test_full_solve_writes_field_csv(self, tmp_path):
         g_spec = {"profile": "gaussian", "amplitude": 0.01, "width": 2.0}

@@ -57,6 +57,35 @@ def physical_split_step(g: GridFunction, T: float, steps: int) -> np.ndarray:
     return out
 
 
+def one_row_sweep(g: GridFunction, T: float, steps: int, final_only: bool = False) -> np.ndarray:
+    """The half-spectrum split-step run one at a time with one-row
+    transforms: every slice (X, steps + 1), or with `final_only` the last
+    (X,).  The batched sweep must reproduce it bit for bit."""
+    grid = g.grid
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
+    dt = T / steps
+    half = np.exp(-1j * (dt / 2.0) * xi**5)
+    dealias = np.abs(xi) <= (2.0 / 3.0) * grid.nyquist
+    deriv = (-0.5j) * xi * dealias
+
+    def burgers_rate(V):
+        v_d = np.fft.irfft(dealias * V, n=grid.count)
+        return deriv * np.fft.rfft(v_d * v_d)
+
+    V = np.fft.rfft(g.values)
+    out = np.empty((steps + 1, len(xi)), dtype=np.complex128)
+    out[0] = V
+    for n in range(steps):
+        V = half * V
+        k1 = burgers_rate(V)
+        k2 = burgers_rate(V + (dt / 2.0) * k1)
+        V = half * (V + dt * k2)
+        out[n + 1] = V
+    if final_only:
+        return np.fft.irfft(V, n=grid.count)
+    return np.fft.irfft(out, n=grid.count, axis=1).T
+
+
 class TestOracle:
     def test_argument_validation(self):
         g = gaussian(0.1)
@@ -73,7 +102,7 @@ class TestOracle:
 
     def test_matches_physical_space_scheme(self):
         g = gaussian(0.5, width=1.5, center=1.0)
-        field = whole_line_oracle(g, 0.5, 64, check=False).values
+        field = whole_line_oracle(g, 0.5, 64, check=False)[0].values
         reference = physical_split_step(g, 0.5, 64)
         assert np.max(np.abs(field - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -83,9 +112,28 @@ class TestOracle:
         amp = 1e-6
         g = gaussian(amp)
         T = 0.5
-        field = whole_line_oracle(g, T, 64, check=False)
+        field, _ = whole_line_oracle(g, T, 64, check=False)
         exact = apply_group(g, T)
         assert np.max(np.abs(field.values[:, -1] - exact.values)) < 1e-5 * amp
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_batched_sweep_matches_one_row_runs(self, check):
+        # The halving run rides along as a second row of the same sweep; the
+        # trajectory and the fine final slice are bitwise those of separate
+        # one-row runs, and with check=False the sweep holds one row only.
+        g = gaussian(0.1, center=1.0)
+        vals, fine = verification._split_step_sweep(g, 0.25, 64, check)
+        want = one_row_sweep(g, 0.25, 64)
+        assert np.array_equal(vals, want)
+        field, diff = whole_line_oracle(g, 0.25, 64, check=check)
+        assert np.array_equal(field.values, want)
+        if check:
+            want_fine = one_row_sweep(g, 0.25, 128, final_only=True)
+            assert np.array_equal(fine, want_fine)
+            assert diff == float(np.sqrt(np.sum((want[:, -1] - want_fine) ** 2) * XG.step))
+            assert 0.0 < diff < 1e-7
+        else:
+            assert fine is None and diff is None
 
     def test_self_check_catches_coarse_steps(self):
         g = gaussian(5.0, width=1.5)
@@ -94,7 +142,7 @@ class TestOracle:
 
     def test_second_order_convergence(self):
         g = gaussian(0.5, width=2.0)
-        finals = [whole_line_oracle(g, 0.5, steps, check=False).values[:, -1] for steps in (16, 32, 64)]
+        finals = [whole_line_oracle(g, 0.5, steps, check=False)[0].values[:, -1] for steps in (16, 32, 64)]
         e1, e2 = (
             float(np.sqrt(np.sum(np.abs(a - b) ** 2) * XG.step)) for a, b in zip(finals, finals[1:])
         )
@@ -104,7 +152,7 @@ class TestOracle:
 
     def test_field_layout(self):
         g = gaussian(0.1)
-        field = whole_line_oracle(g, 0.25, 8, check=False)
+        field, _ = whole_line_oracle(g, 0.25, 8, check=False)
         assert field.tgrid.count == 9
         assert field.tgrid.origin == 0.0
         assert np.allclose(field.values[:, 0], g.values)
@@ -119,7 +167,7 @@ class TestManufacturedData:
     def test_horizon_must_end_on_the_time_grid(self, small_config, monkeypatch):
         cfg = small_config
         g = gaussian(0.01, grid=cfg.xgrid)
-        data, _, _ = manufactured_data(g, cfg, horizon=cfg.tgrid.nodes[-1])
+        data, _, _, _ = manufactured_data(g, cfg, horizon=cfg.tgrid.nodes[-1])
         assert data.h1.values[-1] == 0.0  # the taper ends on the last node
 
         # One step further the series would not fit: refused before the oracle runs.
