@@ -217,7 +217,11 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
-_X_BLOCK = 128  # x targets per `field_values` block (`field_on_grid`, the initial-vanishing probe)
+# x targets per `field_values` block of `field_on_grid`.  The initial-vanishing
+# probe of `scenarios` evaluates in the same width so that its tables stay
+# one block wide: all of its x targets in one call would hold a 52 MiB
+# depth-3 table on the bundled `boundary_traces` scenario.
+X_BLOCK = 128
 
 
 def _root_planes(roots: np.ndarray, column, width: int) -> np.ndarray:
@@ -365,13 +369,9 @@ class BoundaryPotential:
         pot = cls(quad, h1, h2, h3, t_sel=t_sel)
         pot.diagnostics = {
             "beta_radius": radius,
-            "gamma_max": radius**0.2,
-            "depth": depth,
             "node_count": quad.node_count,
             "tail_mass": tail,
             "spectrum_within_band": ok,
-            "t_span": t_span,
-            "x_span": x_span,
         }
         return pot
 
@@ -450,7 +450,7 @@ class BoundaryPotential:
         (X, T) and column-major, the layout of the solver's L and N; zero off
         the rows `t_sel`.
 
-        Evaluated by `field_values` in blocks of _X_BLOCK targets.  The block
+        Evaluated by `field_values` in blocks of X_BLOCK targets.  The block
         tables stay for the next call on the same nodes, which the
         fixed-point loop makes once per application.
         """
@@ -458,12 +458,12 @@ class BoundaryPotential:
         if xnodes.tobytes() != self._grid_key:
             self._grid_key, self._blocks = xnodes.tobytes(), {}
         values = np.zeros((len(xnodes), self.tgrid.count), order="F")
-        for start in range(0, len(xnodes), _X_BLOCK):
-            xs = xnodes[start : start + _X_BLOCK]
+        for start in range(0, len(xnodes), X_BLOCK):
+            xs = xnodes[start : start + X_BLOCK]
             if xs.tobytes() not in self._blocks:
                 first = next(iter(self._blocks.values()), None)
                 self._blocks[xs.tobytes()] = self._x_block_tables(xs, first)
-            values[start : start + _X_BLOCK, self.t_sel] = self.field_values(xs, self.ttargets)
+            values[start : start + X_BLOCK, self.t_sel] = self.field_values(xs, self.ttargets)
         return values
 
     def trace_values(self, ttargets) -> np.ndarray:

@@ -13,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .boundary import (
-    _X_BLOCK,
+    X_BLOCK,
     BoundaryPotential,
     BoundaryQuadrature,
     boundary_potential_traces,
@@ -30,9 +31,9 @@ from .grids import GridFunction, TimeSeries, UniformGrid, canonical_json, field_
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
 from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_half_values
 from .verification import (
-    _halfline_box,
     extension_independence,
     manufactured_data,
+    oracle_distance,
     pde_residual,
     smoothing_report,
     weak_form_residual,
@@ -123,19 +124,32 @@ def _check_profile(spec, label: str) -> None:
 _SOLVER_KEYS = {"fp_tol": False, "max_iter": True, "collar": False, "spectrum_tol": False}
 _MANUFACTURED_KEYS = {"steps_per_node": True, "horizon": False, "taper_start": False}
 _PROBE_KEYS = {"ensemble": True, "band_x": False, "band_t": False}
-_SOLVE_CHECKS = ("compatibility", "fixed_point_residual", "contraction", "oracle_match",
-                 "weak_form", "extension_independence", "smoothing_slope_gain")
 _COMMANDS = ("solve", "verify", "probe-bilinear")
-# The check names each pipeline evaluates (the verification-only ones of a
-# full-solve are skipped under `solve`); any other name is refused.
-_PIPELINE_CHECKS = {
-    "boundary-only": ("trace_error", "initial_vanishing_ratio"),
-    "linear-only": ("group_isometry", "interior_residual_free", "kato_ratio_max"),
-    "full-solve": _SOLVE_CHECKS,
-    "verify-all": _SOLVE_CHECKS,
-    "probe-bilinear": ("max_ratio_bound",),
+_SOLVES = ("full-solve", "verify-all")
+
+
+class _Check(NamedTuple):
+    pipelines: tuple  # the pipelines that measure the check; the others refuse it
+    at_least: bool  # a value at or above the tolerance passes, else one below it
+    verify_only: bool  # measured under `verify` or in a verify-all file only
+
+
+# Every check a scenario may request, in summary order.
+_CHECKS = {
+    "trace_error": _Check(("boundary-only",), False, False),
+    "initial_vanishing_ratio": _Check(("boundary-only",), True, False),
+    "group_isometry": _Check(("linear-only",), False, False),
+    "interior_residual_free": _Check(("linear-only",), False, False),
+    "kato_ratio_max": _Check(("linear-only",), False, False),
+    "compatibility": _Check(_SOLVES, False, False),
+    "fixed_point_residual": _Check(_SOLVES, False, False),
+    "contraction": _Check(_SOLVES, False, False),
+    "oracle_match": _Check(_SOLVES, False, False),
+    "weak_form": _Check(_SOLVES, False, True),
+    "extension_independence": _Check(_SOLVES, False, True),
+    "smoothing_slope_gain": _Check(_SOLVES, True, True),
+    "max_ratio_bound": _Check(("probe-bilinear",), False, False),
 }
-_PIPELINES = tuple(_PIPELINE_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -162,9 +176,9 @@ class Scenario:
             required=("name", "pipeline", "grids", "indices", "checks"),
             optional=("seed", "T", "depth", "solver", "data", "probe", "emit"),
         )
-        if payload["pipeline"] not in _PIPELINES:
+        if payload["pipeline"] not in _RUNNERS:
             raise ScenarioError(
-                f"scenario.pipeline: {payload['pipeline']!r} not one of {_PIPELINES}"
+                f"scenario.pipeline: {payload['pipeline']!r} not one of {tuple(_RUNNERS)}"
             )
         _check_keys(payload["grids"], "scenario.grids", required=("x", "t"))
         xgrid = _grid_from(payload["grids"]["x"], "scenario.grids.x")
@@ -337,18 +351,24 @@ def _build_boundary(scenario: Scenario) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Pipelines.
+# Pipelines.  Each runner takes (scenario, seed, depth, command) and returns
+# (report, measured, solution): the report sections, the value of each check
+# it measured by name, and the SolveResult of a solve (else None).
 # ---------------------------------------------------------------------------
 
-def _summary_entry(value: float, tolerance: float, larger_is_better: bool = False) -> dict:
-    ok = value >= tolerance if larger_is_better else value < tolerance
-    return {"value": float(value), "tolerance": float(tolerance), "pass": bool(ok)}
+def _due(scenario: Scenario, command: str) -> list:
+    """The requested checks this run measures, in table order: `solve` skips
+    the verify-only ones of a full-solve file."""
+    verifying = command == "verify" or scenario.pipeline == "verify-all"
+    return [
+        name for name, row in _CHECKS.items()
+        if name in scenario.checks and (verifying or not row.verify_only)
+    ]
 
 
-def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
+def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str) -> tuple:
     h1, h2, h3 = _build_boundary(scenario)
     report: dict = {"traces": {}}
-    trace_error = 0.0
     data_series = (h1, h2, h3)
     tnodes = scenario.tgrid.nodes
     plateau = (tnodes >= 0.0) & (tnodes <= 1.0)
@@ -358,7 +378,6 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
     traces = boundary_potential_traces(h1, h2, h3, depth=depth)
     for j, (tr, h) in enumerate(zip(traces, data_series)):
         err = float(np.max(np.abs(tr.values[plateau] - h.values[plateau]))) / scale
-        trace_error = max(trace_error, err)
         # The traces are real TimeSeries; `im` stays, all zeros, as in a solve's report.
         report["traces"][f"j{j}"] = {
             "t": tnodes[plateau].tolist(),
@@ -366,10 +385,8 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
             "im": np.zeros(int(plateau.sum())).tolist(),
             "relative_error": err,
         }
-    checks = {}
-    if "trace_error" in scenario.checks:
-        checks["trace_error"] = _summary_entry(trace_error, scenario.checks["trace_error"])
-    if "initial_vanishing_ratio" in scenario.checks:
+    measured = {"trace_error": max(tr["relative_error"] for tr in report["traces"].values())}
+    if "initial_vanishing_ratio" in _due(scenario, command):
         cap = BAND_CAP * scenario.tgrid.nyquist
         radius, _, _ = truncation_radius((h1, h2, h3), 1e-12, cap)
         xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
@@ -385,45 +402,37 @@ def _run_boundary_only(scenario: Scenario, seed: int, depth: int) -> dict:
             pot = BoundaryPotential(quad, h1, h2, h3, rows)
             maxima.append(
                 max(
-                    float(np.max(np.abs(pot.field_values(xs[i : i + _X_BLOCK], [0.0]))))
-                    for i in range(0, len(xs), _X_BLOCK)
+                    float(np.max(np.abs(pot.field_values(xs[i : i + X_BLOCK], [0.0]))))
+                    for i in range(0, len(xs), X_BLOCK)
                 )
             )
         ratio = maxima[0] / max(maxima[1], 1e-300)
         report["initial_vanishing"] = {"maxima": maxima, "ratio": ratio}
-        checks["initial_vanishing_ratio"] = _summary_entry(
-            ratio, scenario.checks["initial_vanishing_ratio"], larger_is_better=True
-        )
-    report["checks"] = checks
-    return report
+        measured["initial_vanishing_ratio"] = ratio
+    return report, measured, None
 
 
-def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
+def _run_linear_only(scenario: Scenario, seed: int, _depth: int, command: str) -> tuple:
     g = _build_datum(scenario, seed)
     plan = PropagatorPlan(scenario.xgrid)
     s = scenario.indices["s"]
+    due = _due(scenario, command)
     report: dict = {}
-    checks = {}
-    if "group_isometry" in scenario.checks:
+    measured = {}
+    if "group_isometry" in due:
         evolved = apply_group(g, 0.37, plan)
         base = sobolev_norm(g, s)
         drift = abs(sobolev_norm(evolved, s) - base) / max(base, 1e-300)
-        checks["group_isometry"] = _summary_entry(drift, scenario.checks["group_isometry"])
-        report["group_isometry_drift"] = drift
-    if "interior_residual_free" in scenario.checks:
-        field_ = free_field(g, scenario.tgrid, plan)
-        value = pde_residual(field_)
-        checks["interior_residual_free"] = _summary_entry(
-            value, scenario.checks["interior_residual_free"]
-        )
-        report["interior_residual_free"] = value
-    if "kato_ratio_max" in scenario.checks:
+        report["group_isometry_drift"] = measured["group_isometry"] = drift
+    if "interior_residual_free" in due:
+        value = pde_residual(free_field(g, scenario.tgrid, plan))
+        report["interior_residual_free"] = measured["interior_residual_free"] = value
+    if "kato_ratio_max" in due:
         ratios = {
             f"s={s:g},j={j}": ratio
             for j, ratio in enumerate(kato_smoothing_ratio(g, s, scenario.tgrid, plan))
         }
-        worst = max(ratios.values())
-        checks["kato_ratio_max"] = _summary_entry(worst, scenario.checks["kato_ratio_max"])
+        measured["kato_ratio_max"] = max(ratios.values())
         report["kato_ratios"] = ratios
     # |g_hat| on the whole FFT-ordered spectrum: row min(k, X - k) of the
     # half spectrum, as |g_hat(-xi)| = |g_hat(xi)| for a real g.
@@ -432,74 +441,50 @@ def _run_linear_only(scenario: Scenario, seed: int, depth: int) -> dict:
     report["spectra"] = {
         "g": {"xi": np.abs(g.grid.frequencies).tolist(), "magnitude": magnitude.tolist()}
     }
-    report["checks"] = checks
-    return report
+    return report, measured, None
 
 
-def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: bool) -> dict:
+def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple:
     cfg = scenario.solver_config(depth)
+    due = _due(scenario, command)
     report: dict = {}
-    checks: dict = {}
-    oracle = None
     g_l = _build_datum(scenario, seed)
     if "manufactured" in scenario.data:
         data, oracle, stride, halving = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
         report["oracle_halving_difference"] = halving
     else:
         h1, h2, h3 = _build_boundary(scenario)
-        data, stride = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3), None
+        data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
 
     compat = check_compatibility(data.g_l, data.h1, data.h2, data.h3, cfg.s)
     report["compatibility"] = compat.to_payload()
-    if "compatibility" in scenario.checks:
-        worst_gap = max(compat.measured_gaps) if compat.measured_gaps else 0.0
-        checks["compatibility"] = _summary_entry(worst_gap, scenario.checks["compatibility"])
-
     result = picard_solve(data, cfg)
     report["iteration"] = result.trace.to_payload()
     report["diagnostics"] = {
         k: v for k, v in result.diagnostics.items() if not isinstance(v, np.ndarray)
     }
-    if "fixed_point_residual" in scenario.checks:
-        checks["fixed_point_residual"] = _summary_entry(
-            result.trace.residual, scenario.checks["fixed_point_residual"]
-        )
-    if "contraction" in scenario.checks:
-        late = result.trace.factors[1:] or [0.0]
-        checks["contraction"] = _summary_entry(max(late), scenario.checks["contraction"])
-    if "oracle_match" in scenario.checks:
-        x_sel, t_sel = _halfline_box(scenario.xgrid, scenario.tgrid, cfg.T)
-        i0 = scenario.tgrid.index_of(0.0)
-        oracle_cols = (t_sel - i0) * stride
-        diff = result.u.values[np.ix_(x_sel, t_sel)] - oracle.values[np.ix_(x_sel, oracle_cols)]
-        dist = float(
-            np.sqrt(np.sum(np.abs(diff) ** 2) * scenario.xgrid.step * scenario.tgrid.step)
-        )
-        report["oracle_distance"] = dist
-        checks["oracle_match"] = _summary_entry(dist, scenario.checks["oracle_match"])
-    if with_verification and "weak_form" in scenario.checks:
-        value = weak_form_residual(
-            result.u, data.g_l, data.h1, data.h2, data.h3, cfg.T
-        )
-        report["weak_form_residual"] = value
-        checks["weak_form"] = _summary_entry(value, scenario.checks["weak_form"])
-    if with_verification and "extension_independence" in scenario.checks:
+    measured = {
+        "compatibility": max(compat.measured_gaps, default=0.0),
+        "fixed_point_residual": result.trace.residual,
+        "contraction": max(result.trace.factors[1:], default=0.0),
+    }
+    if "oracle_match" in due:
+        dist = oracle_distance(result.u, oracle, stride, cfg.T)
+        report["oracle_distance"] = measured["oracle_match"] = dist
+    if "weak_form" in due:
+        value = weak_form_residual(result.u, data.g_l, data.h1, data.h2, data.h3, cfg.T)
+        report["weak_form_residual"] = measured["weak_form"] = value
+    if "extension_independence" in due:
         ext = extension_independence(g_l, (data.h1, data.h2, data.h3), cfg)
         report["extension_independence"] = {
             "runs": list(ext.runs),
             "max_distance": ext.max_distance,
         }
-        checks["extension_independence"] = _summary_entry(
-            ext.max_distance, scenario.checks["extension_independence"]
-        )
-    if with_verification and "smoothing_slope_gain" in scenario.checks:
-        a = scenario.indices.get("a", 0.0)
-        rows = smoothing_report(result, cfg, [a])
+        measured["extension_independence"] = ext.max_distance
+    if "smoothing_slope_gain" in due:
+        rows = smoothing_report(result, cfg, [scenario.indices.get("a", 0.0)])
         report["smoothing"] = rows
-        gain = rows[0]["slope_gain"]
-        checks["smoothing_slope_gain"] = _summary_entry(
-            gain, scenario.checks["smoothing_slope_gain"], larger_is_better=True
-        )
+        measured["smoothing_slope_gain"] = rows[0]["slope_gain"]
     report["norms"] = {
         "solution_l2": field_l2_norm(result.u),
         "nonlinear_l2": field_l2_norm(result.nonlinear),
@@ -515,12 +500,10 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, with_verification: boo
             "re": p[window].tolist(),
             "im": np.zeros(int(window.sum())).tolist(),
         }
-    report["checks"] = checks
-    report["_solution"] = result
-    return report
+    return report, measured, result
 
 
-def _run_probe(scenario: Scenario, seed: int, depth: int) -> dict:
+def _run_probe(scenario: Scenario, seed: int, _depth: int, _command: str) -> tuple:
     probe = scenario.probe
     ensemble = int(probe.get("ensemble", 100))
     mode = probe.get("mode", "gain")
@@ -551,42 +534,41 @@ def _run_probe(scenario: Scenario, seed: int, depth: int) -> dict:
             "t": {"origin": scenario.tgrid.origin, "step": scenario.tgrid.step, "count": scenario.tgrid.count},
         },
     }
-    checks = {}
-    if "max_ratio_bound" in scenario.checks:
-        checks["max_ratio_bound"] = _summary_entry(
-            float(ratios.max()), scenario.checks["max_ratio_bound"]
-        )
-    report["checks"] = checks
-    return report
+    return report, {"max_ratio_bound": report["max_ratio"]}, None
+
+
+_RUNNERS = {
+    "boundary-only": _run_boundary_only,
+    "linear-only": _run_linear_only,
+    "full-solve": _run_solve,
+    "verify-all": _run_solve,
+    "probe-bilinear": _run_probe,
+}
 
 
 def emit_plots(report: dict, outdir: Path) -> list:
     """Write gnuplot-ready whitespace-column .dat files for report sections."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    tables = [
+        (f"trace_{label}", "t re im", (tr["t"], tr["re"], tr["im"]))
+        for label, tr in report.get("traces", {}).items()
+    ] + [
+        (f"spectrum_{label}", "xi magnitude", (sp["xi"], sp["magnitude"]))
+        for label, sp in report.get("spectra", {}).items()
+    ] + [
+        (
+            f"smoothing_a{row['a']:g}",
+            "band_cap linear_norm nonlinear_norm",
+            (row["band_caps"], row["band_norms_linear"], row["band_norms_nonlinear"]),
+        )
+        for row in report.get("smoothing", [])
+    ]
     written = []
-    for label, tr in report.get("traces", {}).items():
-        path = outdir / f"trace_{label}.dat"
-        lines = ["# t re im"]
-        for t, re_v, im_v in zip(tr["t"], tr["re"], tr["im"]):
-            lines.append(f"{t:.17g} {re_v:.17g} {im_v:.17g}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    for label, sp in report.get("spectra", {}).items():
-        path = outdir / f"spectrum_{label}.dat"
-        lines = ["# xi magnitude"]
-        for xi, mag in zip(sp["xi"], sp["magnitude"]):
-            lines.append(f"{xi:.17g} {mag:.17g}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    for row in report.get("smoothing", []):
-        path = outdir / f"smoothing_a{row['a']:g}.dat"
-        lines = ["# band_cap linear_norm nonlinear_norm"]
-        for cap, lin, nl in zip(
-            row["band_caps"], row["band_norms_linear"], row["band_norms_nonlinear"]
-        ):
-            lines.append(f"{cap:.17g} {lin:.17g} {nl:.17g}")
-        path.write_text("\n".join(lines) + "\n")
+    for stem, header, columns in tables:
+        path = outdir / f"{stem}.dat"
+        lines = [" ".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+        path.write_text("\n".join([f"# {header}", *lines]) + "\n")
         written.append(path)
     return written
 
@@ -601,7 +583,9 @@ def run_scenario(
     """Execute a scenario file; returns (exit_code, summary dict).
 
     `command` is "solve", "verify" or "probe-bilinear"; any other is a
-    ScenarioError before the file is read.  exit code 0 iff validation
+    ScenarioError before the file is read.  The requested checks are judged
+    by their `_CHECKS` rows in table order; one the runner did not measure
+    is a RuntimeError.  exit code 0 iff validation
     passed and every requested check passed.  Artifacts (summary.json,
     report.json, plot data, CSV fields) go to out_dir when given.
     """
@@ -610,43 +594,37 @@ def run_scenario(
     scenario = Scenario.from_file(path)
     run_seed = scenario.seed if seed is None else _count(seed, "--seed")
     run_depth = scenario.depth if depth is None else _count(depth, "--depth")
-    pipeline = scenario.pipeline
-    if command == "probe-bilinear":
-        pipeline = "probe-bilinear"
-    if scenario.solver and pipeline in ("boundary-only", "linear-only", "probe-bilinear"):
+    pipeline = "probe-bilinear" if command == "probe-bilinear" else scenario.pipeline
+    if scenario.solver and pipeline not in _SOLVES:
         # These pipelines have fixed thresholds; a solver key would be silently ignored.
         raise ScenarioError(f"scenario.solver: the {pipeline} pipeline reads no solver keys")
     # A check the pipeline does not evaluate would otherwise be dropped silently.
+    known = [name for name, row in _CHECKS.items() if pipeline in row.pipelines]
     for name in scenario.checks:
-        if name not in _PIPELINE_CHECKS[pipeline]:
+        if name not in known:
             raise ScenarioError(
                 f"scenario.checks.{name}: the {pipeline} pipeline evaluates no such check "
-                f"(known: {', '.join(_PIPELINE_CHECKS[pipeline])})"
+                f"(known: {', '.join(known)})"
             )
     if "oracle_match" in scenario.checks and "manufactured" not in scenario.data:
         raise ScenarioError("scenario.checks.oracle_match: needs data.manufactured for its oracle")
-    if pipeline == "boundary-only":
-        report = _run_boundary_only(scenario, run_seed, run_depth)
-    elif pipeline == "linear-only":
-        report = _run_linear_only(scenario, run_seed, run_depth)
-    elif pipeline == "full-solve":
-        report = _run_solve(scenario, run_seed, run_depth, with_verification=command == "verify")
-    elif pipeline == "verify-all":
-        report = _run_solve(scenario, run_seed, run_depth, with_verification=True)
-    elif pipeline == "probe-bilinear":
-        report = _run_probe(scenario, run_seed, run_depth)
-    else:  # pragma: no cover - from_payload already rejects
-        raise ScenarioError(f"unknown pipeline {pipeline!r}")
+    report, measured, solution = _RUNNERS[pipeline](scenario, run_seed, run_depth, command)
 
-    solution = report.pop("_solution", None)
-    checks = report.get("checks", {})
+    checks = {}
+    for name in _due(scenario, command):
+        if name not in measured:
+            raise RuntimeError(f"the {pipeline} pipeline did not measure the requested {name!r}")
+        value, tolerance = float(measured[name]), float(scenario.checks[name])
+        ok = value >= tolerance if _CHECKS[name].at_least else value < tolerance
+        checks[name] = {"value": value, "tolerance": tolerance, "pass": bool(ok)}
+    report["checks"] = checks
     summary = {
         "name": scenario.name,
         "pipeline": pipeline,
         "seed": run_seed,
         "depth": run_depth,
         "checks": checks,
-        "pass": all(entry["pass"] for entry in checks.values()) if checks else True,
+        "pass": all(entry["pass"] for entry in checks.values()),
     }
     if out_dir is not None:
         out = Path(out_dir)

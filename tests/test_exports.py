@@ -112,3 +112,25 @@ def test_allowed_unused_exports_stay_unused():
     for path in SOURCE_FILES:
         loaded |= _exports_and_loads(path)[1]
     assert sorted(UNUSED_EXPORTS_ALLOWED & loaded) == []
+
+
+def _private_imports(path: Path) -> list:
+    """`module.name` for every underscore name that `path` imports from
+    another module of the package."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        internal = isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("kdv5half")
+        )
+        if internal:
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_private_name_crosses_modules():
+    """A module of `src/kdv5half` uses another one through its public names
+    only; a private helper that two modules need belongs public in one."""
+    crossing = sorted(
+        f"{path.stem} imports {name}" for path in SOURCE_FILES for name in _private_imports(path)
+    )
+    assert crossing == []

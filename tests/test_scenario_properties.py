@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdv5half.cli import main
-from kdv5half.scenarios import _PIPELINE_CHECKS, Scenario, ScenarioError, run_scenario
+from kdv5half.scenarios import _CHECKS, Scenario, ScenarioError, run_scenario
 
 BASE = {
     "name": "prop",
@@ -63,8 +63,8 @@ non_numbers = st.one_of(
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
-LINEAR_CHECKS = set(_PIPELINE_CHECKS["linear-only"])
-OTHER_CHECKS = sorted({n for names_ in _PIPELINE_CHECKS.values() for n in names_} - LINEAR_CHECKS)
+LINEAR_CHECKS = {n for n, row in _CHECKS.items() if "linear-only" in row.pipelines}
+OTHER_CHECKS = sorted(set(_CHECKS) - LINEAR_CHECKS)
 
 
 def refused(payload, message_part: str) -> None:

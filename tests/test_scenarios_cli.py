@@ -13,7 +13,7 @@ from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
 from kdv5half.verification import manufactured_data
 from kdv5half.scenarios import (
-    _PIPELINE_CHECKS,
+    _CHECKS,
     Scenario,
     ScenarioError,
     boundary_from_profile,
@@ -120,7 +120,7 @@ class TestSchema:
 
     def test_negative_seed_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
         # A rough_tail datum used to reach numpy's default_rng(-1) mid-run.
-        monkeypatch.setattr(scenarios, "_run_linear_only", _no_pipeline)
+        monkeypatch.setitem(scenarios._RUNNERS, "linear-only", _no_pipeline)
         g_spec = {"profile": "rough_tail", "amplitude": 0.1, "band_fraction": 0.5}
         file = tmp_path / "seed.json"
         file.write_text(json.dumps(minimal_payload(seed=-1, data={"g": g_spec})))
@@ -332,8 +332,8 @@ class TestPipelines:
 
     def test_unknown_command_refused_before_the_run(self, monkeypatch):
         # "verfy" used to run the solve pipeline and exit 0 without weak_form.
-        for name in ("_run_boundary_only", "_run_linear_only", "_run_solve", "_run_probe"):
-            monkeypatch.setattr(scenarios, name, _no_pipeline)
+        for pipeline in scenarios._RUNNERS:
+            monkeypatch.setitem(scenarios._RUNNERS, pipeline, _no_pipeline)
         path = SCENARIO_DIR / "manufactured_small.json"
         known = r"\(known: solve, verify, probe-bilinear\)"
         with pytest.raises(ScenarioError, match=rf"^unknown command 'verfy' {known}$"):
@@ -427,6 +427,81 @@ class TestPipelines:
         g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
         result = picard_solve(SolverData(g_l=g, h1=zero, h2=zero, h3=zero), sc.solver_config())
         assert text == field_to_csv(result.u)
+
+
+class TestCheckTable:
+    """`_CHECKS` is the one statement of which checks exist, which pipeline
+    measures each, which way passes and which only `verify` measures."""
+
+    SOLVE_NAMES = ["compatibility", "fixed_point_residual", "contraction", "oracle_match"]
+    VERIFY_NAMES = ["weak_form", "extension_independence", "smoothing_slope_gain"]
+
+    @staticmethod
+    def payload(pipeline):
+        """A small scenario of `pipeline` requesting every check of its rows,
+        listed in the file against table order."""
+        names = [n for n, row in _CHECKS.items() if pipeline in row.pipelines]
+        over = {"pipeline": pipeline, "checks": {n: 1.0 for n in reversed(names)}}
+        if pipeline == "boundary-only":
+            t_grid = {"origin": -1.0, "step": 2.0 / 512, "count": 512}
+            over["grids"] = {"x": SMALL_GRIDS["x"], "t": t_grid}
+            bump = {"profile": "bump", "t0": 0.05, "t1": 0.45, "t2": 0.55, "t3": 0.95}
+            over["data"] = {"h1": bump}
+        elif pipeline == "linear-only":
+            over["data"] = {"g": {"profile": "gaussian", "amplitude": 0.05, "width": 2.0}}
+        elif pipeline == "probe-bilinear":
+            over["indices"] = {**INDICES, "b": 0.45, "s": 0.0}
+            over["probe"] = {"ensemble": 2, "mode": "gain", "band_x": 2.0, "band_t": 8.0}
+        else:
+            g_spec = {"profile": "gaussian", "amplitude": 0.01, "center": 2.0, "width": 3.0}
+            over["data"] = {"g": g_spec, "manufactured": {"horizon": 0.75, "taper_start": 0.6}}
+        return minimal_payload(**over), names
+
+    def run(self, tmp_path, pipeline, command):
+        payload, names = self.payload(pipeline)
+        path = tmp_path / f"{pipeline}.json"
+        path.write_text(json.dumps(payload))
+        _, summary = run_scenario(path, command=command)
+        return list(summary["checks"]), names
+
+    @pytest.mark.parametrize("pipeline", list(scenarios._RUNNERS))
+    def test_verify_judges_every_row_in_table_order(self, tmp_path, pipeline):
+        got, names = self.run(tmp_path, pipeline, "verify")
+        assert names and got == names
+
+    def test_solve_skips_the_verify_only_checks_of_a_full_solve(self, tmp_path):
+        got, _ = self.run(tmp_path, "full-solve", "solve")
+        assert got == self.SOLVE_NAMES
+        got, _ = self.run(tmp_path, "verify-all", "solve")
+        assert got == self.SOLVE_NAMES + self.VERIFY_NAMES
+
+    def test_a_requested_check_left_unmeasured_raises(self, tmp_path, monkeypatch):
+        # A runner that forgets a measurement used to drop the check from the
+        # summary and exit 0.
+        monkeypatch.setitem(scenarios._RUNNERS, "linear-only", lambda *args: ({}, {}, None))
+        path = tmp_path / "unmeasured.json"
+        path.write_text(json.dumps(minimal_payload()))
+        assert run_scenario(path)[0] == 0  # nothing requested, nothing missing
+        path.write_text(json.dumps(minimal_payload(checks={"group_isometry": 1e-12})))
+        with pytest.raises(RuntimeError, match="did not measure the requested 'group_isometry'"):
+            run_scenario(path)
+
+    def test_readme_table_is_the_check_table(self):
+        readme = (SCENARIO_DIR.parent / "README.md").read_text()
+        section = readme.split("### Scenario format")[1].split("\n## ")[0]
+        rows = []
+        for line in section.splitlines():
+            line = line.strip()
+            if not line.startswith("| `"):
+                continue
+            name, pipelines, passes, verify_only = (c.strip() for c in line.strip("|").split("|"))
+            rows.append((
+                name.strip("`"),
+                tuple(p.strip("` ") for p in pipelines.split(",")),
+                {"value ≥ tolerance": True, "value < tolerance": False}[passes],
+                {"yes": True, "no": False}[verify_only],
+            ))
+        assert rows == [(name, *row) for name, row in _CHECKS.items()]
 
 
 class TestCli:
@@ -526,7 +601,7 @@ class TestCli:
     def test_negative_override_exits_2_before_the_run(self, capsys, monkeypatch, flag):
         # --depth -3 used to fail inside gamma_panel_edges after the
         # boundary-only pipeline had started.
-        monkeypatch.setattr(scenarios, "_run_boundary_only", _no_pipeline)
+        monkeypatch.setitem(scenarios._RUNNERS, "boundary-only", _no_pipeline)
         path = str(SCENARIO_DIR / "boundary_traces.json")
         assert main(["solve", path, flag, "-3"]) == 2
         assert f"scenario error: {flag}: expected a non-negative" in capsys.readouterr().err
@@ -562,7 +637,7 @@ class TestBundledScenarios:
     def test_checks_known_to_their_pipeline(self):
         for f in sorted(SCENARIO_DIR.glob("*.json")):
             sc = Scenario.from_file(f)
-            assert set(sc.checks) <= set(_PIPELINE_CHECKS[sc.pipeline]), f.name
+            assert all(sc.pipeline in _CHECKS[name].pipelines for name in sc.checks), f.name
 
     def test_initial_vanishing_probe_keeps_its_values(self, tmp_path):
         # Pins the probe's quadrature choices (t_span 1.0, 2 nodes per panel,

@@ -17,6 +17,7 @@ from kdv5half.verification import (
     extension_independence,
     field_tail_slope,
     manufactured_data,
+    oracle_distance,
     pde_residual,
     smoothing_report,
     spectral_tail_slope,
@@ -216,6 +217,28 @@ class TestManufacturedData:
             assert np.all(np.abs(got - rows) <= floor / xg.count)
 
 
+class TestOracleDistance:
+    def test_is_the_box_l2_of_the_difference(self, manufactured_case, solver_config):
+        _, oracle, stride, result = manufactured_case
+        xg, tg, T = solver_config.xgrid, solver_config.tgrid, solver_config.T
+        xs = xg.nodes >= 0.0
+        ts = np.flatnonzero((tg.nodes >= 0.0) & (tg.nodes <= T))
+        cols = (ts - tg.index_of(0.0)) * stride
+        diff = result.u.values[xs][:, ts] - oracle.values[xs][:, cols]
+        want = np.sqrt(np.sum(diff**2) * xg.step * tg.step)
+        assert oracle_distance(result.u, oracle, stride, T) == pytest.approx(want, rel=1e-14)
+
+    def test_vanishes_on_the_oracle_itself(self, manufactured_case, solver_config):
+        _, oracle, stride, result = manufactured_case
+        tg = solver_config.tgrid
+        vals = np.zeros_like(result.u.values)
+        i0 = tg.index_of(0.0)
+        n = (oracle.tgrid.count - 1) // stride + 1
+        vals[:, i0 : i0 + n] = oracle.values[:, ::stride]
+        u = SpaceTimeField(result.u.xgrid, tg, vals)
+        assert oracle_distance(u, oracle, stride, solver_config.T) == 0.0
+
+
 class TestPdeResidual:
     # A box wide enough that the width-4 Gaussian decays to rounding at the
     # edges; on narrower boxes the truncated spectral tail, amplified by the
@@ -238,6 +261,18 @@ class TestPdeResidual:
         )
         res = pde_residual(bad, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
         assert res > 1e-1 * np.max(np.abs(F.values))
+
+    @pytest.mark.parametrize("k, inside", [(300, True), (383, True), (384, False), (450, False)])
+    def test_fifth_derivative_stops_at_the_band_cap(self, k, inside):
+        # A static mode solves the equation only if its fifth derivative is
+        # dropped: the spectral derivative keeps the 384 band rows of 1024.
+        # Inside, the residual is about 6e7 to 2e8; outside only rounding of
+        # the band rows is left (measured 4.0e-6 and 2.7e-6).
+        tg = UniformGrid(-1.0, 2.0 / 64, 64)
+        wave = np.cos(k * self.WIDE.freq_step * self.WIDE.nodes)
+        F = SpaceTimeField(self.WIDE, tg, np.repeat(wave[:, None], tg.count, axis=1))
+        res = pde_residual(F)
+        assert (res > 1e6) if inside else (res < 1e-4)
 
     def test_validation(self):
         tg = UniformGrid(-1.0, 2.0 / 256, 256)
