@@ -100,7 +100,9 @@ def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
     The weight is <xi>^s <tau+xi^5>^b + chi_{[-1,1]}(xi) <tau>^alpha applied
     to the spectrum before the L^2 sum, so the result always dominates
     xsb_norm.  u must be real: its spectrum is one rfft2 over the columns
-    tau >= 0, summed against the folded squared weight.
+    tau >= 0, summed against the folded squared weight in the transposed
+    layout, so that the spectrum of a column-major iterate is summed in
+    place and a row-major one pays one copy.
     """
     if np.iscomplexobj(u.values):
         raise ValueError("xsba_norm takes a real field")
@@ -108,7 +110,7 @@ def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
     spec = np.fft.rfft2(u.values)
     power = spec.real**2 + spec.imag**2
     scale = xg.step * tg.step / (2.0 * np.pi)
-    total = np.vdot(_folded_xsba_weight(xg, tg, s, b, alpha), power)
+    total = np.vdot(_folded_xsba_weight(xg, tg, s, b, alpha).T, power.T)
     return float(scale * np.sqrt(total * xg.freq_step * tg.freq_step))
 
 
@@ -117,8 +119,9 @@ def _folded_xsba_weight(
     xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float, alpha: float
 ) -> np.ndarray:
     """w^2(xi, tau) + w^2(-xi, -tau) for the weight w of `xsba_norm` on the
-    columns tau >= 0 of an rfft2, shape (X, T // 2 + 1), built once per
-    (grids, indices); a fixed-point solve measures every iterate with it.
+    columns tau >= 0 of an rfft2, shape (X, T // 2 + 1), column-major as the
+    spectrum of a solver iterate is, built once per (grids, indices); a
+    fixed-point solve measures every iterate with it.
 
     A real field's spectrum takes the same modulus at (xi, tau) and at
     (-xi, -tau), the index pair (k, m) and (-k mod X, -m mod T), so each kept
@@ -133,7 +136,7 @@ def _folded_xsba_weight(
     half = tgrid.count // 2 + 1
     mirror = square[(-np.arange(xgrid.count)) % xgrid.count][:, (-np.arange(half)) % tgrid.count]
     self_paired = (np.arange(half) == 0) | (2 * np.arange(half) == tgrid.count)
-    folded = square[:, :half] + np.where(self_paired, 0.0, mirror)
+    folded = np.asfortranarray(square[:, :half] + np.where(self_paired, 0.0, mirror))
     folded.flags.writeable = False
     return folded
 

@@ -6,7 +6,9 @@ Three subcommands, all driven by a scenario JSON file:
     kdv5half verify SCENARIO [--out DIR] [--seed N] [--depth D]
     kdv5half probe-bilinear SCENARIO [--out DIR] [--seed N] [--depth D]
 
-Exit status is 0 exactly when every check requested by the scenario passed.
+Exit status is 0 exactly when every check requested by the scenario passed,
+1 when one failed, 2 for an invalid scenario or configuration, 3 when a
+numerical guard tripped, and 4 for an internal error of the harness itself.
 With --out, summary.json / report.json / plot data land in that directory;
 the summary is canonically serialized so reruns are byte-identical.
 """
@@ -20,6 +22,7 @@ from .boundary import AccuracyError, PreconditionError
 from .fixed_point import NonContractionError
 from .grids import canonical_json
 from .scenarios import ScenarioError, run_scenario
+from .verification import HarnessError
 
 __all__ = ["main", "build_parser"]
 
@@ -65,6 +68,9 @@ def main(argv=None) -> int:
     except NonContractionError as exc:
         print(f"iteration did not contract: {exc}", file=sys.stderr)
         return 3
+    except HarnessError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     print(canonical_json(summary, indent=2))
     return code
 

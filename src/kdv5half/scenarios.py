@@ -31,6 +31,7 @@ from .grids import GridFunction, TimeSeries, UniformGrid, canonical_json, field_
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
 from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_half_values
 from .verification import (
+    HarnessError,
     extension_independence,
     manufactured_data,
     oracle_distance,
@@ -450,8 +451,8 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
     report: dict = {}
     g_l = _build_datum(scenario, seed)
     if "manufactured" in scenario.data:
-        data, oracle, stride, halving = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
-        report["oracle_halving_difference"] = halving
+        data, oracle, stride, doubling = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
+        report["oracle_doubling_difference"] = doubling
     else:
         h1, h2, h3 = _build_boundary(scenario)
         data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
@@ -585,7 +586,7 @@ def run_scenario(
     `command` is "solve", "verify" or "probe-bilinear"; any other is a
     ScenarioError before the file is read.  The requested checks are judged
     by their `_CHECKS` rows in table order; one the runner did not measure
-    is a RuntimeError.  exit code 0 iff validation
+    is a HarnessError.  exit code 0 iff validation
     passed and every requested check passed.  Artifacts (summary.json,
     report.json, plot data, CSV fields) go to out_dir when given.
     """
@@ -613,7 +614,7 @@ def run_scenario(
     checks = {}
     for name in _due(scenario, command):
         if name not in measured:
-            raise RuntimeError(f"the {pipeline} pipeline did not measure the requested {name!r}")
+            raise HarnessError(f"the {pipeline} pipeline did not measure the requested {name!r}")
         value, tolerance = float(measured[name]), float(scenario.checks[name])
         ok = value >= tolerance if _CHECKS[name].at_least else value < tolerance
         checks[name] = {"value": value, "tolerance": tolerance, "pass": bool(ok)}

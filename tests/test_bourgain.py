@@ -89,6 +89,19 @@ class TestNorms:
             expected = unfolded_xsba_norm(u, s, b, alpha)
             assert xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("nx, nt", [(64, 64), (63, 65)])
+    def test_xsba_is_blind_to_the_memory_layout(self, nx, nt):
+        # Solver iterates are column-major and summed in place; a row-major
+        # copy of the same field pays one copy and sums in the same order.
+        xg = UniformGrid(-20.0, 40.0 / nx, nx)
+        tg = UniformGrid(-1.0, 2.0 / nt, nt)
+        vals = np.random.default_rng(nx + nt).standard_normal((nx, nt))
+        norms = [
+            xsba_norm(SpaceTimeField(xg, tg, layout(vals)), 1.0, 0.42, 0.52)
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        assert norms[0] == norms[1]
+
     def test_xsba_refuses_a_complex_field(self):
         u, _, _ = lattice_mode(1, 6)
         with pytest.raises(ValueError, match="real field"):

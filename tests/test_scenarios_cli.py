@@ -391,8 +391,9 @@ class TestPipelines:
         assert len(first[1].split()) == 3
 
     def test_manufactured_report_carries_the_oracle_halving_difference(self, tmp_path):
-        # The split-step oracle's halving difference is numerical health: it
-        # goes to report.json only, and summary.json reruns byte-identical.
+        # The split-step oracle's step-doubling difference is numerical
+        # health: it goes to report.json only, and summary.json reruns
+        # byte-identical.
         g_spec = {"profile": "gaussian", "amplitude": 0.01, "center": 2.0, "width": 3.0}
         manufactured = {"horizon": 0.75, "taper_start": 0.6}
         payload = minimal_payload(
@@ -405,10 +406,11 @@ class TestPipelines:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         sc = Scenario.from_file(path)
         g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
-        _, _, _, halving = manufactured_data(g, sc.solver_config(), **manufactured)
-        assert report["oracle_halving_difference"] == halving
-        assert 0.0 < halving < 1e-7
-        assert "oracle_halving_difference" not in json.dumps(summary)
+        _, _, _, doubling = manufactured_data(g, sc.solver_config(), **manufactured)
+        assert report["oracle_doubling_difference"] == doubling
+        assert 0.0 < doubling < 1e-7
+        assert "oracle_doubling_difference" not in json.dumps(summary)
+        assert "halving" not in json.dumps(report)
 
     def test_full_solve_writes_field_csv(self, tmp_path):
         g_spec = {"profile": "gaussian", "amplitude": 0.01, "width": 2.0}
@@ -516,6 +518,17 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True
+
+    def test_exit_four_on_internal_error(self, tmp_path, capsys, monkeypatch):
+        # A runner that leaves a requested check unmeasured is a fault of the
+        # harness, not a failed check (1) or a bad scenario (2).
+        monkeypatch.setitem(scenarios._RUNNERS, "linear-only", lambda *args: ({}, {}, None))
+        path = tmp_path / "unmeasured.json"
+        path.write_text(json.dumps(minimal_payload(checks={"group_isometry": 1e-12})))
+        assert main(["solve", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: the linear-only pipeline did not measure")
 
     def test_exit_two_on_schema_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

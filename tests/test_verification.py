@@ -95,6 +95,20 @@ class TestOracle:
         with pytest.raises(ValueError, match="at least one step"):
             whole_line_oracle(g, 0.5, 0)
 
+    def test_odd_steps_refused_with_the_check(self, monkeypatch):
+        # The doubled run takes steps / 2 steps; an odd count is refused
+        # before any step runs, and runs as asked without the check.
+        g = gaussian(0.1)
+
+        def sweep_ran(*args):
+            raise AssertionError("the sweep ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(verification, "_split_step_sweep", sweep_ran)
+            with pytest.raises(ValueError, match="even number of steps, got 7"):
+                whole_line_oracle(g, 0.5, 7)
+        assert whole_line_oracle(g, 0.5, 7, check=False)[0].tgrid.count == 8
+
     def test_complex_datum_refused(self):
         # The oracle runs on the half spectrum of a real datum; the grid
         # type refuses a complex one before it gets there.
@@ -119,27 +133,54 @@ class TestOracle:
 
     @pytest.mark.parametrize("check", [True, False])
     def test_batched_sweep_matches_one_row_runs(self, check):
-        # The halving run rides along as a second row of the same sweep; the
-        # trajectory and the fine final slice are bitwise those of separate
-        # one-row runs, and with check=False the sweep holds one row only.
+        # The doubled-step run rides along as a second row of the same
+        # sweep on every other step; the trajectory and the coarse final
+        # slice are bitwise those of separate one-row runs, and with
+        # check=False the sweep holds one row only.
         g = gaussian(0.1, center=1.0)
-        vals, fine = verification._split_step_sweep(g, 0.25, 64, check)
+        vals, coarse = verification._split_step_sweep(g, 0.25, 64, check)
         want = one_row_sweep(g, 0.25, 64)
         assert np.array_equal(vals, want)
         field, diff = whole_line_oracle(g, 0.25, 64, check=check)
         assert np.array_equal(field.values, want)
         if check:
-            want_fine = one_row_sweep(g, 0.25, 128, final_only=True)
-            assert np.array_equal(fine, want_fine)
-            assert diff == float(np.sqrt(np.sum((want[:, -1] - want_fine) ** 2) * XG.step))
+            want_coarse = one_row_sweep(g, 0.25, 32, final_only=True)
+            assert np.array_equal(coarse, want_coarse)
+            assert diff == float(np.sqrt(np.sum((want[:, -1] - want_coarse) ** 2) * XG.step))
             assert 0.0 < diff < 1e-7
         else:
-            assert fine is None and diff is None
+            assert coarse is None and diff is None
+
+    def test_doubling_difference_bounds_the_error(self):
+        # For a second-order scheme the doubling difference is about 3 times
+        # the trajectory's error, so it must not fall below the error
+        # measured against a run at an eighth of the step.
+        g = gaussian(0.1, center=1.0)
+        field, diff = whole_line_oracle(g, 0.25, 64)
+        reference = one_row_sweep(g, 0.25, 512, final_only=True)
+        error = float(np.sqrt(np.sum((field.values[:, -1] - reference) ** 2) * XG.step))
+        assert 0.0 < error <= diff
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_transform_count(self, monkeypatch, check):
+        # 4 transforms per step, the doubled run sharing the trajectory's
+        # calls, plus the datum's rfft and the final inverse transforms.
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        whole_line_oracle(gaussian(0.01), 0.25, 16, check=check)
+        assert len(calls) == 4 * 16 + 2 + check
 
     def test_self_check_catches_coarse_steps(self):
         g = gaussian(5.0, width=1.5)
-        with pytest.raises(AccuracyError, match="halving the step"):
-            whole_line_oracle(g, 1.0, 2, halving_tol=1e-10)
+        with pytest.raises(AccuracyError, match="doubling the step"):
+            whole_line_oracle(g, 1.0, 2, doubling_tol=1e-10)
 
     def test_second_order_convergence(self):
         g = gaussian(0.5, width=2.0)
