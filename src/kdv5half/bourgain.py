@@ -72,16 +72,20 @@ class NormIndices:
         return v
 
 
-def _spectrum_weights(u: SpaceTimeField):
-    spec = spectrum_matrix(u)
-    xi = u.xgrid.frequencies[:, None]
-    tau = u.tgrid.frequencies[None, :]
-    measure = u.xgrid.freq_step * u.tgrid.freq_step
-    return spec, xi, tau, measure
+def _xsb_weight(xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float) -> np.ndarray:
+    """The X^{s,b} weight <xi>^s <tau+xi^5>^b on every (xi, tau) of an fft2,
+    shape (X, T), read-only."""
+    xi = xgrid.frequencies[:, None]
+    tau = tgrid.frequencies[None, :]
+    weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
+    weight.flags.writeable = False
+    return weight
 
 
-def _weighted_l2(spec: np.ndarray, weight: np.ndarray, measure: float) -> float:
-    return float(np.sqrt(np.sum((weight * np.abs(spec)) ** 2) * measure))
+# `xsb_norm`'s weight, built once per (grids, s, b): `bilinear_ratio` measures
+# both factors at one (s, b) and the numerator at a second.  The solver's
+# `xsba_norm` folds an uncached one, so no unfolded weight stays held.
+_cached_xsb_weight = lru_cache(maxsize=2, typed=True)(_xsb_weight)
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
@@ -89,9 +93,9 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
 
     At (s, b) = (0, 0) this is the space-time L^2 norm (Parseval).
     """
-    spec, xi, tau, measure = _spectrum_weights(u)
-    weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
-    return _weighted_l2(spec, weight, measure)
+    weight = _cached_xsb_weight(u.xgrid, u.tgrid, s, b)
+    measure = u.xgrid.freq_step * u.tgrid.freq_step
+    return float(np.sqrt(np.sum((weight * np.abs(spectrum_matrix(u))) ** 2) * measure))
 
 
 def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
@@ -130,8 +134,7 @@ def _folded_xsba_weight(
     """
     xi = xgrid.frequencies[:, None]
     tau = tgrid.frequencies[None, :]
-    weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
-    weight = weight + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
+    weight = _xsb_weight(xgrid, tgrid, s, b) + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
     square = weight**2
     half = tgrid.count // 2 + 1
     mirror = square[(-np.arange(xgrid.count)) % xgrid.count][:, (-np.arange(half)) % tgrid.count]
@@ -212,9 +215,9 @@ def seeded_band_limited_field(
     draws = rng.standard_normal((2 * kx_max + 1, 2 * kt_max + 1, 2))
     block = (draws[..., 0] + 1j * draws[..., 1]) * envelope_x[:, None] * envelope_t[None, :]
     spec = np.zeros((xgrid.count, tgrid.count), dtype=np.complex128)
-    for i, kx in enumerate(range(-kx_max, kx_max + 1)):
-        for jj, kt in enumerate(range(-kt_max, kt_max + 1)):
-            spec[kx % xgrid.count, kt % tgrid.count] = block[i, jj]
+    rows = np.arange(-kx_max, kx_max + 1) % xgrid.count
+    cols = np.arange(-kt_max, kt_max + 1) % tgrid.count
+    spec[np.ix_(rows, cols)] = block
     values = values_from_spectrum_matrix(spec, xgrid, tgrid).values
     peak = float(np.max(np.abs(values)))
     if peak > 0:

@@ -15,7 +15,6 @@ keeps complex128 input.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -187,13 +186,13 @@ def canonical_json(obj, indent: int = 0) -> str:
 # CSV writer for space-time fields.
 # ---------------------------------------------------------------------------
 
-def field_to_csv(u: SpaceTimeField, stream=None) -> str:
-    """Long-format columns: x, t, re, im; one line per node, t fastest.
+def field_to_csv(u: SpaceTimeField, stream) -> None:
+    """Write long-format columns x, t, re, im to the text `stream`; one line
+    per node, t fastest.
 
     Each x-row of the field is written by one `%` format of all its lines.
     """
-    buf = stream if stream is not None else io.StringIO()
-    buf.write("x,t,re,im\n")
+    stream.write("x,t,re,im\n")
     count_t = u.tgrid.count
     lines = "%s,%s,%.17g,%.17g\n" * count_t
     cells: list = [None] * (4 * count_t)
@@ -202,5 +201,4 @@ def field_to_csv(u: SpaceTimeField, stream=None) -> str:
         cells[0::4] = [f"{x:.17g}"] * count_t
         cells[2::4] = row.real.tolist()
         cells[3::4] = row.imag.tolist()
-        buf.write(lines % tuple(cells))
-    return buf.getvalue() if stream is None else ""
+        stream.write(lines % tuple(cells))

@@ -175,10 +175,7 @@ def _sweep(coef: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.nd
 
 
 def duhamel_trajectory(
-    F: np.ndarray,
-    tgrid: UniformGrid,
-    plan: PropagatorPlan,
-    t_window: tuple | None = None,
+    F: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan, t_window: tuple
 ) -> np.ndarray:
     """Band-capped half x-spectrum of integral_0^t W(t-t') F(t') dt' at every
     time node, shape (K, T) for the plan's K = `band_rows`, computed
@@ -189,23 +186,17 @@ def duhamel_trajectory(
     fitted and swept, so the modes beyond the band cap are zero.
     Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
     t = 0.
-    `t_window` restricts the computed range (columns outside are zero),
-    which callers use when a time cutoff will kill those samples anyway.
+    Only the columns of the nodes in `t_window`, which must hold t = 0, are
+    computed (the others are zero), as a time cutoff kills the samples
+    outside it anyway.
     """
     n0 = tgrid.index_of(0.0)
     k = plan.band_rows
     xi5 = plan.xi5[:k]
     coef = _not_a_knot_coefficients(F[:k].T, tgrid.step)
-    lo, hi = 0, tgrid.count - 1
-    if t_window is not None:
-        nodes = tgrid.nodes
-        inside = np.where((nodes >= t_window[0]) & (nodes <= t_window[1]))[0]
-        if len(inside):
-            lo, hi = int(inside[0]), int(inside[-1])
-        else:
-            lo = hi = n0
-    lo = min(lo, n0)
-    hi = max(hi, n0)
+    nodes = tgrid.nodes
+    inside = np.flatnonzero((nodes >= t_window[0]) & (nodes <= t_window[1]))
+    lo, hi = min(int(inside[0]), n0), max(int(inside[-1]), n0)
     dt = tgrid.step
     step_phase = np.exp(-1j * dt * xi5)
     rows = np.zeros((tgrid.count, k), dtype=np.complex128)

@@ -33,6 +33,7 @@ from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_
 from .verification import (
     HarnessError,
     extension_independence,
+    halfline_box,
     manufactured_data,
     oracle_distance,
     pde_residual,
@@ -94,30 +95,45 @@ def _grid_from(d: dict, path: str) -> UniformGrid:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-# Profile names and numeric keys of the datum g and of the boundary series h1-h3.
+# The numeric keys each profile reads, with their defaults: data.g names a
+# datum profile, data.h1-h3 a boundary profile.
 _PROFILES = {
-    "g": (("zero", "gaussian", "rough_tail"), ("amplitude", "center", "width", "band_fraction")),
-    "h": (
-        ("zero", "bump", "gaussian_pulse"),
-        ("amplitude", "t0", "t1", "t2", "t3", "center", "width"),
-    ),
+    "g": {
+        "zero": {},
+        "gaussian": {"amplitude": 1.0, "center": 0.0, "width": 2.0},
+        "rough_tail": {"amplitude": 1.0, "band_fraction": 0.6},
+    },
+    "h": {
+        "zero": {},
+        "bump": {"amplitude": 1.0, "t0": 0.05, "t1": 0.15, "t2": 0.45, "t3": 0.6},
+        "gaussian_pulse": {"amplitude": 1.0, "center": 0.3, "width": 0.08},
+    },
 }
 _EXTENSIONS = ("none", "auto", "zero", "reflection")
 
 
-def _check_profile(spec, label: str) -> None:
-    """Validate the profile spec of data.g or data.h1-h3."""
+def _parse_profile(spec, label: str) -> tuple:
+    """(profile name, its numeric keys with the defaults filled in) of the
+    profile spec of data.g or data.h1-h3; a key the profile does not read is
+    refused.  data.g also takes `extension`."""
     path = f"scenario.data.{label}"
-    profiles, numeric = _PROFILES[label[0]]
+    profiles = _PROFILES[label[0]]
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    if "profile" not in spec:
+        raise ScenarioError(f"{path}: missing keys ['profile']")
+    name = spec["profile"]
+    if not (isinstance(name, str) and name in profiles):
+        raise ScenarioError(f"{path}.profile: unknown profile {name!r}")
     extra = ("extension",) if label == "g" else ()
-    _check_keys(spec, path, required=("profile",), optional=numeric + extra)
-    if spec["profile"] not in profiles:
-        raise ScenarioError(f"{path}.profile: unknown profile {spec['profile']!r}")
-    for key in numeric:
-        if key in spec:
-            _number(spec[key], f"{path}.{key}")
+    _check_keys(spec, path, required=("profile",), optional=tuple(profiles[name]) + extra)
     if spec.get("extension", "none") not in _EXTENSIONS:
         raise ScenarioError(f"{path}.extension: {spec['extension']!r} not one of {_EXTENSIONS}")
+    values = {
+        key: _number(spec.get(key, default), f"{path}.{key}")
+        for key, default in profiles[name].items()
+    }
+    return name, values
 
 
 # Numeric keys of three scenario objects, each mapped to whether it is a whole
@@ -211,7 +227,7 @@ class Scenario:
             )
         for label in ("g", "h1", "h2", "h3"):
             if label in data:
-                _check_profile(data[label], label)
+                _parse_profile(data[label], label)
         if "manufactured" in data:
             path = "scenario.data.manufactured"
             _check_keys(data["manufactured"], path, required=(), optional=tuple(_MANUFACTURED_KEYS))
@@ -254,7 +270,7 @@ class Scenario:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         return cls.from_payload(payload)
 
-    def solver_config(self, depth: int | None = None) -> SolverConfig:
+    def solver_config(self, depth: int) -> SolverConfig:
         try:
             return SolverConfig(
                 xgrid=self.xgrid,
@@ -264,7 +280,7 @@ class Scenario:
                 bstar=self.indices["bstar"],
                 alpha=self.indices["alpha"],
                 T=self.T,
-                depth=depth if depth is not None else self.depth,
+                depth=depth,
                 **self.solver,
             )
         except ValueError as exc:
@@ -299,38 +315,26 @@ def _rough_tail_datum(grid: UniformGrid, s: float, amplitude: float, seed: int, 
 
 
 def datum_from_profile(spec: dict, grid: UniformGrid, s: float, seed: int) -> GridFunction:
-    _check_profile(spec, "g")
-    profile = spec["profile"]
-    amplitude = float(spec.get("amplitude", 1.0))
+    profile, p = _parse_profile(spec, "g")
     nodes = grid.nodes
     if profile == "zero":
         vals = np.zeros(grid.count)
     elif profile == "gaussian":
-        center = float(spec.get("center", 0.0))
-        width = float(spec.get("width", 2.0))
-        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2))
+        vals = p["amplitude"] * np.exp(-(((nodes - p["center"]) / p["width"]) ** 2))
     else:  # rough_tail
-        return _rough_tail_datum(grid, s, amplitude, seed, float(spec.get("band_fraction", 0.6)))
+        return _rough_tail_datum(grid, s, p["amplitude"], seed, p["band_fraction"])
     return GridFunction(grid, vals)
 
 
 def boundary_from_profile(spec: dict, tgrid: UniformGrid, label: str) -> TimeSeries:
-    _check_profile(spec, label)
-    profile = spec["profile"]
-    amplitude = float(spec.get("amplitude", 1.0))
+    profile, p = _parse_profile(spec, label)
     nodes = tgrid.nodes
     if profile == "zero":
         vals = np.zeros(tgrid.count)
     elif profile == "bump":
-        t0 = float(spec.get("t0", 0.05))
-        t1 = float(spec.get("t1", 0.15))
-        t2 = float(spec.get("t2", 0.45))
-        t3 = float(spec.get("t3", 0.6))
-        vals = amplitude * right_bump(nodes, t0, t1, t2, t3)
+        vals = p["amplitude"] * right_bump(nodes, p["t0"], p["t1"], p["t2"], p["t3"])
     else:  # gaussian_pulse
-        center = float(spec.get("center", 0.3))
-        width = float(spec.get("width", 0.08))
-        vals = amplitude * np.exp(-(((nodes - center) / width) ** 2)) * (nodes > 0)
+        vals = p["amplitude"] * np.exp(-(((nodes - p["center"]) / p["width"]) ** 2)) * (nodes > 0)
     return TimeSeries(tgrid, vals)
 
 
@@ -372,7 +376,7 @@ def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str)
     report: dict = {"traces": {}}
     data_series = (h1, h2, h3)
     tnodes = scenario.tgrid.nodes
-    plateau = (tnodes >= 0.0) & (tnodes <= 1.0)
+    _, plateau = halfline_box(scenario.xgrid, scenario.tgrid, 1.0)
     # One scale for all three channels: zero channels are judged against the
     # driving channel's amplitude, not against themselves.
     scale = max(max(float(np.max(np.abs(d.values))) for d in data_series), 1e-300)
@@ -383,7 +387,7 @@ def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str)
         report["traces"][f"j{j}"] = {
             "t": tnodes[plateau].tolist(),
             "re": tr.values[plateau].tolist(),
-            "im": np.zeros(int(plateau.sum())).tolist(),
+            "im": np.zeros(len(plateau)).tolist(),
             "relative_error": err,
         }
     measured = {"trace_error": max(tr["relative_error"] for tr in report["traces"].values())}
@@ -483,23 +487,23 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
         }
         measured["extension_independence"] = ext.max_distance
     if "smoothing_slope_gain" in due:
-        rows = smoothing_report(result, cfg, [scenario.indices.get("a", 0.0)])
-        report["smoothing"] = rows
-        measured["smoothing_slope_gain"] = rows[0]["slope_gain"]
+        row = smoothing_report(result, cfg, scenario.indices.get("a", 0.0))
+        report["smoothing"] = [row]
+        measured["smoothing_slope_gain"] = row["slope_gain"]
     report["norms"] = {
         "solution_l2": field_l2_norm(result.u),
         "nonlinear_l2": field_l2_norm(result.nonlinear),
     }
     report["traces"] = {}
-    tnodes = scenario.tgrid.nodes
-    window = (tnodes >= 0.0) & (tnodes <= cfg.T)
+    _, window = halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
+    tnodes = cfg.tgrid.nodes
     for p, label in zip(result.traces, ("j0", "j1", "j2")):
         # The traces of the real problem are real; `im` stays, all zeros, so
         # readers of the trace format keep working.
         report["traces"][label] = {
             "t": tnodes[window].tolist(),
             "re": p[window].tolist(),
-            "im": np.zeros(int(window.sum())).tolist(),
+            "im": np.zeros(len(window)).tolist(),
         }
     return report, measured, result
 

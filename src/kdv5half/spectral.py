@@ -33,7 +33,6 @@ __all__ = [
     "sobolev_norm",
     "band_mask",
     "nonuniform_transform",
-    "random_band_limited",
 ]
 
 
@@ -162,37 +161,3 @@ def nonuniform_transform(f: GridFunction, freqs) -> np.ndarray:
         )
     return out
 
-
-def random_band_limited(
-    grid: UniformGrid,
-    band: float,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
-    decay: float = 1.0,
-) -> GridFunction:
-    """Random smooth real function with spectrum supported in |xi| <= band.
-
-    A deliberate seeded test-data generator: the package itself never calls
-    it; the tests and ad-hoc studies draw their band-limited data from it.
-
-    One complex Gaussian coefficient c_k is drawn per lattice frequency
-    k * freq_step, with an exp(-decay*(xi/band)^2) envelope, in the
-    resolution-independent order k = 0, 1, -1, 2, -2, ..., so the same rng
-    state produces the same continuum function on any refinement of a grid
-    with the same period.  The function is the real part of their sum, the
-    half spectrum (c_k + conj c_{-k})/2, normalized to the requested
-    L-infinity amplitude.
-    """
-    freq_step = grid.freq_step
-    kmax = min(int(np.floor(band / freq_step)), (grid.count - 1) // 2)
-    coeffs = np.zeros(kmax + 1, dtype=np.complex128)
-    for k in range(0, kmax + 1):
-        envelope = np.exp(-decay * (k * freq_step / band) ** 2)
-        pos = complex(rng.standard_normal(), rng.standard_normal())
-        neg = complex(rng.standard_normal(), rng.standard_normal()) if k else pos
-        coeffs[k] = 0.5 * envelope * (pos + np.conj(neg))
-    values = x_half_values(coeffs, grid)
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return GridFunction(grid, np.zeros(grid.count))
-    return GridFunction(grid, values * (amplitude / peak))

@@ -10,6 +10,7 @@ reuses it instead of solving again.
 x, on every row of `grid.frequencies`, in the package's convention.  The
 package holds real functions as their half spectra only; the tests use this
 pair as the independent oracle of those (`from conftest import ...`).
+`random_band_limited` draws the tests' seeded band-limited real data.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from kdv5half import (
     manufactured_data,
     picard_solve,
 )
+from kdv5half.spectral import x_half_values
 
 def full_spectrum(values, grid: UniformGrid) -> np.ndarray:
     """Forward transform along axis 0 of a 1-D array or of every column of a
@@ -37,6 +39,38 @@ def full_values(spec, grid: UniformGrid) -> np.ndarray:
     phase = np.exp(1j * grid.frequencies * grid.origin)
     phase = phase[:, None] if np.ndim(spec) == 2 else phase
     return (np.sqrt(2.0 * np.pi) / grid.step) * np.fft.ifft(spec * phase, axis=0)
+
+
+def random_band_limited(
+    grid: UniformGrid,
+    band: float,
+    rng: np.random.Generator,
+    amplitude: float = 1.0,
+    decay: float = 1.0,
+) -> GridFunction:
+    """Random smooth real function with spectrum supported in |xi| <= band.
+
+    One complex Gaussian coefficient c_k is drawn per lattice frequency
+    k * freq_step, with an exp(-decay*(xi/band)^2) envelope, in the
+    resolution-independent order k = 0, 1, -1, 2, -2, ..., so the same rng
+    state produces the same continuum function on any refinement of a grid
+    with the same period.  The function is the real part of their sum, the
+    half spectrum (c_k + conj c_{-k})/2, normalized to the requested
+    L-infinity amplitude.
+    """
+    freq_step = grid.freq_step
+    kmax = min(int(np.floor(band / freq_step)), (grid.count - 1) // 2)
+    coeffs = np.zeros(kmax + 1, dtype=np.complex128)
+    for k in range(0, kmax + 1):
+        envelope = np.exp(-decay * (k * freq_step / band) ** 2)
+        pos = complex(rng.standard_normal(), rng.standard_normal())
+        neg = complex(rng.standard_normal(), rng.standard_normal()) if k else pos
+        coeffs[k] = 0.5 * envelope * (pos + np.conj(neg))
+    values = x_half_values(coeffs, grid)
+    peak = np.max(np.abs(values))
+    if peak == 0.0:
+        return GridFunction(grid, np.zeros(grid.count))
+    return GridFunction(grid, values * (amplitude / peak))
 
 
 DEFAULT_X = dict(origin=-40.0, step=80.0 / 1024, count=1024)

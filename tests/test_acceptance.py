@@ -17,6 +17,7 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import random_band_limited
 from kdv5half import (
     BoundaryPotential,
     BoundaryQuadrature,
@@ -37,9 +38,10 @@ from kdv5half import (
     seeded_band_limited_field,
     smoothing_report,
     weak_form_residual,
+    weak_test_family,
 )
 from kdv5half.boundary import solve_coefficients_batch, stable_root_array, truncation_radius
-from kdv5half.spectral import random_band_limited, sobolev_norm
+from kdv5half.spectral import sobolev_norm
 from kdv5half.verification import pde_residual
 
 BETA_SWEEP = np.concatenate(
@@ -248,8 +250,9 @@ class TestExtensionIndependence:
         cfg = SolverConfig(
             xgrid=xg, tgrid=tg, s=s, b=0.42, bstar=0.46, alpha=0.52, T=0.25
         )
-        report = extension_independence(
-            datum, (z, z, z), cfg, methods=("zero", "reflection"), collars=(2.0, 3.0)
+        report = extension_independence(datum, (z, z, z), cfg)
+        assert report.runs == (
+            "zero/collar=2", "zero/collar=3", "reflection/collar=2", "reflection/collar=3"
         )
         assert report.max_distance < 1e-4
 
@@ -259,16 +262,10 @@ class TestWeakForm:
         self, manufactured_case, solver_config
     ):
         data, _, _, result = manufactured_case
-        base, details = weak_form_residual(
-            result.u,
-            data.g_l,
-            data.h1,
-            data.h2,
-            data.h3,
-            solver_config.T,
-            return_details=True,
+        base = weak_form_residual(
+            result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )
-        assert len(details) == 12
+        assert len(weak_test_family(solver_config.T)) == 12
         assert base < 1e-4
 
         xg, tg = solver_config.xgrid, solver_config.tgrid
@@ -306,7 +303,7 @@ class TestNonlinearSmoothing:
         for amp in (0.01, 0.02):
             data = SolverData(g_l=self.rough_datum(amp), h1=z, h2=z, h3=z)
             result = picard_solve(data, cfg)
-            row = smoothing_report(result, cfg, a_grid=[0.15])[0]
+            row = smoothing_report(result, cfg, 0.15)
             sup_norms[amp] = row["sup_halfline_norm"]
             assert row["admissible"]
             assert row["slope_gain"] >= 0.8 * 0.15

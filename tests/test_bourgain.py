@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kdv5half import bourgain
 from kdv5half.bourgain import (
     NormIndices,
     bilinear_ratio,
@@ -43,6 +44,22 @@ def unfolded_xsba_norm(u: SpaceTimeField, s, b, alpha) -> float:
 
 
 class TestNorms:
+    def test_xsb_weight_is_built_once_per_grids_and_indices(self):
+        # The cached weight gives the formula's norm bit for bit, in its
+        # expression order; a second call at the same (grids, s, b) builds
+        # nothing.
+        u = real_part(lattice_mode(3, -5)[0])
+        xi, tau = XG.frequencies[:, None], TG.frequencies[None, :]
+        spec = bourgain.spectrum_matrix(u)
+        weight = (1.0 + np.abs(xi)) ** 0.7 * (1.0 + np.abs(tau + xi**5)) ** 0.45
+        measure = XG.freq_step * TG.freq_step
+        want = float(np.sqrt(np.sum((weight * np.abs(spec)) ** 2) * measure))
+        bourgain._cached_xsb_weight.cache_clear()
+        assert xsb_norm(u, 0.7, 0.45) == want
+        assert xsb_norm(u, 0.7, 0.45) == want
+        info = bourgain._cached_xsb_weight.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_zero_indices_reduce_to_l2(self):
         u, _, _ = lattice_mode(3, -5, amp=0.7)
         assert xsb_norm(u, 0.0, 0.0) == pytest.approx(field_l2_norm(u), rel=1e-12)
@@ -202,7 +219,29 @@ class TestBilinearRatio:
             bilinear_ratio(v, zero, 0.0, 0.45, mode="gain")
 
 
+def loop_placed_field(xgrid, tgrid, band_x, band_t, seed) -> np.ndarray:
+    """Oracle: `seeded_band_limited_field`'s draws placed one lattice mode at a time."""
+    rng = np.random.default_rng(seed)
+    kx_max = int(np.floor(band_x / xgrid.freq_step))
+    kt_max = int(np.floor(band_t / tgrid.freq_step))
+    envelope_x = np.exp(-0.5 * (np.arange(-kx_max, kx_max + 1) / max(kx_max, 1)) ** 2)
+    envelope_t = np.exp(-0.5 * (np.arange(-kt_max, kt_max + 1) / max(kt_max, 1)) ** 2)
+    draws = rng.standard_normal((2 * kx_max + 1, 2 * kt_max + 1, 2))
+    block = (draws[..., 0] + 1j * draws[..., 1]) * envelope_x[:, None] * envelope_t[None, :]
+    spec = np.zeros((xgrid.count, tgrid.count), dtype=np.complex128)
+    for i, kx in enumerate(range(-kx_max, kx_max + 1)):
+        for j, kt in enumerate(range(-kt_max, kt_max + 1)):
+            spec[kx % xgrid.count, kt % tgrid.count] = block[i, j]
+    values = bourgain.values_from_spectrum_matrix(spec, xgrid, tgrid).values
+    return values / np.max(np.abs(values))
+
+
 class TestSeededField:
+    @pytest.mark.parametrize("seed", [1000, 1001, 1009])
+    def test_block_placement_matches_the_mode_loop(self, seed):
+        got = seeded_band_limited_field(XG, TG, 3.0, 15.0, seed).values
+        assert np.array_equal(got, loop_placed_field(XG, TG, 3.0, 15.0, seed))
+
     def test_deterministic(self):
         a = seeded_band_limited_field(XG, TG, 3.0, 15.0, seed=42)
         b = seeded_band_limited_field(XG, TG, 3.0, 15.0, seed=42)

@@ -22,7 +22,6 @@ SOURCE_FILES = sorted((ROOT / "src" / "kdv5half").glob("*.py"))
 
 # Deliberate public helpers that the program itself never calls.
 UNUSED_EXPORTS_ALLOWED = {
-    "random_band_limited",  # seeded test-data generator
     "nonuniform_transform",  # independent oracle of the boundary potential's data transform
 }
 
@@ -112,6 +111,80 @@ def test_allowed_unused_exports_stay_unused():
     for path in SOURCE_FILES:
         loaded |= _exports_and_loads(path)[1]
     assert sorted(UNUSED_EXPORTS_ALLOWED & loaded) == []
+
+
+# Defaulted parameters that only the tests set, each kept for a reason.
+TEST_SET_PARAMETERS_ALLOWED = {
+    # The acceptance test takes the interior residual of the boundary
+    # potential, which is not box-periodic: it must supply the analytic
+    # fifth x-derivative and the interior window.
+    "pde_residual.fifth_x",
+    "pde_residual.x_range",
+    "pde_residual.t_range",
+}
+
+
+def _defaulted_parameters(path: Path):
+    """(callable name, parameter, position) for every parameter with a
+    default of a function defined in `path`; `position` counts the call's
+    positional arguments (after `self`/`cls`), None for a keyword-only one.
+    A class's `__init__` is called by the class's name."""
+    body = _parse(path).body
+    owned = [(None, fn) for fn in body if isinstance(fn, ast.FunctionDef)] + [
+        (cls.name, fn)
+        for cls in body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    for cls, fn in owned:
+        name = cls if fn.name == "__init__" else fn.name
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        skip = int(cls is not None and bool(positional) and positional[0].arg in ("self", "cls"))
+        first_default = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first_default:], start=first_default):
+            yield name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _program_settings() -> dict:
+    """Callable name -> (keywords set by name, most positional arguments,
+    whether some call unpacks `*` / `**`) over every call in the program."""
+    settings: dict = {}
+    for path in PROGRAM_FILES:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            keywords, count, star, double_star = settings.get(name, (set(), 0, False, False))
+            keywords |= {k.arg for k in node.keywords if k.arg is not None}
+            star |= any(isinstance(a, ast.Starred) for a in node.args)
+            double_star |= any(k.arg is None for k in node.keywords)
+            count = max(count, sum(not isinstance(a, ast.Starred) for a in node.args))
+            settings[name] = (keywords, count, star, double_star)
+    return settings
+
+
+def test_no_parameter_only_for_the_tests():
+    """Every defaulted parameter of a `src/kdv5half` function is set by some
+    call in `src/kdv5half` or `perfbench` to a callable of that name: by
+    keyword, by position, or through `*` / `**` unpacking.  A value that
+    only the tests pass is a constant, and its branch a test-only path."""
+    settings = _program_settings()
+    unset = []
+    for path in SOURCE_FILES:
+        for name, param, position in _defaulted_parameters(path):
+            keywords, count, star, double_star = settings.get(name, (set(), 0, False, False))
+            set_by_position = position is not None and (position < count or star)
+            if not (param in keywords or set_by_position or double_star):
+                unset.append(f"{name}.{param}")
+    assert sorted(set(unset) - TEST_SET_PARAMETERS_ALLOWED) == []
 
 
 def _private_imports(path: Path) -> list:

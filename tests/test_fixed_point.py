@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_spectrum, full_values
+from conftest import full_spectrum, full_values, random_band_limited
 from kdv5half import fixed_point
 from kdv5half.grids import PreconditionError
 from kdv5half.cutoffs import eta, extend_initial_datum
@@ -21,7 +21,7 @@ from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from kdv5half.bourgain import xsba_norm
 from kdv5half.grids import SpaceTimeField
-from kdv5half.spectral import band_mask, random_band_limited, x_half_spectrum, x_half_values
+from kdv5half.spectral import band_mask, x_half_spectrum, x_half_values
 from kdv5half.verification import manufactured_data
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from conftest import full_spectrum, full_values
+from conftest import full_spectrum, full_values, random_band_limited
 from kdv5half.cutoffs import eta
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import (
@@ -21,7 +21,6 @@ from kdv5half.propagator import (
 )
 from kdv5half.spectral import (
     band_mask,
-    random_band_limited,
     sobolev_norm,
     x_half_spectrum,
     x_half_values,
@@ -160,6 +159,7 @@ def duhamel_oracle(F: np.ndarray, xg: UniformGrid, tg: UniformGrid, t: float) ->
 class TestDuhamel:
     XG = UniformGrid(-20.0, 40.0 / 256, 256)
     TG = UniformGrid(-1.0, 2.0 / 256, 256)
+    WHOLE = (-1.0, 1.0)  # a window holding every node of TG
 
     def forcing(self):
         """Real (X, T) forcing samples on the coarse grids."""
@@ -167,13 +167,13 @@ class TestDuhamel:
         w = np.exp(-((self.TG.nodes - 0.3) ** 2) / 0.1)
         return np.outer(f, w)
 
-    def field(self, F, **kwargs):
+    def field(self, F, t_window=WHOLE):
         """The real (X, T) values of the Duhamel trajectory of the forcing
         samples F, given to the sweep as their half x-spectrum."""
-        return self.field_of_spectrum(x_half_spectrum(F, self.XG), **kwargs)
+        return self.field_of_spectrum(x_half_spectrum(F, self.XG), t_window)
 
-    def field_of_spectrum(self, spec, **kwargs):
-        traj = duhamel_trajectory(spec, self.TG, PropagatorPlan(self.XG), **kwargs)
+    def field_of_spectrum(self, spec, t_window=WHOLE):
+        traj = duhamel_trajectory(spec, self.TG, PropagatorPlan(self.XG), t_window)
         return x_half_values(traj, self.XG)
 
     def test_zero_at_time_zero(self):
@@ -234,7 +234,9 @@ class TestDuhamel:
     def test_spectrum_is_band_capped(self):
         # The trajectory holds the K band-capped rows xi >= 0 and no others.
         plan = PropagatorPlan(self.XG)
-        spec = duhamel_trajectory(x_half_spectrum(self.forcing(), self.XG), self.TG, plan)
+        spec = duhamel_trajectory(
+            x_half_spectrum(self.forcing(), self.XG), self.TG, plan, self.WHOLE
+        )
         assert spec.shape == (plan.band_rows, self.TG.count)
         # 0 <= xi < 0.75 * nyquist on 256 points; the mode k = 96 lies on
         # the cap and is dropped.

@@ -1,6 +1,8 @@
 """Scenario schema validation, pipeline execution, artifacts, CLI exit codes."""
 
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from kdv5half import scenarios
 from kdv5half.cli import main
 from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
-from kdv5half.verification import manufactured_data
+from kdv5half.verification import halfline_box, manufactured_data
 from kdv5half.scenarios import (
     _CHECKS,
     Scenario,
@@ -144,7 +146,7 @@ class TestSchema:
     def test_solver_config_reports_index_errors(self):
         sc = Scenario.from_payload(minimal_payload(indices={**INDICES, "b": 0.3}))
         with pytest.raises(ScenarioError, match=r"scenario\.indices: .*contraction window"):
-            sc.solver_config()
+            sc.solver_config(sc.depth)
 
     @pytest.mark.parametrize(
         "h1, message",
@@ -182,7 +184,8 @@ class TestSchema:
 
     def test_solver_config_takes_parsed_values_and_its_own_defaults(self):
         payload = minimal_payload(pipeline="full-solve", solver={"max_iter": 3.0, "collar": 3})
-        cfg = Scenario.from_payload(payload).solver_config()
+        sc = Scenario.from_payload(payload)
+        cfg = sc.solver_config(sc.depth)
         assert cfg.max_iter == 3 and isinstance(cfg.max_iter, int)
         assert cfg.collar == 3.0 and isinstance(cfg.collar, float)
         defaults = SolverConfig(
@@ -200,6 +203,46 @@ class TestSchema:
 class TestProfiles:
     XG = UniformGrid(-10.0, 20.0 / 64, 64)
     TG = UniformGrid(-1.0, 2.0 / 64, 64)
+
+    def build(self, label, spec):
+        if label == "g":
+            return datum_from_profile(spec, self.XG, 1.0, seed=0).values
+        return boundary_from_profile(spec, self.TG, label).values
+
+    @pytest.mark.parametrize(
+        "label, spec, unknown",
+        [
+            ("h1", {"profile": "bump", "center": 0.9, "width": 0.01}, ["center", "width"]),
+            ("h2", {"profile": "gaussian_pulse", "t0": 0.1}, ["t0"]),
+            ("h3", {"profile": "zero", "amplitude": 2.0}, ["amplitude"]),
+            ("g", {"profile": "rough_tail", "center": 1.0, "width": 0.5}, ["center", "width"]),
+            ("g", {"profile": "gaussian", "band_fraction": 0.5}, ["band_fraction"]),
+            ("g", {"profile": "zero", "amplitude": 2.0}, ["amplitude"]),
+        ],
+    )
+    def test_key_the_profile_does_not_read_is_refused(self, label, spec, unknown):
+        # Each of these keys is read by another profile of the same slot; the
+        # named profile would ignore it, so it is refused with its path.
+        message = re.escape(f"scenario.data.{label}: unknown keys {unknown}")
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_payload(minimal_payload(data={label: spec}))
+        with pytest.raises(ScenarioError, match=message):
+            self.build(label, spec)
+
+    @pytest.mark.parametrize(
+        "label, profile",
+        [("g", p) for p in scenarios._PROFILES["g"]] + [("h1", p) for p in scenarios._PROFILES["h"]],
+    )
+    def test_every_key_the_profile_reads_is_accepted_and_read(self, label, profile):
+        # The table's defaults are the values a left-out key takes, and
+        # moving any one key moves the built data.
+        defaults = scenarios._PROFILES[label[0]][profile]
+        bare = self.build(label, {"profile": profile})
+        Scenario.from_payload(minimal_payload(data={label: {"profile": profile, **defaults}}))
+        assert np.array_equal(self.build(label, {"profile": profile, **defaults}), bare)
+        for key, default in defaults.items():
+            moved = self.build(label, {"profile": profile, key: 1.1 * default + 0.01})
+            assert not np.array_equal(moved, bare), key
 
     def test_datum_profiles(self):
         zero = datum_from_profile({"profile": "zero"}, self.XG, 1.0, seed=0)
@@ -369,6 +412,34 @@ class TestPipelines:
         assert summary["seed"] == 9
         assert summary["depth"] == 4
 
+    def test_trace_rows_follow_the_box_rule(self, tmp_path):
+        # On a t grid from -0.9 at step 0.03 the zero node is -1.1e-16, and on
+        # one at step 0.00375 too; the traces keep it, as the checks' box
+        # does, together with the node at T = 0.15 (0.15 + 2.8e-17).
+        x = SMALL_GRIDS["x"]
+        solve = minimal_payload(
+            pipeline="full-solve",
+            T=0.15,
+            grids={"x": x, "t": {"origin": -0.9, "step": 0.03, "count": 60}},
+            data={"g": {"profile": "gaussian", "amplitude": 0.01}},
+        )
+        bump = {"profile": "bump", "t0": 0.05, "t1": 0.45, "t2": 0.5, "t3": 0.9}
+        boundary = minimal_payload(
+            pipeline="boundary-only",
+            grids={"x": x, "t": {"origin": -0.9, "step": 0.00375, "count": 480}},
+            data={"h1": bump},
+        )
+        for payload, T in ((solve, 0.15), (boundary, 1.0)):
+            run_scenario(self.write(tmp_path, payload), out_dir=tmp_path / "out")
+            traces = json.loads((tmp_path / "out" / "report.json").read_text())["traces"]
+            tgrid = UniformGrid(**payload["grids"]["t"])
+            rows = halfline_box(UniformGrid(**x), tgrid, T)[1]
+            assert -1e-15 < tgrid.nodes[rows[0]] < 0.0
+            for trace in traces.values():
+                assert trace["t"] == tgrid.nodes[rows].tolist()
+                assert len(trace["re"]) == len(trace["im"]) == len(rows)
+        assert len(rows) == 240
+
     def test_boundary_only_emits_trace_plots(self, tmp_path):
         # Ramps wide enough for the 512-node grid to resolve the spectrum
         # below the truncation tolerance inside the usable band.
@@ -406,7 +477,7 @@ class TestPipelines:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         sc = Scenario.from_file(path)
         g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
-        _, _, _, doubling = manufactured_data(g, sc.solver_config(), **manufactured)
+        _, _, _, doubling = manufactured_data(g, sc.solver_config(sc.depth), **manufactured)
         assert report["oracle_doubling_difference"] == doubling
         assert 0.0 < doubling < 1e-7
         assert "oracle_doubling_difference" not in json.dumps(summary)
@@ -427,8 +498,11 @@ class TestPipelines:
         sc = Scenario.from_file(path)
         zero = TimeSeries(sc.tgrid, np.zeros(sc.tgrid.count, dtype=complex))
         g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
-        result = picard_solve(SolverData(g_l=g, h1=zero, h2=zero, h3=zero), sc.solver_config())
-        assert text == field_to_csv(result.u)
+        cfg = sc.solver_config(sc.depth)
+        result = picard_solve(SolverData(g_l=g, h1=zero, h2=zero, h3=zero), cfg)
+        stream = io.StringIO()
+        field_to_csv(result.u, stream)
+        assert text == stream.getvalue()
 
 
 class TestCheckTable:
@@ -671,5 +745,5 @@ class TestBundledScenarios:
         for f in sorted(SCENARIO_DIR.glob("*.json")):
             sc = Scenario.from_file(f)
             if sc.pipeline in ("full-solve", "verify-all"):
-                cfg = sc.solver_config()
+                cfg = sc.solver_config(sc.depth)
                 assert cfg.T > 0

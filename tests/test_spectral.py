@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_spectrum, full_values
+from conftest import full_spectrum, full_values, random_band_limited
 from kdv5half.boundary import truncation_radius
 from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.spectral import (
     band_mask,
     nonuniform_transform,
-    random_band_limited,
     sobolev_norm,
     x_half_spectrum,
     x_half_values,

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import full_values
+from conftest import full_values, random_band_limited
 from kdv5half import verification
 from kdv5half.boundary import AccuracyError
 from kdv5half.grids import GridFunction, PreconditionError, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import apply_group, free_field
-from kdv5half.spectral import random_band_limited, sobolev_norm
+from kdv5half.spectral import sobolev_norm
 from kdv5half.verification import (
     HarnessError,
     SeparableTestFunction,
     _simpson_weights,
-    extension_independence,
     field_tail_slope,
     manufactured_data,
     oracle_distance,
@@ -97,17 +96,15 @@ class TestOracle:
 
     def test_odd_steps_refused_with_the_check(self, monkeypatch):
         # The doubled run takes steps / 2 steps; an odd count is refused
-        # before any step runs, and runs as asked without the check.
+        # before any step runs.
         g = gaussian(0.1)
 
         def sweep_ran(*args):
             raise AssertionError("the sweep ran")
 
-        with monkeypatch.context() as m:
-            m.setattr(verification, "_split_step_sweep", sweep_ran)
-            with pytest.raises(ValueError, match="even number of steps, got 7"):
-                whole_line_oracle(g, 0.5, 7)
-        assert whole_line_oracle(g, 0.5, 7, check=False)[0].tgrid.count == 8
+        monkeypatch.setattr(verification, "_split_step_sweep", sweep_ran)
+        with pytest.raises(ValueError, match="even number of steps, got 7"):
+            whole_line_oracle(g, 0.5, 7)
 
     def test_complex_datum_refused(self):
         # The oracle runs on the half spectrum of a real datum; the grid
@@ -117,7 +114,7 @@ class TestOracle:
 
     def test_matches_physical_space_scheme(self):
         g = gaussian(0.5, width=1.5, center=1.0)
-        field = whole_line_oracle(g, 0.5, 64, check=False)[0].values
+        field = verification._split_step_sweep(g, 0.5, 64)[0]
         reference = physical_split_step(g, 0.5, 64)
         assert np.max(np.abs(field - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -127,29 +124,25 @@ class TestOracle:
         amp = 1e-6
         g = gaussian(amp)
         T = 0.5
-        field, _ = whole_line_oracle(g, T, 64, check=False)
+        field = verification._split_step_sweep(g, T, 64)[0]
         exact = apply_group(g, T)
-        assert np.max(np.abs(field.values[:, -1] - exact.values)) < 1e-5 * amp
+        assert np.max(np.abs(field[:, -1] - exact.values)) < 1e-5 * amp
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_batched_sweep_matches_one_row_runs(self, check):
+    def test_batched_sweep_matches_one_row_runs(self):
         # The doubled-step run rides along as a second row of the same
         # sweep on every other step; the trajectory and the coarse final
-        # slice are bitwise those of separate one-row runs, and with
-        # check=False the sweep holds one row only.
+        # slice are bitwise those of separate one-row runs.
         g = gaussian(0.1, center=1.0)
-        vals, coarse = verification._split_step_sweep(g, 0.25, 64, check)
+        vals, coarse = verification._split_step_sweep(g, 0.25, 64)
         want = one_row_sweep(g, 0.25, 64)
         assert np.array_equal(vals, want)
-        field, diff = whole_line_oracle(g, 0.25, 64, check=check)
+        field, diff = whole_line_oracle(g, 0.25, 64)
         assert np.array_equal(field.values, want)
-        if check:
-            want_coarse = one_row_sweep(g, 0.25, 32, final_only=True)
-            assert np.array_equal(coarse, want_coarse)
-            assert diff == float(np.sqrt(np.sum((want[:, -1] - want_coarse) ** 2) * XG.step))
-            assert 0.0 < diff < 1e-7
-        else:
-            assert coarse is None and diff is None
+        assert field.tgrid == UniformGrid(origin=0.0, step=0.25 / 64, count=65)
+        want_coarse = one_row_sweep(g, 0.25, 32, final_only=True)
+        assert np.array_equal(coarse, want_coarse)
+        assert diff == float(np.sqrt(np.sum((want[:, -1] - want_coarse) ** 2) * XG.step))
+        assert 0.0 < diff < 1e-7
 
     def test_doubling_difference_bounds_the_error(self):
         # For a second-order scheme the doubling difference is about 3 times
@@ -161,8 +154,7 @@ class TestOracle:
         error = float(np.sqrt(np.sum((field.values[:, -1] - reference) ** 2) * XG.step))
         assert 0.0 < error <= diff
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_transform_count(self, monkeypatch, check):
+    def test_transform_count(self, monkeypatch):
         # 4 transforms per step, the doubled run sharing the trajectory's
         # calls, plus the datum's rfft and the final inverse transforms.
         calls = []
@@ -174,17 +166,17 @@ class TestOracle:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        whole_line_oracle(gaussian(0.01), 0.25, 16, check=check)
-        assert len(calls) == 4 * 16 + 2 + check
+        whole_line_oracle(gaussian(0.01), 0.25, 16)
+        assert len(calls) == 4 * 16 + 3
 
     def test_self_check_catches_coarse_steps(self):
         g = gaussian(5.0, width=1.5)
-        with pytest.raises(AccuracyError, match="doubling the step"):
-            whole_line_oracle(g, 1.0, 2, doubling_tol=1e-10)
+        with pytest.raises(AccuracyError, match="doubling the step changes .* > 1e-07"):
+            whole_line_oracle(g, 1.0, 2)
 
     def test_second_order_convergence(self):
         g = gaussian(0.5, width=2.0)
-        finals = [whole_line_oracle(g, 0.5, steps, check=False)[0].values[:, -1] for steps in (16, 32, 64)]
+        finals = [verification._split_step_sweep(g, 0.5, steps)[0][:, -1] for steps in (16, 32, 64)]
         e1, e2 = (
             float(np.sqrt(np.sum(np.abs(a - b) ** 2) * XG.step)) for a, b in zip(finals, finals[1:])
         )
@@ -193,11 +185,12 @@ class TestOracle:
         assert 1.5 < order < 5.0
 
     def test_field_layout(self):
+        # One column per step from the datum on; the oracle's time grid is
+        # checked against the same layout in the batched-sweep test.
         g = gaussian(0.1)
-        field, _ = whole_line_oracle(g, 0.25, 8, check=False)
-        assert field.tgrid.count == 9
-        assert field.tgrid.origin == 0.0
-        assert np.allclose(field.values[:, 0], g.values)
+        field = verification._split_step_sweep(g, 0.25, 8)[0]
+        assert field.shape == (XG.count, 9)
+        assert np.allclose(field[:, 0], g.values)
 
 
 class TestManufacturedData:
@@ -386,25 +379,12 @@ class TestSimpsonWeights:
 
 
 class TestWeakForm:
-    def test_empty_family_rejected(self, manufactured_case, solver_config):
-        data, _, _, result = manufactured_case
-        with pytest.raises(HarnessError, match="empty"):
-            weak_form_residual(
-                result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T, family=[]
-            )
-
     def test_solution_satisfies_identity(self, manufactured_case, solver_config):
         data, _, _, result = manufactured_case
-        worst, details = weak_form_residual(
-            result.u,
-            data.g_l,
-            data.h1,
-            data.h2,
-            data.h3,
-            solver_config.T,
-            return_details=True,
+        worst = weak_form_residual(
+            result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )
-        assert len(details) == 12
+        assert len(weak_test_family(solver_config.T)) == 12
         assert worst < 1e-4
 
     def test_perturbation_detected(self, manufactured_case, solver_config):
@@ -422,15 +402,6 @@ class TestWeakForm:
             perturbed, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )
         assert worse >= 10.0 * base
-
-
-class TestExtensionIndependence:
-    def test_needs_two_runs(self, solver_config):
-        g = gaussian(0.01, grid=solver_config.xgrid)
-        with pytest.raises(ValueError, match="two distinct runs"):
-            extension_independence(
-                g, (None, None, None), solver_config, methods=("zero",), collars=(2.0,)
-            )
 
 
 class TestTailSlopes:
@@ -459,8 +430,7 @@ class TestTailSlopes:
 class TestSmoothingReport:
     def test_rows_complete_and_flagged(self, manufactured_case, solver_config):
         _, _, _, result = manufactured_case
-        rows = smoothing_report(result, solver_config, a_grid=[0.0, 0.15])
-        assert len(rows) == 2
+        rows = [smoothing_report(result, solver_config, a) for a in (0.0, 0.15)]
         keys = {
             "a",
             "admissible",
@@ -484,7 +454,7 @@ class TestSmoothingReport:
         # norms must equal those of the same columns of the whole free field.
         _, _, _, result = manufactured_case
         cfg = solver_config
-        row = smoothing_report(result, cfg, a_grid=[0.15])[0]
+        row = smoothing_report(result, cfg, 0.15)
         tnodes = cfg.tgrid.nodes
         t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
         samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
