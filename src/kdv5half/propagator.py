@@ -5,15 +5,15 @@ explicit time-stepping of the multiplier hopeless, every time integral is done
 mode-wise on the integrand exp(-i*(t-t')*xi^5) * F_hat(xi,t') with the phase
 evaluated analytically; only the smooth F_hat is interpolated and integrated
 (4-node Gauss-Legendre, one panel per time step).  The interpolant is the
-not-a-knot cubic spline in t, fitted by the private
-`_not_a_knot_coefficients` (one tridiagonal sweep on the uniform grid,
-vectorised over the modes).
+not-a-knot cubic spline in t, held as its node values and the slopes that
+the private `_not_a_knot_slopes` solves for (one tridiagonal sweep on the
+uniform grid, vectorised over the modes).
 Every field here is real, so it is held as its half x-spectrum, the rows
 xi >= 0 that `x_half_spectrum` gives.  `duhamel_trajectory` takes the
 band-capped rows of a real forcing's half spectrum and gives the same rows
 of the integral at every time node in one sweep per time direction; on the
-uniform time grid every panel's Gauss sum is the spline's power
-coefficients times one fixed (4, K) phase table per direction.
+uniform time grid every panel's Gauss sum is its end values and slopes
+times one fixed (4, K) Hermite phase table per direction.
 `PropagatorPlan.free_spectrum` gives the half spectrum of a datum's free
 evolution, and `trace_at_origin` reads the real x = 0 traces off any such
 half spectrum.  The datum g is real (the grid types hold real samples only),
@@ -88,20 +88,18 @@ class PropagatorPlan:
         self.__dict__.pop("_free_phases", None)
 
 
-def apply_group(g: GridFunction, t: float, plan: PropagatorPlan | None = None) -> GridFunction:
+def apply_group(g: GridFunction, t: float, plan: PropagatorPlan) -> GridFunction:
     """Exact free evolution: multiply the spectrum by exp(-i*t*xi^5).
 
     The multiplier has unit modulus on every mode, so t = 0 is the identity
     and every H^s norm is preserved to rounding.
     """
-    plan = plan or PropagatorPlan(g.grid)
     evolved = x_half_spectrum(g.values, g.grid) * np.exp(-1j * t * plan.xi5)
     return type(g)(g.grid, x_half_values(evolved, g.grid))
 
 
-def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan | None = None) -> SpaceTimeField:
+def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan) -> SpaceTimeField:
     """W(t_n) g for every node of tgrid, as one space-time field."""
-    plan = plan or PropagatorPlan(g.grid)
     return SpaceTimeField(g.grid, tgrid, x_half_values(plan.free_spectrum(g.values, tgrid), g.grid))
 
 
@@ -109,28 +107,30 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 def _panel_table(dt: float, xi5: np.ndarray, forward: bool) -> np.ndarray:
-    """G_p = +/-(dt/2) sum_k w_k d_k^(3-p) e^{-i lag_k xi5}, shape (4, K).
+    """G_j = +/-(dt/2) sum_k w_k H_j(theta_k) e^{-i lag_k xi5}, shape (4, K).
 
-    d_k = (dt/2)(1 + x_k) are the Gauss-Legendre node offsets from a panel's
-    left end, and a cubic with power coefficients c[p] on the panel (as
-    `_not_a_knot_coefficients` returns them) has the phase-weighted panel
-    sum sum_p c[p] G_p.  The forward sweep targets the right end
-    (lag_k = dt - d_k); the backward sweep targets the left end
-    (lag_k = -d_k) and subtracts, hence the sign.
+    On a panel [t_n, t_n + dt] a cubic spline is the Hermite interpolant
+    of (y_n, s_n, y_{n+1}, s_{n+1}), its node values and slopes, with the
+    basis H_j below at theta = (t - t_n)/dt (the slope members carry dt),
+    so its phase-weighted Gauss-Legendre panel sum is sum_j G_j times that
+    member.  theta_k = (1 + x_k)/2 for the Gauss-Legendre nodes x_k, and
+    d_k = dt theta_k are their offsets from the left end.  The forward
+    sweep targets the right end (lag_k = dt - d_k); the backward sweep
+    targets the left end (lag_k = -d_k) and subtracts, hence the sign.
     """
-    offsets = 0.5 * dt * (1.0 + _GL_NODES)
-    lags = dt - offsets if forward else -offsets
-    weighted = (0.5 * dt) * _GL_WEIGHTS[None, :] * offsets[None, :] ** np.arange(3, -1, -1)[:, None]
-    table = weighted @ np.exp(-1j * np.outer(lags, xi5))
+    theta = 0.5 * (1.0 + _GL_NODES)
+    lags = dt - dt * theta if forward else -dt * theta
+    basis = np.array([(1.0 + 2.0 * theta) * (1.0 - theta) ** 2, dt * theta * (1.0 - theta) ** 2,
+                      theta**2 * (3.0 - 2.0 * theta), dt * theta**2 * (theta - 1.0)])
+    table = ((0.5 * dt) * _GL_WEIGHTS * basis) @ np.exp(-1j * np.outer(lags, xi5))
     return table if forward else -table
 
 
-def _not_a_knot_coefficients(y: np.ndarray, h: float) -> np.ndarray:
-    """Power coefficients, shape (4, n - 1, K), of the not-a-knot cubic
-    spline through the n rows of y (shape (n, K)) on a uniform grid of step
-    h: on [t_i, t_{i+1}] the spline is sum_p c[p, i] (t - t_i)^(3 - p).
+def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """Node slopes, shape (n, K), of the not-a-knot cubic spline through the
+    n rows of y (shape (n, K)) on a uniform grid of step h.
 
-    The node slopes s solve the tridiagonal system with interior rows
+    The slopes s solve the tridiagonal system with interior rows
     s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i), d_i = (y_{i+1} - y_i)/h,
     and the not-a-knot end rows (third derivative continuous at t_1 and
     t_{n-2}) s_0 + 2 s_1 = (5 d_0 + d_1)/2 and 2 s_{n-2} + s_{n-1} =
@@ -156,17 +156,17 @@ def _not_a_knot_coefficients(y: np.ndarray, h: float) -> np.ndarray:
     s[-1] /= 1.0 - 2.0 * upper[-1]
     for i in range(n - 2, -1, -1):
         s[i] -= upper[i] * s[i + 1]
-    t = (s[:-1] + s[1:] - 2.0 * slope) / h
-    return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+    return s
 
 
-def _sweep(coef: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.ndarray:
-    """Phase-exact recursion acc <- step_phase acc + p_n over the panels of
-    `coef` (power coefficients, shape (4, panels, K), in sweep order), with
-    p_n = sum_p coef[p, n] table[p].  Returns acc after each panel, shape
+def _sweep(y: np.ndarray, s: np.ndarray, table: np.ndarray, step_phase: np.ndarray) -> np.ndarray:
+    """Phase-exact recursion acc <- step_phase acc + p_n over the panels
+    between the node values y and slopes s (shape (panels + 1, K), in sweep
+    order), with p_n = G_0 y_n + G_1 s_n + G_2 y_{n+1} + G_3 s_{n+1} for
+    the rows G_j of `table`.  Returns acc after each panel, shape
     (panels, K)."""
-    sums = np.einsum("pnk,pk->nk", coef, table)
-    acc = np.zeros(coef.shape[2], dtype=np.complex128)
+    sums = table[0] * y[:-1] + table[1] * s[:-1] + table[2] * y[1:] + table[3] * s[1:]
+    acc = np.zeros(y.shape[1], dtype=np.complex128)
     for n, p_n in enumerate(sums):
         acc *= step_phase
         acc += p_n
@@ -193,17 +193,19 @@ def duhamel_trajectory(
     n0 = tgrid.index_of(0.0)
     k = plan.band_rows
     xi5 = plan.xi5[:k]
-    coef = _not_a_knot_coefficients(F[:k].T, tgrid.step)
+    y = F[:k].T
+    s = _not_a_knot_slopes(y, tgrid.step)
     nodes = tgrid.nodes
     inside = np.flatnonzero((nodes >= t_window[0]) & (nodes <= t_window[1]))
     lo, hi = min(int(inside[0]), n0), max(int(inside[-1]), n0)
     dt = tgrid.step
     step_phase = np.exp(-1j * dt * xi5)
     rows = np.zeros((tgrid.count, k), dtype=np.complex128)
-    rows[n0 + 1 : hi + 1] = _sweep(coef[:, n0:hi], _panel_table(dt, xi5, True), step_phase)
-    rows[lo:n0] = _sweep(
-        coef[:, lo:n0][:, ::-1], _panel_table(dt, xi5, False), np.conj(step_phase)
-    )[::-1]
+    forward = _panel_table(dt, xi5, True)
+    rows[n0 + 1 : hi + 1] = _sweep(y[n0 : hi + 1], s[n0 : hi + 1], forward, step_phase)
+    # Read from n0 down to lo, a panel's right end comes first: swap the pairs.
+    backward = _panel_table(dt, xi5, False)[[2, 3, 0, 1]]
+    rows[lo:n0] = _sweep(y[lo : n0 + 1][::-1], s[lo : n0 + 1][::-1], backward, np.conj(step_phase))[::-1]
     return rows.T
 
 
@@ -227,19 +229,13 @@ def trace_at_origin(spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan) 
     return eta(tgrid.nodes) * scale * (plan.trace_multipliers @ spec[:k]).real
 
 
-def kato_smoothing_ratio(
-    g: GridFunction,
-    s: float,
-    tgrid: UniformGrid,
-    plan: PropagatorPlan | None = None,
-) -> tuple:
+def kato_smoothing_ratio(g: GridFunction, s: float, tgrid: UniformGrid, plan: PropagatorPlan) -> tuple:
     """Trace-gain diagnostics (r0, r1, r2): the time-Sobolev norm of order
     (s + 2 - j)/5 of the cut-off origin trace of order j of the free
     evolution, over the H^s norm of the datum."""
     denom = sobolev_norm(g, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
-    plan = plan or PropagatorPlan(g.grid)
     traces = trace_at_origin(plan.free_spectrum(g.values, tgrid), tgrid, plan)
     return tuple(
         sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
