@@ -26,6 +26,7 @@ __all__ = [
     "zero_extend_time",
     "CompatibilityReport",
     "check_compatibility",
+    "corner_conditions",
     "validate_regularity",
     "EXCLUDED_REGULARITY",
     "EXCLUSION_TOL",
@@ -205,6 +206,14 @@ class CompatibilityReport:
 _CONDITION_NAMES = ("g(0)=h1(0)", "g'(0)=h2(0)", "g''(0)=h3(0)")
 
 
+def corner_conditions(s: float) -> int:
+    """How many corner conditions g^(j)(0) = h_{j+1}(0) bind at regularity s:
+    condition j does when s > 1/2 + j, so none below s = 1/2 and one, two or
+    three on the successive admissible bands above it."""
+    validate_regularity(s)
+    return sum(s > bad for bad in EXCLUDED_REGULARITY)
+
+
 def check_compatibility(
     g: GridFunction,
     h1: TimeSeries,
@@ -214,8 +223,7 @@ def check_compatibility(
 ) -> CompatibilityReport:
     """Corner matching gaps at (x,t) = (0,0), keyed by the s-range.
 
-    Nothing is required below s = 1/2; one, two, or three derivative matches
-    are required on the successive admissible bands above it.  The report
+    The required matches are the first `corner_conditions(s)`.  The report
     holds the measured gaps only: the caller judges them against its own
     tolerance (a scenario's `compatibility` check).
 
@@ -224,15 +232,7 @@ def check_compatibility(
     by 7.3e-12 (g') and 3.4e-10 (g'') on the Gaussian 0.01 exp(-((x-2)/3)^2),
     and by 7.4e-5 and 3.3e-3 on exp(-x^2).
     """
-    validate_regularity(s)
-    if s < 0.5:
-        n_req = 0
-    elif s < 1.5:
-        n_req = 1
-    elif s < 2.5:
-        n_req = 2
-    else:
-        n_req = 3
+    n_req = corner_conditions(s)
     jet = [g.values[g.grid.index_of(0.0)]]
     if n_req > 1:
         jet += _one_sided_jet(g)[1:n_req]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .boundary import BoundaryPotential, truncation_radius
 from .bourgain import xsba_norm
-from .cutoffs import eta, validate_regularity
+from .cutoffs import corner_conditions, eta, validate_regularity
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import PropagatorPlan, duhamel_trajectory, trace_at_origin
 from .spectral import BAND_CAP, x_half_spectrum, x_half_values
@@ -47,6 +47,13 @@ __all__ = [
     "picard_solve",
     "SolveResult",
 ]
+
+# The Picard loop converges once a successive X^{s,b,alpha} difference falls
+# below FP_TOL and gives up after MAX_ITER iterates.  SPECTRUM_TOL is the
+# relative spectrum level of the truncation radius (potential and data_band).
+FP_TOL = 1e-9
+MAX_ITER = 25
+SPECTRUM_TOL = 1e-12
 
 
 class NonContractionError(RuntimeError):
@@ -73,11 +80,8 @@ class SolverConfig:
     bstar: float
     alpha: float
     T: float
-    max_iter: int = 25
-    fp_tol: float = 1e-9
     depth: int = 2
     collar: float = 2.0
-    spectrum_tol: float = 1e-12
 
     def __post_init__(self):
         validate_regularity(self.s)
@@ -95,8 +99,6 @@ class SolverConfig:
             )
         if not (0.0 < self.T <= 0.5):
             raise ValueError(f"horizon T must lie in (0, 1/2], got {self.T}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,14 @@ class SolverData:
 
 @dataclass
 class IterationTrace:
-    norms: list = dc_field(default_factory=list)
-    diffs: list = dc_field(default_factory=list)
-    factors: list = dc_field(default_factory=list)
-    residual: float | None = None
-    converged: bool = False
-    iterations: int = 0
+    """The Picard loop's state, recorded as it runs: no field is a setting."""
+
+    norms: list = dc_field(init=False, default_factory=list)
+    diffs: list = dc_field(init=False, default_factory=list)
+    factors: list = dc_field(init=False, default_factory=list)
+    residual: float | None = dc_field(init=False, default=None)
+    converged: bool = dc_field(init=False, default=False)
+    iterations: int = dc_field(init=False, default=0)
 
     def record(self, norm: float, diff: float) -> None:
         self.norms.append(norm)
@@ -195,7 +199,7 @@ class GammaWorkspace:
             # The x band the time grid carries, |xi|^5 <= BAND_CAP * pi / dt,
             # and g_l's band by the truncation rule; reported, not judged.
             "resolved_band": (BAND_CAP * np.pi / dt) ** 0.2,
-            "data_band": truncation_radius([data.g_l], cfg.spectrum_tol, np.inf)[0],
+            "data_band": truncation_radius([data.g_l], SPECTRUM_TOL, np.inf)[0],
         }
         self.h = np.array([h.values for h in data.boundary_series])
         # One spectrum gives q and the free term, as in `apply`; the
@@ -212,12 +216,13 @@ class GammaWorkspace:
 
     def zero_extension_flags(self, r: np.ndarray) -> list:
         """Near-origin magnitudes of the corrected data w (h - q - r), with the
-        per-channel requirement: channel j must vanish at t = 0+ when
-        s > 1/2 + j."""
+        per-channel requirement: channel j must vanish at t = 0+ when its
+        corner condition binds (`corner_conditions`)."""
         k = self.cfg.tgrid.index_of(0.0) + 1
         near = np.abs(self.data_window[k] * (self.h - self.q - r)[:, k])
+        required = corner_conditions(self.cfg.s)
         return [
-            {"channel": j + 1, "required": self.cfg.s > 0.5 + j, "near_origin": float(near[j])}
+            {"channel": j + 1, "required": j < required, "near_origin": float(near[j])}
             for j in range(3)
         ]
 
@@ -239,7 +244,7 @@ class GammaWorkspace:
                 *series,
                 depth=cfg.depth,
                 x_span=float(np.max(np.abs(cfg.xgrid.nodes))),
-                spectrum_tol=cfg.spectrum_tol,
+                spectrum_tol=SPECTRUM_TOL,
                 collar=cfg.collar,
                 t_window=self.t_window,
                 strict=False,
@@ -288,12 +293,13 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
     """Iterate u_{k+1} = Gamma_T(u_k) from u_1 = Gamma_T(0) = L to the fixed point.
 
     Convergence is declared when the successive difference in the discrete
-    X^{s,b,alpha} norm falls below cfg.fp_tol (the first difference is
+    X^{s,b,alpha} norm falls below FP_TOL (the first difference is
     u_1 - 0 = L); the returned residual is measured by one extra
-    application.  Three consecutive non-contracting steps raise
-    NonContractionError with the trace attached (the horizon is too large
-    for the data at this resolution).  The loop runs on the workspace's real
-    arrays; the result hands u, L and N out as SpaceTimeFields.
+    application.  Three consecutive non-contracting steps, or MAX_ITER
+    iterates without convergence, raise NonContractionError with the trace
+    attached (the horizon is too large for the data at this resolution).
+    The loop runs on the workspace's real arrays; the result hands u, L and
+    N out as SpaceTimeFields.
     """
     ws = GammaWorkspace(data, cfg)
 
@@ -306,7 +312,7 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
     norm = diff = norm_of(u)
     while True:
         trace.record(norm=norm, diff=diff)
-        if diff < cfg.fp_tol:
+        if diff < FP_TOL:
             trace.converged = True
             break
         if len(trace.factors) >= 3 and all(f >= 1.0 for f in trace.factors[-3:]):
@@ -315,9 +321,9 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
                 "the horizon T is too large for this data at this resolution",
                 trace,
             )
-        if trace.iterations == cfg.max_iter:
+        if trace.iterations == MAX_ITER:
             raise NonContractionError(
-                f"no convergence within {cfg.max_iter} iterations (last diff {diff:.3e})",
+                f"no convergence within {MAX_ITER} iterations (last diff {diff:.3e})",
                 trace,
             )
         u_next, nonlinear, r = ws.apply(u)

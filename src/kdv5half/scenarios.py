@@ -136,10 +136,9 @@ def _parse_profile(spec, label: str) -> tuple:
     return name, values
 
 
-# Numeric keys of three scenario objects, each mapped to whether it is a whole
-# number; SolverConfig holds the solver defaults.
-_SOLVER_KEYS = {"fp_tol": False, "max_iter": True, "collar": False, "spectrum_tol": False}
-_MANUFACTURED_KEYS = {"steps_per_node": True, "horizon": False, "taper_start": False}
+# Numeric keys of two scenario objects, each mapped to whether it is a whole
+# number.
+_MANUFACTURED_KEYS = {"horizon": False, "taper_start": False}
 _PROBE_KEYS = {"ensemble": True, "band_x": False, "band_t": False}
 _COMMANDS = ("solve", "verify", "probe-bilinear")
 _SOLVES = ("full-solve", "verify-all")
@@ -179,7 +178,6 @@ class Scenario:
     indices: dict
     T: float
     depth: int
-    solver: dict
     data: dict
     checks: dict
     probe: dict
@@ -191,7 +189,7 @@ class Scenario:
             payload,
             "scenario",
             required=("name", "pipeline", "grids", "indices", "checks"),
-            optional=("seed", "T", "depth", "solver", "data", "probe", "emit"),
+            optional=("seed", "T", "depth", "data", "probe", "emit"),
         )
         if payload["pipeline"] not in _RUNNERS:
             raise ScenarioError(
@@ -207,9 +205,6 @@ class Scenario:
             optional=("a",),
         )
         indices = {k: _number(v, f"scenario.indices.{k}") for k, v in payload["indices"].items()}
-        solver = payload.get("solver", {})
-        _check_keys(solver, "scenario.solver", required=(), optional=tuple(_SOLVER_KEYS))
-        solver = _positive_numbers(solver, "scenario.solver", _SOLVER_KEYS)
         checks = payload.get("checks", {})
         if not isinstance(checks, dict):
             raise ScenarioError("scenario.checks: expected an object of name -> tolerance")
@@ -246,6 +241,10 @@ class Scenario:
             raise ScenarioError(f"scenario.probe.mode: {probe['mode']!r} is not gain or auxiliary")
         emit = payload.get("emit", {})
         _check_keys(emit, "scenario.emit", required=(), optional=("field_csv",))
+        if not isinstance(emit.get("field_csv", False), bool):
+            raise ScenarioError(
+                f"scenario.emit.field_csv: expected true or false, got {emit['field_csv']!r}"
+            )
         return cls(
             name=str(payload["name"]),
             pipeline=payload["pipeline"],
@@ -255,7 +254,6 @@ class Scenario:
             indices=indices,
             T=_number(payload.get("T", 0.25), "scenario.T"),
             depth=_count(payload.get("depth", 2), "scenario.depth"),
-            solver=solver,
             data=dict(data),
             checks=checks,
             probe=dict(probe),
@@ -281,7 +279,6 @@ class Scenario:
                 alpha=self.indices["alpha"],
                 T=self.T,
                 depth=depth,
-                **self.solver,
             )
         except ValueError as exc:
             # SolverConfig checks the indices and the horizon T; name the key that failed.
@@ -465,9 +462,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
     report["compatibility"] = compat.to_payload()
     result = picard_solve(data, cfg)
     report["iteration"] = result.trace.to_payload()
-    report["diagnostics"] = {
-        k: v for k, v in result.diagnostics.items() if not isinstance(v, np.ndarray)
-    }
+    report["diagnostics"] = result.diagnostics
     measured = {
         "compatibility": max(compat.measured_gaps, default=0.0),
         "fixed_point_residual": result.trace.residual,
@@ -600,9 +595,6 @@ def run_scenario(
     run_seed = scenario.seed if seed is None else _count(seed, "--seed")
     run_depth = scenario.depth if depth is None else _count(depth, "--depth")
     pipeline = "probe-bilinear" if command == "probe-bilinear" else scenario.pipeline
-    if scenario.solver and pipeline not in _SOLVES:
-        # These pipelines have fixed thresholds; a solver key would be silently ignored.
-        raise ScenarioError(f"scenario.solver: the {pipeline} pipeline reads no solver keys")
     # A check the pipeline does not evaluate would otherwise be dropped silently.
     known = [name for name, row in _CHECKS.items() if pipeline in row.pipelines]
     for name in scenario.checks:

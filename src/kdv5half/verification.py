@@ -149,21 +149,21 @@ def whole_line_oracle(g_l: GridFunction, T: float, steps: int) -> tuple:
     return SpaceTimeField(g_l.grid, tgrid, vals), diff
 
 
+# Oracle steps per solver time step: the oracle's run holds every solver node.
+_STEPS_PER_NODE = 8
+
+
 def manufactured_data(
-    g_l: GridFunction,
-    cfg: SolverConfig,
-    steps_per_node: int = 8,
-    horizon: float = 1.0,
-    taper_start: float = 0.7,
+    g_l: GridFunction, cfg: SolverConfig, horizon: float = 1.0, taper_start: float = 0.7
 ):
     """Boundary data manufactured from the whole-line solution of g_l.
 
-    Runs the split-step oracle on [0, horizon] at a rate that contains every
-    solver time node, reads off the x = 0 traces of orders 0, 1, 2 (real, as
-    the whole-line solution of a real datum is), tapers them smoothly to zero
-    before the horizon end (the solver's data window eta(t/2T) must die
-    before the taper begins), and returns (SolverData, oracle field, node
-    stride, the oracle's doubling difference).
+    Runs the split-step oracle on [0, horizon] at `_STEPS_PER_NODE` steps
+    per solver time step, reads off the x = 0 traces of orders 0, 1, 2
+    (real, as the whole-line solution of a real datum is), tapers them
+    smoothly to zero before the horizon end (the solver's data window
+    eta(t/2T) must die before the taper begins), and returns (SolverData,
+    oracle field, node stride, the oracle's doubling difference).
     """
     dt = cfg.tgrid.step
     n_nodes = int(round(horizon / dt))
@@ -174,7 +174,7 @@ def manufactured_data(
     i0 = cfg.tgrid.index_of(0.0)
     if i0 + n_nodes >= cfg.tgrid.count:
         raise ValueError(f"horizon {horizon:g} passes the last time node {cfg.tgrid.nodes[-1]:g}")
-    steps = n_nodes * steps_per_node
+    steps = n_nodes * _STEPS_PER_NODE
     oracle, doubling = whole_line_oracle(g_l, horizon, steps)
     # d^j/dx^j u(0, t) = Re sum_k m_k (i xi_k)^j e^{2 pi i k r / X} V_k(t) / X
     # over the rfft half-spectrum V, with r the row of x = 0 and m_k = 2 on
@@ -192,10 +192,10 @@ def manufactured_data(
     traces = (rows @ np.fft.rfft(oracle.values, axis=0)).real
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
     vals = np.zeros((3, cfg.tgrid.count))
-    vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::steps_per_node]
+    vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::_STEPS_PER_NODE]
     h1, h2, h3 = (TimeSeries(cfg.tgrid, v) for v in vals)
     data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
-    return data, oracle, steps_per_node, doubling
+    return data, oracle, _STEPS_PER_NODE, doubling
 
 
 # ---------------------------------------------------------------------------

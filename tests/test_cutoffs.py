@@ -6,6 +6,7 @@ import pytest
 from kdv5half.cutoffs import (
     EXCLUDED_REGULARITY,
     check_compatibility,
+    corner_conditions,
     eta,
     extend_initial_datum,
     rho,
@@ -236,6 +237,13 @@ class TestCompatibility:
         assert rep.measured_gaps[0] <= 1e-12
         assert rep.measured_gaps[1] <= 1e-5
         assert rep.measured_gaps[2] <= 1e-3
+
+    @pytest.mark.parametrize("s, count", [(0.0, 0), (0.49, 0), (0.51, 1), (1.49, 1), (1.51, 2), (2.6, 3)])
+    def test_one_rule_counts_the_conditions(self, s, count):
+        g = halfline_samples(lambda x: np.exp(-(x**2)))
+        zero = self.constant_series(0.0)
+        assert corner_conditions(s) == count
+        assert len(check_compatibility(g, zero, zero, zero, s).required) == count
 
     def test_payload_shape(self):
         g = halfline_samples(lambda x: np.exp(-(x**2)))

@@ -121,21 +121,58 @@ TEST_SET_PARAMETERS_ALLOWED = {
     "pde_residual.fifth_x",
     "pde_residual.x_range",
     "pde_residual.t_range",
+    # The tests' 64-node time grids on [-1, 1) end at 0.96875, before the
+    # default horizon of 1, so their manufactured data end (and taper) sooner.
+    "manufactured_data.horizon",
+    "manufactured_data.taper_start",
 }
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _init_fields(cls: ast.ClassDef, field_names: set):
+    """(field, position, whether it has a default) for every `__init__`
+    field of a dataclass, in order; a `field(init=False, ...)` is skipped.
+    `field_names` are the names the module imports `dataclasses.field` as."""
+    position = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) in field_names:
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            has_default = "default" in keywords or "default_factory" in keywords
+        else:
+            has_default = value is not None
+        yield item.target.id, position, has_default
+        position += 1
+
+
 def _defaulted_parameters(path: Path):
-    """(callable name, parameter, position) for every parameter with a
-    default of a function defined in `path`; `position` counts the call's
-    positional arguments (after `self`/`cls`), None for a keyword-only one.
-    A class's `__init__` is called by the class's name."""
+    """(callable name, parameter, position, is a dataclass field) for every
+    parameter with a default of a function defined in `path`, and every
+    `__init__` field with a default of a dataclass defined there; `position`
+    counts the call's positional arguments (after `self`/`cls`), None for a
+    keyword-only one.  A class's `__init__` is called by the class's name."""
     body = _parse(path).body
+    classes = [cls for cls in body if isinstance(cls, ast.ClassDef)]
+    field_names = {
+        alias.asname or alias.name
+        for node in body
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        for alias in node.names
+        if alias.name == "field"
+    }
     owned = [(None, fn) for fn in body if isinstance(fn, ast.FunctionDef)] + [
-        (cls.name, fn)
-        for cls in body
-        if isinstance(cls, ast.ClassDef)
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef)
+        (cls.name, fn) for cls in classes for fn in cls.body if isinstance(fn, ast.FunctionDef)
     ]
     for cls, fn in owned:
         name = cls if fn.name == "__init__" else fn.name
@@ -144,45 +181,59 @@ def _defaulted_parameters(path: Path):
         skip = int(cls is not None and bool(positional) and positional[0].arg in ("self", "cls"))
         first_default = len(positional) - len(args.defaults)
         for i, arg in enumerate(positional[first_default:], start=first_default):
-            yield name, arg.arg, i - skip
+            yield name, arg.arg, i - skip, False
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield name, arg.arg, None
+                yield name, arg.arg, None, False
+    for cls in filter(_is_dataclass, classes):
+        for name, position, has_default in _init_fields(cls, field_names):
+            if has_default:
+                yield cls.name, name, position, True
+
+
+def _calls(node: ast.AST, cls: str | None = None):
+    """(callable name, call) for every call under `node`; a `cls(...)` call
+    inside a class is named by that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield (cls if name == "cls" else name), child
+        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
 
 def _program_settings() -> dict:
     """Callable name -> (keywords set by name, most positional arguments,
-    whether some call unpacks `*` / `**`) over every call in the program."""
+    whether some call unpacks `*`) over every call in the program.  A `**`
+    unpacking sets nothing that can be read off the call."""
     settings: dict = {}
     for path in PROGRAM_FILES:
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        for name, node in _calls(_parse(path)):
             if name is None:
                 continue
-            keywords, count, star, double_star = settings.get(name, (set(), 0, False, False))
+            keywords, count, star = settings.get(name, (set(), 0, False))
             keywords |= {k.arg for k in node.keywords if k.arg is not None}
             star |= any(isinstance(a, ast.Starred) for a in node.args)
-            double_star |= any(k.arg is None for k in node.keywords)
             count = max(count, sum(not isinstance(a, ast.Starred) for a in node.args))
-            settings[name] = (keywords, count, star, double_star)
+            settings[name] = (keywords, count, star)
     return settings
 
 
 def test_no_parameter_only_for_the_tests():
-    """Every defaulted parameter of a `src/kdv5half` function is set by some
-    call in `src/kdv5half` or `perfbench` to a callable of that name: by
-    keyword, by position, or through `*` / `**` unpacking.  A value that
-    only the tests pass is a constant, and its branch a test-only path."""
+    """Every defaulted parameter of a `src/kdv5half` function, and every
+    defaulted `__init__` field of a dataclass there, is set by some call in
+    `src/kdv5half` or `perfbench` to a callable of that name: by keyword, by
+    position, or through `*` unpacking; a field also by
+    `dataclasses.replace(obj, field=...)`.  A value that only the tests pass
+    is a constant, and its branch a test-only path."""
     settings = _program_settings()
+    replaced = settings.get("replace", (set(), 0, False))[0]
     unset = []
     for path in SOURCE_FILES:
-        for name, param, position in _defaulted_parameters(path):
-            keywords, count, star, double_star = settings.get(name, (set(), 0, False, False))
+        for name, param, position, is_field in _defaulted_parameters(path):
+            keywords, count, star = settings.get(name, (set(), 0, False))
             set_by_position = position is not None and (position < count or star)
-            if not (param in keywords or set_by_position or double_star):
+            if not (param in keywords or set_by_position or (is_field and param in replaced)):
                 unset.append(f"{name}.{param}")
     assert sorted(set(unset) - TEST_SET_PARAMETERS_ALLOWED) == []
 

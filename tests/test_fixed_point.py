@@ -76,10 +76,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"horizon T"):
             self.make(T=0.75)
 
-    def test_max_iter(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            self.make(max_iter=0)
-
 
 def in_stated_windows(s, b, bstar, alpha, T):
     """The windows of the SolverConfig docstring, with s in [0, 11/4) and at
@@ -297,12 +293,10 @@ class TestPicard:
         g = GridFunction(xg, 60.0 * np.exp(-(((xg.nodes - 2.0) / 1.5) ** 2)).astype(complex))
         zeros = TimeSeries(tg, np.zeros(tg.count, dtype=complex))
         data = SolverData(g_l=g, h1=zeros, h2=zeros, h3=zeros)
-        cfg = SolverConfig(
-            xgrid=xg, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.5, max_iter=12
-        )
-        with pytest.raises(NonContractionError) as err:
+        cfg = SolverConfig(xgrid=xg, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.5)
+        with pytest.raises(NonContractionError, match="3 consecutive steps") as err:
             picard_solve(data, cfg)
-        assert err.value.trace.iterations >= 3
+        assert 3 <= err.value.trace.iterations < fixed_point.MAX_ITER
 
 
 class TestPicardLoop:
@@ -391,3 +385,23 @@ class TestPicardLoop:
         assert result.workspace._pot is None
         assert "quadrature_nodes" not in result.diagnostics
         assert not np.any(result.traces)
+
+    def test_no_convergence_within_the_cap(self, monkeypatch):
+        # The same solve converges at its third iterate or later; capped at
+        # one, the loop gives up with the trace of that one iterate.
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 1)
+        with pytest.raises(NonContractionError, match="no convergence within 1 iterations") as err:
+            self.solve(0.01)
+        assert err.value.trace.iterations == 1 and not err.value.trace.converged
+
+    @pytest.mark.parametrize(
+        "s, b, bstar, alpha",
+        [(0.3, 0.42, 0.46, 0.52), (1.0, 0.42, 0.46, 0.52), (2.0, 0.42, 0.46, 0.52), (2.6, 0.48, 0.49, 0.505)],
+    )
+    def test_zero_extension_flags_require_the_binding_corner_conditions(self, s, b, bstar, alpha):
+        # Channel j must vanish at t = 0+ exactly when s > 1/2 + j, the
+        # corner conditions that check_compatibility counts.
+        data, _ = self.problem(0.0)
+        cfg = SolverConfig(xgrid=self.XG, tgrid=self.TG, s=s, b=b, bstar=bstar, alpha=alpha, T=0.25)
+        flags = fixed_point.GammaWorkspace(data, cfg).zero_extension_flags(np.zeros((3, self.TG.count)))
+        assert [flag["required"] for flag in flags] == [s > 0.5 + j for j in range(3)]

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdv5half.cli import main
@@ -35,12 +35,11 @@ BASE = {
 # Every key the schema accepts somewhere; a drawn key outside this set is
 # unknown wherever it is inserted.
 SCHEMA_KEYS = {
-    "name", "pipeline", "grids", "indices", "checks", "seed", "T", "depth", "solver",
-    "data", "probe", "emit", "x", "t", "origin", "step", "count", "s", "b", "bstar",
-    "alpha", "a", "g", "h1", "h2", "h3", "manufactured", "profile", "amplitude",
-    "center", "width", "extension", "band_fraction", "t0", "t1", "t2", "t3",
-    "ensemble", "mode", "band_x", "band_t", "field_csv", "fp_tol", "max_iter",
-    "collar", "spectrum_tol", "steps_per_node", "horizon", "taper_start",
+    "name", "pipeline", "grids", "indices", "checks", "seed", "T", "depth", "data",
+    "probe", "emit", "x", "t", "origin", "step", "count", "s", "b", "bstar", "alpha",
+    "a", "g", "h1", "h2", "h3", "manufactured", "profile", "amplitude", "center",
+    "width", "extension", "band_fraction", "t0", "t1", "t2", "t3", "ensemble", "mode",
+    "band_x", "band_t", "field_csv", "horizon", "taper_start",
 }
 
 
@@ -103,8 +102,12 @@ def test_unknown_check_name(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["fp_tol", "max_iter", "collar", "spectrum_tol"]), non_numbers)
-def test_non_numeric_solver_value(key, value):
+@given(st.one_of(non_numbers.filter(lambda v: not isinstance(v, bool)), st.integers(), st.floats()))
+@example("no")
+@example("false")
+@example(1)
+def test_non_boolean_field_csv(value):
+    # Each example used to write solution.csv and exit 0.
     payload = copy.deepcopy(BASE)
-    payload["solver"] = {key: value}
-    refused(payload, f"scenario.solver.{key}: expected a positive")
+    payload["emit"] = {"field_csv": value}
+    refused(payload, "scenario.emit.field_csv: expected true or false")

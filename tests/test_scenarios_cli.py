@@ -11,7 +11,7 @@ import pytest
 from conftest import full_spectrum, full_values
 from kdv5half import scenarios
 from kdv5half.cli import main
-from kdv5half.fixed_point import SolverConfig, SolverData, picard_solve
+from kdv5half.fixed_point import SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
 from kdv5half.verification import halfline_box, manufactured_data
 from kdv5half.scenarios import (
@@ -164,34 +164,9 @@ class TestSchema:
     def test_manufactured_spec_validated_at_parse_time(self):
         with pytest.raises(ScenarioError, match=r"scenario\.data\.manufactured: unknown keys"):
             Scenario.from_payload(minimal_payload(data={"manufactured": {"steps": 8}}))
-        bad = {"manufactured": {"steps_per_node": 2.5}}
-        with pytest.raises(ScenarioError, match=r"manufactured\.steps_per_node: expected a positive"):
+        bad = {"manufactured": {"horizon": [1]}}
+        with pytest.raises(ScenarioError, match=r"manufactured\.horizon: expected a positive"):
             Scenario.from_payload(minimal_payload(data=bad))
-
-    @pytest.mark.parametrize(
-        "solver, path",
-        [({"fp_tol": "abc"}, "fp_tol"), ({"max_iter": [1]}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
-    )
-    def test_solver_values_named_by_their_path(self, tmp_path, capsys, solver, path):
-        payload = minimal_payload(pipeline="full-solve", solver=solver)
-        with pytest.raises(ScenarioError, match=rf"^scenario\.solver\.{path}: expected"):
-            Scenario.from_payload(payload)
-        # [1] used to escape as a raw TypeError, which the CLI maps to exit 1.
-        file = tmp_path / "solver.json"
-        file.write_text(json.dumps(payload))
-        assert main(["solve", str(file)]) == 2
-        assert f"scenario.solver.{path}" in capsys.readouterr().err
-
-    def test_solver_config_takes_parsed_values_and_its_own_defaults(self):
-        payload = minimal_payload(pipeline="full-solve", solver={"max_iter": 3.0, "collar": 3})
-        sc = Scenario.from_payload(payload)
-        cfg = sc.solver_config(sc.depth)
-        assert cfg.max_iter == 3 and isinstance(cfg.max_iter, int)
-        assert cfg.collar == 3.0 and isinstance(cfg.collar, float)
-        defaults = SolverConfig(
-            xgrid=cfg.xgrid, tgrid=cfg.tgrid, s=cfg.s, b=cfg.b, bstar=cfg.bstar, alpha=cfg.alpha, T=cfg.T
-        )
-        assert (cfg.fp_tol, cfg.spectrum_tol) == (defaults.fp_tol, defaults.spectrum_tol)
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -504,6 +479,16 @@ class TestPipelines:
         field_to_csv(result.u, stream)
         assert text == stream.getvalue()
 
+    def test_field_csv_false_writes_no_field(self, tmp_path):
+        g_spec = {"profile": "gaussian", "amplitude": 0.01, "width": 2.0}
+        payload = minimal_payload(
+            pipeline="full-solve", data={"g": g_spec}, emit={"field_csv": False}
+        )
+        code, _ = run_scenario(self.write(tmp_path, payload), out_dir=tmp_path / "out")
+        assert code == 0
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
 
 class TestCheckTable:
     """`_CHECKS` is the one statement of which checks exist, which pipeline
@@ -632,13 +617,13 @@ class TestCli:
         capsys.readouterr()
 
     def test_exit_two_when_boundary_only_gets_solver_keys(self, tmp_path, capsys):
-        # Boundary-only thresholds are fixed; a solver key must be refused,
-        # not silently ignored.
+        # No pipeline reads a `solver` object: it is an unknown key, named
+        # explicitly since the property tests may never draw it.
         payload = minimal_payload(pipeline="boundary-only", solver={"spectrum_tol": 1e-8})
         path = tmp_path / "capped.json"
         path.write_text(json.dumps(payload))
         assert main(["solve", str(path)]) == 2
-        assert "reads no solver keys" in capsys.readouterr().err
+        assert "scenario: unknown keys ['solver']" in capsys.readouterr().err
 
     def test_exit_two_on_unknown_check_name(self, tmp_path, capsys):
         # A misspelt check, or one another pipeline evaluates, used to be
@@ -671,20 +656,21 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "scenario.checks.oracle_match" in capsys.readouterr().err
 
-    # The probe-bilinear command runs the probe whatever the file's pipeline,
-    # so a full-solve file's solver keys would go unread there too.
+    # Whatever the pipeline and the command, a `solver` object is refused
+    # before any run.
     @pytest.mark.parametrize(
         "pipeline, command, runs",
         [("linear-only", "solve", "linear-only"), ("full-solve", "probe-bilinear", "probe-bilinear")],
     )
     def test_exit_two_when_a_fixed_pipeline_gets_solver_keys(
-        self, tmp_path, capsys, pipeline, command, runs
+        self, tmp_path, capsys, monkeypatch, pipeline, command, runs
     ):
         payload = minimal_payload(pipeline=pipeline, solver={"max_iter": 3})
         path = tmp_path / "solver.json"
         path.write_text(json.dumps(payload))
+        monkeypatch.setitem(scenarios._RUNNERS, runs, _no_pipeline)
         assert main([command, str(path)]) == 2
-        assert f"{runs} pipeline reads no solver keys" in capsys.readouterr().err
+        assert "scenario: unknown keys ['solver']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--seed", "--depth"])
     def test_negative_override_exits_2_before_the_run(self, capsys, monkeypatch, flag):
