@@ -217,10 +217,10 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
-# x targets per `field_values` block of `field_on_grid`.  The initial-vanishing
-# probe of `scenarios` evaluates in the same width so that its tables stay
-# one block wide: all of its x targets in one call would hold a 52 MiB
-# depth-3 table on the bundled `boundary_traces` scenario.
+# x targets per `field_values` block of `add_field_on_grid`.  The
+# initial-vanishing probe of `scenarios` evaluates in the same width so that
+# its tables stay one block wide: all of its x targets in one call would hold
+# a 52 MiB depth-3 table on the bundled `boundary_traces` scenario.
 X_BLOCK = 128
 
 
@@ -300,7 +300,7 @@ class BoundaryPotential:
       of a symmetric 1024-node solver window).  It serves every evaluation
       on those times and, through its conjugate, the data transform, so the
       data must vanish off those rows (ValueError otherwise).
-    * in `field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
+    * in `add_field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
       e^{r_m (x - x_b)} per x-block with left end x_b: one offset table of
       real planes (Q, 6, B), Re and Im of e^{r_m (x - x_b)} for m = 0, 1, 2,
       shared by every block whose offsets match the first block's (all
@@ -445,26 +445,29 @@ class BoundaryPotential:
             kernel[:live] += decaying
         return self._time_table(ttargets).node_sum(kernel).T
 
-    def field_on_grid(self, xnodes) -> np.ndarray:
-        """Real field on xnodes and every node of the data's time grid, shape
-        (X, T) and column-major, the layout of the solver's L and N; zero off
-        the rows `t_sel`.
+    def add_field_on_grid(self, values: np.ndarray, xnodes, weight: np.ndarray) -> None:
+        """values += weight(t) * field, in place, for the real (X, T) samples
+        `values` on xnodes and every node of the data's time grid and a real
+        weight of shape (T,); the columns off `t_sel`, where the field is
+        zero, are left as they are.
 
-        Evaluated by `field_values` in blocks of X_BLOCK targets.  The block
+        Evaluated by `field_values` in blocks of X_BLOCK targets, each added
+        into its rows as it is made, so no (X, T) field is held.  The block
         tables stay for the next call on the same nodes, which the
         fixed-point loop makes once per application.
         """
         xnodes = np.asarray(xnodes, dtype=float)
         if xnodes.tobytes() != self._grid_key:
             self._grid_key, self._blocks = xnodes.tobytes(), {}
-        values = np.zeros((len(xnodes), self.tgrid.count), order="F")
+        weight = weight[self.t_sel]
         for start in range(0, len(xnodes), X_BLOCK):
             xs = xnodes[start : start + X_BLOCK]
             if xs.tobytes() not in self._blocks:
                 first = next(iter(self._blocks.values()), None)
                 self._blocks[xs.tobytes()] = self._x_block_tables(xs, first)
-            values[start : start + X_BLOCK, self.t_sel] = self.field_values(xs, self.ttargets)
-        return values
+            block = self.field_values(xs, self.ttargets)
+            block *= weight
+            values[start : start + X_BLOCK, self.t_sel] += block
 
     def trace_values(self, ttargets) -> np.ndarray:
         """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel

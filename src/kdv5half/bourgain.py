@@ -72,19 +72,20 @@ class NormIndices:
         return v
 
 
+def _weight_at(xi: np.ndarray, tau: np.ndarray, s: float, b: float) -> np.ndarray:
+    """The X^{s,b} weight <xi>^s <tau+xi^5>^b at the broadcast frequencies."""
+    return (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
+
+
 def _xsb_weight(xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float) -> np.ndarray:
-    """The X^{s,b} weight <xi>^s <tau+xi^5>^b on every (xi, tau) of an fft2,
-    shape (X, T), read-only."""
-    xi = xgrid.frequencies[:, None]
-    tau = tgrid.frequencies[None, :]
-    weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
+    """The X^{s,b} weight on every (xi, tau) of an fft2, shape (X, T), read-only."""
+    weight = _weight_at(xgrid.frequencies[:, None], tgrid.frequencies[None, :], s, b)
     weight.flags.writeable = False
     return weight
 
 
 # `xsb_norm`'s weight, built once per (grids, s, b): `bilinear_ratio` measures
-# both factors at one (s, b) and the numerator at a second.  The solver's
-# `xsba_norm` folds an uncached one, so no unfolded weight stays held.
+# both factors at one (s, b) and the numerator at a second.
 _cached_xsb_weight = lru_cache(maxsize=2, typed=True)(_xsb_weight)
 
 
@@ -98,24 +99,39 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     return float(np.sqrt(np.sum((weight * np.abs(spectrum_matrix(u))) ** 2) * measure))
 
 
-def xsba_norm(u: SpaceTimeField, s: float, b: float, alpha: float) -> float:
-    """Norm with the low-frequency time weight added for |xi| <= 1.
+def xsba_norm(
+    values: np.ndarray, xgrid: UniformGrid, tgrid: UniformGrid, s: float, b: float, alpha: float
+) -> float:
+    """Norm of the real samples `values` on xgrid x tgrid, with the
+    low-frequency time weight added for |xi| <= 1.
 
     The weight is <xi>^s <tau+xi^5>^b + chi_{[-1,1]}(xi) <tau>^alpha applied
     to the spectrum before the L^2 sum, so the result always dominates
-    xsb_norm.  u must be real: its spectrum is one rfft2 over the columns
-    tau >= 0, summed against the folded squared weight in the transposed
-    layout, so that the spectrum of a column-major iterate is summed in
-    place and a row-major one pays one copy.
+    xsb_norm.  The samples are read where they lie, with no copy: the
+    Picard loop measures its iterates and their differences as they are.
+    Their spectrum is one rfft2 over the columns tau >= 0, summed against
+    the folded squared weight in the transposed layout, so that the spectrum
+    of a column-major iterate is summed in place and a row-major one pays
+    one copy.  A non-finite sample makes the norm non-finite, which raises
+    ValueError, as does a sum that overflows.
     """
-    if np.iscomplexobj(u.values):
+    if np.iscomplexobj(values):
         raise ValueError("xsba_norm takes a real field")
-    xg, tg = u.xgrid, u.tgrid
-    spec = np.fft.rfft2(u.values)
+    if values.shape != (xgrid.count, tgrid.count):
+        raise ValueError(
+            f"values shape {values.shape} does not match grid shape {(xgrid.count, tgrid.count)}"
+        )
+    spec = np.fft.rfft2(values)
     power = spec.real**2 + spec.imag**2
-    scale = xg.step * tg.step / (2.0 * np.pi)
-    total = np.vdot(_folded_xsba_weight(xg, tg, s, b, alpha).T, power.T)
-    return float(scale * np.sqrt(total * xg.freq_step * tg.freq_step))
+    scale = xgrid.step * tgrid.step / (2.0 * np.pi)
+    total = np.vdot(_folded_xsba_weight(xgrid, tgrid, s, b, alpha).T, power.T)
+    norm = float(scale * np.sqrt(total * xgrid.freq_step * tgrid.freq_step))
+    if not np.isfinite(norm):
+        raise ValueError(
+            f"the X^{{s,b,alpha}} norm is {norm}: the values hold non-finite entries "
+            "or overflow the sum"
+        )
+    return norm
 
 
 @lru_cache(maxsize=2, typed=True)
@@ -131,15 +147,22 @@ def _folded_xsba_weight(
     (-xi, -tau), the index pair (k, m) and (-k mod X, -m mod T), so each kept
     column stands for its missing mirror, except the columns tau = 0 and, for
     an even T, the Nyquist column, which are their own mirrors and keep w^2.
+    Both terms are evaluated on the kept columns only, the mirror at the
+    grids' own frequencies of (-k mod X, -m mod T), which keeps the Nyquist
+    row's -X/2 exact.  Each is built transposed, (T // 2 + 1, X) row-major,
+    so the column-major result needs no copy.
     """
-    xi = xgrid.frequencies[:, None]
-    tau = tgrid.frequencies[None, :]
-    weight = _xsb_weight(xgrid, tgrid, s, b) + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha
-    square = weight**2
-    half = tgrid.count // 2 + 1
-    mirror = square[(-np.arange(xgrid.count)) % xgrid.count][:, (-np.arange(half)) % tgrid.count]
-    self_paired = (np.arange(half) == 0) | (2 * np.arange(half) == tgrid.count)
-    folded = np.asfortranarray(square[:, :half] + np.where(self_paired, 0.0, mirror))
+    xi, tau = xgrid.frequencies, tgrid.frequencies
+    k, m = np.arange(xgrid.count), np.arange(tgrid.count // 2 + 1)
+
+    def square(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        x, t = xi[None, rows], tau[cols, None]
+        return (_weight_at(x, t, s, b) + (np.abs(x) <= 1.0) * (1.0 + np.abs(t)) ** alpha) ** 2
+
+    self_paired = (m == 0) | (2 * m == tgrid.count)
+    folded = square(k, m)
+    folded += np.where(self_paired[:, None], 0.0, square(-k % xgrid.count, -m % tgrid.count))
+    folded = folded.T
     folded.flags.writeable = False
     return folded
 

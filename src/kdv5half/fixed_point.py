@@ -21,7 +21,8 @@ TimeSeries holds real samples only), so L, N(u) and every iterate are real
 arrays.  Every x transform is a real one: the free and Duhamel terms are
 held as their half x-spectra (rows xi >= 0), from which the traces are read
 and one inverse rfft gives the field.  The loop passes these arrays
-directly; only the norms and the result wrap them in SpaceTimeFields.
+directly, the norms included; only the result wraps them in
+SpaceTimeFields.
 """
 
 from __future__ import annotations
@@ -255,9 +256,7 @@ class GammaWorkspace:
             self.diagnostics["quadrature_nodes"] = d["node_count"]
         else:
             self._pot.update_data(*series)
-        field = self._pot.field_on_grid(cfg.xgrid.nodes)
-        field *= self.eta_t[None, :]
-        values += field
+        self._pot.add_field_on_grid(values, cfg.xgrid.nodes, self.eta_t)
 
     # -- one application of Gamma_T ---------------------------------------------
     def apply(self, u: np.ndarray) -> tuple:
@@ -298,13 +297,14 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
     application.  Three consecutive non-contracting steps, or MAX_ITER
     iterates without convergence, raise NonContractionError with the trace
     attached (the horizon is too large for the data at this resolution).
-    The loop runs on the workspace's real arrays; the result hands u, L and
-    N out as SpaceTimeFields.
+    The loop runs on the workspace's real arrays and measures them in place
+    (a non-finite iterate raises ValueError there); the result hands u, L
+    and N out as SpaceTimeFields.
     """
     ws = GammaWorkspace(data, cfg)
 
     def norm_of(values: np.ndarray) -> float:
-        return xsba_norm(SpaceTimeField(cfg.xgrid, cfg.tgrid, values), cfg.s, cfg.b, cfg.alpha)
+        return xsba_norm(values, cfg.xgrid, cfg.tgrid, cfg.s, cfg.b, cfg.alpha)
 
     trace = IterationTrace()
     # N(0) and r(0) vanish, as F_T(0) = 0.
@@ -326,6 +326,8 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
                 f"no convergence within {MAX_ITER} iterations (last diff {diff:.3e})",
                 trace,
             )
+        # The previous N(u) is not read again: free it before `apply` builds the next.
+        del nonlinear
         u_next, nonlinear, r = ws.apply(u)
         diff = norm_of(u_next - u)
         norm = norm_of(u_next)

@@ -26,7 +26,7 @@ from .boundary import (
 )
 from .bourgain import bilinear_ratio, seeded_band_limited_field
 from .cutoffs import check_compatibility, extend_initial_datum, right_bump, zero_extend_time
-from .fixed_point import SolverConfig, SolverData, picard_solve
+from .fixed_point import SPECTRUM_TOL, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, TimeSeries, UniformGrid, canonical_json, field_to_csv
 from .propagator import PropagatorPlan, apply_group, free_field, kato_smoothing_ratio
 from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_half_values
@@ -390,7 +390,7 @@ def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str)
     measured = {"trace_error": max(tr["relative_error"] for tr in report["traces"].values())}
     if "initial_vanishing_ratio" in _due(scenario, command):
         cap = BAND_CAP * scenario.tgrid.nyquist
-        radius, _, _ = truncation_radius((h1, h2, h3), 1e-12, cap)
+        radius, _, _ = truncation_radius((h1, h2, h3), SPECTRUM_TOL, cap)
         xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
         rows = np.flatnonzero(tnodes >= 0.0)  # the zero-extended data vanish before t = 0
         maxima = []
@@ -452,7 +452,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
     report: dict = {}
     g_l = _build_datum(scenario, seed)
     if "manufactured" in scenario.data:
-        data, oracle, stride, doubling = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
+        data, oracle, doubling = manufactured_data(g_l, cfg, **scenario.data["manufactured"])
         report["oracle_doubling_difference"] = doubling
     else:
         h1, h2, h3 = _build_boundary(scenario)
@@ -469,7 +469,7 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
         "contraction": max(result.trace.factors[1:], default=0.0),
     }
     if "oracle_match" in due:
-        dist = oracle_distance(result.u, oracle, stride, cfg.T)
+        dist = oracle_distance(result.u, oracle, cfg.T)
         report["oracle_distance"] = measured["oracle_match"] = dist
     if "weak_form" in due:
         value = weak_form_residual(result.u, data.g_l, data.h1, data.h2, data.h3, cfg.T)

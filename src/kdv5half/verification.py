@@ -60,11 +60,11 @@ def _box_l2(diff: np.ndarray, xgrid: UniformGrid, tgrid: UniformGrid) -> float:
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * (xgrid.step * tgrid.step)))
 
 
-def oracle_distance(u: SpaceTimeField, oracle: SpaceTimeField, stride: int, T: float) -> float:
+def oracle_distance(u: SpaceTimeField, oracle: SpaceTimeField, T: float) -> float:
     """L^2 distance of u from the oracle on x >= 0, 0 <= t <= T; the oracle
-    starts at t = 0 and takes `stride` steps per time step of u."""
+    holds u's time nodes from t = 0 on."""
     x_sel, t_sel = halfline_box(u.xgrid, u.tgrid, T)
-    cols = (t_sel - u.tgrid.index_of(0.0)) * stride
+    cols = t_sel - u.tgrid.index_of(0.0)
     diff = u.values[np.ix_(x_sel, t_sel)] - oracle.values[np.ix_(x_sel, cols)]
     return _box_l2(diff, u.xgrid, u.tgrid)
 
@@ -81,15 +81,16 @@ def oracle_distance(u: SpaceTimeField, oracle: SpaceTimeField, stride: int, T: f
 _DOUBLING_TOL = 1e-7
 
 
-def _split_step_sweep(g_l: GridFunction, T: float, steps: int) -> tuple:
-    """Split-step slices at every step, shape (X, steps + 1), and the final
-    slice of the run at half the steps, shape (X,); `steps` must be even.
+def _split_step_sweep(g_l: GridFunction, T: float, steps: int, stride: int) -> tuple:
+    """Split-step slices at every `stride`-th step, shape (X, steps // stride
+    + 1), and the final slice of the run at half the steps, shape (X,);
+    `steps` must be even and a multiple of `stride`.
 
     The real datum makes the scheme run on the rfft half-spectrum: each step
     takes 2 irfft and 2 rfft (one pair per advection stage).  The coarse run
     is a second row: on even steps both rows advance by a step of their own
     size (2-row transforms), on odd steps the trajectory row advances alone.
-    The slices are stored as spectra and inverse-transformed at the end.
+    The kept slices are stored as spectra and inverse-transformed at the end.
     """
     grid = g_l.grid
     xi = 2.0 * np.pi * np.fft.rfftfreq(grid.count, d=grid.step)
@@ -109,19 +110,21 @@ def _split_step_sweep(g_l: GridFunction, T: float, steps: int) -> tuple:
         return half * (V + dt * k2)
 
     V = np.tile(np.fft.rfft(g_l.values), (2, 1))
-    out = np.empty((steps + 1, len(xi)), dtype=np.complex128)
+    out = np.empty((steps // stride + 1, len(xi)), dtype=np.complex128)
     out[0] = V[0]
     for n in range(steps):
         rows = 2 - n % 2
         V[:rows] = step(V[:rows], half[:rows], dts[:rows])
-        out[n + 1] = V[0]
+        if (n + 1) % stride == 0:
+            out[(n + 1) // stride] = V[0]
     coarse = np.fft.irfft(V[1], n=grid.count)
     return np.fft.irfft(out, n=grid.count, axis=1).T, coarse
 
 
-def whole_line_oracle(g_l: GridFunction, T: float, steps: int) -> tuple:
+def whole_line_oracle(g_l: GridFunction, T: float, steps: int, stride: int = 1) -> tuple:
     """Reference trajectory of u_t + d^5_x u + u d_x u = 0 on the periodic box,
-    as (SpaceTimeField, doubling difference).
+    at every `stride`-th of its `steps` steps, as (SpaceTimeField, doubling
+    difference).
 
     Strang splitting: exact dispersive half-steps exp(-i dt/2 xi^5) around an
     explicit-midpoint step of the advection term with 2/3-rule dealiasing,
@@ -138,18 +141,21 @@ def whole_line_oracle(g_l: GridFunction, T: float, steps: int) -> tuple:
         raise ValueError("need at least one step")
     if steps % 2:
         raise ValueError(f"the step-doubling check needs an even number of steps, got {steps}")
-    vals, coarse = _split_step_sweep(g_l, T, steps)
+    if stride < 1 or steps % stride:
+        raise ValueError(f"stride {stride} must divide the {steps} steps")
+    vals, coarse = _split_step_sweep(g_l, T, steps, stride)
     diff = float(np.sqrt(np.sum(np.abs(vals[:, -1] - coarse) ** 2) * g_l.grid.step))
     if diff > _DOUBLING_TOL:
         raise AccuracyError(
             f"split-step self-check failed: doubling the step changes the final "
             f"slice by {diff:.3e} > {_DOUBLING_TOL:g}; increase steps"
         )
-    tgrid = UniformGrid(origin=0.0, step=T / steps, count=steps + 1)
+    tgrid = UniformGrid(origin=0.0, step=T / steps * stride, count=steps // stride + 1)
     return SpaceTimeField(g_l.grid, tgrid, vals), diff
 
 
-# Oracle steps per solver time step: the oracle's run holds every solver node.
+# Oracle steps per solver time step: the oracle keeps the slices on the solver
+# nodes only.
 _STEPS_PER_NODE = 8
 
 
@@ -159,11 +165,12 @@ def manufactured_data(
     """Boundary data manufactured from the whole-line solution of g_l.
 
     Runs the split-step oracle on [0, horizon] at `_STEPS_PER_NODE` steps
-    per solver time step, reads off the x = 0 traces of orders 0, 1, 2
-    (real, as the whole-line solution of a real datum is), tapers them
-    smoothly to zero before the horizon end (the solver's data window
-    eta(t/2T) must die before the taper begins), and returns (SolverData,
-    oracle field, node stride, the oracle's doubling difference).
+    per solver time step, keeping its slices on the solver's nodes, reads off
+    the x = 0 traces of orders 0, 1, 2 (real, as the whole-line solution of a
+    real datum is), tapers them smoothly to zero before the horizon end (the
+    solver's data window eta(t/2T) must die before the taper begins), and
+    returns (SolverData, oracle field on the solver nodes of [0, horizon],
+    the oracle's doubling difference).
     """
     dt = cfg.tgrid.step
     n_nodes = int(round(horizon / dt))
@@ -175,7 +182,7 @@ def manufactured_data(
     if i0 + n_nodes >= cfg.tgrid.count:
         raise ValueError(f"horizon {horizon:g} passes the last time node {cfg.tgrid.nodes[-1]:g}")
     steps = n_nodes * _STEPS_PER_NODE
-    oracle, doubling = whole_line_oracle(g_l, horizon, steps)
+    oracle, doubling = whole_line_oracle(g_l, horizon, steps, _STEPS_PER_NODE)
     # d^j/dx^j u(0, t) = Re sum_k m_k (i xi_k)^j e^{2 pi i k r / X} V_k(t) / X
     # over the rfft half-spectrum V, with r the row of x = 0 and m_k = 2 on
     # the modes whose conjugate is not stored (1 on the zero and Nyquist
@@ -192,10 +199,10 @@ def manufactured_data(
     traces = (rows @ np.fft.rfft(oracle.values, axis=0)).real
     taper = right_bump(oracle.tgrid.nodes, -2.0, -1.0, taper_start, horizon)
     vals = np.zeros((3, cfg.tgrid.count))
-    vals[:, i0 : i0 + n_nodes + 1] = (traces * taper)[:, ::_STEPS_PER_NODE]
+    vals[:, i0 : i0 + n_nodes + 1] = traces * taper
     h1, h2, h3 = (TimeSeries(cfg.tgrid, v) for v in vals)
     data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
-    return data, oracle, _STEPS_PER_NODE, doubling
+    return data, oracle, doubling
 
 
 # ---------------------------------------------------------------------------

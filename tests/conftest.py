@@ -11,6 +11,7 @@ x, on every row of `grid.frequencies`, in the package's convention.  The
 package holds real functions as their half spectra only; the tests use this
 pair as the independent oracle of those (`from conftest import ...`).
 `random_band_limited` draws the tests' seeded band-limited real data.
+`potential_field` is a boundary potential's field on a grid by itself.
 """
 
 import numpy as np
@@ -73,6 +74,15 @@ def random_band_limited(
     return GridFunction(grid, values * (amplitude / peak))
 
 
+def potential_field(pot, xnodes) -> np.ndarray:
+    """The field of the BoundaryPotential `pot` on xnodes and every node of
+    its time grid, column-major: `add_field_on_grid` into zeros at unit
+    weight, which adds 1 * f to 0 and so writes f itself."""
+    values = np.zeros((len(xnodes), pot.tgrid.count), order="F")
+    pot.add_field_on_grid(values, xnodes, np.ones(pot.tgrid.count))
+    return values
+
+
 DEFAULT_X = dict(origin=-40.0, step=80.0 / 1024, count=1024)
 DEFAULT_T = dict(origin=-2.0, step=4.0 / 1024, count=1024)
 
@@ -110,10 +120,10 @@ def small_config():
 
 @pytest.fixture(scope="session")
 def manufactured_case(solver_config):
-    """(data, oracle, stride, result) for a small-amplitude Gaussian datum."""
+    """(data, oracle, result) for a small-amplitude Gaussian datum."""
     xg = solver_config.xgrid
     vals = 0.01 * np.exp(-(((xg.nodes - 2.0) / 3.0) ** 2))
     g_l = GridFunction(xg, vals)
-    data, oracle, stride, _ = manufactured_data(g_l, solver_config)
+    data, oracle, _ = manufactured_data(g_l, solver_config)
     result = picard_solve(data, solver_config)
-    return data, oracle, stride, result
+    return data, oracle, result

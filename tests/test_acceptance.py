@@ -17,7 +17,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
+from conftest import potential_field, random_band_limited
 from kdv5half import (
     BoundaryPotential,
     BoundaryQuadrature,
@@ -151,7 +151,7 @@ class TestInteriorResidual:
         pot = BoundaryPotential.from_data(
             h1, zero_series(self.TG), h3, depth=2, x_span=float(np.max(np.abs(self.XG.nodes)))
         )
-        field = SpaceTimeField(self.XG, self.TG, pot.field_on_grid(self.XG.nodes))
+        field = SpaceTimeField(self.XG, self.TG, potential_field(pot, self.XG.nodes))
         # The kernel exponentials give the fifth x-derivative analytically
         # (coefficients c_m r_m^5, exact where the collar cutoff is 1); only
         # the time derivative is discretized, so the residual isolates the
@@ -214,7 +214,7 @@ class TestTraceGain:
 
 class TestSmallDataSolve:
     def test_iteration_contracts_and_residual_is_tiny(self, manufactured_case):
-        _, _, _, result = manufactured_case
+        _, _, result = manufactured_case
         trace = result.trace
         assert trace.converged
         assert trace.iterations >= 2
@@ -224,13 +224,13 @@ class TestSmallDataSolve:
     def test_halfline_restriction_matches_the_oracle(
         self, manufactured_case, solver_config
     ):
-        _, oracle, stride, result = manufactured_case
+        _, oracle, result = manufactured_case
         xg, tg = solver_config.xgrid, solver_config.tgrid
         pos = xg.nodes >= 0.0
         i0 = tg.index_of(0.0)
         t_sel = np.where((tg.nodes >= -1e-14) & (tg.nodes <= solver_config.T + 1e-14))[0]
         for i in t_sel:
-            col = (i - i0) * stride
+            col = i - i0
             ours = result.u.values[pos, i]
             ref = oracle.values[pos, col]
             rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
@@ -261,7 +261,7 @@ class TestWeakForm:
     def test_solution_satisfies_the_identity_and_perturbation_is_flagged(
         self, manufactured_case, solver_config
     ):
-        data, _, _, result = manufactured_case
+        data, _, result = manufactured_case
         base = weak_form_residual(
             result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )

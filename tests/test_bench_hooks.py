@@ -2,17 +2,22 @@
 
 `perfbench/tracing.py` wraps functions and methods by dotted name; a rename
 or deletion here would otherwise surface only in a traced benchmark run.
-The module is loaded from its file and nothing is instrumented.
+The module is loaded from its file and nothing is instrumented.  The
+benchmark's own self-test runs too, in a fresh interpreter, as it is run
+by hand.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -40,3 +45,14 @@ def test_field_values_arguments_the_counter_reads():
 
     params = list(inspect.signature(BoundaryPotential.field_values).parameters)
     assert params[:3] == ["self", "xtargets", "ttargets"]
+
+
+def test_benchmark_selftest_passes():
+    # Span arithmetic, wrapping where entry points are imported by name,
+    # failure accounting and the declared metrics; about a second, and it
+    # removes the run directories it makes.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import potential_field
+
 from kdv5half.boundary import (
+    X_BLOCK,
     BoundaryPotential,
     BoundaryQuadrature,
     PreconditionError,
@@ -258,7 +261,7 @@ class TestBoundaryField:
             bump_series(), zero_series(), zero_series(),
             depth=1, x_span=40.0, t_window=(0.0, 2.0),
         )
-        sup = np.max(np.abs(pot.field_on_grid(xg.nodes)))
+        sup = np.max(np.abs(potential_field(pot, xg.nodes)))
         assert np.isfinite(sup)
         assert sup < 10.0 * np.max(np.abs(bump_series().values))
 
@@ -351,7 +354,7 @@ class TestBoundaryPotentialTables:
         uniform = np.linspace(-3.0, 6.0, 300)
         graded = -3.0 + 9.0 * np.linspace(0.0, 1.0, 300) ** 1.5
         for xs in (uniform, uniform, graded):
-            values = pot.field_on_grid(xs)
+            values = potential_field(pot, xs)
             assert values.shape == (len(xs), TG.count)
             assert not np.any(values.imag)
             assert not np.any(np.delete(values, t_sel, axis=1))
@@ -502,7 +505,7 @@ class TestRealDataHalfRule:
         series = permuted_series()
         pot = three_channel_potential(t_sel=t_sel, x_span=6.0, series=series)
         xs = np.linspace(-3.0, 6.0, 300)
-        values = pot.field_on_grid(xs)
+        values = potential_field(pot, xs)
         assert not np.any(values.imag)
         assert not np.any(np.delete(values, t_sel, axis=1))
         want = direct_field(pot, series, xs, TG.nodes[t_sel])
@@ -596,9 +599,28 @@ class TestFoldedTimeTable:
         # The 76 rows t < 0 of the partly paired window fold onto t > 0.
         assert [len(FOLD_ROWS[k]) for k in ("symmetric", "partly_paired")] == [515, 563]
 
-    def test_field_on_grid_is_column_major(self):
-        pot = three_channel_potential()
-        assert pot.field_on_grid(np.linspace(-1.0, 3.0, 40)).flags.f_contiguous
+    def test_add_field_on_grid_adds_in_place_in_either_layout(self):
+        # values += weight(t) * field in the caller's own array and layout:
+        # each x-block adds its weighted `field_values` on the rows t_sel, bit
+        # for bit, and the columns off t_sel keep their values.  Two blocks,
+        # the second one short.
+        t_sel = rows_in(0.0, 2.0)
+        pot = three_channel_potential(t_sel=t_sel)
+        xs = np.linspace(-1.0, 3.0, X_BLOCK + 72)
+        rng = np.random.default_rng(5)
+        weight = rng.uniform(0.5, 1.5, TG.count)
+        start = rng.standard_normal((len(xs), TG.count))
+        added = []
+        for order in "CF":
+            values = np.array(start, order=order)
+            pot.add_field_on_grid(values, xs, weight)
+            added.append(values)
+        want = start.copy()
+        for b in range(0, len(xs), X_BLOCK):
+            block = pot.field_values(xs[b : b + X_BLOCK], TG.nodes[t_sel])
+            want[b : b + X_BLOCK, t_sel] += block * weight[t_sel]
+        for values in added:
+            assert np.array_equal(values, want)
 
 
 def dense_half_sum(pot, xs, ts):
@@ -662,7 +684,7 @@ class TestKernelPlanes:
         # that holds the whole (Q, B) taper alive.
         pot = three_channel_potential(x_span=40.0)
         xs = np.linspace(-40.0, 6.0, 400)
-        pot.field_on_grid(xs)
+        potential_field(pot, xs)
         gammas, q = pot.quad.gammas, len(pot.quad.betas)
         lives = []
         for key, (_, _, _, live, taper) in pot._blocks.items():
@@ -680,29 +702,30 @@ class TestKernelPlanes:
 
 class TestFieldMemory:
     # Allocation guard for the field assembly, in MiB of tracemalloc: the
-    # tables a bound potential keeps after `field_on_grid` (offset planes
+    # tables a bound potential keeps after `add_field_on_grid` (offset planes
     # (Q, 6, B) plus the compact tapers), the peak of the first call (tables
-    # built) and of a repeat call (kernel planes, node sums and the 4 MiB
-    # output).  Measured 18.67, 35.48 and 17.06 with numpy 2.4; the 5% margin
-    # is 0.9 MiB of the tables, below one more (Q, B) taper (2.6 MiB) or
-    # (Q, 2, B) kernel temporary (5.1 MiB) left alive.
-    HELD, FIRST_PEAK, REPEAT_PEAK = 18.67, 35.48, 17.06
+    # built) and of a repeat call (kernel planes and node sums of one block).
+    # The (X, T) target is the caller's and is allocated before tracing.
+    # Measured 18.67, 31.98 and 13.56 with numpy 2.4; the 5% margin is 0.9
+    # MiB of the tables, below one more (Q, B) taper (2.6 MiB) or (Q, 2, B)
+    # kernel temporary (5.1 MiB) left alive.
+    HELD, FIRST_PEAK, REPEAT_PEAK = 18.67, 31.98, 13.56
     MARGIN = 1.05
 
     def test_field_on_grid_allocations(self):
         pot = three_channel_potential(t_sel=rows_in(0.0, 2.0), x_span=12.0)
         xs = np.linspace(-12.0, 12.0, 512)
+        values, weight = np.zeros((len(xs), TG.count), order="F"), np.ones(TG.count)
         mib = 2.0**20
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            out = pot.field_on_grid(xs)
+            pot.add_field_on_grid(values, xs, weight)
             first_peak = (tracemalloc.get_traced_memory()[1] - start) / mib
-            del out
             held = (tracemalloc.get_traced_memory()[0] - start) / mib
             tracemalloc.reset_peak()
-            out = pot.field_on_grid(xs)
+            pot.add_field_on_grid(values, xs, weight)
             repeat_peak = (tracemalloc.get_traced_memory()[1] - start) / mib - held
         finally:
             tracemalloc.stop()

@@ -32,6 +32,10 @@ def real_part(u: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(u.xgrid, u.tgrid, u.values.real)
 
 
+def field_xsba_norm(u: SpaceTimeField, s, b, alpha) -> float:
+    return xsba_norm(u.values, u.xgrid, u.tgrid, s, b, alpha)
+
+
 def unfolded_xsba_norm(u: SpaceTimeField, s, b, alpha) -> float:
     """Oracle: the weight of `xsba_norm` on every (xi, tau) of a full fft2."""
     xi = u.xgrid.frequencies[:, None]
@@ -75,13 +79,13 @@ class TestNorms:
         u = real_part(seeded_band_limited_field(XG, TG, 3.0, 10.0, seed=2))
         scaled = SpaceTimeField(XG, TG, 3.5 * u.values)
         assert xsb_norm(scaled, 1.0, 0.4) == pytest.approx(3.5 * xsb_norm(u, 1.0, 0.4), rel=1e-12)
-        assert xsba_norm(scaled, 1.0, 0.4, 0.52) == pytest.approx(
-            3.5 * xsba_norm(u, 1.0, 0.4, 0.52), rel=1e-12
+        assert field_xsba_norm(scaled, 1.0, 0.4, 0.52) == pytest.approx(
+            3.5 * field_xsba_norm(u, 1.0, 0.4, 0.52), rel=1e-12
         )
 
     def test_low_frequency_weight_dominates(self):
         u = real_part(seeded_band_limited_field(XG, TG, 2.0, 8.0, seed=3))
-        assert xsba_norm(u, 0.3, 0.46, 0.51) > xsb_norm(u, 0.3, 0.46)
+        assert field_xsba_norm(u, 0.3, 0.46, 0.51) > xsb_norm(u, 0.3, 0.46)
 
     def test_xsba_single_mode_closed_form(self):
         # amp cos(xi x + tau t) is two modes of amplitude amp / 2 at (xi, tau)
@@ -92,7 +96,7 @@ class TestNorms:
         s, b, alpha = 0.3, 0.46, 0.51
         weight = (1 + abs(xi)) ** s * (1 + abs(tau + xi**5)) ** b + (1 + abs(tau)) ** alpha
         expected = amp * weight * BOX / np.sqrt(2.0)
-        assert xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-10)
+        assert field_xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("nx, nt", [(64, 64), (63, 64), (64, 65), (65, 63)])
     def test_xsba_folded_weight_matches_the_full_sum(self, nx, nt):
@@ -104,25 +108,65 @@ class TestNorms:
         u = SpaceTimeField(xg, tg, np.random.default_rng(nx * nt).standard_normal((nx, nt)))
         for s, b, alpha in ((1.0, 0.42, 0.52), (0.3, 0.46, 0.51), (2.6, 0.49, 0.505)):
             expected = unfolded_xsba_norm(u, s, b, alpha)
-            assert xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-13)
+            assert field_xsba_norm(u, s, b, alpha) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("nx, nt", [(64, 64), (63, 65)])
     def test_xsba_is_blind_to_the_memory_layout(self, nx, nt):
         # Solver iterates are column-major and summed in place; a row-major
-        # copy of the same field pays one copy and sums in the same order.
+        # array pays one copy and sums in the same order.  Either one, read
+        # where it lies, gives bit for bit the norm of its frozen
+        # SpaceTimeField copy.
         xg = UniformGrid(-20.0, 40.0 / nx, nx)
         tg = UniformGrid(-1.0, 2.0 / nt, nt)
         vals = np.random.default_rng(nx + nt).standard_normal((nx, nt))
-        norms = [
-            xsba_norm(SpaceTimeField(xg, tg, layout(vals)), 1.0, 0.42, 0.52)
-            for layout in (np.ascontiguousarray, np.asfortranarray)
-        ]
-        assert norms[0] == norms[1]
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            arranged = layout(vals)
+            frozen = SpaceTimeField(xg, tg, arranged)
+            assert xsba_norm(arranged, xg, tg, 1.0, 0.42, 0.52) == field_xsba_norm(
+                frozen, 1.0, 0.42, 0.52
+            )
+        assert xsba_norm(np.ascontiguousarray(vals), xg, tg, 1.0, 0.42, 0.52) == xsba_norm(
+            np.asfortranarray(vals), xg, tg, 1.0, 0.42, 0.52
+        )
 
     def test_xsba_refuses_a_complex_field(self):
         u, _, _ = lattice_mode(1, 6)
         with pytest.raises(ValueError, match="real field"):
-            xsba_norm(u, 0.3, 0.46, 0.51)
+            field_xsba_norm(u, 0.3, 0.46, 0.51)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_xsba_refuses_non_finite_values(self, bad):
+        # The samples are not copied into a SpaceTimeField, so its
+        # finiteness check does not run: the norm refuses them itself.
+        vals = np.random.default_rng(1).standard_normal((XG.count, TG.count))
+        vals[17, 40] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            xsba_norm(vals, XG, TG, 1.0, 0.42, 0.52)
+
+    def test_xsba_refuses_a_shape_off_the_grids(self):
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            xsba_norm(np.zeros((XG.count, TG.count - 1)), XG, TG, 1.0, 0.42, 0.52)
+
+    @pytest.mark.parametrize("nx, nt", [(64, 64), (63, 64), (64, 65), (65, 63), (1024, 1024)])
+    def test_folded_weight_is_the_full_square_mirror(self, nx, nt):
+        # Built on the kept columns only, the folded weight is bit for bit
+        # the fold of the full (X, T) square with its mirror gathered by
+        # index, including the Nyquist row of an even X.
+        xg = UniformGrid(-20.0, 40.0 / nx, nx)
+        tg = UniformGrid(-1.0, 2.0 / nt, nt)
+        for s, b, alpha in ((1.0, 0.42, 0.52), (2.6, 0.49, 0.505)):
+            xi, tau = xg.frequencies[:, None], tg.frequencies[None, :]
+            weight = (1.0 + np.abs(xi)) ** s * (1.0 + np.abs(tau + xi**5)) ** b
+            square = (weight + (np.abs(xi) <= 1.0) * (1.0 + np.abs(tau)) ** alpha) ** 2
+            half = nt // 2 + 1
+            mirror = square[(-np.arange(nx)) % nx][:, (-np.arange(half)) % nt]
+            self_paired = (np.arange(half) == 0) | (2 * np.arange(half) == nt)
+            want = square[:, :half] + np.where(self_paired, 0.0, mirror)
+            got = bourgain._folded_xsba_weight(xg, tg, s, b, alpha)
+            assert got.shape == (nx, half) and got.flags.f_contiguous
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
 
 
 class TestAdmissibility:

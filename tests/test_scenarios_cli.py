@@ -452,7 +452,7 @@ class TestPipelines:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         sc = Scenario.from_file(path)
         g = datum_from_profile(g_spec, sc.xgrid, sc.indices["s"], seed=0)
-        _, _, _, doubling = manufactured_data(g, sc.solver_config(sc.depth), **manufactured)
+        _, _, doubling = manufactured_data(g, sc.solver_config(sc.depth), **manufactured)
         assert report["oracle_doubling_difference"] == doubling
         assert 0.0 < doubling < 1e-7
         assert "oracle_doubling_difference" not in json.dumps(summary)

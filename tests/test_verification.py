@@ -96,7 +96,7 @@ class TestOracle:
 
     def test_odd_steps_refused_with_the_check(self, monkeypatch):
         # The doubled run takes steps / 2 steps; an odd count is refused
-        # before any step runs.
+        # before any step runs, and so is a stride that does not divide it.
         g = gaussian(0.1)
 
         def sweep_ran(*args):
@@ -105,6 +105,9 @@ class TestOracle:
         monkeypatch.setattr(verification, "_split_step_sweep", sweep_ran)
         with pytest.raises(ValueError, match="even number of steps, got 7"):
             whole_line_oracle(g, 0.5, 7)
+        for stride in (0, 3):
+            with pytest.raises(ValueError, match=f"stride {stride} must divide the 8 steps"):
+                whole_line_oracle(g, 0.5, 8, stride)
 
     def test_complex_datum_refused(self):
         # The oracle runs on the half spectrum of a real datum; the grid
@@ -114,7 +117,7 @@ class TestOracle:
 
     def test_matches_physical_space_scheme(self):
         g = gaussian(0.5, width=1.5, center=1.0)
-        field = verification._split_step_sweep(g, 0.5, 64)[0]
+        field = verification._split_step_sweep(g, 0.5, 64, 1)[0]
         reference = physical_split_step(g, 0.5, 64)
         assert np.max(np.abs(field - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -124,7 +127,7 @@ class TestOracle:
         amp = 1e-6
         g = gaussian(amp)
         T = 0.5
-        field = verification._split_step_sweep(g, T, 64)[0]
+        field = verification._split_step_sweep(g, T, 64, 1)[0]
         exact = apply_group(g, T, PropagatorPlan(XG))
         assert np.max(np.abs(field[:, -1] - exact.values)) < 1e-5 * amp
 
@@ -133,12 +136,16 @@ class TestOracle:
         # sweep on every other step; the trajectory and the coarse final
         # slice are bitwise those of separate one-row runs.
         g = gaussian(0.1, center=1.0)
-        vals, coarse = verification._split_step_sweep(g, 0.25, 64)
+        vals, coarse = verification._split_step_sweep(g, 0.25, 64, 1)
         want = one_row_sweep(g, 0.25, 64)
         assert np.array_equal(vals, want)
         field, diff = whole_line_oracle(g, 0.25, 64)
         assert np.array_equal(field.values, want)
         assert field.tgrid == UniformGrid(origin=0.0, step=0.25 / 64, count=65)
+        # A stride keeps every 8th slice of the same run, bit for bit.
+        kept, kept_diff = whole_line_oracle(g, 0.25, 64, 8)
+        assert np.array_equal(kept.values, want[:, ::8]) and kept_diff == diff
+        assert kept.tgrid == UniformGrid(origin=0.0, step=0.25 / 8, count=9)
         want_coarse = one_row_sweep(g, 0.25, 32, final_only=True)
         assert np.array_equal(coarse, want_coarse)
         assert diff == float(np.sqrt(np.sum((want[:, -1] - want_coarse) ** 2) * XG.step))
@@ -176,7 +183,9 @@ class TestOracle:
 
     def test_second_order_convergence(self):
         g = gaussian(0.5, width=2.0)
-        finals = [verification._split_step_sweep(g, 0.5, steps)[0][:, -1] for steps in (16, 32, 64)]
+        finals = [
+            verification._split_step_sweep(g, 0.5, steps, steps)[0][:, -1] for steps in (16, 32, 64)
+        ]
         e1, e2 = (
             float(np.sqrt(np.sum(np.abs(a - b) ** 2) * XG.step)) for a, b in zip(finals, finals[1:])
         )
@@ -188,7 +197,7 @@ class TestOracle:
         # One column per step from the datum on; the oracle's time grid is
         # checked against the same layout in the batched-sweep test.
         g = gaussian(0.1)
-        field = verification._split_step_sweep(g, 0.25, 8)[0]
+        field = verification._split_step_sweep(g, 0.25, 8, 1)[0]
         assert field.shape == (XG.count, 9)
         assert np.allclose(field[:, 0], g.values)
 
@@ -202,7 +211,7 @@ class TestManufacturedData:
     def test_horizon_must_end_on_the_time_grid(self, small_config, monkeypatch):
         cfg = small_config
         g = gaussian(0.01, grid=cfg.xgrid)
-        data, _, _, _ = manufactured_data(g, cfg, horizon=cfg.tgrid.nodes[-1])
+        data, _, _ = manufactured_data(g, cfg, horizon=cfg.tgrid.nodes[-1])
         assert data.h1.values[-1] == 0.0  # the taper ends on the last node
 
         # One step further the series would not fit: refused before the oracle runs.
@@ -222,7 +231,7 @@ class TestManufacturedData:
             manufactured_data(g, cfg, taper_start=0.7)
 
     def test_data_shape(self, manufactured_case, solver_config):
-        data, oracle, stride = manufactured_case[0], manufactured_case[1], manufactured_case[2]
+        data, oracle, _ = manufactured_case
         tg = solver_config.tgrid
         before = tg.nodes < -1e-12
         for h in data.boundary_series:
@@ -232,17 +241,20 @@ class TestManufacturedData:
         assert data.h1.values[tg.index_of(0.0)] == pytest.approx(
             data.g_l.values[i0], rel=1e-10
         )
-        assert oracle.tgrid.step * stride == pytest.approx(tg.step)
+        # The oracle holds the solver's nodes of [0, horizon] and no others.
+        start = tg.index_of(0.0)
+        assert oracle.tgrid.origin == 0.0 and oracle.tgrid.step == tg.step
+        assert np.array_equal(oracle.tgrid.nodes, tg.nodes[start : start + oracle.tgrid.count])
 
     def test_traces_are_oracle_derivative_rows(self, manufactured_case, solver_config):
         # Before the taper (t < 0.7) h_{j+1} is the x = 0 row of d^j/dx^j of
         # the oracle field, here by full complex FFTs of each column.  The
         # two sums differ by rounding of the spectrum amplified by |xi|^j:
         # at most eps * max|V| * sum |xi|^j / X per column.
-        data, oracle, stride = manufactured_case[0], manufactured_case[1], manufactured_case[2]
+        data, oracle, _ = manufactured_case
         tg, xg = solver_config.tgrid, solver_config.xgrid
         nodes = np.arange(0, int(round(0.6 / tg.step)) + 1)
-        cols = np.fft.fft(oracle.values[:, nodes * stride], axis=0)
+        cols = np.fft.fft(oracle.values[:, nodes], axis=0)
         xi = xg.frequencies[:, None]
         for j, h in enumerate(data.boundary_series):
             rows = np.fft.ifft((1j * xi) ** j * cols, axis=0)[xg.index_of(0.0)].real
@@ -253,24 +265,23 @@ class TestManufacturedData:
 
 class TestOracleDistance:
     def test_is_the_box_l2_of_the_difference(self, manufactured_case, solver_config):
-        _, oracle, stride, result = manufactured_case
+        _, oracle, result = manufactured_case
         xg, tg, T = solver_config.xgrid, solver_config.tgrid, solver_config.T
         xs = xg.nodes >= 0.0
         ts = np.flatnonzero((tg.nodes >= 0.0) & (tg.nodes <= T))
-        cols = (ts - tg.index_of(0.0)) * stride
+        cols = ts - tg.index_of(0.0)
         diff = result.u.values[xs][:, ts] - oracle.values[xs][:, cols]
         want = np.sqrt(np.sum(diff**2) * xg.step * tg.step)
-        assert oracle_distance(result.u, oracle, stride, T) == pytest.approx(want, rel=1e-14)
+        assert oracle_distance(result.u, oracle, T) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_on_the_oracle_itself(self, manufactured_case, solver_config):
-        _, oracle, stride, result = manufactured_case
+        _, oracle, result = manufactured_case
         tg = solver_config.tgrid
         vals = np.zeros_like(result.u.values)
         i0 = tg.index_of(0.0)
-        n = (oracle.tgrid.count - 1) // stride + 1
-        vals[:, i0 : i0 + n] = oracle.values[:, ::stride]
+        vals[:, i0 : i0 + oracle.tgrid.count] = oracle.values
         u = SpaceTimeField(result.u.xgrid, tg, vals)
-        assert oracle_distance(u, oracle, stride, solver_config.T) == 0.0
+        assert oracle_distance(u, oracle, solver_config.T) == 0.0
 
 
 class TestPdeResidual:
@@ -380,7 +391,7 @@ class TestSimpsonWeights:
 
 class TestWeakForm:
     def test_solution_satisfies_identity(self, manufactured_case, solver_config):
-        data, _, _, result = manufactured_case
+        data, _, result = manufactured_case
         worst = weak_form_residual(
             result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )
@@ -388,7 +399,7 @@ class TestWeakForm:
         assert worst < 1e-4
 
     def test_perturbation_detected(self, manufactured_case, solver_config):
-        data, _, _, result = manufactured_case
+        data, _, result = manufactured_case
         base = weak_form_residual(
             result.u, data.g_l, data.h1, data.h2, data.h3, solver_config.T
         )
@@ -429,7 +440,7 @@ class TestTailSlopes:
 
 class TestSmoothingReport:
     def test_rows_complete_and_flagged(self, manufactured_case, solver_config):
-        _, _, _, result = manufactured_case
+        _, _, result = manufactured_case
         rows = [smoothing_report(result, solver_config, a) for a in (0.0, 0.15)]
         keys = {
             "a",
@@ -452,7 +463,7 @@ class TestSmoothingReport:
     def test_linear_band_norms_read_the_free_field(self, manufactured_case, solver_config):
         # The free evolution is built on the 9 sample times only; its band
         # norms must equal those of the same columns of the whole free field.
-        _, _, _, result = manufactured_case
+        _, _, result = manufactured_case
         cfg = solver_config
         row = smoothing_report(result, cfg, 0.15)
         tnodes = cfg.tgrid.nodes
