@@ -217,10 +217,12 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
-# x targets per `field_values` block of `add_field_on_grid`.  The
-# initial-vanishing probe of `scenarios` evaluates in the same width so that
-# its tables stay one block wide: all of its x targets in one call would hold
-# a 52 MiB depth-3 table on the bundled `boundary_traces` scenario.
+# x targets per `field_values` call of `add_field_on_grid` and of the
+# initial-vanishing probe of `scenarios`.  On a uniform grid every block, a
+# shorter last one included, reads the first block's (Q, 6, X_BLOCK) offset
+# table, so a potential holds one table: all of the probe's x targets in one
+# call would hold a 52 MiB depth-3 table on the bundled `boundary_traces`
+# scenario.
 X_BLOCK = 128
 
 
@@ -300,13 +302,16 @@ class BoundaryPotential:
       of a symmetric 1024-node solver window).  It serves every evaluation
       on those times and, through its conjugate, the data transform, so the
       data must vanish off those rows (ValueError otherwise).
-    * in `add_field_on_grid`, the separable form e^{r_m x} = e^{r_m x_b}
+    * in `field_values`, the separable form e^{r_m x} = e^{r_m x_b}
       e^{r_m (x - x_b)} per x-block with left end x_b: one offset table of
       real planes (Q, 6, B), Re and Im of e^{r_m (x - x_b)} for m = 0, 1, 2,
-      shared by every block whose offsets match the first block's (all
-      blocks of a uniform grid), one base vector per block and, for blocks
-      that reach x < 0, a compact copy of the collar taper on the prefix of
-      nodes where it does not vanish.
+      made by the first block evaluated and read by every block whose
+      offsets match a prefix of it (all blocks of a uniform grid, a shorter
+      last one included), one base vector per block and, for blocks that
+      reach x < 0, a compact copy of the collar taper on the prefix of nodes
+      where it does not vanish.  They are kept per block for the next call
+      on the same targets; a block that cannot read the first block's table
+      builds its own for that call only.
 
     The quadrature weights and (2 pi)^(-1/2) are folded into the per-node
     coefficients `coeffs` once per data update, so the contraction is a
@@ -321,7 +326,6 @@ class BoundaryPotential:
         self._ttable = _FoldedTable.build(self.ttargets, quad.betas)
         self._off_rows = np.ones(self.tgrid.count, dtype=bool)
         self._off_rows[self.t_sel] = False
-        self._grid_key = None
         self._blocks: dict = {}
         self.update_data(h1, h2, h3)
 
@@ -396,9 +400,10 @@ class BoundaryPotential:
     def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
         """(offsets, offset planes, base, live, taper) of an x-block; x_b = min xs.
 
-        The offset planes (Q, 6, B) of e^{r_m (x - x_b)} are taken from the
-        tables `shared` of another block when the offsets agree to the
-        rounding of the nodes; base (Q, 3) holds e^{r_m x_b}.  On x >= 0 the
+        The offset planes (Q, 6, B) of e^{r_m (x - x_b)} are a prefix of the
+        planes of the tables `shared` of another block when the offsets agree
+        with a prefix of its offsets to the rounding of the nodes; base (Q,
+        3) holds e^{r_m x_b}.  On x >= 0 the
         collar cutoff is 1 and live/taper are None.  Otherwise rho(gamma x)
         vanishes for gamma |x| >= collar and the gammas ascend, so the nodes
         where the taper does not vanish across the block are a prefix of
@@ -409,12 +414,13 @@ class BoundaryPotential:
         quad = self.quad
         x_b = float(np.min(xs))
         offsets = xs - x_b
-        if shared is not None and len(shared[0]) == len(offsets) and np.allclose(
-            shared[0], offsets, rtol=0.0, atol=4.0 * np.finfo(float).eps * np.max(np.abs(xs))
+        n = len(offsets)
+        if shared is not None and len(shared[0]) >= n and np.allclose(
+            shared[0][:n], offsets, rtol=0.0, atol=4.0 * np.finfo(float).eps * np.max(np.abs(xs))
         ):
-            table = shared[1]
+            table = shared[1][:, :, :n]
         else:
-            table = _root_planes(quad.roots, lambda r: np.exp(np.outer(r, offsets)), len(xs))
+            table = _root_planes(quad.roots, lambda r: np.exp(np.outer(r, offsets)), n)
         z = quad.roots * x_b
         if x_b >= 0:
             return offsets, table, np.exp(z), None, None
@@ -426,14 +432,21 @@ class BoundaryPotential:
         return offsets, table, base, live, taper[:live].copy()
 
     def field_values(self, xtargets, ttargets) -> np.ndarray:
-        """Field samples, shape (len(xtargets), len(ttargets)).
+        """Field samples, shape (len(xtargets), len(ttargets)), with the
+        x-block tables kept as the class docstring says.
 
         On an x < 0 block the oscillatory root (column 2) is summed on every
         node and the two decaying roots on the `live` prefix only, under the
         taper; the other entries are zero and are not summed."""
         xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
         ttargets = np.asarray(ttargets, dtype=float)
-        tables = self._blocks.get(xtargets.tobytes()) or self._x_block_tables(xtargets)
+        key = xtargets.tobytes()
+        tables = self._blocks.get(key)
+        if tables is None:
+            first = next(iter(self._blocks.values()), None)
+            tables = self._x_block_tables(xtargets, first)
+            if first is None or tables[1].base is first[1]:  # a view of the kept table
+                self._blocks[key] = tables
         _, table, base, live, taper = tables
         blocks = _coefficient_blocks(base * self.coeffs)
         if live is None:
@@ -457,15 +470,9 @@ class BoundaryPotential:
         fixed-point loop makes once per application.
         """
         xnodes = np.asarray(xnodes, dtype=float)
-        if xnodes.tobytes() != self._grid_key:
-            self._grid_key, self._blocks = xnodes.tobytes(), {}
         weight = weight[self.t_sel]
         for start in range(0, len(xnodes), X_BLOCK):
-            xs = xnodes[start : start + X_BLOCK]
-            if xs.tobytes() not in self._blocks:
-                first = next(iter(self._blocks.values()), None)
-                self._blocks[xs.tobytes()] = self._x_block_tables(xs, first)
-            block = self.field_values(xs, self.ttargets)
+            block = self.field_values(xnodes[start : start + X_BLOCK], self.ttargets)
             block *= weight
             values[start : start + X_BLOCK, self.t_sel] += block
 

@@ -203,11 +203,9 @@ class GammaWorkspace:
             "data_band": truncation_radius([data.g_l], SPECTRUM_TOL, np.inf)[0],
         }
         self.h = np.array([h.values for h in data.boundary_series])
-        # One spectrum gives q and the free term, as in `apply`; the
-        # (T, X // 2 + 1) table behind it is not read again: free it before
-        # the potential's.
+        # One spectrum gives q and the free term, as in `apply`; it is
+        # freed before the potential's tables are built.
         spec = self.plan.free_spectrum(data.g_l.values, cfg.tgrid)
-        self.plan.release_free_phases()
         self.q = trace_at_origin(spec, cfg.tgrid, self.plan)
         self.linear = x_half_values(spec, cfg.xgrid)
         del spec

@@ -15,9 +15,11 @@ of the integral at every time node in one sweep per time direction; on the
 uniform time grid every panel's Gauss sum is its end values and slopes
 times one fixed (4, K) Hermite phase table per direction.
 `PropagatorPlan.free_spectrum` gives the half spectrum of a datum's free
-evolution, and `trace_at_origin` reads the real x = 0 traces off any such
-half spectrum.  The datum g is real (the grid types hold real samples only),
-and so are `apply_group` and `free_field`.
+evolution (no phase table outlives the call), `free_field` and
+`kato_smoothing_ratio` read the field and the trace gains off one such
+spectrum, and `trace_at_origin` reads the real x = 0 traces off any half
+spectrum.  The datum g is real (the grid types hold real samples only), and
+so are `apply_group` and `free_field`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Precomputed frequency powers and free-evolution phases for one spatial grid."""
+    """Precomputed frequency powers and trace multipliers for one spatial grid."""
 
     xgrid: UniformGrid
 
@@ -74,18 +76,10 @@ class PropagatorPlan:
     def free_spectrum(self, values: np.ndarray, tgrid: UniformGrid) -> np.ndarray:
         """Half x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g for the real
         samples `values` of g on the plan's grid, shape (X // 2 + 1, T): the
-        transposed product of g_hat with a (T, X // 2 + 1) phase table, which
-        the plan keeps for the last time grid asked for until
-        `release_free_phases`."""
-        cached = self.__dict__.get("_free_phases")
-        if cached is None or cached[0] != tgrid:
-            cached = (tgrid, np.exp(-1j * np.outer(tgrid.nodes, self.xi5)))
-            self.__dict__["_free_phases"] = cached
-        return (cached[1] * x_half_spectrum(values, self.xgrid)).T
-
-    def release_free_phases(self) -> None:
-        """Drop the cached e^{-i t_n xi^5} table (it is rebuilt on demand)."""
-        self.__dict__.pop("_free_phases", None)
+        transposed product of g_hat with a (T, X // 2 + 1) phase table built
+        on every call.  Nothing is cached: a caller that reads the spectrum
+        twice holds it."""
+        return (np.exp(-1j * np.outer(tgrid.nodes, self.xi5)) * x_half_spectrum(values, self.xgrid)).T
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan) -> GridFunction:
@@ -98,9 +92,10 @@ def apply_group(g: GridFunction, t: float, plan: PropagatorPlan) -> GridFunction
     return type(g)(g.grid, x_half_values(evolved, g.grid))
 
 
-def free_field(g: GridFunction, tgrid: UniformGrid, plan: PropagatorPlan) -> SpaceTimeField:
-    """W(t_n) g for every node of tgrid, as one space-time field."""
-    return SpaceTimeField(g.grid, tgrid, x_half_values(plan.free_spectrum(g.values, tgrid), g.grid))
+def free_field(spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan) -> SpaceTimeField:
+    """W(t_n) g for every node of tgrid, as one space-time field, from the
+    free spectrum `spec` of g that `PropagatorPlan.free_spectrum` gives."""
+    return SpaceTimeField(plan.xgrid, tgrid, x_half_values(spec, plan.xgrid))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -229,14 +224,18 @@ def trace_at_origin(spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan) 
     return eta(tgrid.nodes) * scale * (plan.trace_multipliers @ spec[:k]).real
 
 
-def kato_smoothing_ratio(g: GridFunction, s: float, tgrid: UniformGrid, plan: PropagatorPlan) -> tuple:
+def kato_smoothing_ratio(
+    g: GridFunction, s: float, spec: np.ndarray, tgrid: UniformGrid, plan: PropagatorPlan
+) -> tuple:
     """Trace-gain diagnostics (r0, r1, r2): the time-Sobolev norm of order
     (s + 2 - j)/5 of the cut-off origin trace of order j of the free
-    evolution, over the H^s norm of the datum."""
+    evolution, over the H^s norm of the datum.  The traces are read off
+    `spec`, g's free spectrum on tgrid as `PropagatorPlan.free_spectrum`
+    gives it."""
     denom = sobolev_norm(g, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for zero datum")
-    traces = trace_at_origin(plan.free_spectrum(g.values, tgrid), tgrid, plan)
+    traces = trace_at_origin(spec, tgrid, plan)
     return tuple(
         sobolev_norm(TimeSeries(tgrid, trace), (s + 2.0 - j) / 5.0) / denom
         for j, trace in enumerate(traces)

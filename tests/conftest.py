@@ -11,7 +11,9 @@ x, on every row of `grid.frequencies`, in the package's convention.  The
 package holds real functions as their half spectra only; the tests use this
 pair as the independent oracle of those (`from conftest import ...`).
 `random_band_limited` draws the tests' seeded band-limited real data.
-`potential_field` is a boundary potential's field on a grid by itself.
+`potential_field` is a boundary potential's field on a grid by itself;
+`evolved_field` and `kato_ratios` read a datum's free field and trace gains
+off its free spectrum, as the linear-only pipeline does.
 """
 
 import numpy as np
@@ -21,6 +23,8 @@ from kdv5half import (
     GridFunction,
     SolverConfig,
     UniformGrid,
+    free_field,
+    kato_smoothing_ratio,
     manufactured_data,
     picard_solve,
 )
@@ -81,6 +85,16 @@ def potential_field(pot, xnodes) -> np.ndarray:
     values = np.zeros((len(xnodes), pot.tgrid.count), order="F")
     pot.add_field_on_grid(values, xnodes, np.ones(pot.tgrid.count))
     return values
+
+
+def evolved_field(g, tgrid, plan):
+    """W(t_n) g on every node of tgrid: `free_field` of g's free spectrum."""
+    return free_field(plan.free_spectrum(g.values, tgrid), tgrid, plan)
+
+
+def kato_ratios(g, s, tgrid, plan) -> tuple:
+    """`kato_smoothing_ratio` of the datum g, read off its free spectrum."""
+    return kato_smoothing_ratio(g, s, plan.free_spectrum(g.values, tgrid), tgrid, plan)
 
 
 DEFAULT_X = dict(origin=-40.0, step=80.0 / 1024, count=1024)

@@ -17,7 +17,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import potential_field, random_band_limited
+from conftest import evolved_field, kato_ratios, potential_field, random_band_limited
 from kdv5half import (
     BoundaryPotential,
     BoundaryQuadrature,
@@ -31,8 +31,6 @@ from kdv5half import (
     apply_group,
     bilinear_ratio,
     boundary_potential_traces,
-    free_field,
-    kato_smoothing_ratio,
     picard_solve,
     right_bump,
     seeded_band_limited_field,
@@ -140,7 +138,7 @@ class TestInteriorResidual:
         # the time stencil at this step; a width-2 Gaussian already fails.
         for width in (4.0, 6.0):
             g = GridFunction(self.XG, 0.05 * np.exp(-((self.XG.nodes / width) ** 2)))
-            field = free_field(g, self.TG, plan)
+            field = evolved_field(g, self.TG, plan)
             residual = pde_residual(field, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
             assert residual < 1e-8
 
@@ -189,7 +187,7 @@ class TestTraceGain:
             # ensemble for each order j separately.
             coarse_max = np.max(
                 [
-                    kato_smoothing_ratio(
+                    kato_ratios(
                         random_band_limited(coarse_x, 3.0, rng=np.random.default_rng(1000 + k)),
                         s, coarse_t, coarse_plan,
                     )
@@ -199,7 +197,7 @@ class TestTraceGain:
             )
             fine_max = np.max(
                 [
-                    kato_smoothing_ratio(
+                    kato_ratios(
                         random_band_limited(fine_x, 3.0, rng=np.random.default_rng(1000 + k)),
                         s, fine_t, fine_plan,
                     )

@@ -622,6 +622,23 @@ class TestFoldedTimeTable:
         for values in added:
             assert np.array_equal(values, want)
 
+    def test_every_block_reads_the_first_blocks_offset_table(self):
+        # One offset table per potential: the x-blocks of a uniform grid, the
+        # shorter last one included, read a prefix of the first block's
+        # planes, and the short block's field is its own table's to rounding
+        # (measured 5.9e-16).
+        # A block whose offsets match no prefix is evaluated and not kept.
+        t_sel = rows_in(0.0, 2.0)
+        pot = three_channel_potential(t_sel=t_sel)
+        xs = np.linspace(-1.0, 3.0, X_BLOCK + 72)
+        potential_field(pot, xs)
+        (_, first, *_), (_, short, *_) = pot._blocks.values()
+        assert short.base is first and short.shape == (len(pot.quad.betas), 6, 72)
+        own = three_channel_potential(t_sel=t_sel).field_values(xs[X_BLOCK:], TG.nodes[t_sel])
+        assert rel_max_error(pot.field_values(xs[X_BLOCK:], TG.nodes[t_sel]), own) <= 1e-13
+        pot.field_values(np.array([0.0, 0.3, 1.0]), [0.5])
+        assert len(pot._blocks) == 2
+
 
 def dense_half_sum(pot, xs, ts):
     """2 Re sum_q e^{i beta_q t} sum_m c_m e^{r_m x} rho_m(gamma_q x) on the

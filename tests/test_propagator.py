@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from conftest import full_spectrum, full_values, random_band_limited
+from conftest import evolved_field, full_spectrum, full_values, kato_ratios, random_band_limited
 from kdv5half.cutoffs import eta
 from kdv5half.grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import (
@@ -108,7 +108,7 @@ class TestGroup:
 class TestFreeField:
     def test_matches_group_slices(self):
         g = gaussian_datum(center=-1.0)
-        F = free_field(g, TG, PLAN)
+        F = free_field(PLAN.free_spectrum(g.values, TG), TG, PLAN)
         assert F.values.dtype == np.float64
         for n in (0, 100, 512, 1023):
             slice_n = F.values[:, n]
@@ -116,22 +116,24 @@ class TestFreeField:
             assert np.max(np.abs(slice_n - direct)) < 1e-11
 
     def test_free_spectrum_is_the_evolved_datum_spectrum(self):
-        # e^{-i t xi^5} g_hat on the rows xi >= 0 at every node; a released
-        # table is rebuilt to the same bits.
+        # e^{-i t xi^5} g_hat on the rows xi >= 0 at every node, bit for bit
+        # the (T, X // 2 + 1) phase table times g_hat, transposed; the plan
+        # keeps no table of that size, and a second call gives the same bits.
         g = gaussian_datum(center=-1.0)
         plan = PropagatorPlan(XG)
         spec = plan.free_spectrum(g.values, TG)
         rows = XG.count // 2 + 1
-        assert spec.shape == (rows, TG.count)
+        assert spec.shape == (rows, TG.count) and spec.flags.f_contiguous
         for n in (0, 100, 512, 1023):
             direct = full_spectrum(apply_group(g, TG.nodes[n], plan).values, XG)[:rows]
             assert np.max(np.abs(spec[:, n] - direct)) < 1e-11
-        plan.release_free_phases()
-        assert "_free_phases" not in vars(plan)
+        table = np.exp(-1j * np.outer(TG.nodes, plan.xi5))
+        assert np.array_equal(spec, (table * x_half_spectrum(g.values, XG)).T)
+        assert all(np.size(value) < rows * TG.count for value in vars(plan).values())
         assert np.array_equal(plan.free_spectrum(g.values, TG), spec)
 
     def test_returns_field_on_both_grids(self):
-        F = free_field(gaussian_datum(), TG, PLAN)
+        F = evolved_field(gaussian_datum(), TG, PLAN)
         assert isinstance(F, SpaceTimeField)
         assert F.xgrid == XG and F.tgrid == TG
 
@@ -369,8 +371,9 @@ class TestTraceAtOrigin:
     def test_field_source_matches_datum_source(self, seed, band):
         g = random_band_limited(XG, band=band, rng=np.random.default_rng(seed))
         plan = PropagatorPlan(XG)
-        from_datum = trace_at_origin(plan.free_spectrum(g.values, TG), TG, plan)
-        spectrum = x_half_spectrum(free_field(g, TG, plan).values, XG)
+        spec = plan.free_spectrum(g.values, TG)
+        from_datum = trace_at_origin(spec, TG, plan)
+        spectrum = x_half_spectrum(free_field(spec, TG, plan).values, XG)
         from_field = trace_at_origin(spectrum, TG, plan)
         for j in range(3):
             assert np.max(np.abs(from_datum[j] - from_field[j])) < 1e-10, j
@@ -395,7 +398,7 @@ class TestKatoRatio:
         rng = np.random.default_rng(5)
         g = random_band_limited(XG, band=4.0, rng=rng)
         for s in (0.0, 1.0):
-            ratios = kato_smoothing_ratio(g, s, TG, PLAN)
+            ratios = kato_ratios(g, s, TG, PLAN)
             assert len(ratios) == 3
             for r in ratios:
                 assert np.isfinite(r) and r > 0.0
@@ -413,12 +416,12 @@ class TestKatoRatio:
             sobolev_norm(TimeSeries(TG, trace.real), (s + 2.0 - j) / 5.0) / sobolev_norm(g, s)
             for j, trace in enumerate(traces)
         ]
-        assert kato_smoothing_ratio(g, s, TG, PLAN) == pytest.approx(expected, rel=1e-12)
+        assert kato_ratios(g, s, TG, PLAN) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_datum_rejected(self):
         g = GridFunction(XG, np.zeros(XG.count))
         with pytest.raises(ValueError, match="zero datum"):
-            kato_smoothing_ratio(g, 1.0, TG, PLAN)
+            kato_smoothing_ratio(g, 1.0, PLAN.free_spectrum(g.values, TG), TG, PLAN)
 
     def test_stable_under_refinement(self):
         # The same band-limited datum drawn on a twice-finer lattice changes
@@ -427,6 +430,6 @@ class TestKatoRatio:
         fine_t = UniformGrid(TG.origin, TG.step / 2.0, TG.count * 2)
         coarse = random_band_limited(XG, band=4.0, rng=np.random.default_rng(77))
         fine = random_band_limited(fine_x, band=4.0, rng=np.random.default_rng(77))
-        r0 = kato_smoothing_ratio(coarse, 1.0, TG, PLAN)[1]
-        r1 = kato_smoothing_ratio(fine, 1.0, fine_t, PropagatorPlan(fine_x))[1]
+        r0 = kato_ratios(coarse, 1.0, TG, PLAN)[1]
+        r1 = kato_ratios(fine, 1.0, fine_t, PropagatorPlan(fine_x))[1]
         assert abs(r1 - r0) <= 0.1 * r0

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 
 from conftest import full_spectrum, full_values
 from kdv5half import scenarios
+from kdv5half.boundary import BoundaryPotential
 from kdv5half.cli import main
 from kdv5half.fixed_point import SolverData, picard_solve
 from kdv5half.grids import TimeSeries, UniformGrid, field_to_csv
+from kdv5half.propagator import PropagatorPlan
 from kdv5half.verification import halfline_box, manufactured_data
 from kdv5half.scenarios import (
     _CHECKS,
@@ -735,3 +738,74 @@ class TestBundledScenarios:
             if sc.pipeline in ("full-solve", "verify-all"):
                 cfg = sc.solver_config(sc.depth)
                 assert cfg.T > 0
+
+
+def traced_verify_peak(name: str) -> float:
+    """Peak tracemalloc allocation, in MiB above the start, of a `verify` of
+    the bundled scenario `name` without artifacts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code, _ = run_scenario(SCENARIO_DIR / f"{name}.json", command="verify")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak / 2.0**20
+
+
+class TestLinearWorkloadPipelines:
+    # The two pipelines of the `linear` benchmark workload.  Allocation
+    # guards in MiB of tracemalloc above the start of a run, measured with
+    # numpy 2.4: 38.19 for the linear-only verify (64.1 when the free field
+    # and the Kato traces built a spectrum each and `pde_residual` held four
+    # (X, T) arrays), 44.27 for the boundary-only verify, whose ceiling is
+    # the trace potential's folded-table build.  The 5% margin is 1.9 and
+    # 2.2 MiB, below one more 8 MiB (X, T) field or (T, X // 2 + 1) phase
+    # table, or one more 9 MiB folded-table temporary, left alive.
+    LINEAR_PEAK, BOUNDARY_PEAK = 38.19, 44.27
+    MARGIN = 1.05
+
+    def test_linear_only_verify_allocations(self):
+        # One free spectrum, freed before `pde_residual`, which holds one
+        # (X, T) array beside the field.
+        peak = traced_verify_peak("linear_diagnostics")
+        assert peak <= self.MARGIN * self.LINEAR_PEAK, peak
+
+    def test_boundary_only_verify_allocations(self):
+        peak = traced_verify_peak("boundary_traces")
+        assert peak <= self.MARGIN * self.BOUNDARY_PEAK, peak
+
+    def test_linear_only_verify_builds_one_free_spectrum(self, monkeypatch):
+        # The free field and the Kato traces read the same spectrum.
+        built = []
+        original = PropagatorPlan.free_spectrum
+
+        def counting(plan, values, tgrid):
+            built.append(tgrid.count)
+            return original(plan, values, tgrid)
+
+        monkeypatch.setattr(PropagatorPlan, "free_spectrum", counting)
+        code, summary = run_scenario(SCENARIO_DIR / "linear_diagnostics.json", command="verify")
+        assert code == 0
+        assert {"interior_residual_free", "kato_ratio_max"} <= set(summary["checks"])
+        assert built == [1024]
+
+    def test_the_probe_builds_one_offset_table_per_depth(self, monkeypatch):
+        # The initial-vanishing probe evaluates four x-blocks (the last one
+        # short) at each of two depths; every block of a depth reads the
+        # offset table its first block made.
+        tables = []
+        original = BoundaryPotential._x_block_tables
+
+        def recording(pot, xs, shared=None):
+            found = original(pot, xs, shared)
+            owner = found[1] if found[1].base is None else found[1].base
+            if not any(owner is table for table in tables):
+                tables.append(owner)
+            return found
+
+        monkeypatch.setattr(BoundaryPotential, "_x_block_tables", recording)
+        code, _ = run_scenario(SCENARIO_DIR / "boundary_traces.json", command="verify")
+        assert code == 0
+        assert len(tables) == 2

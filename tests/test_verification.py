@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import full_values, random_band_limited
+from conftest import evolved_field, full_values, random_band_limited
 from kdv5half import verification
 from kdv5half.boundary import AccuracyError
 from kdv5half.grids import GridFunction, PreconditionError, SpaceTimeField, TimeSeries, UniformGrid
-from kdv5half.propagator import PropagatorPlan, apply_group, free_field
+from kdv5half.propagator import PropagatorPlan, apply_group
 from kdv5half.spectral import sobolev_norm
 from kdv5half.verification import (
     HarnessError,
@@ -293,14 +293,14 @@ class TestPdeResidual:
     def test_free_field_satisfies_linear_equation(self):
         tg = UniformGrid(-1.0, 2.0 / 512, 512)
         g = gaussian(0.05, width=4.0, grid=self.WIDE)
-        F = free_field(g, tg, PropagatorPlan(self.WIDE))
+        F = evolved_field(g, tg, PropagatorPlan(self.WIDE))
         res = pde_residual(F, x_range=(-10.0, 10.0), t_range=(-0.5, 0.5))
         assert res < 1e-8
 
     def test_negative_control(self):
         tg = UniformGrid(-1.0, 2.0 / 256, 256)
         g = gaussian(0.05, width=4.0, grid=self.WIDE)
-        F = free_field(g, tg, PropagatorPlan(self.WIDE))
+        F = evolved_field(g, tg, PropagatorPlan(self.WIDE))
         bad = SpaceTimeField(
             F.xgrid, F.tgrid, F.values * (1.0 + 0.1 * np.sin(F.xgrid.nodes)[:, None])
         )
@@ -321,11 +321,11 @@ class TestPdeResidual:
 
     def test_validation(self):
         tg = UniformGrid(-1.0, 2.0 / 256, 256)
-        F = free_field(gaussian(0.05), tg, PropagatorPlan(XG))
+        F = evolved_field(gaussian(0.05), tg, PropagatorPlan(XG))
         short = SpaceTimeField(XG, UniformGrid(0.0, 0.1, 4), np.zeros((XG.count, 4), complex))
         with pytest.raises(ValueError, match="too short"):
             pde_residual(short)
-        other = free_field(gaussian(0.05), UniformGrid(-1.0, 2.0 / 128, 128), PropagatorPlan(XG))
+        other = evolved_field(gaussian(0.05), UniformGrid(-1.0, 2.0 / 128, 128), PropagatorPlan(XG))
         with pytest.raises(ValueError, match="share the field's grids"):
             pde_residual(F, fifth_x=other)
 
@@ -433,7 +433,7 @@ class TestTailSlopes:
         freqs = XG.frequencies
         coeffs = (1.0 + np.abs(freqs)) ** (-1.5)
         f = GridFunction(XG, full_values(coeffs, XG).real)
-        F = free_field(f, tg, PropagatorPlan(XG))
+        F = evolved_field(f, tg, PropagatorPlan(XG))
         slope = field_tail_slope(F, (2.0, 20.0), range(9))
         assert slope == pytest.approx(-1.5, abs=0.05)
 
@@ -469,7 +469,7 @@ class TestSmoothingReport:
         tnodes = cfg.tgrid.nodes
         t_sel = np.where((tnodes >= -1e-14) & (tnodes <= cfg.T + 1e-14))[0]
         samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
-        free = free_field(result.workspace.data.g_l, cfg.tgrid, PropagatorPlan(cfg.xgrid)).values
+        free = evolved_field(result.workspace.data.g_l, cfg.tgrid, PropagatorPlan(cfg.xgrid)).values
         want = [
             max(
                 sobolev_norm(GridFunction(cfg.xgrid, free[:, n]), cfg.s + 0.15, band=cap)
