@@ -29,6 +29,12 @@ of e^{i beta t}, so the field at +-t is 2 (cos(beta |t|) Re K -+ sin(beta |t|)
 Im K) for the kernel sums K, and the potential stores real cos and sin of
 beta |t| on the distinct values of |t| among its rows only.  Rows pair by
 exact equality of |t|; a symmetric window needs half the table.
+
+Both dense tables come from exact angle sums (`spectral.phase_table`): the
+folded time table's cos and sin of beta |t|, and the x-block offset planes
+e^{r_m (x - x_b)}, as e^{Re r_m o} times cos and sin of Im r_m o over the
+offsets o = x - x_b.  libm's cos and sin run once per distinct coarse and
+fine row of the split t = m H + r, not once per entry.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 
 from .cutoffs import rho
 from .grids import PreconditionError, TimeSeries
-from .spectral import BAND_CAP, half_multiplicity, x_half_spectrum
+from .spectral import BAND_CAP, half_multiplicity, phase_table, x_half_spectrum
 
 __all__ = [
     "AccuracyError",
@@ -226,21 +232,28 @@ def truncation_radius(series, tolerance: float, cap: float):
 X_BLOCK = 128
 
 
-def _root_planes(roots: np.ndarray, column, width: int) -> np.ndarray:
-    """Real planes (Q, 6, width) [Re z_0, Im z_0, Re z_1, Im z_1, Re z_2, Im z_2]
-    of the complex (Q, width) columns z_m = column(roots[:, m]), built one root
-    at a time, so one complex (Q, width) temporary is held."""
-    out = np.empty((len(roots), 6, width))
+def _offset_planes(roots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Real planes (Q, 6, B) [Re E_0, Im E_0, Re E_1, Im E_1, Re E_2, Im E_2]
+    of E_m = e^{r_m o} for the roots (Q, 3) and the offsets o >= 0 (B), one
+    root at a time: e^{Re r_m o} <= 1 in the Re plane, times cos and sin of
+    Im r_m o, which `phase_table` writes from exact angle sums over the
+    offsets into one (B, Q) pair shared by the three roots."""
+    out = np.empty((len(roots), 6, len(offsets)))
+    cos, sin = np.empty((2, len(offsets), len(roots)))
     for m in range(3):
-        z = column(roots[:, m])
-        out[:, 2 * m], out[:, 2 * m + 1] = z.real, z.imag
+        phase_table(offsets, roots[:, m].imag, cos, sin)
+        re, im = out[:, 2 * m], out[:, 2 * m + 1]
+        np.exp(np.outer(roots[:, m].real, offsets, out=re), out=re)
+        np.multiply(re, sin.T, out=im)
+        re *= cos.T
     return out
 
 
 def _coefficient_blocks(coef: np.ndarray) -> np.ndarray:
-    """Real (Q, 2, 6) matrices of the complex coef (Q, 3) that map the planes
-    of `_root_planes` to Re and Im of sum_m coef_m z_m: blocks [[a, -b],
-    [b, a]] of a + ib = coef_m, so the kernel planes are one batched matmul."""
+    """Real (Q, 2, 6) matrices of the complex coef (Q, 3) that map real
+    planes (Q, 6, B) [Re z_0, Im z_0, Re z_1, Im z_1, Re z_2, Im z_2] to Re
+    and Im of sum_m coef_m z_m: blocks [[a, -b], [b, a]] of a + ib = coef_m,
+    so the kernel planes are one batched matmul."""
     a, b = coef.real, coef.imag
     rows = np.stack([np.stack([a, -b], axis=-1), np.stack([b, a], axis=-1)], axis=1)
     return rows.reshape(len(coef), 2, 6)
@@ -249,8 +262,8 @@ def _coefficient_blocks(coef: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _FoldedTable:
     """e^{i beta t} on the targets t, folded about t = 0: cos and sin of
-    beta |t| on the distinct |t| (U, Q), the row of each target among them
-    and sign(t)."""
+    beta |t| on the distinct |t| (U, Q), which `phase_table` writes in
+    place, the row of each target among them and sign(t)."""
 
     cos: np.ndarray
     sin: np.ndarray
@@ -260,8 +273,10 @@ class _FoldedTable:
     @classmethod
     def build(cls, ttargets: np.ndarray, betas: np.ndarray) -> "_FoldedTable":
         mags, rows = np.unique(np.abs(ttargets), return_inverse=True)
-        phase = np.outer(mags, betas)
-        return cls(np.cos(phase), np.sin(phase), rows, np.sign(ttargets))
+        shape = (len(mags), len(betas))
+        cos, sin = np.empty(shape), np.empty(shape)
+        phase_table(mags, betas, cos, sin)
+        return cls(cos, sin, rows, np.sign(ttargets))
 
     def node_sum(self, planes: np.ndarray) -> np.ndarray:
         """2 Re (e^{i beta t} @ K) on the targets, (T, B) for the kernel
@@ -420,7 +435,7 @@ class BoundaryPotential:
         ):
             table = shared[1][:, :, :n]
         else:
-            table = _root_planes(quad.roots, lambda r: np.exp(np.outer(r, offsets)), n)
+            table = _offset_planes(quad.roots, offsets)
         z = quad.roots * x_b
         if x_b >= 0:
             return offsets, table, np.exp(z), None, None
@@ -480,8 +495,11 @@ class BoundaryPotential:
         """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel
         derivatives (r^j factors), shape (3, len(ttargets))."""
         ttargets = np.asarray(ttargets, dtype=float)
-        powers = _root_planes(self.quad.roots, lambda r: r[:, None] ** np.arange(3), 3)
-        planes = np.matmul(_coefficient_blocks(self.coeffs), powers)
+        powers = self.quad.roots[:, :, None] ** np.arange(3)  # (Q, 3, 3): r_m^j
+        planes = np.matmul(
+            _coefficient_blocks(self.coeffs),
+            np.stack([powers.real, powers.imag], axis=2).reshape(len(powers), 6, 3),
+        )
         return self._time_table(ttargets).node_sum(planes).T
 
     def trace_on_grid(self) -> tuple:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cutoffs import eta
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
-from .spectral import band_mask, half_multiplicity, sobolev_norm, x_half_spectrum, x_half_values
+from .spectral import band_mask, half_multiplicity, phase_table, sobolev_norm, x_half_spectrum, x_half_values
 
 __all__ = [
     "PropagatorPlan",
@@ -75,11 +75,15 @@ class PropagatorPlan:
 
     def free_spectrum(self, values: np.ndarray, tgrid: UniformGrid) -> np.ndarray:
         """Half x-spectrum e^{-i t_n xi^5} g_hat of W(t_n) g for the real
-        samples `values` of g on the plan's grid, shape (X // 2 + 1, T): the
-        transposed product of g_hat with a (T, X // 2 + 1) phase table built
-        on every call.  Nothing is cached: a caller that reads the spectrum
+        samples `values` of g on the plan's grid, shape (X // 2 + 1, T): a
+        (T, X // 2 + 1) complex table, its real and imaginary parts written
+        by `phase_table` from exact angle sums, scaled by g_hat in place and
+        transposed.  Nothing is cached: a caller that reads the spectrum
         twice holds it."""
-        return (np.exp(-1j * np.outer(tgrid.nodes, self.xi5)) * x_half_spectrum(values, self.xgrid)).T
+        table = np.empty((tgrid.count, len(self.xi5)), dtype=np.complex128)
+        phase_table(-tgrid.nodes, self.xi5, table.real, table.imag)
+        table *= x_half_spectrum(values, self.xgrid)
+        return table.T
 
 
 def apply_group(g: GridFunction, t: float, plan: PropagatorPlan) -> GridFunction:

@@ -14,6 +14,9 @@ Nyquist frequency last, at -nyquist), and the rows xi < 0 are their
 conjugates.  A sum over the whole spectrum is a sum over these rows weighted
 by `half_multiplicity`.  The 2-D pair (`spectrum_matrix`) stays complex for
 the bilinear probes' fields.
+
+`phase_table` tabulates cos and sin of t_i f_k for the dense phase tables of
+the group and of the boundary potential, one angle-sum product per entry.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "sobolev_norm",
     "band_mask",
     "nonuniform_transform",
+    "phase_table",
 ]
 
 
@@ -161,3 +165,64 @@ def nonuniform_transform(f: GridFunction, freqs) -> np.ndarray:
         )
     return out
 
+
+def _split_unit(t: np.ndarray) -> float:
+    """The power of two H for which the targets t, split as m H + r with
+    m = round(t / H), have the fewest distinct m plus distinct r.  Above
+    2 max |t| every m is 0 and every distinct t is its own r; H halves from
+    there until the distinct m alone leave no room for a better count,
+    which they do at the latest once every distinct t has its own m."""
+    exponent = int(np.frexp(np.max(np.abs(t)))[1])
+    best, best_count = np.ldexp(1.0, exponent + 1), 1 + len(np.unique(t))
+    while True:
+        unit = np.ldexp(1.0, exponent)
+        m = np.round(t / unit)
+        coarse = len(np.unique(m))
+        if coarse + 1 >= best_count:
+            return best
+        count = coarse + len(np.unique(t - m * unit))
+        if count < best_count:
+            best, best_count = unit, count
+        exponent -= 1
+
+
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    out = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
+def phase_table(targets, freqs, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Write cos(t_i f_k) into cos[i, k] and sin(t_i f_k) into sin[i, k] for
+    the targets t (N) and frequencies f (K); cos and sin are (N, K) arrays
+    or views of any strides, such as the real and imaginary parts of a
+    complex table.
+
+    Each target splits exactly as t_i = m_i H + r_i with m_i = round(t_i / H)
+    and H a power of two: m_i H is exact, and so is r_i = t_i - m_i H, since
+    |r_i| <= H / 2 <= |t_i| whenever m_i != 0 (Sterbenz).  cos and sin are
+    evaluated once on each distinct coarse angle (m H) f and fine angle r f,
+    and each entry is the angle sum e^{i t f} = e^{i m H f} e^{i r f}, one
+    complex product.  H is the power of two with the fewest distinct m and
+    r (`_split_unit`): on N targets of a uniform grid of dyadic step about
+    2 sqrt(N) rows of libm cos and sin, against N for a direct table; on
+    targets without such structure (non-dyadic, unsorted, repeated) the
+    split still holds exactly, only with more distinct rows.  The angles
+    are rounded twice instead of once, so an entry is within a few eps
+    (1 + |t_i f_k|) of the exact cos and sin.
+    """
+    t = np.asarray(targets, dtype=float)
+    f = np.asarray(freqs, dtype=float)
+    if t.size == 0:
+        return
+    unit = _split_unit(t)
+    m = np.round(t / unit)
+    coarse, row_coarse = np.unique(m, return_inverse=True)
+    fine, row_fine = np.unique(t - m * unit, return_inverse=True)
+    fine_phase = _unit_phases(np.outer(fine, f))
+    for c, phase in enumerate(_unit_phases(np.outer(coarse * unit, f))):
+        rows = np.flatnonzero(row_coarse == c)
+        product = fine_phase[row_fine[rows]]
+        product *= phase
+        cos[rows], sin[rows] = product.real, product.imag

@@ -11,6 +11,7 @@ from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.spectral import (
     band_mask,
     nonuniform_transform,
+    phase_table,
     sobolev_norm,
     x_half_spectrum,
     x_half_values,
@@ -332,3 +333,48 @@ class TestHalfSpectrumSums:
             # the whole l1 mass (measured: 9.2e-17 of it at most).
             assert tail == pytest.approx(want_tail, rel=1e-13, abs=1e-13 * mass)
             assert ok == (want_tail == 0.0)
+
+
+@st.composite
+def phase_targets(draw):
+    """Targets for `phase_table`: a run of a grid of dyadic or non-dyadic
+    step, on that step's lattice or off it, with +0 and -0 and repeats
+    mixed in, in any order; from no target to a few dozen."""
+    step = draw(st.one_of(st.integers(-10, 3).map(lambda k: 2.0**k), st.floats(1e-3, 4.0)))
+    origin = draw(st.one_of(st.integers(-200, 200).map(lambda k: k * step), st.floats(-40.0, 40.0)))
+    targets = list(origin + step * np.arange(draw(st.integers(0, 40))))
+    targets += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2))
+    if targets:
+        targets += draw(st.lists(st.sampled_from(targets), max_size=5))
+    return np.array(draw(st.permutations(targets)), dtype=float)
+
+
+class TestPhaseTable:
+    # Per entry, |got - exact| <= 3 eps (1 + |t f|) for the exact cos and
+    # sin of the product of the float64 inputs: the two angle products are
+    # off by at most eps/2 (|m H| + |r|) |f| <= 1.5 eps |t f|, since
+    # |m H| + |r| <= |t| + H <= 3 |t| when m != 0; libm's cos and sin and the
+    # complex product add a few eps / 2 more.  Measured worst over a few
+    # thousand random cases: 0.61.
+    BOUND = 3.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        targets=phase_targets(),
+        freqs=st.lists(st.floats(-1e4, 1e4), max_size=12).map(np.array),
+    )
+    @example(targets=np.array([]), freqs=np.array([1.0, -3.5]))
+    @example(targets=np.array([0.7]), freqs=np.array([1e4, -2.0, 0.0]))
+    @example(targets=np.array([-0.0, 0.0, 0.0]), freqs=np.array([5.0, -5.0]))
+    def test_entries_match_long_double(self, targets, freqs):
+        assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+        # Written into the real and imaginary views of a complex table, as
+        # the free spectrum does; every entry is written.
+        table = np.full((len(targets), len(freqs)), np.nan, dtype=complex)
+        phase_table(targets, freqs, table.real, table.imag)
+        angle = np.outer(targets.astype(np.longdouble), freqs.astype(np.longdouble))
+        bound = self.BOUND * np.finfo(float).eps * (1.0 + np.abs(np.outer(targets, freqs)))
+        assert np.all(np.abs(table.real - np.cos(angle)) <= bound)
+        assert np.all(np.abs(table.imag - np.sin(angle)) <= bound)
+        zero = targets == 0.0
+        assert np.all(table[zero] == 1.0)
