@@ -45,7 +45,7 @@ import numpy as np
 
 from .cutoffs import rho
 from .grids import PreconditionError, TimeSeries
-from .spectral import BAND_CAP, half_multiplicity, phase_table, x_half_spectrum
+from .spectral import BAND_CAP, distinct_rows, half_multiplicity, phase_table, x_half_spectrum
 
 __all__ = [
     "AccuracyError",
@@ -272,7 +272,7 @@ class _FoldedTable:
 
     @classmethod
     def build(cls, ttargets: np.ndarray, betas: np.ndarray) -> "_FoldedTable":
-        mags, rows = np.unique(np.abs(ttargets), return_inverse=True)
+        mags, rows = distinct_rows(np.abs(ttargets))
         shape = (len(mags), len(betas))
         cos, sin = np.empty(shape), np.empty(shape)
         phase_table(mags, betas, cos, sin)

@@ -286,15 +286,17 @@ def long_double_phases(ts, betas, sign):
     return out
 
 
-def direct_field(pot, series, xs, ts, root_power=0):
+def direct_field(pot, series, xs, ts, root_powers=(0,)):
     """Independent oracle over the symmetric rule that pot.quad halves: the
     beta > 0 nodes of pot.quad and their mirrors -beta (roots from
     stable_root_array(-beta), oscillatory at index 0 there; same gammas and
-    weights).  (2 pi)^(-1/2) sum_q w_q e^{i beta_q t} sum_m c_m r_m^root_power
+    weights).  (2 pi)^(-1/2) sum_q w_q e^{i beta_q t} sum_m c_m r_m^p
     e^{r_m x} taper, with the data transforms of `series` by direct
     summation at every node, coefficients from a library solve of the
     Vandermonde systems, and e^{r x} evaluated only where the taper is
-    nonzero.  The phases of the data transforms and of the field come from
+    nonzero; one (len(xs), len(ts)) field per power p in `root_powers`,
+    all from one data transform, one phase table and one e^{r x} table.
+    The phases of the data transforms and of the field come from
     long-double angles (`long_double_phases`), so the oracle does not share
     the rounding of the angles with the potential's tables."""
     quad = pot.quad
@@ -310,13 +312,14 @@ def direct_field(pot, series, xs, ts, root_power=0):
     taper = rho(np.outer(gammas, xs), quad.collar)
     phases = long_double_phases(ts, betas, 1)
     osc_index = np.where(betas < 0, 0, 2)
-    out = np.zeros((len(xs), len(ts)), dtype=complex)
+    out = np.zeros((len(root_powers), len(xs), len(ts)), dtype=complex)
     for m in range(3):
         osc = osc_index == m
-        c = weights * coeffs[:, m] * roots[:, m] ** root_power
         tap = np.where(osc[:, None], 1.0, taper)
-        z = np.where(tap > 0, np.outer(roots[:, m], xs), 0.0)
-        out += (phases @ (c[:, None] * np.exp(z) * tap)).T
+        wave = np.exp(np.where(tap > 0, np.outer(roots[:, m], xs), 0.0))
+        for field, root_power in zip(out, root_powers):
+            c = weights * coeffs[:, m] * roots[:, m] ** root_power
+            field += (phases @ (c[:, None] * wave * tap)).T
     return out / np.sqrt(2.0 * np.pi)
 
 
@@ -371,13 +374,13 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential()
         series = three_channel_series()
         assert len(pot.coeffs) == len(pot.quad.betas)
-        for root_power, evaluated in ((0, pot), (5, fifth_derivative(pot))):
+        wants = direct_field(pot, series, self.XS, self.TS, root_powers=(0, 5))
+        for root_power, evaluated, want in zip((0, 5), (pot, fifth_derivative(pot)), wants):
             got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
-            want = direct_field(pot, series, self.XS, self.TS, root_power=root_power)
             assert rel_max_error(got, want) <= FIELD_BOUND[root_power], root_power
         shuffled = pot.field_values(self.XS[::-1], self.TS)
-        assert rel_max_error(shuffled[::-1], direct_field(pot, series, self.XS, self.TS)) <= 1e-13
+        assert rel_max_error(shuffled[::-1], wants[0]) <= 1e-13
 
     def test_field_on_grid_matches_direct_sum(self):
         # Three x-blocks crossing x = 0, the last one short; only the rows
@@ -388,18 +391,21 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential(t_sel=t_sel, x_span=6.0)
         uniform = np.linspace(-3.0, 6.0, 300)
         graded = -3.0 + 9.0 * np.linspace(0.0, 1.0, 300) ** 1.5
-        for xs in (uniform, uniform, graded):
+        series = three_channel_series()
+        on_uniform, fifth_on_uniform = direct_field(
+            pot, series, uniform, TG.nodes[t_sel], root_powers=(0, 5)
+        )
+        on_graded = direct_field(pot, series, graded, TG.nodes[t_sel])[0]
+        for xs, want in ((uniform, on_uniform), (uniform, on_uniform), (graded, on_graded)):
             values = potential_field(pot, xs)
             assert values.shape == (len(xs), TG.count)
             assert not np.any(values.imag)
             assert not np.any(np.delete(values, t_sel, axis=1))
-            want = direct_field(pot, three_channel_series(), xs, TG.nodes[t_sel])
             assert rel_max_error(values[:, t_sel], want) <= FIELD_BOUND[0]
         # The fifth derivative on x >= 0, where the high beta nodes dominate.
-        xs = uniform[uniform >= 0.0]
-        got = potential_field(fifth_derivative(pot), xs)[:, t_sel]
-        want = direct_field(pot, three_channel_series(), xs, TG.nodes[t_sel], root_power=5)
-        assert rel_max_error(got, want) <= FIELD_BOUND[5]
+        right = uniform >= 0.0
+        got = potential_field(fifth_derivative(pot), uniform[right])[:, t_sel]
+        assert rel_max_error(got, fifth_on_uniform[right]) <= FIELD_BOUND[5]
 
     def test_table_transform_matches_nonuniform_transform(self):
         t_sel = np.where((TG.nodes >= 0.0) & (TG.nodes <= 2.0))[0]
@@ -432,12 +438,12 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential()
         fresh = pot.trace_values(TG.nodes[::-1])[:, ::-1]
         assert fresh.shape == (3, TG.count)
+        wants = direct_field(pot, three_channel_series(), [0.0], TG.nodes, root_powers=(0, 1, 2))
         for j, got in enumerate(pot.trace_on_grid()):
             assert got.grid == TG
             assert not np.any(got.values.imag)
             assert rel_max_error(got.values, fresh[j]) <= 1e-13
-            want = direct_field(pot, three_channel_series(), [0.0], TG.nodes, root_power=j)[0]
-            assert rel_max_error(got.values, want) <= 1e-13, j
+            assert rel_max_error(got.values, wants[j][0]) <= 1e-13, j
 
     def test_far_left_field_stays_finite(self):
         # e^{Re r x_b} overflows for most nodes this far left; the taper is
@@ -450,7 +456,7 @@ class TestBoundaryPotentialTables:
         assert np.all(np.isfinite(got))
         # The phases r x themselves carry rounding of order eps * |r x| here.
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        want = direct_field(pot, three_channel_series(), xs, self.TS)
+        want = direct_field(pot, three_channel_series(), xs, self.TS)[0]
         assert rel_max_error(got, want) <= 4.0 * phase_rounding
 
 
@@ -534,10 +540,10 @@ class TestRealDataHalfRule:
         series = permuted_series()
         pot = three_channel_potential(series=series)
         assert len(pot.coeffs) == pot.quad.node_count // 2
-        for root_power, evaluated in ((0, pot), (5, fifth_derivative(pot))):
+        wants = direct_field(pot, series, self.XS, self.TS, root_powers=(0, 5))
+        for root_power, evaluated, want in zip((0, 5), (pot, fifth_derivative(pot)), wants):
             got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
-            want = direct_field(pot, series, self.XS, self.TS, root_power=root_power)
             assert rel_max_error(got, want) <= FIELD_BOUND[root_power], root_power
 
     def test_field_and_traces_on_grid_match_the_full_rule(self):
@@ -548,14 +554,14 @@ class TestRealDataHalfRule:
         values = potential_field(pot, xs)
         assert not np.any(values.imag)
         assert not np.any(np.delete(values, t_sel, axis=1))
-        want = direct_field(pot, series, xs, TG.nodes[t_sel])
+        want = direct_field(pot, series, xs, TG.nodes[t_sel])[0]
         assert rel_max_error(values[:, t_sel], want) <= 1e-13
+        wants = direct_field(pot, series, [0.0], TG.nodes[t_sel], root_powers=(0, 1, 2))
         for j, trace in enumerate(pot.trace_on_grid()):
             trace = trace.values
             assert not np.any(trace.imag)
             assert not np.any(np.delete(trace, t_sel))
-            want = direct_field(pot, series, [0.0], TG.nodes[t_sel], root_power=j)[0]
-            assert rel_max_error(trace[t_sel], want) <= 1e-13, j
+            assert rel_max_error(trace[t_sel], wants[j][0]) <= 1e-13, j
 
     def test_far_left_field_stays_finite(self):
         series = permuted_series()
@@ -565,7 +571,7 @@ class TestRealDataHalfRule:
             got = pot.field_values(xs, self.TS)
         assert np.all(np.isfinite(got))
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        want = direct_field(pot, series, xs, self.TS)
+        want = direct_field(pot, series, xs, self.TS)[0]
         assert rel_max_error(got, want) <= 4.0 * phase_rounding
 
     def test_from_data_reports_the_full_rule(self):

@@ -1,7 +1,8 @@
 """The runtime needs numpy only: no module of `src/kdv5half` imports scipy,
 and the package imports and runs a manufactured `verify` with scipy blocked.
 scipy stays a test dependency, as the independent oracle of the spline and
-Simpson kernels."""
+Simpson kernels.  Nor does a verify import `numpy.ma`, which `np.unique`
+pulls in on its first call."""
 
 import ast
 import json
@@ -87,3 +88,24 @@ def test_runs_with_scipy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "checks": sorted(SCENARIO["checks"]), "scipy_loaded": False}
+
+
+MASKED_RUN = """
+import sys
+from kdv5half.scenarios import run_scenario
+code, _ = run_scenario(sys.argv[1], command="verify")
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_boundary_traces_verify_leaves_numpy_ma_unimported():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", MASKED_RUN, str(ROOT / "scenarios" / "boundary_traces.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -440,7 +440,7 @@ class TestPipelines:
         assert len(first[1].split()) == 3
 
     def test_manufactured_report_carries_the_oracle_halving_difference(self, tmp_path):
-        # The split-step oracle's step-doubling difference is numerical
+        # The whole-line oracle's step-doubling difference is numerical
         # health: it goes to report.json only, and summary.json reruns
         # byte-identical.
         g_spec = {"profile": "gaussian", "amplitude": 0.01, "center": 2.0, "width": 3.0}

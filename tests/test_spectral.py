@@ -10,6 +10,7 @@ from kdv5half.boundary import truncation_radius
 from kdv5half.grids import GridFunction, TimeSeries, UniformGrid
 from kdv5half.spectral import (
     band_mask,
+    distinct_rows,
     nonuniform_transform,
     phase_table,
     sobolev_norm,
@@ -349,6 +350,24 @@ def phase_targets(draw):
     return np.array(draw(st.permutations(targets)), dtype=float)
 
 
+class TestDistinctRows:
+    """`distinct_rows` is `np.unique(..., return_inverse=True)` to the bit:
+    the same values, +0 or -0 kept as np.unique keeps it, and the same rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(targets=phase_targets())
+    @example(targets=np.array([-0.0, 0.0, 0.0]))
+    @example(targets=np.array([0.0, -0.0, 1.5, -0.0, 1.5, 0.0]))
+    @example(targets=np.array([]))
+    def test_matches_np_unique(self, targets):
+        for values in (targets, np.abs(targets)):
+            got, rows = distinct_rows(values)
+            want, want_rows = np.unique(values, return_inverse=True)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(got[rows], values)
+
+
 class TestPhaseTable:
     # Per entry, |got - exact| <= 3 eps (1 + |t f|) for the exact cos and
     # sin of the product of the float64 inputs: the two angle products are
@@ -366,6 +385,9 @@ class TestPhaseTable:
     @example(targets=np.array([]), freqs=np.array([1.0, -3.5]))
     @example(targets=np.array([0.7]), freqs=np.array([1e4, -2.0, 0.0]))
     @example(targets=np.array([-0.0, 0.0, 0.0]), freqs=np.array([5.0, -5.0]))
+    # A subnormal target beside normal ones: the split search must stop
+    # before t / H overflows, or every entry is NaN.
+    @example(targets=np.array([2.22507386e-313, 1.0, 2.0, 0.0]), freqs=np.array([0.0]))
     def test_entries_match_long_double(self, targets, freqs):
         assert np.finfo(np.longdouble).eps < np.finfo(float).eps
         # Written into the real and imaginary views of a complex table, as
