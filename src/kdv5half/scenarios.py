@@ -428,7 +428,7 @@ def _run_linear_only(scenario: Scenario, seed: int, _depth: int, command: str) -
         drift = abs(sobolev_norm(evolved, s) - base) / max(base, 1e-300)
         report["group_isometry_drift"] = measured["group_isometry"] = drift
     # One free spectrum serves the field and the traces; it is freed before
-    # `pde_residual`, whose stencil and x-derivative hold arrays of their own.
+    # `pde_residual`, which holds the field's half spectrum and the residual's.
     field = gains = None
     if "interior_residual_free" in due or "kato_ratio_max" in due:
         spec = plan.free_spectrum(g.values, scenario.tgrid)

@@ -22,7 +22,14 @@ from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import apply_group
-from .spectral import BAND_CAP, band_mask, sobolev_norm, x_half_spectrum, x_half_values
+from .spectral import (
+    BAND_CAP,
+    band_mask,
+    half_multiplicity,
+    sobolev_norm,
+    x_half_spectrum,
+    x_half_values,
+)
 
 __all__ = [
     "HarnessError",
@@ -236,62 +243,78 @@ def manufactured_data(
 _DT_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
+def _node_window(nodes: np.ndarray, bounds: tuple | None, start: int, stop: int) -> slice:
+    """The indices in [start, stop) of the nodes inside the closed interval
+    `bounds` (all of them without bounds), as one slice: the nodes increase,
+    so the indices are contiguous."""
+    if bounds is None:
+        return slice(start, stop)
+    part = nodes[start:stop]
+    inside = np.flatnonzero((part >= bounds[0]) & (part <= bounds[1]))
+    if inside.size == 0:
+        return slice(start, start)
+    return slice(start + int(inside[0]), start + int(inside[-1]) + 1)
+
+
 def pde_residual(
     u: SpaceTimeField,
     fifth_x: SpaceTimeField | None = None,
     x_range: tuple | None = None,
     t_range: tuple | None = None,
 ) -> float:
-    """L^2 norm of u_t + d^5_x u over an interior window.
+    """L^2 norm of u_t + d^5_x u of a real field u over an interior window.
 
-    The time derivative is a centered sixth-order finite difference on the
-    field's own grid; the fifth x-derivative is spectral unless an analytic
-    field is supplied via `fifth_x` (mandatory for fields that are not
-    box-periodic, e.g. boundary potentials whose oscillatory part does not
-    wrap smoothly).
+    Measured on the half x-spectrum of u, from one forward transform.  The
+    time derivative is a centered sixth-order finite difference on the
+    field's own time grid, taken on the spectrum's columns: the x transform
+    and the time stencil act on different axes, so this is the transform
+    of the stencil on the samples.  The fifth x-derivative is (i xi)^5 on
+    the band rows of that spectrum, as in the solver's derivatives, unless
+    an analytic field is supplied via `fifth_x`, whose half spectrum is
+    added instead (mandatory for fields that are not box-periodic, e.g.
+    boundary potentials whose oscillatory part does not wrap smoothly; the
+    transform of any samples is exact, so it needs no periodicity).
+
+    The window is the time nodes the stencil reaches, cut to `t_range`.
+    Over the whole x box the norm is Parseval's sum over the half spectrum,
+    weighted by `half_multiplicity`; with `x_range` the residual's spectrum
+    is transformed back once and summed over the x nodes in the range.
     """
     margin = len(_DT_STENCIL) // 2
     nt = u.tgrid.count
     if nt < 2 * margin + 1:
         raise ValueError("time grid too short for the 7-point stencil")
-    dt = u.tgrid.step
-    # One array beside the field: u_t, then u_t + d^5_x u, then its square.
-    # Each stencil term goes through one temporary of the field's layout.
-    res = np.zeros_like(u.values)
-    inner = res[:, margin : nt - margin]
-    term = np.empty_like(u.values[:, margin : nt - margin])
+    if fifth_x is not None and (fifth_x.xgrid != u.xgrid or fifth_x.tgrid != u.tgrid):
+        raise ValueError("analytic fifth derivative must share the field's grids")
+    xg, dt = u.xgrid, u.tgrid.step
+    cols = _node_window(u.tgrid.nodes, t_range, margin, nt - margin)
+    spec = x_half_spectrum(u.values, xg)
+    # The residual's spectrum on the window's columns; each stencil term
+    # passes through one temporary of its shape.
+    res = np.zeros((spec.shape[0], cols.stop - cols.start), dtype=np.complex128)
+    term = np.empty_like(res)
     for k, c in enumerate(_DT_STENCIL):
         if c == 0.0:
             continue
         shift = k - margin
-        np.multiply(c, u.values[:, margin + shift : nt - margin + shift], out=term)
-        inner += term
+        np.multiply(c, spec[:, cols.start + shift : cols.stop + shift], out=term)
+        res += term
     del term
     res /= dt
-    valid_t = np.zeros(nt, dtype=bool)
-    valid_t[margin : nt - margin] = True
-
     if fifth_x is not None:
-        if fifth_x.xgrid != u.xgrid or fifth_x.tgrid != u.tgrid:
-            raise ValueError("analytic fifth derivative must share the field's grids")
-        res += fifth_x.values
+        res += x_half_spectrum(fifth_x.values, xg)[:, cols]
     else:
         # Capped at the band rows, as the solver's derivatives are: above them the
-        # spectrum holds rounding that xi^5 would amplify.  In place, to hold one array.
-        rows = int(np.count_nonzero(band_mask(u.xgrid)[: u.xgrid.count // 2 + 1]))
-        spec = x_half_spectrum(u.values, u.xgrid)[:rows]
-        spec *= (1j * u.xgrid.frequencies[:rows, None]) ** 5
-        res += x_half_values(spec, u.xgrid)
-        del spec
-    np.square(res, out=res)
-    xnodes, tnodes = u.xgrid.nodes, u.tgrid.nodes
-    x_mask = np.ones(u.xgrid.count, dtype=bool)
-    if x_range is not None:
-        x_mask &= (xnodes >= x_range[0]) & (xnodes <= x_range[1])
-    t_mask = valid_t.copy()
-    if t_range is not None:
-        t_mask &= (tnodes >= t_range[0]) & (tnodes <= t_range[1])
-    return float(np.sqrt(np.sum(res[np.ix_(x_mask, t_mask)]) * u.xgrid.step * dt))
+        # spectrum holds rounding that xi^5 would amplify.
+        rows = int(np.count_nonzero(band_mask(xg)[: xg.count // 2 + 1]))
+        res[:rows] += (1j * xg.frequencies[:rows, None]) ** 5 * spec[:rows, cols]
+    del spec
+    if x_range is None:
+        pairs = res.view(np.float64)
+        power = half_multiplicity(xg) @ np.einsum("ij,ij->i", pairs, pairs)
+        return float(np.sqrt(power * xg.freq_step * dt))
+    values = x_half_values(res, xg)[_node_window(xg.nodes, x_range, 0, xg.count)]
+    return float(np.sqrt(np.vdot(values, values) * xg.step * dt))
 
 
 # ---------------------------------------------------------------------------

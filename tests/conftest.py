@@ -11,17 +11,23 @@ x, on every row of `grid.frequencies`, in the package's convention.  The
 package holds real functions as their half spectra only; the tests use this
 pair as the independent oracle of those (`from conftest import ...`).
 `random_band_limited` draws the tests' seeded band-limited real data.
-`potential_field` is a boundary potential's field on a grid by itself;
+`potential_field` is a boundary potential's field on a grid by itself, and
+`boundary_potential_with_fifth_x` one with its analytic fifth x-derivative;
 `evolved_field` and `kato_ratios` read a datum's free field and trace gains
 off its free spectrum, as the linear-only pipeline does.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from kdv5half import (
+    BoundaryPotential,
     GridFunction,
     SolverConfig,
+    SpaceTimeField,
+    TimeSeries,
     UniformGrid,
     free_field,
     kato_smoothing_ratio,
@@ -85,6 +91,25 @@ def potential_field(pot, xnodes) -> np.ndarray:
     values = np.zeros((len(xnodes), pot.tgrid.count), order="F")
     pot.add_field_on_grid(values, xnodes, np.ones(pot.tgrid.count))
     return values
+
+
+def boundary_potential_with_fifth_x(xg: UniformGrid, tg: UniformGrid) -> tuple:
+    """(field, fifth_x): the boundary potential of two pulses h1, h3 at
+    depth 2 on the (xg, tg) lattice, and its fifth x-derivative on x >= 0
+    (zero elsewhere).  The kernel exponentials give that derivative
+    analytically (coefficients c_m r_m^5, exact where the collar cutoff is
+    1), so a residual with it isolates the quadrature error of the potential."""
+    tt = tg.nodes
+    pulse = lambda c, w, a: TimeSeries(tg, a * np.exp(-(((tt - c) / w) ** 2)) * (tt > 0))
+    h1, h2, h3 = pulse(0.5, 0.1, 0.3), TimeSeries(tg, np.zeros(tg.count)), pulse(0.6, 0.12, 0.1)
+    pot = BoundaryPotential.from_data(h1, h2, h3, depth=2, x_span=float(np.max(np.abs(xg.nodes))))
+    field = SpaceTimeField(xg, tg, potential_field(pot, xg.nodes))
+    fifth_pot = copy.copy(pot)
+    fifth_pot.coeffs = pot.coeffs * pot.quad.roots**5
+    fifth_vals = np.zeros((xg.count, tg.count))
+    pos = xg.nodes >= 0
+    fifth_vals[pos, :] = fifth_pot.field_values(xg.nodes[pos], tt)
+    return field, SpaceTimeField(xg, tg, fifth_vals)
 
 
 def evolved_field(g, tgrid, plan):

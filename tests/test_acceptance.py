@@ -12,12 +12,15 @@ bilinear ratio probes.  The expensive shared solve comes from the
 session-scoped ``manufactured_case`` fixture.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
-from conftest import evolved_field, kato_ratios, potential_field, random_band_limited
+from conftest import (
+    boundary_potential_with_fifth_x,
+    evolved_field,
+    kato_ratios,
+    random_band_limited,
+)
 from kdv5half import (
     BoundaryPotential,
     BoundaryQuadrature,
@@ -143,23 +146,9 @@ class TestInteriorResidual:
             assert residual < 1e-8
 
     def test_boundary_potential_satisfies_the_equation(self):
-        tt = self.TG.nodes
-        pulse = lambda c, w, a: TimeSeries(self.TG, a * np.exp(-(((tt - c) / w) ** 2)) * (tt > 0))
-        h1, h3 = pulse(0.5, 0.1, 0.3), pulse(0.6, 0.12, 0.1)
-        pot = BoundaryPotential.from_data(
-            h1, zero_series(self.TG), h3, depth=2, x_span=float(np.max(np.abs(self.XG.nodes)))
-        )
-        field = SpaceTimeField(self.XG, self.TG, potential_field(pot, self.XG.nodes))
-        # The kernel exponentials give the fifth x-derivative analytically
-        # (coefficients c_m r_m^5, exact where the collar cutoff is 1); only
-        # the time derivative is discretized, so the residual isolates the
-        # quadrature error of the potential itself.
-        fifth_pot = copy.copy(pot)
-        fifth_pot.coeffs = pot.coeffs * pot.quad.roots**5
-        fifth_vals = np.zeros((self.XG.count, self.TG.count))
-        pos = self.XG.nodes >= 0
-        fifth_vals[pos, :] = fifth_pot.field_values(self.XG.nodes[pos], tt)
-        fifth = SpaceTimeField(self.XG, self.TG, fifth_vals)
+        # The fifth x-derivative is analytic, so only the time derivative is
+        # discretized and the residual isolates the potential's quadrature error.
+        field, fifth = boundary_potential_with_fifth_x(self.XG, self.TG)
         residual = pde_residual(field, fifth_x=fifth, x_range=(0.5, 39.0), t_range=(-3.5, 3.5))
         assert residual < 1e-5
 

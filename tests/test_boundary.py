@@ -286,19 +286,16 @@ def long_double_phases(ts, betas, sign):
     return out
 
 
-def direct_field(pot, series, xs, ts, root_powers=(0,)):
-    """Independent oracle over the symmetric rule that pot.quad halves: the
-    beta > 0 nodes of pot.quad and their mirrors -beta (roots from
-    stable_root_array(-beta), oscillatory at index 0 there; same gammas and
-    weights).  (2 pi)^(-1/2) sum_q w_q e^{i beta_q t} sum_m c_m r_m^p
-    e^{r_m x} taper, with the data transforms of `series` by direct
-    summation at every node, coefficients from a library solve of the
-    Vandermonde systems, and e^{r x} evaluated only where the taper is
-    nonzero; one (len(xs), len(ts)) field per power p in `root_powers`,
-    all from one data transform, one phase table and one e^{r x} table.
-    The phases of the data transforms and of the field come from
+def direct_rule(pot, series) -> tuple:
+    """Independent oracle over the symmetric rule that pot.quad halves, its
+    data part: the beta > 0 nodes of pot.quad and their mirrors -beta (roots
+    from stable_root_array(-beta), oscillatory at index 0 there; same gammas
+    and weights), the data transforms of `series` by direct summation at
+    every node, and the coefficients c_m from a library solve of the
+    Vandermonde systems.  The phases of the data transforms come from
     long-double angles (`long_double_phases`), so the oracle does not share
-    the rounding of the angles with the potential's tables."""
+    the rounding of the angles with the potential's tables.  Built once per
+    potential and data; `direct_field` evaluates it on each target set."""
     quad = pot.quad
     betas = np.concatenate([-quad.betas, quad.betas])
     gammas = np.concatenate([quad.gammas, quad.gammas])
@@ -309,7 +306,17 @@ def direct_field(pot, series, xs, ts, root_powers=(0,)):
     rhs = tgrid.step / np.sqrt(2.0 * np.pi) * (long_double_phases(betas, tgrid.nodes, -1) @ data)
     vander = roots[:, None, :] ** np.arange(3)[None, :, None]  # rows 1, r, r^2
     coeffs = np.linalg.solve(vander, rhs[:, :, None])[:, :, 0]
-    taper = rho(np.outer(gammas, xs), quad.collar)
+    return quad.collar, betas, gammas, weights, roots, coeffs
+
+
+def direct_field(rule, xs, ts, root_powers=(0,)):
+    """The field of a `direct_rule`: (2 pi)^(-1/2) sum_q w_q e^{i beta_q t}
+    sum_m c_m r_m^p e^{r_m x} taper, with e^{r x} evaluated only where the
+    taper is nonzero; one (len(xs), len(ts)) field per power p in
+    `root_powers`, all from one phase table, of long-double angles, and one
+    e^{r x} table."""
+    collar, betas, gammas, weights, roots, coeffs = rule
+    taper = rho(np.outer(gammas, xs), collar)
     phases = long_double_phases(ts, betas, 1)
     osc_index = np.where(betas < 0, 0, 2)
     out = np.zeros((len(root_powers), len(xs), len(ts)), dtype=complex)
@@ -374,7 +381,7 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential()
         series = three_channel_series()
         assert len(pot.coeffs) == len(pot.quad.betas)
-        wants = direct_field(pot, series, self.XS, self.TS, root_powers=(0, 5))
+        wants = direct_field(direct_rule(pot, series), self.XS, self.TS, root_powers=(0, 5))
         for root_power, evaluated, want in zip((0, 5), (pot, fifth_derivative(pot)), wants):
             got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
@@ -391,11 +398,11 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential(t_sel=t_sel, x_span=6.0)
         uniform = np.linspace(-3.0, 6.0, 300)
         graded = -3.0 + 9.0 * np.linspace(0.0, 1.0, 300) ** 1.5
-        series = three_channel_series()
+        rule = direct_rule(pot, three_channel_series())
         on_uniform, fifth_on_uniform = direct_field(
-            pot, series, uniform, TG.nodes[t_sel], root_powers=(0, 5)
+            rule, uniform, TG.nodes[t_sel], root_powers=(0, 5)
         )
-        on_graded = direct_field(pot, series, graded, TG.nodes[t_sel])[0]
+        on_graded = direct_field(rule, graded, TG.nodes[t_sel])[0]
         for xs, want in ((uniform, on_uniform), (uniform, on_uniform), (graded, on_graded)):
             values = potential_field(pot, xs)
             assert values.shape == (len(xs), TG.count)
@@ -438,7 +445,9 @@ class TestBoundaryPotentialTables:
         pot = three_channel_potential()
         fresh = pot.trace_values(TG.nodes[::-1])[:, ::-1]
         assert fresh.shape == (3, TG.count)
-        wants = direct_field(pot, three_channel_series(), [0.0], TG.nodes, root_powers=(0, 1, 2))
+        wants = direct_field(
+            direct_rule(pot, three_channel_series()), [0.0], TG.nodes, root_powers=(0, 1, 2)
+        )
         for j, got in enumerate(pot.trace_on_grid()):
             assert got.grid == TG
             assert not np.any(got.values.imag)
@@ -456,7 +465,7 @@ class TestBoundaryPotentialTables:
         assert np.all(np.isfinite(got))
         # The phases r x themselves carry rounding of order eps * |r x| here.
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        want = direct_field(pot, three_channel_series(), xs, self.TS)[0]
+        want = direct_field(direct_rule(pot, three_channel_series()), xs, self.TS)[0]
         assert rel_max_error(got, want) <= 4.0 * phase_rounding
 
 
@@ -540,7 +549,7 @@ class TestRealDataHalfRule:
         series = permuted_series()
         pot = three_channel_potential(series=series)
         assert len(pot.coeffs) == pot.quad.node_count // 2
-        wants = direct_field(pot, series, self.XS, self.TS, root_powers=(0, 5))
+        wants = direct_field(direct_rule(pot, series), self.XS, self.TS, root_powers=(0, 5))
         for root_power, evaluated, want in zip((0, 5), (pot, fifth_derivative(pot)), wants):
             got = evaluated.field_values(self.XS, self.TS)
             assert not np.any(np.imag(got))
@@ -554,9 +563,10 @@ class TestRealDataHalfRule:
         values = potential_field(pot, xs)
         assert not np.any(values.imag)
         assert not np.any(np.delete(values, t_sel, axis=1))
-        want = direct_field(pot, series, xs, TG.nodes[t_sel])[0]
+        rule = direct_rule(pot, series)
+        want = direct_field(rule, xs, TG.nodes[t_sel])[0]
         assert rel_max_error(values[:, t_sel], want) <= 1e-13
-        wants = direct_field(pot, series, [0.0], TG.nodes[t_sel], root_powers=(0, 1, 2))
+        wants = direct_field(rule, [0.0], TG.nodes[t_sel], root_powers=(0, 1, 2))
         for j, trace in enumerate(pot.trace_on_grid()):
             trace = trace.values
             assert not np.any(trace.imag)
@@ -571,7 +581,7 @@ class TestRealDataHalfRule:
             got = pot.field_values(xs, self.TS)
         assert np.all(np.isfinite(got))
         phase_rounding = np.finfo(float).eps * np.max(np.abs(pot.quad.roots)) * 2000.0
-        want = direct_field(pot, series, xs, self.TS)[0]
+        want = direct_field(direct_rule(pot, series), xs, self.TS)[0]
         assert rel_max_error(got, want) <= 4.0 * phase_rounding
 
     def test_from_data_reports_the_full_rule(self):

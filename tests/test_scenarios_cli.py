@@ -760,20 +760,25 @@ def traced_verify_peak(name: str) -> float:
 class TestLinearWorkloadPipelines:
     # The two pipelines of the `linear` benchmark workload.  Allocation
     # guards in MiB of tracemalloc above the start of a run, measured with
-    # numpy 2.4: 38.19 for the linear-only verify (64.1 when the free field
-    # and the Kato traces built a spectrum each and `pde_residual` held four
-    # (X, T) arrays), 37.72 for the boundary-only verify, whose ceiling is
-    # the initial-vanishing probe's x-blocks at the finer depth (44.27 when
-    # the trace potential's folded-table build held its phase table beside
-    # its cos and sin).  The 5% margin is 1.9 MiB, below one more 8 MiB
-    # (X, T) field or (T, X // 2 + 1) phase table, or one more 14 MiB
+    # numpy 2.4: 32.25 for the linear-only verify, whose ceiling is the free
+    # field beside `pde_residual`'s three 8 MiB arrays: the field's half
+    # x-spectrum, the residual's spectrum on the stencil's columns and one
+    # temporary of that shape (38.19 when the residual was measured on the
+    # samples through a second (X, T) array, its temporary and an inverse
+    # transform; 64.1 when the free field and the Kato traces built a
+    # spectrum each and `pde_residual` held four (X, T) arrays), 37.72 for
+    # the boundary-only verify, whose ceiling is the initial-vanishing
+    # probe's x-blocks at the finer depth (44.27 when the trace potential's
+    # folded-table build held its phase table beside its cos and sin).  The
+    # 5% margins, 1.6 and 1.9 MiB, are below one more 8 MiB (X, T) field,
+    # half x-spectrum or (T, X // 2 + 1) phase table, or one more 14 MiB
     # (513, 3584) angle table of the folded build, left alive.
-    LINEAR_PEAK, BOUNDARY_PEAK = 38.19, 37.72
+    LINEAR_PEAK, BOUNDARY_PEAK = 32.25, 37.72
     MARGIN = 1.05
 
     def test_linear_only_verify_allocations(self):
-        # One free spectrum, freed before `pde_residual`, which holds one
-        # (X, T) array beside the field.
+        # One free spectrum, freed before `pde_residual`, which holds the
+        # field's half x-spectrum, the residual's and one temporary.
         peak = traced_verify_peak("linear_diagnostics")
         assert peak <= self.MARGIN * self.LINEAR_PEAK, peak
 

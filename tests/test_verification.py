@@ -1,15 +1,23 @@
 """Oracle, interior residual, weak form, and smoothing diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import evolved_field, full_values, random_band_limited
+from conftest import (
+    boundary_potential_with_fifth_x,
+    evolved_field,
+    full_values,
+    random_band_limited,
+)
 from kdv5half import verification
 from kdv5half.boundary import AccuracyError
 from kdv5half.grids import GridFunction, PreconditionError, SpaceTimeField, TimeSeries, UniformGrid
 from kdv5half.propagator import PropagatorPlan, apply_group
-from kdv5half.spectral import sobolev_norm
+from kdv5half.scenarios import Scenario, datum_from_profile
+from kdv5half.spectral import band_mask, sobolev_norm, x_half_spectrum, x_half_values
 from kdv5half.verification import (
     HarnessError,
     SeparableTestFunction,
@@ -351,11 +359,117 @@ class TestOracleDistance:
         assert oracle_distance(u, oracle, solver_config.T) == 0.0
 
 
+def stencil_residual(u, fifth_x=None, x_range=None, t_range=None) -> float:
+    """Reference for `pde_residual`, measured on the samples: the centered
+    sixth-order time difference at every x node, plus (i xi)^5 on the band
+    rows of the half spectrum, transformed back (or the given fifth_x),
+    squared and summed over the window's nodes.  The band-row derivative
+    goes through the same rfft pair as `pde_residual`'s, because on the
+    bundled free field the residual is that pair's rounding amplified by
+    xi^5: the tests' complex pair reads it 6% lower."""
+    stencil = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    nt = u.tgrid.count
+    res = np.zeros(u.values.shape)
+    for k, c in enumerate(stencil):
+        res[:, 3 : nt - 3] += c * u.values[:, k : nt - 6 + k]
+    res /= u.tgrid.step
+    if fifth_x is None:
+        rows = int(np.count_nonzero(band_mask(u.xgrid)[: u.xgrid.count // 2 + 1]))
+        spec = x_half_spectrum(u.values, u.xgrid)[:rows]
+        res += x_half_values((1j * u.xgrid.frequencies[:rows, None]) ** 5 * spec, u.xgrid)
+    else:
+        res += fifth_x.values
+    xn, tn = u.xgrid.nodes, u.tgrid.nodes
+    x_mask = np.ones(u.xgrid.count, dtype=bool)
+    if x_range is not None:
+        x_mask = (xn >= x_range[0]) & (xn <= x_range[1])
+    t_mask = np.zeros(nt, dtype=bool)
+    t_mask[3 : nt - 3] = True
+    if t_range is not None:
+        t_mask &= (tn >= t_range[0]) & (tn <= t_range[1])
+    return float(np.sqrt(np.sum(res[np.ix_(x_mask, t_mask)] ** 2) * u.xgrid.step * u.tgrid.step))
+
+
 class TestPdeResidual:
     # A box wide enough that the width-4 Gaussian decays to rounding at the
     # edges; on narrower boxes the truncated spectral tail, amplified by the
     # xi^5 multiplier, floors the residual near 1e-7.
     WIDE = UniformGrid(-40.0, 80.0 / 1024, 1024)
+    NOISE_T = UniformGrid(-1.0, 2.0 / 128, 128)
+
+    def noise(self, seed: int, xg: UniformGrid = XG) -> SpaceTimeField:
+        values = np.random.default_rng(seed).standard_normal((xg.count, self.NOISE_T.count))
+        return SpaceTimeField(xg, self.NOISE_T, values)
+
+    @pytest.mark.parametrize("x_range", [None, (-7.3, 11.0), (15.0, 30.0)])
+    @pytest.mark.parametrize("t_range", [None, (-0.5, 0.25), (0.9, 2.0)])
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_matches_the_stencil_on_the_samples(self, x_range, t_range, analytic):
+        # O(1) residuals of noise fields, over every kind of window: the
+        # whole box, an inner one, one the stencil's last columns cut.  The
+        # odd count has no Nyquist row, the even one has.
+        for xg in (XG, UniformGrid(-20.0, 40.0 / 511, 511)):
+            u = self.noise(0, xg)
+            fifth = self.noise(1, xg) if analytic else None
+            want = stencil_residual(u, fifth, x_range, t_range)
+            got = pde_residual(u, fifth_x=fifth, x_range=x_range, t_range=t_range)
+            assert want > 1.0
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_empty_windows_read_zero(self):
+        u = self.noise(0)
+        assert pde_residual(u, t_range=(5.0, 6.0)) == 0.0
+        assert pde_residual(u, x_range=(100.0, 200.0)) == 0.0
+
+    def test_whole_box_equals_the_full_x_range(self):
+        u = self.noise(0)
+        whole = pde_residual(u)
+        full_range = pde_residual(u, x_range=(XG.nodes[0], XG.nodes[-1]))
+        assert full_range == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+    def test_matches_the_stencil_on_a_boundary_potential(self):
+        # The analytic fifth derivative of a potential that is not box-periodic,
+        # on test_acceptance's window.  The residual, the potential's quadrature
+        # error (1.7e-6), is a difference of terms of norm 3.2, so the two sums
+        # round apart relative to those: measured 2.4e-18 of the time
+        # difference's norm (4.4e-12 of the residual).
+        xg, tg = UniformGrid(-40.0, 80.0 / 1024, 1024), UniformGrid(-4.0, 8.0 / 1024, 1024)
+        field, fifth = boundary_potential_with_fifth_x(xg, tg)
+        window = dict(x_range=(0.5, 39.0), t_range=(-3.5, 3.5))
+        want = stencil_residual(field, fifth, **window)
+        zero = SpaceTimeField(xg, tg, np.zeros(field.values.shape))
+        scale = stencil_residual(field, zero, **window)
+        assert want < 1e-5 < 1.0 < scale
+        assert abs(pde_residual(field, fifth_x=fifth, **window) - want) <= 1e-12 * scale
+
+    def test_matches_the_stencil_on_the_bundled_free_field(self):
+        # `linear_diagnostics`' interior_residual_free: about 4e-10, rounding
+        # of the band rows amplified by xi^5 <= 2.4e7, so the spectral and the
+        # sample sums agree only to the rounding's own digits (9e-8 measured).
+        scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
+        sc = Scenario.from_file(scenario_dir / "linear_diagnostics.json")
+        g = datum_from_profile(sc.data["g"], sc.xgrid, sc.indices["s"], 0)
+        field = evolved_field(g, sc.tgrid, PropagatorPlan(sc.xgrid))
+        want = stencil_residual(field)
+        assert want < 1e-8
+        assert pde_residual(field) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    def test_whole_box_takes_one_forward_transform(self, monkeypatch):
+        # Parseval over the half spectrum: one rfft of the field, no inverse.
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        pde_residual(self.noise(0))
+        assert calls == ["rfft"]
+        calls.clear()
+        pde_residual(self.noise(0), x_range=(-5.0, 5.0))
+        assert calls == ["rfft", "irfft"]
 
     def test_free_field_satisfies_linear_equation(self):
         tg = UniformGrid(-1.0, 2.0 / 512, 512)
@@ -395,6 +509,11 @@ class TestPdeResidual:
         other = evolved_field(gaussian(0.05), UniformGrid(-1.0, 2.0 / 128, 128), PropagatorPlan(XG))
         with pytest.raises(ValueError, match="share the field's grids"):
             pde_residual(F, fifth_x=other)
+        # Both are checked before the field is transformed, which would refuse
+        # complex samples.
+        complex_field = SpaceTimeField(XG, tg, np.full((XG.count, tg.count), 1j))
+        with pytest.raises(ValueError, match="share the field's grids"):
+            pde_residual(complex_field, fifth_x=other)
 
 
 class TestTestFunctions:
