@@ -25,7 +25,6 @@ from .bourgain import (
     xsba_norm,
 )
 from .cutoffs import (
-    CompatibilityReport,
     check_compatibility,
     eta,
     extend_initial_datum,
@@ -76,7 +75,6 @@ __all__ = [
     "AccuracyError",
     "BoundaryPotential",
     "BoundaryQuadrature",
-    "CompatibilityReport",
     "GammaWorkspace",
     "GridFunction",
     "HarnessError",

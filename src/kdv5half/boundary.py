@@ -298,7 +298,8 @@ class _FoldedTable:
 
 class BoundaryPotential:
     """Boundary-data field bound to one quadrature table and to the rows
-    `t_sel` of the data's time grid (from data: `from_data`).
+    `t_sel` (a slice or index array) of the data's time grid (from data:
+    `from_data`).
 
     Each data update costs one data transform and one batch of per-node
     Cramer solves; evaluation is then one dense contraction per x-block.
@@ -336,7 +337,7 @@ class BoundaryPotential:
     def __init__(self, quad: BoundaryQuadrature, h1, h2, h3, t_sel):
         self.quad = quad
         self.tgrid = h1.grid
-        self.t_sel = np.asarray(t_sel)
+        self.t_sel = t_sel
         self.ttargets = self.tgrid.nodes[self.t_sel]
         self._ttable = _FoldedTable.build(self.ttargets, quad.betas)
         self._off_rows = np.ones(self.tgrid.count, dtype=bool)
@@ -359,7 +360,8 @@ class BoundaryPotential:
         strict: bool = True,
     ) -> "BoundaryPotential | None":
         """Potential of (h1, h2, h3) bound to the rows of their time grid inside
-        `t_window` (all rows for None; data nonzero outside raise ValueError),
+        `t_window` by the `UniformGrid.window` rule, as a slice (all rows for
+        None; data nonzero outside raise ValueError),
         with its choices in `diagnostics`; None when all three series vanish.
         A spectrum that does not fall below `spectrum_tol` inside the band cap
         raises PreconditionError when `strict`, else it is clamped there and
@@ -378,11 +380,8 @@ class BoundaryPotential:
                 f"{spectrum_tol:g} (relative) within the usable band |beta| <= {cap:g}; "
                 "refine the time grid or smooth the data"
             )
-        tnodes = tgrid.nodes
-        t_sel = np.arange(tgrid.count)
-        if t_window is not None:
-            t_sel = np.flatnonzero((tnodes >= t_window[0]) & (tnodes <= t_window[1]))
-        ttargets = tnodes[t_sel]
+        t_sel = slice(None) if t_window is None else tgrid.window(*t_window)
+        ttargets = tgrid.nodes[t_sel]
         t_span = float(np.max(np.abs(ttargets), initial=0.0))
         quad = BoundaryQuadrature.build(radius, depth, t_span, x_span, collar=collar)
         pot = cls(quad, h1, h2, h3, t_sel=t_sel)

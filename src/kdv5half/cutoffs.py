@@ -8,7 +8,6 @@ cutoff that tapers boundary-kernel extensions on a left collar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "extend_initial_datum",
     "halfline_norm_upper",
     "zero_extend_time",
-    "CompatibilityReport",
     "check_compatibility",
     "corner_conditions",
     "validate_regularity",
@@ -189,20 +187,6 @@ def zero_extend_time(h: TimeSeries) -> TimeSeries:
     return TimeSeries(h.grid, _zero_extension(h))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    s: float
-    required: tuple
-    measured_gaps: tuple
-
-    def to_payload(self) -> dict:
-        return {
-            "s": self.s,
-            "required": list(self.required),
-            "measured_gaps": [float(g) for g in self.measured_gaps],
-        }
-
-
 _CONDITION_NAMES = ("g(0)=h1(0)", "g'(0)=h2(0)", "g''(0)=h3(0)")
 
 
@@ -220,12 +204,13 @@ def check_compatibility(
     h2: TimeSeries,
     h3: TimeSeries,
     s: float,
-) -> CompatibilityReport:
-    """Corner matching gaps at (x,t) = (0,0), keyed by the s-range.
+) -> dict:
+    """Corner matching gaps at (x,t) = (0,0), keyed by the s-range, as the
+    report payload {"s", "required", "measured_gaps"}.
 
-    The required matches are the first `corner_conditions(s)`.  The report
-    holds the measured gaps only: the caller judges them against its own
-    tolerance (a scenario's `compatibility` check).
+    The required matches are the first `corner_conditions(s)`, named in
+    `required`.  The payload holds the measured gaps only: the caller judges
+    them against its own tolerance (a scenario's `compatibility` check).
 
     g(0) is the sample at x = 0; g'(0) and g''(0) come from `_one_sided_jet`,
     the jet the reflection extension matches.  At dx = 0.078 that jet is off
@@ -237,9 +222,7 @@ def check_compatibility(
     if n_req > 1:
         jet += _one_sided_jet(g)[1:n_req]
     gaps = [
-        abs(lhs - h.values[h.grid.index_of(0.0)])
+        float(abs(lhs - h.values[h.grid.index_of(0.0)]))
         for lhs, h in zip(jet[:n_req], (h1, h2, h3))
     ]
-    return CompatibilityReport(
-        s=s, required=_CONDITION_NAMES[:n_req], measured_gaps=tuple(gaps)
-    )
+    return {"s": s, "required": list(_CONDITION_NAMES[:n_req]), "measured_gaps": gaps}

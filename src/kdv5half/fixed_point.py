@@ -189,8 +189,10 @@ class GammaWorkspace:
         self.plan = PropagatorPlan(cfg.xgrid)
         tnodes = cfg.tgrid.nodes
         self.eta_t = eta(tnodes)
-        # eta(t/2T) * chi_{t>0}: supported in (0, 2T], inside t_window below.
-        self.data_window = eta(tnodes / (2.0 * cfg.T)) * (tnodes > 0)
+        # eta(t/2T) * chi_{t>0}, chi_{t>0} zero up to the zero node by the
+        # `UniformGrid.window` rule: supported in (0, 2T], inside t_window below.
+        self.data_window = eta(tnodes / (2.0 * cfg.T))
+        self.data_window[: cfg.tgrid.window(-np.inf, 0.0).stop] = 0.0
         dt = cfg.tgrid.step
         self.t_window = (-1.0 - dt, 1.0 + dt)
         self._pot: BoundaryPotential | None = None
@@ -281,7 +283,6 @@ class SolveResult:
     trace: IterationTrace
     traces: np.ndarray  # real (3, T): x = 0 traces p = q + r of the free and Duhamel terms
     nonlinear: SpaceTimeField
-    linear: SpaceTimeField
     diagnostics: dict
     workspace: GammaWorkspace
 
@@ -296,8 +297,8 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
     iterates without convergence, raise NonContractionError with the trace
     attached (the horizon is too large for the data at this resolution).
     The loop runs on the workspace's real arrays and measures them in place
-    (a non-finite iterate raises ValueError there); the result hands u, L
-    and N out as SpaceTimeFields.
+    (a non-finite iterate raises ValueError there); the result hands u and
+    N out as SpaceTimeFields, and L stays on the workspace as `linear`.
     """
     ws = GammaWorkspace(data, cfg)
 
@@ -339,7 +340,6 @@ def picard_solve(data: SolverData, cfg: SolverConfig) -> SolveResult:
         trace=trace,
         traces=ws.q + r,
         nonlinear=SpaceTimeField(cfg.xgrid, cfg.tgrid, nonlinear),
-        linear=SpaceTimeField(cfg.xgrid, cfg.tgrid, ws.linear),
         diagnostics=diagnostics,
         workspace=ws,
     )

@@ -84,6 +84,16 @@ class UniformGrid:
             raise ValueError(f"coordinate {coordinate} does not lie on a grid node")
         return k
 
+    def window(self, lo: float, hi: float) -> slice:
+        """The nodes in the closed interval [lo, hi], to rounding, as one slice:
+        a node counts when it misses the interval by at most 1e-14, so a grid
+        whose zero node is a rounding off 0 keeps it.  The nodes increase, so
+        the indices are contiguous; reversed bounds give an empty slice."""
+        nodes = self.nodes
+        start = int(np.searchsorted(nodes, lo - 1e-14, side="left"))
+        stop = int(np.searchsorted(nodes, hi + 1e-14, side="right"))
+        return slice(start, max(start, stop))
+
 
 def _freeze(values: np.ndarray, shape_expected: tuple, real: bool) -> np.ndarray:
     """Read-only copy in the input's own memory layout: complex input as

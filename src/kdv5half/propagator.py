@@ -185,18 +185,17 @@ def duhamel_trajectory(
     fitted and swept, so the modes beyond the band cap are zero.
     Panel n spans [t_n, t_{n+1}] and is summed towards its end farther from
     t = 0.
-    Only the columns of the nodes in `t_window`, which must hold t = 0, are
-    computed (the others are zero), as a time cutoff kills the samples
-    outside it anyway.
+    Only the columns of the nodes in `t_window` (`UniformGrid.window`),
+    which must hold t = 0, are computed (the others are zero), as a time
+    cutoff kills the samples outside it anyway.
     """
     n0 = tgrid.index_of(0.0)
     k = plan.band_rows
     xi5 = plan.xi5[:k]
     y = F[:k].T
     s = _not_a_knot_slopes(y, tgrid.step)
-    nodes = tgrid.nodes
-    inside = np.flatnonzero((nodes >= t_window[0]) & (nodes <= t_window[1]))
-    lo, hi = min(int(inside[0]), n0), max(int(inside[-1]), n0)
+    inside = tgrid.window(*t_window)
+    lo, hi = min(inside.start, n0), max(inside.stop - 1, n0)
     dt = tgrid.step
     step_phase = np.exp(-1j * dt * xi5)
     rows = np.zeros((tgrid.count, k), dtype=np.complex128)

@@ -33,7 +33,6 @@ from .spectral import BAND_CAP, field_l2_norm, sobolev_norm, x_half_spectrum, x_
 from .verification import (
     HarnessError,
     extension_independence,
-    halfline_box,
     manufactured_data,
     oracle_distance,
     pde_residual,
@@ -330,8 +329,9 @@ def boundary_from_profile(spec: dict, tgrid: UniformGrid, label: str) -> TimeSer
         vals = np.zeros(tgrid.count)
     elif profile == "bump":
         vals = p["amplitude"] * right_bump(nodes, p["t0"], p["t1"], p["t2"], p["t3"])
-    else:  # gaussian_pulse
-        vals = p["amplitude"] * np.exp(-(((nodes - p["center"]) / p["width"]) ** 2)) * (nodes > 0)
+    else:  # gaussian_pulse, zero up to the zero node by the `UniformGrid.window` rule
+        vals = p["amplitude"] * np.exp(-(((nodes - p["center"]) / p["width"]) ** 2))
+        vals[: tgrid.window(-np.inf, 0.0).stop] = 0.0
     return TimeSeries(tgrid, vals)
 
 
@@ -368,31 +368,32 @@ def _due(scenario: Scenario, command: str) -> list:
     ]
 
 
+def _trace_row(tgrid: UniformGrid, trace: np.ndarray, window: slice) -> dict:
+    """Report row of a real x = 0 trace on the nodes of `window`; `im` stays,
+    all zeros, so readers of the trace format keep working."""
+    t = tgrid.nodes[window].tolist()
+    return {"t": t, "re": trace[window].tolist(), "im": [0.0] * len(t)}
+
+
 def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str) -> tuple:
     h1, h2, h3 = _build_boundary(scenario)
     report: dict = {"traces": {}}
     data_series = (h1, h2, h3)
-    tnodes = scenario.tgrid.nodes
-    _, plateau = halfline_box(scenario.xgrid, scenario.tgrid, 1.0)
+    tgrid = scenario.tgrid
+    plateau = tgrid.window(0.0, 1.0)
     # One scale for all three channels: zero channels are judged against the
     # driving channel's amplitude, not against themselves.
     scale = max(max(float(np.max(np.abs(d.values))) for d in data_series), 1e-300)
     traces = boundary_potential_traces(h1, h2, h3, depth=depth)
     for j, (tr, h) in enumerate(zip(traces, data_series)):
         err = float(np.max(np.abs(tr.values[plateau] - h.values[plateau]))) / scale
-        # The traces are real TimeSeries; `im` stays, all zeros, as in a solve's report.
-        report["traces"][f"j{j}"] = {
-            "t": tnodes[plateau].tolist(),
-            "re": tr.values[plateau].tolist(),
-            "im": np.zeros(len(plateau)).tolist(),
-            "relative_error": err,
-        }
+        report["traces"][f"j{j}"] = {**_trace_row(tgrid, tr.values, plateau), "relative_error": err}
     measured = {"trace_error": max(tr["relative_error"] for tr in report["traces"].values())}
     if "initial_vanishing_ratio" in _due(scenario, command):
         cap = BAND_CAP * scenario.tgrid.nyquist
         radius, _, _ = truncation_radius((h1, h2, h3), SPECTRUM_TOL, cap)
         xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
-        rows = np.flatnonzero(tnodes >= 0.0)  # the zero-extended data vanish before t = 0
+        rows = tgrid.window(0.0, np.inf)  # the zero-extended data vanish before t = 0
         maxima = []
         # Coarse panels (2 Gauss-Legendre nodes) expose the per-depth decay;
         # at the default 8 the quadrature is already converged at depth 0 and
@@ -466,13 +467,12 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
         h1, h2, h3 = _build_boundary(scenario)
         data = SolverData(g_l=g_l, h1=h1, h2=h2, h3=h3)
 
-    compat = check_compatibility(data.g_l, data.h1, data.h2, data.h3, cfg.s)
-    report["compatibility"] = compat.to_payload()
+    report["compatibility"] = check_compatibility(data.g_l, data.h1, data.h2, data.h3, cfg.s)
     result = picard_solve(data, cfg)
     report["iteration"] = result.trace.to_payload()
     report["diagnostics"] = result.diagnostics
     measured = {
-        "compatibility": max(compat.measured_gaps, default=0.0),
+        "compatibility": max(report["compatibility"]["measured_gaps"], default=0.0),
         "fixed_point_residual": result.trace.residual,
         "contraction": max(result.trace.factors[1:], default=0.0),
     }
@@ -484,30 +484,20 @@ def _run_solve(scenario: Scenario, seed: int, depth: int, command: str) -> tuple
         report["weak_form_residual"] = measured["weak_form"] = value
     if "extension_independence" in due:
         ext = extension_independence(g_l, (data.h1, data.h2, data.h3), cfg)
-        report["extension_independence"] = {
-            "runs": list(ext.runs),
-            "max_distance": ext.max_distance,
-        }
-        measured["extension_independence"] = ext.max_distance
+        report["extension_independence"] = ext
+        measured["extension_independence"] = ext["max_distance"]
     if "smoothing_slope_gain" in due:
         row = smoothing_report(result, cfg, scenario.indices.get("a", 0.0))
         report["smoothing"] = [row]
         measured["smoothing_slope_gain"] = row["slope_gain"]
     report["norms"] = {
-        "solution_l2": field_l2_norm(result.u),
-        "nonlinear_l2": field_l2_norm(result.nonlinear),
+        "solution_l2": field_l2_norm(result.u.values, cfg.xgrid, cfg.tgrid),
+        "nonlinear_l2": field_l2_norm(result.nonlinear.values, cfg.xgrid, cfg.tgrid),
     }
-    report["traces"] = {}
-    _, window = halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
-    tnodes = cfg.tgrid.nodes
-    for p, label in zip(result.traces, ("j0", "j1", "j2")):
-        # The traces of the real problem are real; `im` stays, all zeros, so
-        # readers of the trace format keep working.
-        report["traces"][label] = {
-            "t": tnodes[window].tolist(),
-            "re": p[window].tolist(),
-            "im": np.zeros(len(window)).tolist(),
-        }
+    window = cfg.tgrid.window(0.0, cfg.T)
+    report["traces"] = {
+        f"j{j}": _trace_row(cfg.tgrid, p, window) for j, p in enumerate(result.traces)
+    }
     return report, measured, result
 
 

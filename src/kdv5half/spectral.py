@@ -109,10 +109,9 @@ def values_from_spectrum_matrix(
     return SpaceTimeField(xgrid, tgrid, vals)
 
 
-def field_l2_norm(u: SpaceTimeField) -> float:
-    return float(
-        np.sqrt(np.sum(np.abs(u.values) ** 2) * u.xgrid.step * u.tgrid.step)
-    )
+def field_l2_norm(values: np.ndarray, xgrid: UniformGrid, tgrid: UniformGrid) -> float:
+    """L^2 norm of samples on (a box of) the xgrid x tgrid lattice, rectangle rule."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * (xgrid.step * tgrid.step)))
 
 
 def sobolev_norm(f: GridFunction, s: float, band: float | None = None) -> float:

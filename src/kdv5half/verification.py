@@ -25,6 +25,7 @@ from .propagator import apply_group
 from .spectral import (
     BAND_CAP,
     band_mask,
+    field_l2_norm,
     half_multiplicity,
     sobolev_norm,
     x_half_spectrum,
@@ -42,7 +43,6 @@ __all__ = [
     "weak_test_family",
     "weak_form_residual",
     "extension_independence",
-    "ExtensionIndependenceReport",
     "smoothing_report",
     "spectral_tail_slope",
     "field_tail_slope",
@@ -54,27 +54,19 @@ class HarnessError(RuntimeError):
 
 
 def halfline_box(xgrid: UniformGrid, tgrid: UniformGrid, T: float) -> tuple:
-    """Node indices (x_sel, t_sel) of the box x >= 0, 0 <= t <= T, to rounding:
-    a node counts when it misses the box by at most 1e-14, so a grid whose
-    zero node is a rounding off 0 keeps it."""
-    tnodes = tgrid.nodes
-    x_sel = np.where(xgrid.nodes >= -1e-14)[0]
-    t_sel = np.where((tnodes >= -1e-14) & (tnodes <= T + 1e-14))[0]
-    return x_sel, t_sel
-
-
-def _box_l2(diff: np.ndarray, xgrid: UniformGrid, tgrid: UniformGrid) -> float:
-    """L^2 norm of samples on a box of the (xgrid, tgrid) lattice, rectangle rule."""
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) * (xgrid.step * tgrid.step)))
+    """The box x >= 0, 0 <= t <= T as the slices (x_sel, t_sel) of the grids'
+    nodes, by the `UniformGrid.window` rule: a node within 1e-14 of the box
+    counts."""
+    return xgrid.window(0.0, np.inf), tgrid.window(0.0, T)
 
 
 def oracle_distance(u: SpaceTimeField, oracle: SpaceTimeField, T: float) -> float:
     """L^2 distance of u from the oracle on x >= 0, 0 <= t <= T; the oracle
     holds u's time nodes from t = 0 on."""
     x_sel, t_sel = halfline_box(u.xgrid, u.tgrid, T)
-    cols = t_sel - u.tgrid.index_of(0.0)
-    diff = u.values[np.ix_(x_sel, t_sel)] - oracle.values[np.ix_(x_sel, cols)]
-    return _box_l2(diff, u.xgrid, u.tgrid)
+    i0 = u.tgrid.index_of(0.0)
+    diff = u.values[x_sel, t_sel] - oracle.values[x_sel, t_sel.start - i0 : t_sel.stop - i0]
+    return field_l2_norm(diff, u.xgrid, u.tgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +235,6 @@ def manufactured_data(
 _DT_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
-def _node_window(nodes: np.ndarray, bounds: tuple | None, start: int, stop: int) -> slice:
-    """The indices in [start, stop) of the nodes inside the closed interval
-    `bounds` (all of them without bounds), as one slice: the nodes increase,
-    so the indices are contiguous."""
-    if bounds is None:
-        return slice(start, stop)
-    part = nodes[start:stop]
-    inside = np.flatnonzero((part >= bounds[0]) & (part <= bounds[1]))
-    if inside.size == 0:
-        return slice(start, start)
-    return slice(start + int(inside[0]), start + int(inside[-1]) + 1)
-
-
 def pde_residual(
     u: SpaceTimeField,
     fifth_x: SpaceTimeField | None = None,
@@ -278,7 +257,8 @@ def pde_residual(
     The window is the time nodes the stencil reaches, cut to `t_range`.
     Over the whole x box the norm is Parseval's sum over the half spectrum,
     weighted by `half_multiplicity`; with `x_range` the residual's spectrum
-    is transformed back once and summed over the x nodes in the range.
+    is transformed back once and summed over the x nodes in the range.  A
+    range selects its nodes by the `UniformGrid.window` rule.
     """
     margin = len(_DT_STENCIL) // 2
     nt = u.tgrid.count
@@ -287,7 +267,9 @@ def pde_residual(
     if fifth_x is not None and (fifth_x.xgrid != u.xgrid or fifth_x.tgrid != u.tgrid):
         raise ValueError("analytic fifth derivative must share the field's grids")
     xg, dt = u.xgrid, u.tgrid.step
-    cols = _node_window(u.tgrid.nodes, t_range, margin, nt - margin)
+    window = u.tgrid.window(*t_range) if t_range is not None else slice(0, nt)
+    start = max(window.start, margin)
+    cols = slice(start, max(start, min(window.stop, nt - margin)))
     spec = x_half_spectrum(u.values, xg)
     # The residual's spectrum on the window's columns; each stencil term
     # passes through one temporary of its shape.
@@ -313,7 +295,7 @@ def pde_residual(
         pairs = res.view(np.float64)
         power = half_multiplicity(xg) @ np.einsum("ij,ij->i", pairs, pairs)
         return float(np.sqrt(power * xg.freq_step * dt))
-    values = x_half_values(res, xg)[_node_window(xg.nodes, x_range, 0, xg.count)]
+    values = x_half_values(res, xg)[xg.window(*x_range)]
     return float(np.sqrt(np.vdot(values, values) * xg.step * dt))
 
 
@@ -431,9 +413,9 @@ def weak_form_residual(
     u.tgrid.index_of(T)  # T must be a grid node
     x_sel, t_sel = halfline_box(u.xgrid, u.tgrid, T)
     xs, ts = u.xgrid.nodes[x_sel], u.tgrid.nodes[t_sel]
-    U = u.values[np.ix_(x_sel, t_sel)]
-    g_vals = np.asarray(g.values)[x_sel]
-    h_vals = [np.asarray(h.values)[t_sel] for h in (h1, h2, h3)]
+    U = u.values[x_sel, t_sel]
+    g_vals = g.values[x_sel]
+    h_vals = [h.values[t_sel] for h in (h1, h2, h3)]
     wx = _simpson_weights(len(xs), u.xgrid.step)
     wt = _simpson_weights(len(ts), u.tgrid.step)
     worst = 0.0
@@ -458,18 +440,12 @@ def weak_form_residual(
 # Extension independence (observable face of uniqueness).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionIndependenceReport:
-    max_distance: float
-    runs: tuple
-
-
 def extension_independence(
     g: GridFunction, h_series: tuple, cfg: SolverConfig
-) -> ExtensionIndependenceReport:
+) -> dict:
     """Solve once per (extension method x collar width), zero or reflection
-    x collar 2 or 3; report the maximum pairwise L^2 distance of the
-    restrictions to x >= 0, t in [0, T].
+    x collar 2 or 3; report the run labels (`runs`) and the maximum pairwise
+    L^2 distance of the restrictions to x >= 0, t in [0, T] (`max_distance`).
 
     The solution of the half-line problem must not depend on how the initial
     datum was extended to x < 0 nor on the taper used inside the boundary
@@ -486,13 +462,13 @@ def extension_independence(
             result = picard_solve(data, run_cfg)
             solutions.append(result.u)
             labels.append(f"{method}/collar={collar:g}")
-    box = np.ix_(*halfline_box(cfg.xgrid, cfg.tgrid, cfg.T))
+    box = halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
     worst = 0.0
     for i in range(len(solutions)):
         for k in range(i + 1, len(solutions)):
             diff = solutions[i].values[box] - solutions[k].values[box]
-            worst = max(worst, _box_l2(diff, cfg.xgrid, cfg.tgrid))
-    return ExtensionIndependenceReport(max_distance=worst, runs=tuple(labels))
+            worst = max(worst, field_l2_norm(diff, cfg.xgrid, cfg.tgrid))
+    return {"runs": labels, "max_distance": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +519,7 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a: float) -> dict:
     flagged but still measured.
     """
     tnodes = cfg.tgrid.nodes
-    _, t_sel = halfline_box(cfg.xgrid, cfg.tgrid, cfg.T)
+    t_sel = np.arange(cfg.tgrid.count)[cfg.tgrid.window(0.0, cfg.T)]
     samples = t_sel[np.linspace(0, len(t_sel) - 1, 9).round().astype(int)]
     cap = BAND_CAP * cfg.xgrid.nyquist
     band = (2.0, 0.9 * cap)

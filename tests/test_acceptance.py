@@ -238,10 +238,10 @@ class TestExtensionIndependence:
             xgrid=xg, tgrid=tg, s=s, b=0.42, bstar=0.46, alpha=0.52, T=0.25
         )
         report = extension_independence(datum, (z, z, z), cfg)
-        assert report.runs == (
+        assert report["runs"] == [
             "zero/collar=2", "zero/collar=3", "reflection/collar=2", "reflection/collar=3"
-        )
-        assert report.max_distance < 1e-4
+        ]
+        assert report["max_distance"] < 1e-4
 
 
 class TestWeakForm:

@@ -194,31 +194,31 @@ class TestCompatibility:
     def test_no_conditions_below_half(self):
         g = halfline_samples(lambda x: 1.0 + 0.0 * x)  # g(0) = 1
         rep = check_compatibility(g, self.constant_series(0.0), self.constant_series(0.0), self.constant_series(0.0), 0.3)
-        assert rep.measured_gaps == ()
-        assert len(rep.required) == 0
+        assert rep["measured_gaps"] == []
+        assert len(rep["required"]) == 0
 
     def test_rank_one_between_half_and_three_halves(self):
         g = halfline_samples(lambda x: np.exp(-(x**2)))  # g(0) = 1
         match = check_compatibility(g, self.constant_series(1.0), self.constant_series(0.0), self.constant_series(0.0), 1.0)
-        assert len(match.required) == 1 and len(match.measured_gaps) == 1
-        assert match.measured_gaps[0] <= self.VALUE_MATCH
+        assert len(match["required"]) == 1 and len(match["measured_gaps"]) == 1
+        assert match["measured_gaps"][0] <= self.VALUE_MATCH
         mismatch = check_compatibility(g, self.constant_series(0.0), self.constant_series(0.0), self.constant_series(0.0), 1.0)
-        assert mismatch.measured_gaps[0] > self.VALUE_MATCH
+        assert mismatch["measured_gaps"][0] > self.VALUE_MATCH
 
     def test_rank_grows_with_s(self):
         g = halfline_samples(lambda x: np.exp(-(x**2)))
         rep2 = check_compatibility(g, self.constant_series(1.0), self.constant_series(0.0), self.constant_series(0.0), 2.0)
-        assert len(rep2.required) == 2 and len(rep2.measured_gaps) == 2
+        assert len(rep2["required"]) == 2 and len(rep2["measured_gaps"]) == 2
         # g''(0) = -2 for the Gaussian.
         rep3 = check_compatibility(
             g, self.constant_series(1.0), self.constant_series(0.0), self.constant_series(-2.0), 2.6
         )
-        assert len(rep3.required) == 3
-        assert max(rep3.measured_gaps) <= self.DERIVATIVE_MATCH
+        assert len(rep3["required"]) == 3
+        assert max(rep3["measured_gaps"]) <= self.DERIVATIVE_MATCH
         wrong = check_compatibility(
             g, self.constant_series(1.0), self.constant_series(0.0), self.constant_series(0.0), 2.6
         )
-        assert wrong.measured_gaps[2] > self.DERIVATIVE_MATCH
+        assert wrong["measured_gaps"][2] > self.DERIVATIVE_MATCH
 
     def test_jet_matches_analytic_derivatives(self):
         # The gaps of data equal to the exact corner values are the jet's
@@ -234,19 +234,21 @@ class TestCompatibility:
             self.constant_series(fpp(0.0)),
             2.6,
         )
-        assert rep.measured_gaps[0] <= 1e-12
-        assert rep.measured_gaps[1] <= 1e-5
-        assert rep.measured_gaps[2] <= 1e-3
+        assert rep["measured_gaps"][0] <= 1e-12
+        assert rep["measured_gaps"][1] <= 1e-5
+        assert rep["measured_gaps"][2] <= 1e-3
 
     @pytest.mark.parametrize("s, count", [(0.0, 0), (0.49, 0), (0.51, 1), (1.49, 1), (1.51, 2), (2.6, 3)])
     def test_one_rule_counts_the_conditions(self, s, count):
         g = halfline_samples(lambda x: np.exp(-(x**2)))
         zero = self.constant_series(0.0)
         assert corner_conditions(s) == count
-        assert len(check_compatibility(g, zero, zero, zero, s).required) == count
+        assert len(check_compatibility(g, zero, zero, zero, s)["required"]) == count
 
     def test_payload_shape(self):
         g = halfline_samples(lambda x: np.exp(-(x**2)))
-        rep = check_compatibility(g, self.constant_series(1.0), self.constant_series(0.0), self.constant_series(0.0), 1.0)
-        payload = rep.to_payload()
-        assert set(payload) == {"s", "required", "measured_gaps"}
+        zero = self.constant_series(0.0)
+        payload = check_compatibility(g, self.constant_series(1.0), zero, zero, 1.0)
+        assert list(payload) == ["s", "required", "measured_gaps"]
+        assert payload["s"] == 1.0 and payload["required"] == ["g(0)=h1(0)"]
+        assert [type(gap) for gap in payload["measured_gaps"]] == [float]

@@ -258,3 +258,33 @@ def test_no_private_name_crosses_modules():
         f"{path.stem} imports {name}" for path in SOURCE_FILES for name in _private_imports(path)
     )
     assert crossing == []
+
+
+def _ordering_windows(path: Path) -> list:
+    """`np.flatnonzero(...)` and one-argument `np.where(...)` calls in `path`
+    whose argument holds an ordering comparison (<, <=, >, >=), by line."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for node in ast.walk(_parse(path)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        if not (name == "flatnonzero" or (name == "where" and len(node.args) == 1)):
+            continue
+        if any(
+            isinstance(sub, ast.Compare) and any(isinstance(op, ordering) for op in sub.ops)
+            for arg in node.args
+            for sub in ast.walk(arg)
+        ):
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_node_windows_come_from_the_grid():
+    """The nodes of an interval are selected by `UniformGrid.window` alone,
+    so every check reads one rounding rule: no module but `grids` turns an
+    ordering comparison of nodes into indices."""
+    found = sorted(
+        hit for path in SOURCE_FILES if path.name != "grids.py" for hit in _ordering_windows(path)
+    )
+    assert found == []

@@ -193,7 +193,7 @@ class TestPicard:
     def test_linear_plus_nonlinear(self, manufactured_case):
         # Every iterate is summed as L + N(u), so the split of the result is exact.
         _, _, result = manufactured_case
-        assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
+        assert np.array_equal(result.u.values, result.workspace.linear + result.nonlinear.values)
 
     def test_first_iterate_is_linear_part(self, manufactured_case, solver_config):
         _, _, result = manufactured_case
@@ -206,7 +206,6 @@ class TestPicard:
         assert first.shape == nonlinear.shape == (cfg.xgrid.count, cfg.tgrid.count)
         assert not np.any(nonlinear) and not np.any(r)
         assert np.array_equal(first, ws.linear)
-        assert np.array_equal(first, result.linear.values)
 
     def test_traces_are_free_plus_duhamel(self, manufactured_case, solver_config):
         # q is the trace of the datum's free evolution; r, read off the
@@ -314,6 +313,21 @@ class TestPicardLoop:
     def solve(self, amplitude):
         return picard_solve(*self.problem(amplitude))
 
+    def test_data_window_starts_after_the_zero_node(self):
+        # On origin -2.3, step 0.1 the zero node is 4.4e-16, a rounding off 0:
+        # it is t = 0 for `index_of` and for the half-line box, so the data
+        # window w = eta(t/2T) chi_{t>0} vanishes there and is eta(t/2T) after.
+        tg = UniformGrid(-2.3, 0.1, 48)
+        zeros = TimeSeries(tg, np.zeros(tg.count))
+        g = GridFunction(self.XG, np.zeros(self.XG.count))
+        data = SolverData(g_l=g, h1=zeros, h2=zeros, h3=zeros)
+        cfg = SolverConfig(xgrid=self.XG, tgrid=tg, s=1.0, b=0.42, bstar=0.46, alpha=0.52, T=0.25)
+        window = fixed_point.GammaWorkspace(data, cfg).data_window
+        i0 = tg.index_of(0.0)
+        assert 0.0 < tg.nodes[i0] < 1e-15
+        assert not np.any(window[: i0 + 1])
+        assert np.array_equal(window[i0 + 1 :], eta(tg.nodes[i0 + 1 :] / (2.0 * cfg.T)))
+
     def test_starts_from_the_linear_part(self, monkeypatch):
         # u_1 = L costs no application: F_T and the Duhamel sweep run once per
         # later iterate and once for the residual, i.e. `iterations` times,
@@ -333,7 +347,7 @@ class TestPicardLoop:
         assert calls == {"nonlinearity_FT": iterations, "duhamel_trajectory": iterations}
         assert result.diagnostics["applications"] == iterations + 1
         assert result.trace.norms[0] == result.trace.diffs[0]
-        assert np.array_equal(result.u.values, result.linear.values + result.nonlinear.values)
+        assert np.array_equal(result.u.values, result.workspace.linear + result.nonlinear.values)
 
     def test_one_application_runs_four_x_transforms(self, monkeypatch):
         # Every x transform is a real one: nonlinearity_FT runs rfft(u),

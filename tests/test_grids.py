@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kdv5half
 from kdv5half import boundary
@@ -49,6 +51,42 @@ class TestUniformGrid:
     def test_index_of_rejects_off_node(self):
         with pytest.raises(ValueError, match="does not lie on a grid node"):
             small_grid().index_of(0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        origin=st.sampled_from([-2.0, -40.0, 0.0, -2.3, -0.9, 1.7]),
+        step=st.sampled_from([0.25, 0.078125, 2.0**-8, 0.1, 0.03, 0.00375]),
+        count=st.integers(2, 64),
+        lo_node=st.integers(-5, 70),
+        span=st.integers(-5, 70),
+        nudges=st.lists(
+            st.sampled_from([0.0, 5e-15, 1e-14, 2e-14, -5e-15, -1e-14, -2e-14, 0.3]),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    @example(origin=-2.3, step=0.1, count=48, lo_node=23, span=10, nudges=[0.0, 0.0])
+    @example(origin=-2.0, step=0.25, count=16, lo_node=10, span=-3, nudges=[0.0, 0.0])
+    def test_window_is_the_mask_with_slack(self, origin, step, count, lo_node, span, nudges):
+        # Bounds on (or a rounding off) a node, between nodes, outside the
+        # grid, reversed (span < 0) or empty: the window is the slice of the
+        # nodes that miss [lo, hi] by at most 1e-14.
+        g = UniformGrid(origin=origin, step=step, count=count)
+        lo = origin + lo_node * step + nudges[0]
+        hi = origin + (lo_node + span) * step + nudges[1]
+        window = g.window(lo, hi)
+        nodes = g.nodes
+        want = np.flatnonzero((nodes >= lo - 1e-14) & (nodes <= hi + 1e-14))
+        assert isinstance(window, slice) and window.step is None
+        assert 0 <= window.start <= window.stop <= count
+        assert np.array_equal(np.arange(count)[window], want)
+
+    def test_window_takes_infinite_bounds(self):
+        g = small_grid()
+        assert g.window(-np.inf, np.inf) == slice(0, g.count)
+        assert g.window(0.0, np.inf) == slice(4, g.count)
+        assert g.window(-np.inf, -1e-15) == slice(0, 5)  # 0 misses by 1e-15
+        assert g.window(np.inf, -np.inf) == slice(g.count, g.count)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -238,7 +238,7 @@ class TestProfiles:
             0.3,
             seed=7,
         )
-        assert np.max(np.abs(rough.values)) == pytest.approx(0.1, rel=1e-12)
+        assert np.max(np.abs(rough.values)) == pytest.approx(0.1, rel=1e-12, abs=0.0)
 
     def test_datum_unknown_profile(self):
         with pytest.raises(ScenarioError, match="unknown profile"):
@@ -289,6 +289,13 @@ class TestProfiles:
             {"profile": "gaussian_pulse", "center": 0.3, "width": 0.1}, self.TG, "h2"
         )
         assert np.all(pulse.values[self.TG.nodes <= 0.0] == 0)
+        # The zero node of this grid is 4.4e-16, a rounding off 0: it is t = 0
+        # by the window rule, so the pulse, cut to t > 0, vanishes there.
+        tg = UniformGrid(-2.3, 0.1, 48)
+        assert 0.0 < tg.nodes[tg.index_of(0.0)] < 1e-15
+        pulse = boundary_from_profile({"profile": "gaussian_pulse", "width": 0.5}, tg, "h2")
+        assert pulse.values[tg.index_of(0.0)] == 0.0
+        assert np.all(pulse.values[tg.index_of(0.0) + 1 :] > 0.0)
         with pytest.raises(ScenarioError, match="unknown profile"):
             boundary_from_profile({"profile": "square"}, self.TG, "h3")
 
@@ -411,7 +418,7 @@ class TestPipelines:
             run_scenario(self.write(tmp_path, payload), out_dir=tmp_path / "out")
             traces = json.loads((tmp_path / "out" / "report.json").read_text())["traces"]
             tgrid = UniformGrid(**payload["grids"]["t"])
-            rows = halfline_box(UniformGrid(**x), tgrid, T)[1]
+            rows = np.arange(tgrid.count)[halfline_box(UniformGrid(**x), tgrid, T)[1]]
             assert -1e-15 < tgrid.nodes[rows[0]] < 0.0
             for trace in traces.values():
                 assert trace["t"] == tgrid.nodes[rows].tolist()

@@ -314,7 +314,7 @@ class TestManufacturedData:
         # order-0 trace at t = 0 equals the datum's origin value
         i0 = solver_config.xgrid.index_of(0.0)
         assert data.h1.values[tg.index_of(0.0)] == pytest.approx(
-            data.g_l.values[i0], rel=1e-10
+            data.g_l.values[i0], rel=1e-10, abs=0.0
         )
         # The oracle holds the solver's nodes of [0, horizon] and no others.
         start = tg.index_of(0.0)
@@ -347,7 +347,7 @@ class TestOracleDistance:
         cols = ts - tg.index_of(0.0)
         diff = result.u.values[xs][:, ts] - oracle.values[xs][:, cols]
         want = np.sqrt(np.sum(diff**2) * xg.step * tg.step)
-        assert oracle_distance(result.u, oracle, T) == pytest.approx(want, rel=1e-14)
+        assert oracle_distance(result.u, oracle, T) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_vanishes_on_the_oracle_itself(self, manufactured_case, solver_config):
         _, oracle, result = manufactured_case
