@@ -18,7 +18,6 @@ from .boundary import (
     boundary_potential_traces,
 )
 from .bourgain import (
-    NormIndices,
     bilinear_ratio,
     seeded_band_limited_field,
     xsb_norm,
@@ -28,7 +27,6 @@ from .cutoffs import (
     check_compatibility,
     eta,
     extend_initial_datum,
-    halfline_norm_upper,
     rho,
     right_bump,
     zero_extend_time,
@@ -79,7 +77,6 @@ __all__ = [
     "GridFunction",
     "HarnessError",
     "NonContractionError",
-    "NormIndices",
     "PreconditionError",
     "PropagatorPlan",
     "Scenario",
@@ -99,7 +96,6 @@ __all__ = [
     "extend_initial_datum",
     "extension_independence",
     "free_field",
-    "halfline_norm_upper",
     "kato_smoothing_ratio",
     "manufactured_data",
     "pde_residual",

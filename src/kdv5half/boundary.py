@@ -387,9 +387,9 @@ class BoundaryPotential:
         pot = cls(quad, h1, h2, h3, t_sel=t_sel)
         pot.diagnostics = {
             "beta_radius": radius,
-            "node_count": quad.node_count,
-            "tail_mass": tail,
             "spectrum_within_band": ok,
+            "tail_mass": tail,
+            "quadrature_nodes": quad.node_count,
         }
         return pot
 

@@ -14,62 +14,20 @@ certified operator norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .cutoffs import auxiliary_violations, gain_violations
 from .grids import SpaceTimeField, UniformGrid
 from .spectral import band_mask, spectrum_matrix, values_from_spectrum_matrix
 
 __all__ = [
-    "NormIndices",
     "xsb_norm",
     "xsba_norm",
     "bilinear_ratio",
     "seeded_band_limited_field",
 ]
-
-
-@dataclass(frozen=True)
-class NormIndices:
-    """Index bundle (s, b, a) with the windows of the two bilinear estimates.
-
-    `gain_violations` lists the breaches of the derivative-gain window
-    (numerator measured in X^{s+a, -b}); `auxiliary_violations` those of the
-    companion estimate used at higher regularity (numerator in
-    X^{1/2, (2(s+a)-1-10b)/10}).  An empty list means admissible.  The
-    contraction window of the fixed-point argument is `SolverConfig`'s.
-    """
-
-    s: float
-    b: float
-    a: float = 0.0
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"regularity s must be >= 0, got {self.s}")
-        if self.a < 0:
-            raise ValueError(f"gain index a must be >= 0, got {self.a}")
-
-    def gain_violations(self) -> list:
-        v = []
-        if not (0.4 <= self.b < 0.5):
-            v.append(f"2/5 <= b < 1/2 (got b={self.b})")
-        if not (0.0 <= self.a <= 10.0 * self.b - 4.0):
-            v.append(f"0 <= a <= 10b-4 = {10.0 * self.b - 4.0:g} (got a={self.a})")
-        return v
-
-    def auxiliary_violations(self) -> list:
-        v = []
-        if not (0.5 < self.s < 2.75):
-            v.append(f"1/2 < s < 11/4 (got s={self.s})")
-        if not (0.0 <= self.a < 2.75 - self.s):
-            v.append(f"0 <= a < 11/4 - s = {2.75 - self.s:g} (got a={self.a})")
-        lower = max((self.s + self.a) / 5.0 - 0.05, 0.4)
-        if not (lower < self.b < 0.5):
-            v.append(f"max{{(s+a)/5 - 1/20, 2/5}} = {lower:g} < b < 1/2 (got b={self.b})")
-        return v
 
 
 def _weight_at(xi: np.ndarray, tau: np.ndarray, s: float, b: float) -> np.ndarray:
@@ -177,23 +135,25 @@ def bilinear_ratio(
 ) -> float:
     """Ratio ||d_x(vw)||_numerator / (||v||_{X^{s,b}} ||w||_{X^{s,b}}).
 
-    mode="gain":      numerator norm X^{s+a, -b}; indices must satisfy the
-                      derivative-gain window s >= 0, 2/5 <= b < 1/2,
-                      0 <= a <= 10b-4.
-    mode="auxiliary": numerator norm X^{1/2, (2(s+a)-1-10b)/10}; indices must
-                      satisfy 1/2 < s < 11/4, 0 <= a < 11/4 - s,
-                      max{(s+a)/5 - 1/20, 2/5} < b < 1/2.
+    mode="gain":      numerator norm X^{s+a, -b}, indices in the window of
+                      `cutoffs.gain_violations`.
+    mode="auxiliary": numerator norm X^{1/2, (2(s+a)-1-10b)/10}, indices in
+                      the window of `cutoffs.auxiliary_violations`.
+    Both need s >= 0 and a >= 0.
 
     The product is formed pointwise in physical space and differentiated
     spectrally under the standard band cap.  Invariant under independent
     rescaling of v and w.
     """
-    idx = NormIndices(s=s, b=b, a=a)
+    if s < 0:
+        raise ValueError(f"regularity s must be >= 0, got {s}")
+    if a < 0:
+        raise ValueError(f"gain index a must be >= 0, got {a}")
     if mode == "gain":
-        violations = idx.gain_violations()
+        violations = gain_violations(s, b, a)
         label = "derivative-gain bilinear estimate"
     elif mode == "auxiliary":
-        violations = idx.auxiliary_violations()
+        violations = auxiliary_violations(s, b, a)
         label = "auxiliary bilinear estimate"
     else:
         raise ValueError(f"mode must be 'gain' or 'auxiliary', got {mode!r}")

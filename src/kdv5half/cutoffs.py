@@ -2,7 +2,9 @@
 
 The three bump functions share one exp(-1/x) transition profile.  `eta` is the
 unit time cutoff (plateau [-1/2,1/2], support [-1,1]); `rho` is the one-sided
-cutoff that tapers boundary-kernel extensions on a left collar.
+cutoff that tapers boundary-kernel extensions on a left collar.  The paper's
+index sets live here too: its regularity range and the (s, b, a) windows of
+its bilinear and smoothing estimates.
 """
 
 from __future__ import annotations
@@ -11,21 +13,21 @@ import math
 
 import numpy as np
 
-from .grids import GridFunction, TimeSeries, UniformGrid
-from .spectral import sobolev_norm
+from .grids import GridFunction, TimeSeries
 
 __all__ = [
     "smooth_transition",
     "eta",
     "rho",
-    "two_sided_bump",
     "right_bump",
     "extend_initial_datum",
-    "halfline_norm_upper",
     "zero_extend_time",
     "check_compatibility",
     "corner_conditions",
     "validate_regularity",
+    "gain_violations",
+    "auxiliary_violations",
+    "smoothing_window",
     "EXCLUDED_REGULARITY",
     "EXCLUSION_TOL",
     "S_MAX",
@@ -49,16 +51,9 @@ def smooth_transition(y):
     return out if out.ndim else float(out)
 
 
-def two_sided_bump(r, inner: float, outer: float):
-    """1 on |r| <= inner, 0 on |r| >= outer, smooth monotone between."""
-    if not (0.0 < inner < outer):
-        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
-    return smooth_transition((outer - np.abs(r)) / (outer - inner))
-
-
 def eta(t):
     """Unit time cutoff: 1 on [-1/2,1/2], supported in [-1,1]."""
-    return two_sided_bump(t, 0.5, 1.0)
+    return smooth_transition((1.0 - np.abs(t)) / 0.5)
 
 
 def rho(x, collar: float = 2.0):
@@ -80,7 +75,7 @@ def right_bump(t, t0: float, t1: float, t2: float, t3: float):
 
 
 # ---------------------------------------------------------------------------
-# Half-line extension of the initial datum.
+# Index windows of the estimates; half-line extension of the initial datum.
 # ---------------------------------------------------------------------------
 
 def validate_regularity(s: float) -> None:
@@ -102,9 +97,45 @@ def validate_regularity(s: float) -> None:
         )
 
 
+def gain_violations(s: float, b: float, a: float) -> list:
+    """Breaches of the derivative-gain bilinear window 2/5 <= b < 1/2,
+    0 <= a <= 10b-4 (none: admissible); s >= 0 is the caller's check."""
+    v = []
+    if not (0.4 <= b < 0.5):
+        v.append(f"2/5 <= b < 1/2 (got b={b})")
+    if not (0.0 <= a <= 10.0 * b - 4.0):
+        v.append(f"0 <= a <= 10b-4 = {10.0 * b - 4.0:g} (got a={a})")
+    return v
+
+
+def auxiliary_violations(s: float, b: float, a: float) -> list:
+    """Breaches of the auxiliary bilinear window 1/2 < s < 11/4, 0 <= a <
+    11/4 - s, max{(s+a)/5 - 1/20, 2/5} < b < 1/2 (none: admissible).  The
+    contraction window of the fixed-point argument is `SolverConfig`'s."""
+    v = []
+    if not (0.5 < s < S_MAX):
+        v.append(f"1/2 < s < 11/4 (got s={s})")
+    if not (0.0 <= a < S_MAX - s):
+        v.append(f"0 <= a < 11/4 - s = {S_MAX - s:g} (got a={a})")
+    lower = max((s + a) / 5.0 - 0.05, 0.4)
+    if not (lower < b < 0.5):
+        v.append(f"max{{(s+a)/5 - 1/20, 2/5}} = {lower:g} < b < 1/2 (got b={b})")
+    return v
+
+
+def smoothing_window(s: float, b: float, a: float) -> bool:
+    """Whether `smoothing_report` counts a gain of a derivatives at (s, b) as
+    admissible; False for every s >= 3/2."""
+    if 0.0 <= s < 0.5:
+        return 0.45 < b < 0.5 and 0.0 <= a < 0.5 - s
+    if 0.5 < s < 1.5:
+        return 0.45 < b < 0.5 and 0.0 <= a <= 0.5
+    return False
+
+
 def _zero_extension(g: GridFunction) -> np.ndarray:
     vals = np.array(g.values)
-    vals[g.grid.nodes < -1e-14] = 0.0
+    vals[: g.grid.window(0.0, np.inf).start] = 0.0
     return vals
 
 
@@ -140,8 +171,8 @@ def _reflection_extension(g: GridFunction) -> np.ndarray:
     """
     vals = _zero_extension(g)
     nodes = g.grid.nodes
-    neg = nodes < -1e-14
-    if not np.any(neg):
+    neg = slice(g.grid.window(0.0, np.inf).start)
+    if neg.stop == 0:
         return vals
     jet = _one_sided_jet(g)
     taylor = np.array([d / math.factorial(m) for m, d in enumerate(jet)])
@@ -171,11 +202,6 @@ def extend_initial_datum(g: GridFunction, s: float, method: str = "auto") -> Gri
         raise ValueError(f"unknown extension method: {method!r}")
     extend = _zero_extension if method == "zero" else _reflection_extension
     return GridFunction(g.grid, extend(g))
-
-
-def halfline_norm_upper(g: GridFunction, s: float) -> float:
-    """Upper bound for the half-line H^s norm: the norm of the "auto" extension."""
-    return sobolev_norm(extend_initial_datum(g, s), s)
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,7 @@ class GammaWorkspace:
                 t_window=self.t_window,
                 strict=False,
             )
-            d = self._pot.diagnostics
-            for key in ("beta_radius", "spectrum_within_band", "tail_mass"):
-                self.diagnostics[key] = d[key]
-            self.diagnostics["quadrature_nodes"] = d["node_count"]
+            self.diagnostics.update(self._pot.diagnostics)
         else:
             self._pot.update_data(*series)
         self._pot.add_field_on_grid(values, cfg.xgrid.nodes, self.eta_t)

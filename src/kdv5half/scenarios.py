@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -392,7 +392,7 @@ def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str)
     if "initial_vanishing_ratio" in _due(scenario, command):
         cap = BAND_CAP * scenario.tgrid.nyquist
         radius, _, _ = truncation_radius((h1, h2, h3), SPECTRUM_TOL, cap)
-        xs = scenario.xgrid.nodes[scenario.xgrid.nodes > 0.5]
+        xs = scenario.xgrid.nodes[scenario.xgrid.window(0.5, np.inf)]
         rows = tgrid.window(0.0, np.inf)  # the zero-extended data vanish before t = 0
         maxima = []
         # Coarse panels (2 Gauss-Legendre nodes) expose the per-depth decay;
@@ -527,10 +527,7 @@ def _run_probe(scenario: Scenario, seed: int, _depth: int, _command: str) -> tup
         "max_ratio": float(ratios.max()),
         "mean_ratio": float(ratios.mean()),
         "argmax_seed": seed + 2 * argmax,
-        "grids": {
-            "x": {"origin": scenario.xgrid.origin, "step": scenario.xgrid.step, "count": scenario.xgrid.count},
-            "t": {"origin": scenario.tgrid.origin, "step": scenario.tgrid.step, "count": scenario.tgrid.count},
-        },
+        "grids": {"x": asdict(scenario.xgrid), "t": asdict(scenario.tgrid)},
     }
     return report, {"max_ratio_bound": report["max_ratio"]}, None
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .boundary import AccuracyError
-from .cutoffs import extend_initial_datum, halfline_norm_upper, right_bump
+from .cutoffs import extend_initial_datum, right_bump, smoothing_window
 from .fixed_point import SolveResult, SolverConfig, SolverData, picard_solve
 from .grids import GridFunction, SpaceTimeField, TimeSeries, UniformGrid
 from .propagator import apply_group
@@ -497,14 +497,6 @@ def field_tail_slope(u: SpaceTimeField, band: tuple, t_indices) -> float:
     return _log_slope(u.xgrid.frequencies[: len(envelope)], envelope, band)
 
 
-def _smoothing_window(s: float, b: float, a: float) -> bool:
-    if 0.0 <= s < 0.5:
-        return 0.45 < b < 0.5 and 0.0 <= a < 0.5 - s
-    if 0.5 < s < 1.5:
-        return 0.45 < b < 0.5 and 0.0 <= a <= 0.5
-    return False
-
-
 def smoothing_report(result: SolveResult, cfg: SolverConfig, a: float) -> dict:
     """One row quantifying how much smoother the nonlinear part is than g,
     measured in H^{s+a}.
@@ -538,7 +530,7 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a: float) -> dict:
     target = cfg.s + a
     sup_norm = 0.0
     for slice_fn in nonlinear_part:
-        sup_norm = max(sup_norm, halfline_norm_upper(slice_fn, target))
+        sup_norm = max(sup_norm, sobolev_norm(extend_initial_datum(slice_fn, target), target))
     growth = {}
     band_norms = {}
     # The band-extension contrast compares the datum's free evolution
@@ -558,7 +550,7 @@ def smoothing_report(result: SolveResult, cfg: SolverConfig, a: float) -> dict:
         band_norms[label] = [float(v) for v in norms]
     return {
         "a": float(a),
-        "admissible": _smoothing_window(cfg.s, cfg.b, a),
+        "admissible": smoothing_window(cfg.s, cfg.b, a),
         "sup_halfline_norm": float(sup_norm),
         "tail_slope_nonlinear": slope_nl,
         "tail_slope_reference": slope_g,

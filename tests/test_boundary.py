@@ -488,7 +488,7 @@ class TestFromData:
         assert pot.diagnostics["spectrum_within_band"] is False
         assert pot.diagnostics["tail_mass"] > 0.0
         assert pot.diagnostics["beta_radius"] == pytest.approx(0.75 * TG.nyquist)
-        assert pot.diagnostics["node_count"] == pot.quad.node_count
+        assert pot.diagnostics["quadrature_nodes"] == pot.quad.node_count
 
     def test_mismatched_time_grids_rejected(self):
         other = UniformGrid(-2.0, 4.0 / 512, 512)
@@ -589,7 +589,7 @@ class TestRealDataHalfRule:
         pot = BoundaryPotential.from_data(*three_channel_series(), depth=1, x_span=5.0)
         quad = pot.quad
         assert np.all(quad.betas > 0)
-        assert pot.diagnostics["node_count"] == quad.node_count == 2 * len(quad.betas)
+        assert pot.diagnostics["quadrature_nodes"] == quad.node_count == 2 * len(quad.betas)
         assert len(pot.rhs) == len(pot.coeffs) == len(quad.betas)
 
     def test_complex_data_refused(self):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from kdv5half import bourgain
 from kdv5half.bourgain import (
-    NormIndices,
     bilinear_ratio,
     seeded_band_limited_field,
     xsb_norm,
     xsba_norm,
 )
+from kdv5half.cutoffs import auxiliary_violations, gain_violations
 from kdv5half.grids import SpaceTimeField, UniformGrid
 from kdv5half.spectral import field_l2_norm
 
@@ -172,23 +172,23 @@ class TestNorms:
 
 class TestAdmissibility:
     def test_gain_window(self):
-        assert not NormIndices(0.0, 0.45).gain_violations()
-        assert not NormIndices(1.0, 0.45, a=0.5).gain_violations()
-        assert NormIndices(0.0, 0.38).gain_violations()
-        assert NormIndices(0.0, 0.5).gain_violations()  # b must stay below 1/2
-        assert NormIndices(0.0, 0.45, a=0.6).gain_violations()  # a > 10b-4
+        assert not gain_violations(0.0, 0.45, 0.0)
+        assert not gain_violations(1.0, 0.45, 0.5)
+        assert gain_violations(0.0, 0.38, 0.0)
+        assert gain_violations(0.0, 0.5, 0.0)  # b must stay below 1/2
+        assert gain_violations(0.0, 0.45, 0.6)  # a > 10b-4
 
     def test_auxiliary_window(self):
-        assert not NormIndices(1.0, 0.46, a=0.2).auxiliary_violations()
-        assert NormIndices(0.3, 0.46).auxiliary_violations()  # s <= 1/2
-        assert NormIndices(2.8, 0.46).auxiliary_violations()  # s >= 11/4
-        assert NormIndices(1.0, 0.46, a=1.8).auxiliary_violations()  # a >= 11/4 - s
-        assert NormIndices(2.6, 0.46, a=0.1).auxiliary_violations()  # b below (s+a)/5 - 1/20
+        assert not auxiliary_violations(1.0, 0.46, 0.2)
+        assert auxiliary_violations(0.3, 0.46, 0.0)  # s <= 1/2
+        assert auxiliary_violations(2.8, 0.46, 0.0)  # s >= 11/4
+        assert auxiliary_violations(1.0, 0.46, 1.8)  # a >= 11/4 - s
+        assert auxiliary_violations(2.6, 0.46, 0.1)  # b below (s+a)/5 - 1/20
 
     def test_violation_messages_name_the_ranges(self):
-        msgs = NormIndices(0.0, 0.38).gain_violations()
+        msgs = gain_violations(0.0, 0.38, 0.0)
         assert any("2/5 <= b < 1/2" in m and "b=0.38" in m for m in msgs)
-        msgs = NormIndices(0.3, 0.46).auxiliary_violations()
+        msgs = auxiliary_violations(0.3, 0.46, 0.0)
         assert any("1/2 < s < 11/4" in m and "s=0.3" in m for m in msgs)
 
     @settings(max_examples=300, deadline=None)
@@ -202,17 +202,17 @@ class TestAdmissibility:
     @example(s=2.6, b=0.47, a=0.0)
     @example(s=2.6, b=0.48, a=0.1)
     def test_flags_are_exactly_the_stated_windows(self, s, b, a):
-        idx = NormIndices(s, b, a=a)
-        assert (not idx.gain_violations()) == (2 / 5 <= b < 1 / 2 and a <= 10 * b - 4)
-        assert (not idx.auxiliary_violations()) == (
+        assert (not gain_violations(s, b, a)) == (2 / 5 <= b < 1 / 2 and a <= 10 * b - 4)
+        assert (not auxiliary_violations(s, b, a)) == (
             1 / 2 < s < 11 / 4 and a < 11 / 4 - s and max((s + a) / 5 - 1 / 20, 2 / 5) < b < 1 / 2
         )
 
     def test_invalid_indices_rejected(self):
+        v = lattice_mode(1, 1)[0]
         with pytest.raises(ValueError, match="s must be >= 0"):
-            NormIndices(-0.1, 0.45)
+            bilinear_ratio(v, v, -0.1, 0.45)
         with pytest.raises(ValueError, match="a must be >= 0"):
-            NormIndices(0.0, 0.45, a=-0.1)
+            bilinear_ratio(v, v, 0.0, 0.45, a=-0.1)
 
 
 class TestBilinearRatio:

@@ -238,6 +238,65 @@ def test_no_parameter_only_for_the_tests():
     assert sorted(set(unset) - TEST_SET_PARAMETERS_ALLOWED) == []
 
 
+def _defined_once() -> dict:
+    """Name -> definition of every function, method and nested function
+    that `src/kdv5half` defines exactly once under that name."""
+    defs: dict = {}
+    for path in SOURCE_FILES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    return {name: fns[0] for name, fns in defs.items() if len(fns) == 1}
+
+
+def _passed(call: ast.Call, position: int, param: str):
+    """The argument node `call` passes for the parameter, None if it leaves
+    the parameter out."""
+    if position < len(call.args):
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == param), None)
+
+
+def _literal(node) -> str | None:
+    """The dump of `node` when it is a literal (a constant, or a signed or
+    container one), else None; a left-out argument (None) is no literal."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return ast.dump(node)
+
+
+def _unpacks(call: ast.Call) -> bool:
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    )
+
+
+def test_no_parameter_takes_one_constant():
+    """No positional parameter of a function that `src/kdv5half` defines
+    once by name is passed the same literal by every call in `src/kdv5half`
+    and `perfbench`: such a parameter is that constant, and belongs in the
+    body.  A call that leaves the parameter out, or that unpacks `*` or
+    `**`, counts as a different value."""
+    calls: dict = {}
+    for path in PROGRAM_FILES:
+        for name, call in _calls(_parse(path)):
+            calls.setdefault(name, []).append(call)
+    constant = []
+    for name, fn in _defined_once().items():
+        sites = calls.get(name, [])
+        if not sites or any(map(_unpacks, sites)):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        for position, arg in enumerate(positional[skip:]):
+            passed = {_literal(_passed(call, position, arg.arg)) for call in sites}
+            if len(passed) == 1 and None not in passed:
+                constant.append(f"{name}.{arg.arg}")
+    assert sorted(constant) == []
+
+
 def _private_imports(path: Path) -> list:
     """`module.name` for every underscore name that `path` imports from
     another module of the package."""
@@ -260,30 +319,43 @@ def test_no_private_name_crosses_modules():
     assert crossing == []
 
 
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _is_ordering(node: ast.AST) -> bool:
+    return isinstance(node, ast.Compare) and any(isinstance(op, ORDERING) for op in node.ops)
+
+
+def _is_nodes(node: ast.AST) -> bool:
+    """`<expr>.nodes` or a name `nodes`."""
+    return (isinstance(node, ast.Attribute) and node.attr == "nodes") or (
+        isinstance(node, ast.Name) and node.id == "nodes"
+    )
+
+
 def _ordering_windows(path: Path) -> list:
-    """`np.flatnonzero(...)` and one-argument `np.where(...)` calls in `path`
-    whose argument holds an ordering comparison (<, <=, >, >=), by line."""
-    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    """By line, in `path`: every `np.flatnonzero(...)` and one-argument
+    `np.where(...)` call whose argument holds an ordering comparison (<, <=,
+    >, >=), and every ordering comparison with `.nodes` or `nodes` as an
+    operand."""
     found = []
     for node in ast.walk(_parse(path)):
+        if _is_ordering(node) and any(map(_is_nodes, [node.left, *node.comparators])):
+            found.append(f"{path.stem}:{node.lineno}")
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         name = node.func.attr
         if not (name == "flatnonzero" or (name == "where" and len(node.args) == 1)):
             continue
-        if any(
-            isinstance(sub, ast.Compare) and any(isinstance(op, ordering) for op in sub.ops)
-            for arg in node.args
-            for sub in ast.walk(arg)
-        ):
+        if any(_is_ordering(sub) for arg in node.args for sub in ast.walk(arg)):
             found.append(f"{path.stem}:{node.lineno}")
     return found
 
 
 def test_node_windows_come_from_the_grid():
     """The nodes of an interval are selected by `UniformGrid.window` alone,
-    so every check reads one rounding rule: no module but `grids` turns an
-    ordering comparison of nodes into indices."""
+    so every check reads one rounding rule: no module but `grids` compares
+    nodes by order, or turns an ordering comparison into indices."""
     found = sorted(
         hit for path in SOURCE_FILES if path.name != "grids.py" for hit in _ordering_windows(path)
     )

@@ -260,6 +260,15 @@ class TestPicard:
         assert "zero_extension_flags" in diag
         assert diag["T"] == 0.25
 
+    def test_reports_the_potential_diagnostics_unchanged(self, manufactured_case):
+        # The potential's own names reach the report, with their values.
+        _, _, result = manufactured_case
+        potential = result.workspace._pot.diagnostics
+        assert set(potential) == {
+            "beta_radius", "spectrum_within_band", "tail_mass", "quadrature_nodes"
+        }
+        assert {key: result.diagnostics[key] for key in potential} == potential
+
     @pytest.mark.parametrize("channel", ["g_l", "h2"])
     def test_complex_data_refused(self, channel):
         # The grid types hold real samples only, so a complex datum or

@@ -299,7 +299,9 @@ class TestHalfSpectrumSums:
         for band in (None, 0.37 * grid.nyquist, float(freqs.max()), 2.0 * grid.nyquist):
             keep = np.ones(count, bool) if band is None else freqs <= band
             expected = np.sqrt(np.sum(power[keep]) * grid.freq_step)
-            assert sobolev_norm(f, s, band=band) == pytest.approx(expected, rel=1e-13), band
+            assert sobolev_norm(f, s, band=band) == pytest.approx(
+                expected, rel=1e-13, abs=0.0
+            ), band
 
     @staticmethod
     def full_truncation(values, grid, tolerance, cap):
