@@ -35,6 +35,11 @@ folded time table's cos and sin of beta |t|, and the x-block offset planes
 e^{r_m (x - x_b)}, as e^{Re r_m o} times cos and sin of Im r_m o over the
 offsets o = x - x_b.  libm's cos and sin run once per distinct coarse and
 fine row of the split t = m H + r, not once per entry.
+
+A field evaluation is one node sum over all of its targets: each chunk of
+nodes forms its kernel planes on every x target, and their products with the
+chunk's time-table columns, gemms as wide as the target set, add into
+accumulators on the distinct |t|.
 """
 
 from __future__ import annotations
@@ -223,13 +228,23 @@ def truncation_radius(series, tolerance: float, cap: float):
     return radius, tail, ok
 
 
-# x targets per `field_values` call of `add_field_on_grid` and of the
-# initial-vanishing probe of `scenarios`.  On a uniform grid every block, a
-# shorter last one included, reads the first block's (Q, 6, X_BLOCK) offset
-# table, so a potential holds one table: all of the probe's x targets in one
-# call would hold a 52 MiB depth-3 table on the bundled `boundary_traces`
-# scenario.
+# x targets per offset table.  `field_values` splits its targets into blocks
+# of X_BLOCK; on a uniform grid every block, a shorter last one included,
+# reads the first block's (Q, 6, X_BLOCK) offset table, so a potential holds
+# one table however many targets it evaluates.
 X_BLOCK = 128
+
+# Most nodes per chunk of the node sum, whose (NODE_CHUNK, X) buffer holds
+# one kernel plane on every x target at a time.  On a 2-core host, with the
+# 258 distinct |t| and Q = 4480 nodes of the bundled 1024 x 1024 solve,
+# (258 x 560) @ (560 x 1024) ran at about 86 GFlop/s, against 81 at 224
+# nodes, 71 for one x-block of 128 targets over all nodes and 91 for a
+# square 1024 x 1024 product.  Larger chunks gain nothing and hold more.
+NODE_CHUNK = 560
+
+# x targets per compact collar taper on an x < 0 block: each such run of
+# columns sums the decaying roots on its own live prefix of nodes.
+TAPER_BLOCK = 32
 
 
 def _offset_planes(roots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -278,13 +293,33 @@ class _FoldedTable:
         phase_table(mags, betas, cos, sin)
         return cls(cos, sin, rows, np.sign(ttargets))
 
-    def node_sum(self, planes: np.ndarray) -> np.ndarray:
-        """2 Re (e^{i beta t} @ K) on the targets, (T, B) for the kernel
-        planes (Q, 2, B) of Re K and Im K: two real products on the distinct
-        |t|, gathered to +-t; BLAS reads each plane as it is (lda = 2B)."""
-        even = self.cos @ planes[:, 0]
-        odd = self.sin @ planes[:, 1]
-        return 2.0 * (even[self.rows] - self.sign[:, None] * odd[self.rows])
+    def node_sum(self, fill, width: int) -> np.ndarray:
+        """2 Re (e^{i beta t} @ K) on the targets, (T, width), for the kernel
+        K whose plane 0 (Re K) or 1 (Im K) `fill(nodes, plane, kernel)`
+        writes into the (n, width) buffer `kernel` on a slice of nodes.  The
+        nodes run in equal chunks of at most NODE_CHUNK; each plane of a
+        chunk meets the chunk's cos or sin columns in one real product that
+        adds into the accumulator even or odd on the distinct |t|.  The
+        buffer goes before the rows at +|t| gather 2 (even - odd) and those
+        at -|t| 2 (even + odd)."""
+        count = self.cos.shape[1]
+        chunks = -(-count // NODE_CHUNK)
+        size = -(-count // chunks)
+        sums = np.zeros((3, len(self.cos), width))  # even, odd, then even + odd
+        even, odd, part = sums
+        buffer = np.empty((size, width))
+        for lo in range(0, count, size):
+            nodes = slice(lo, min(lo + size, count))
+            kernel = buffer[: nodes.stop - lo]
+            for plane, (table, acc) in enumerate(((self.cos, even), (self.sin, odd))):
+                fill(nodes, plane, kernel)
+                acc += np.matmul(table[:, nodes], kernel, out=part)
+        del buffer, kernel
+        np.add(even, odd, out=part)
+        even -= odd
+        out = sums.reshape(-1, width)[self.rows + 2 * len(even) * (self.sign < 0)]
+        out *= 2.0
+        return out
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         """sum_n e^{-i beta t_n} data[n] for real data (T, C), (Q, C): the
@@ -302,12 +337,15 @@ class BoundaryPotential:
     `from_data`).
 
     Each data update costs one data transform and one batch of per-node
-    Cramer solves; evaluation is then one dense contraction per x-block.
+    Cramer solves; evaluation is then one node sum over every target.
     The data are real TimeSeries, so every table, `rhs` and `coeffs` hold
     the beta > 0 nodes of `quad` only, and `field_values` /
-    `trace_values` return 2 Re of their sum, as two real products of the
-    folded time table's cos and sin with the real planes (Q, 2, B) of Re
-    and Im of the kernel, one batched real matmul away from the tables.
+    `trace_values` return 2 Re of their sum.  The sum runs over chunks of
+    at most NODE_CHUNK nodes: each chunk's real planes of Re and Im of the
+    kernel on all X targets, one batched real matmul away from the tables
+    and formed one at a time in a (NODE_CHUNK, X) buffer, meet the chunk's
+    columns of the folded time table's cos and sin in two real products
+    that add into (U, X) accumulators.
 
     The tables that do not depend on the data are built once per potential:
 
@@ -324,10 +362,11 @@ class BoundaryPotential:
       made by the first block evaluated and read by every block whose
       offsets match a prefix of it (all blocks of a uniform grid, a shorter
       last one included), one base vector per block and, for blocks that
-      reach x < 0, a compact copy of the collar taper on the prefix of nodes
-      where it does not vanish.  They are kept per block for the next call
-      on the same targets; a block that cannot read the first block's table
-      builds its own for that call only.
+      reach x < 0, per run of TAPER_BLOCK columns a compact copy of the
+      collar taper on the prefix of nodes where it does not vanish.  They
+      are kept per block for the next call on the same targets; a block
+      that cannot read the first block's table builds its own for that call
+      only.
 
     The quadrature weights and (2 pi)^(-1/2) are folded into the per-node
     coefficients `coeffs` once per data update, so the contraction is a
@@ -412,18 +451,20 @@ class BoundaryPotential:
         return _FoldedTable.build(ttargets, self.quad.betas)
 
     def _x_block_tables(self, xs: np.ndarray, shared=None) -> tuple:
-        """(offsets, offset planes, base, live, taper) of an x-block; x_b = min xs.
+        """(offsets, offset planes, base, live, tapers) of an x-block; x_b = min xs.
 
         The offset planes (Q, 6, B) of e^{r_m (x - x_b)} are a prefix of the
         planes of the tables `shared` of another block when the offsets agree
         with a prefix of its offsets to the rounding of the nodes; base (Q,
         3) holds e^{r_m x_b}.  On x >= 0 the
-        collar cutoff is 1 and live/taper are None.  Otherwise rho(gamma x)
+        collar cutoff is 1 and live/tapers are None.  Otherwise rho(gamma x)
         vanishes for gamma |x| >= collar and the gammas ascend, so the nodes
-        where the taper does not vanish across the block are a prefix of
-        length `live`; the decaying-root base entries are zeroed past it (so
-        an overflowing e^{Re r x_b} never meets a zero taper), and `taper`
-        is a compact (live, B) copy of its rows.
+        where the taper does not vanish on a run of columns are a prefix.
+        `tapers` holds one compact (live_s, TAPER_BLOCK) copy of the taper
+        on its prefix per run of TAPER_BLOCK columns (a shorter last run
+        included), and `live` is the longest prefix; the decaying-root base
+        entries are zeroed past it (so an overflowing e^{Re r x_b} never
+        meets a zero taper).
         """
         quad = self.quad
         x_b = float(np.min(xs))
@@ -439,38 +480,72 @@ class BoundaryPotential:
         if x_b >= 0:
             return offsets, table, np.exp(z), None, None
         taper = rho(np.outer(quad.gammas, xs), quad.collar)
-        live = int(np.count_nonzero(np.any(taper, axis=1)))  # a prefix: see above
+        tapers = []
+        for start in range(0, n, TAPER_BLOCK):
+            run = taper[:, start : start + TAPER_BLOCK]
+            live = int(np.count_nonzero(np.any(run, axis=1)))  # a prefix: see above
+            tapers.append(run[:live].copy())
+        live = max(len(run) for run in tapers)
         base = np.zeros_like(z)
         base[:, 2] = np.exp(z[:, 2])
         base[:live, :2] = np.exp(z[:live, :2])
-        return offsets, table, base, live, taper[:live].copy()
+        return offsets, table, base, live, tuple(tapers)
 
-    def field_values(self, xtargets, ttargets) -> np.ndarray:
-        """Field samples, shape (len(xtargets), len(ttargets)), with the
-        x-block tables kept as the class docstring says.
-
-        On an x < 0 block the oscillatory root (column 2) is summed on every
-        node and the two decaying roots on the `live` prefix only, under the
-        taper; the other entries are zero and are not summed."""
-        xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
-        ttargets = np.asarray(ttargets, dtype=float)
-        key = xtargets.tobytes()
+    def _block_tables(self, xs: np.ndarray) -> tuple:
+        """The kept tables of the x-block xs, built on the first call on it."""
+        key = xs.tobytes()
         tables = self._blocks.get(key)
         if tables is None:
             first = next(iter(self._blocks.values()), None)
-            tables = self._x_block_tables(xtargets, first)
+            tables = self._x_block_tables(xs, first)
             if first is None or tables[1].base is first[1]:  # a view of the kept table
                 self._blocks[key] = tables
-        _, table, base, live, taper = tables
-        blocks = _coefficient_blocks(base * self.coeffs)
-        if live is None:
-            kernel = np.matmul(blocks, table)
-        else:
-            kernel = np.matmul(blocks[:, :, 4:], table[:, 4:])
-            decaying = np.matmul(blocks[:live, :, :4], table[:live, :4])
-            decaying *= taper[:, None]
-            kernel[:live] += decaying
-        return self._time_table(ttargets).node_sum(kernel).T
+        return tables
+
+    def field_values(self, xtargets, ttargets) -> np.ndarray:
+        """Field samples, shape (len(xtargets), len(ttargets)): one node sum
+        over every target, with the x-block tables kept as the class
+        docstring says.
+
+        Consecutive blocks that read one offset table form a run whose
+        coefficient blocks are stacked to (Q, 2, blocks, 6), so a kernel
+        plane of a node chunk is one batched matmul per run.  On an x < 0
+        block the run sums the oscillatory root (column 2) only, and the two
+        decaying roots are added under the taper on the live prefix of each
+        TAPER_BLOCK columns; the other entries are zero and are not summed."""
+        xtargets = np.atleast_1d(np.asarray(xtargets, dtype=float))
+        ttargets = np.asarray(ttargets, dtype=float)
+        runs, tapered = [], []
+        for start in range(0, len(xtargets), X_BLOCK):
+            _, table, base, live, tapers = self._block_tables(xtargets[start : start + X_BLOCK])
+            coef = _coefficient_blocks(base * self.coeffs)
+            if tapers is not None:
+                tapered.append((start, table, coef[:live, :, :4].copy(), tapers))
+                coef[:, :, :4] = 0.0
+            same = runs and runs[-1][1].shape == table.shape
+            if same and np.may_share_memory(runs[-1][1], table):  # a view of the same kept table
+                runs[-1][2].append(coef)
+            else:
+                runs.append((start, table, [coef]))
+        runs = [
+            (slice(start, start + len(coefs) * table.shape[2]), table, np.stack(coefs, axis=2))
+            for start, table, coefs in runs
+        ]
+
+        def fill(nodes: slice, plane: int, kernel: np.ndarray) -> None:
+            for cols, table, coef in runs:  # coef (Q, 2, blocks, 6), table (Q, 6, B)
+                out = kernel[:, cols].reshape((len(kernel), coef.shape[2], -1), copy=False)
+                np.matmul(coef[nodes, plane], table[nodes], out=out)
+            for start, table, coef, tapers in tapered:
+                for sub, taper in zip(range(0, table.shape[2], TAPER_BLOCK), tapers):
+                    rows = slice(nodes.start, min(nodes.stop, len(taper)))  # live in the chunk
+                    if rows.start < rows.stop:
+                        cols = slice(sub, sub + taper.shape[1])
+                        decaying = np.einsum("qj,qjb->qb", coef[rows, plane], table[rows, :4, cols])
+                        decaying *= taper[rows]
+                        kernel[: len(decaying), start + sub : start + cols.stop] += decaying
+
+        return self._time_table(ttargets).node_sum(fill, len(xtargets)).T
 
     def add_field_on_grid(self, values: np.ndarray, xnodes, weight: np.ndarray) -> None:
         """values += weight(t) * field, in place, for the real (X, T) samples
@@ -478,28 +553,28 @@ class BoundaryPotential:
         weight of shape (T,); the columns off `t_sel`, where the field is
         zero, are left as they are.
 
-        Evaluated by `field_values` in blocks of X_BLOCK targets, each added
-        into its rows as it is made, so no (X, T) field is held.  The block
+        One `field_values` call on every x node and the rows `t_sel`, whose
+        result is weighted in place and added on those rows.  The block
         tables stay for the next call on the same nodes, which the
         fixed-point loop makes once per application.
         """
-        xnodes = np.asarray(xnodes, dtype=float)
-        weight = weight[self.t_sel]
-        for start in range(0, len(xnodes), X_BLOCK):
-            block = self.field_values(xnodes[start : start + X_BLOCK], self.ttargets)
-            block *= weight
-            values[start : start + X_BLOCK, self.t_sel] += block
+        field = self.field_values(xnodes, self.ttargets)
+        field *= weight[self.t_sel]
+        values[:, self.t_sel] += field
 
     def trace_values(self, ttargets) -> np.ndarray:
         """d^j/dx^j at x = 0 for j = 0, 1, 2 from the analytic kernel
         derivatives (r^j factors), shape (3, len(ttargets))."""
         ttargets = np.asarray(ttargets, dtype=float)
         powers = self.quad.roots[:, :, None] ** np.arange(3)  # (Q, 3, 3): r_m^j
-        planes = np.matmul(
-            _coefficient_blocks(self.coeffs),
-            np.stack([powers.real, powers.imag], axis=2).reshape(len(powers), 6, 3),
-        )
-        return self._time_table(ttargets).node_sum(planes).T
+        powers = np.stack([powers.real, powers.imag], axis=2).reshape(len(powers), 6, 3)
+        blocks = _coefficient_blocks(self.coeffs)
+        return self._time_table(ttargets).node_sum(
+            lambda nodes, plane, kernel: np.matmul(
+                blocks[nodes, plane, None], powers[nodes], out=kernel[:, None]
+            ),
+            3,
+        ).T
 
     def trace_on_grid(self) -> tuple:
         """Traces of orders 0, 1, 2 on the data's time grid, as three

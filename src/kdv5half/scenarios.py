@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import (
-    X_BLOCK,
     BoundaryPotential,
     BoundaryQuadrature,
     boundary_potential_traces,
@@ -403,12 +402,7 @@ def _run_boundary_only(scenario: Scenario, _seed: int, depth: int, command: str)
                 radius, d, t_span=1.0, x_span=float(xs.max()), nodes_per_panel=2
             )
             pot = BoundaryPotential(quad, h1, h2, h3, rows)
-            maxima.append(
-                max(
-                    float(np.max(np.abs(pot.field_values(xs[i : i + X_BLOCK], [0.0]))))
-                    for i in range(0, len(xs), X_BLOCK)
-                )
-            )
+            maxima.append(float(np.max(np.abs(pot.field_values(xs, [0.0])))))
             del pot  # its tables, before the next depth builds its own
         ratio = maxima[0] / max(maxima[1], 1e-300)
         report["initial_vanishing"] = {"maxima": maxima, "ratio": ratio}

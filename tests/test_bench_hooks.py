@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +46,42 @@ def test_field_values_arguments_the_counter_reads():
 
     params = list(inspect.signature(BoundaryPotential.field_values).parameters)
     assert params[:3] == ["self", "xtargets", "ttargets"]
+
+
+def test_add_field_on_grid_is_one_counted_field_values_call(monkeypatch):
+    # The benchmark counts `field_values` calls and sizes each from its
+    # positional arguments: one call per application, on every x node and
+    # the bound rows, keeps `kernel_table_bytes` and `contract_flops` at
+    # their totals over the x nodes.
+    from kdv5half.boundary import BoundaryPotential
+    from kdv5half.grids import TimeSeries, UniformGrid
+
+    tgrid = UniformGrid(-1.0, 2.0 / 128, 128)
+    bump = np.exp(-(((tgrid.nodes - 0.5) / 0.1) ** 2)) * (tgrid.nodes > 0.0)
+    zero = TimeSeries(tgrid, np.zeros(tgrid.count))
+    pot = BoundaryPotential.from_data(
+        TimeSeries(tgrid, bump), zero, zero, depth=0, x_span=4.0, t_window=(0.0, 1.0)
+    )
+    xnodes = np.linspace(-4.0, 4.0, 300)
+    tracer = tracing.Tracer()
+    calls = []
+    original = BoundaryPotential.field_values
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    wrapped = tracer.wrap("boundary.field_values", recording, False)
+    monkeypatch.setattr(BoundaryPotential, "field_values", wrapped)
+    values = np.zeros((len(xnodes), tgrid.count))
+    pot.add_field_on_grid(values, xnodes, np.ones(tgrid.count))
+    assert tracing.call_counts(tracer.spans) == {"boundary.field_values": 1}
+    (args, kwargs), = calls
+    assert kwargs == {} and len(args) == 3 and args[0] is pot
+    assert np.array_equal(args[1], xnodes) and np.array_equal(args[2], pot.ttargets)
+    q, x, t = pot.quad.node_count, len(xnodes), len(pot.ttargets)
+    assert tracer.kernel_table_bytes == 3 * q * x * 16
+    assert tracer.contract_flops == 8 * q * x * t
 
 
 def test_benchmark_selftest_passes():

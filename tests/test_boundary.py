@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import potential_field
 
 from kdv5half.boundary import (
+    NODE_CHUNK,
+    TAPER_BLOCK,
     X_BLOCK,
     BoundaryPotential,
     BoundaryQuadrature,
@@ -625,7 +627,9 @@ class TestFoldedTimeTable:
         betas = three_channel_potential().quad.betas
         rng = np.random.default_rng(3)
         planes = rng.standard_normal((len(betas), 2, 5))  # Re K and Im K
-        got = _FoldedTable.build(t, betas).node_sum(planes)
+        got = _FoldedTable.build(t, betas).node_sum(
+            lambda nodes, plane, kernel: np.copyto(kernel, planes[nodes, plane]), 5
+        )
         kernel = planes[:, 0] + 1j * planes[:, 1]
         want = 2.0 * (np.exp(1j * np.outer(t, betas)) @ kernel).real
         assert got.shape == (len(t), 5)
@@ -658,9 +662,9 @@ class TestFoldedTimeTable:
 
     def test_add_field_on_grid_adds_in_place_in_either_layout(self):
         # values += weight(t) * field in the caller's own array and layout:
-        # each x-block adds its weighted `field_values` on the rows t_sel, bit
-        # for bit, and the columns off t_sel keep their values.  Two blocks,
-        # the second one short.
+        # one weighted `field_values` call on every target adds on the rows
+        # t_sel, bit for bit, and the columns off t_sel keep their values.
+        # Two blocks, the second one short.
         t_sel = rows_in(0.0, 2.0)
         pot = three_channel_potential(t_sel=t_sel)
         xs = np.linspace(-1.0, 3.0, X_BLOCK + 72)
@@ -673,9 +677,7 @@ class TestFoldedTimeTable:
             pot.add_field_on_grid(values, xs, weight)
             added.append(values)
         want = start.copy()
-        for b in range(0, len(xs), X_BLOCK):
-            block = pot.field_values(xs[b : b + X_BLOCK], TG.nodes[t_sel])
-            want[b : b + X_BLOCK, t_sel] += block * weight[t_sel]
+        want[:, t_sel] += pot.field_values(xs, TG.nodes[t_sel]) * weight[t_sel]
         for values in added:
             assert np.array_equal(values, want)
 
@@ -753,37 +755,75 @@ class TestKernelPlanes:
             assert np.max(np.abs(got - dense_half_sum(pot, xs, [t]))) <= 1e-13 * scale, t
 
     def test_stored_taper_is_a_compact_live_prefix(self):
-        # The live nodes of an x < 0 block are a prefix (the gammas ascend);
-        # the taper keeps its rows as an owned (live, B) array, not a view
-        # that holds the whole (Q, B) taper alive.
+        # The live nodes of each run of TAPER_BLOCK columns of an x < 0 block
+        # are a prefix (the gammas ascend); the run keeps its rows as an owned
+        # (live, TAPER_BLOCK) array, not a view that holds the whole (Q, B)
+        # taper alive, and the block's `live` is the longest of its prefixes.
         pot = three_channel_potential(x_span=40.0)
         xs = np.linspace(-40.0, 6.0, 400)
         potential_field(pot, xs)
         gammas, q = pot.quad.gammas, len(pot.quad.betas)
-        lives = []
-        for key, (_, _, _, live, taper) in pot._blocks.items():
+        lives, shorter = [], 0
+        for key, (_, _, _, live, tapers) in pot._blocks.items():
             if live is None:
                 continue
             block = np.frombuffer(key)
             full = rho(np.outer(gammas, block), pot.quad.collar)
-            assert taper.shape == (live, len(block))
-            assert taper.base is None  # owns its data
-            assert np.array_equal(taper, full[:live])
-            assert np.all(np.any(full[:live], axis=1)) and not np.any(full[live:])
-            lives.append(live)
+            starts = range(0, len(block), TAPER_BLOCK)
+            assert len(tapers) == len(starts)
+            for start, taper in zip(starts, tapers):
+                run = full[:, start : start + TAPER_BLOCK]
+                assert taper.shape == (len(taper), run.shape[1])
+                assert taper.base is None  # owns its data
+                assert np.array_equal(taper, run[: len(taper)])
+                assert np.all(np.any(run[: len(taper)], axis=1)) and not np.any(run[len(taper) :])
+                lives.append(len(taper))
+            assert live == max(len(taper) for taper in tapers)
+            shorter += sum(len(taper) < live for taper in tapers)
         assert min(lives) < q and max(lives) == q
+        assert shorter > 0  # some runs sum fewer nodes than their block's prefix
+
+
+class TestNodeChunkSeams:
+    # One `field_values` call across every seam of the node sum: a far x < 0
+    # block (a strict live prefix, its runs shorter still), the block that
+    # ends at x = 0, a block of x > 0 and a short last block, on a node count
+    # that leaves a short last chunk, against the dense half sum.
+    H = 6.0 / (2 * X_BLOCK - 1)
+    XS = H * np.arange(-(2 * X_BLOCK - 1), X_BLOCK + 41)
+
+    def test_field_values_match_the_dense_half_sum_across_seams(self):
+        pot = three_channel_potential()
+        q = len(pot.quad.betas)
+        assert q % NODE_CHUNK != 0
+        starts = range(0, len(self.XS), X_BLOCK)
+        tables = [pot._x_block_tables(self.XS[b : b + X_BLOCK]) for b in starts]
+        assert [len(t[0]) for t in tables] == [X_BLOCK] * 3 + [40]
+        assert 0 < tables[0][3] < q and tables[1][3] == q and tables[2][3] is None
+        assert self.XS[2 * X_BLOCK - 1] == 0.0
+        ts = TG.nodes[::8]
+        got = pot.field_values(self.XS, ts)
+        assert got.shape == (len(self.XS), len(ts))
+        assert rel_max_error(got, dense_half_sum(pot, self.XS, ts)) <= 1e-13
+        at_zero = pot.field_values(self.XS, [0.0])
+        assert at_zero.shape == (len(self.XS), 1)
+        assert rel_max_error(at_zero, dense_half_sum(pot, self.XS, [0.0])) <= 1e-13
 
 
 class TestFieldMemory:
     # Allocation guard for the field assembly, in MiB of tracemalloc: the
     # tables a bound potential keeps after `add_field_on_grid` (offset planes
-    # (Q, 6, B) plus the compact tapers), the peak of the first call (tables
-    # built) and of a repeat call (kernel planes and node sums of one block).
-    # The (X, T) target is the caller's and is allocated before tracing.
-    # Measured 18.67, 31.98 and 13.56 with numpy 2.4; the 5% margin is 0.9
-    # MiB of the tables, below one more (Q, B) taper (2.6 MiB) or (Q, 2, B)
-    # kernel temporary (5.1 MiB) left alive.
-    HELD, FIRST_PEAK, REPEAT_PEAK = 18.67, 31.98, 13.56
+    # (Q, 6, B), 15.4 MiB at Q = 2624, plus the compact tapers of the runs of
+    # TAPER_BLOCK columns), the peak of the first call (tables built) and of
+    # a repeat call: the node sum's (525, X) kernel buffer (five equal
+    # chunks), 2.1 MiB, and its three (U, X) accumulators, 2 MiB each, then
+    # the (T, X) field.  The (X, T) target is the caller's and is allocated
+    # before tracing.  Measured 16.95, 30.92 and 9.68 with numpy 2.4 (18.67,
+    # 31.98 and 13.56 when each x-block made its own (Q, 2, B) kernel and
+    # node sums and each taper spanned its block); the 5% margins, 0.85, 1.5
+    # and 0.5 MiB, are below one more accumulator (2 MiB) or kernel buffer
+    # left alive.
+    HELD, FIRST_PEAK, REPEAT_PEAK = 16.95, 30.92, 9.68
     MARGIN = 1.05
 
     def test_field_on_grid_allocations(self):
